@@ -3,7 +3,7 @@ distinguished weight-0 forms, their twisted series for every conjugacy class
 of the attached groups, the signed permutation groups themselves, character
 tables with module decompositions, and the degree-two lifts."""
 
-from .algebra import FracExponent, QuadValue, quad_arith
+from .algebra import QuadValue
 from .jacobi import (HVector, WindowedSeries, appell_mu, extract_H,
                      extremal_space_dim, gritsenko, hat_theta, index_theta,
                      jacobi_theta, psi_one_one, umbral_Z, verify_extremal,
@@ -14,7 +14,7 @@ from .groups import (GroupData, SignedPerm, check_ell4_to_ell2, euler_chars,
 from .mckay import (TwistedH, mock_identity_check, multiplier_rho, pairing,
                     twisted_H, verify_F_consistency, weight2)
 from .qseries import (FracSeries, dedekind_epsilon, eta, eta_quotient,
-                      lambda_n, mock_theta, newform, series_arith, unary_theta)
+                      lambda_n, mock_theta, newform, unary_theta)
 from .reps import (CharacterTable, Multiplicities, character_table, decompose,
                    discriminant_report, validate_table,
                    verify_decomposition_tables)

@@ -1,4 +1,4 @@
-"""Exact scalars: rationals, quadratic irrationalities, fractional exponents.
+"""Exact scalars: rationals and quadratic irrationalities.
 
 Rationals are ``fractions.Fraction`` (plain ``int`` is accepted anywhere a
 rational is, and arithmetic never leaves the exact world).  QuadValue adds a
@@ -9,11 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import MixedDiscriminant
-
-Rat = Fraction  # alias used throughout the library
 
 
 def as_rat(x) -> Fraction:
@@ -137,19 +134,6 @@ class QuadValue:
         return f"{self.rat}+{self.irr}*sqrt({self.disc})"
 
 
-def quad_arith(a: QuadValue, b: QuadValue, op: str):
-    """Dispatch arithmetic on quadratic values: add, mul, conj, eq."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "conj":
-        return a.conj()
-    if op == "eq":
-        return a == b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def b_value(n: int) -> QuadValue:
     """The character-table abbreviation b_n = (-1 + sqrt(-n)) / 2."""
     return QuadValue(Fraction(-1, 2), Fraction(1, 2), -n)
@@ -158,24 +142,3 @@ def b_value(n: int) -> QuadValue:
 def a_value(n: int) -> QuadValue:
     """The character-table abbreviation a_n = sqrt(-n)."""
     return QuadValue(Fraction(0), Fraction(1), -n)
-
-
-# ---------------------------------------------------------------------------
-# fractional exponents
-#
-# Exponents of q-series are exact rationals; Fraction already provides the
-# reduced form, total order and closed addition the series engine needs.
-# These helpers keep call sites explicit about intent.
-
-FracExponent = Fraction
-
-
-def frac_exponent(num: int, den: int = 1) -> Fraction:
-    return Fraction(num, den)
-
-
-def exponent_lcm_denom(*exps: Fraction) -> int:
-    d = 1
-    for e in exps:
-        d = d * e.denominator // gcd(d, e.denominator)
-    return d

@@ -9,20 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import groups, jacobi, mckay, reps, siegel
-from .data import load_json, set_data_dir
+from .data import LAMBENCIES, load_json, set_data_dir
 from .errors import DataExhausted, MoonshineError, UnknownClass
-
-LAMBENCIES = (2, 3, 4, 5, 7, 13)
 
 
 def _parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--data-dir", help="override the bundled data directory")
-    shared.add_argument("--jobs", type=int, default=1, help="worker pool size")
     shared.add_argument("--json", action="store_true", help="machine-readable output")
     p = argparse.ArgumentParser(prog="moonshine",
                                 description="exact computations around the six "
@@ -136,7 +132,6 @@ def cmd_verify_tables(args):
     qcut = Fraction(max(int(k) for r in tabs for k in tabs[r]["rows"]) + 4 * ell,
                     4 * ell) + 1
     classes = tabs[1]["classes"]
-    mckay.identity_H(ell, qcut)  # warm the shared cache before the pool
 
     def check(lab):
         tw = mckay.twisted_H(ell, lab, qcut)
@@ -153,12 +148,7 @@ def cmd_verify_tables(args):
                     bad.append((lab, r, int(key), str(comp.coefficient(e)), want))
         return bad
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(check, classes))
-    else:
-        results = [check(lab) for lab in classes]
-    bad = [b for chunk in results for b in chunk]
+    bad = [b for lab in classes for b in check(lab)]
     payload = {"lambency": ell, "classes": len(classes), "mismatches": bad}
     _emit(args, payload, lambda p: print(
         f"lambency {p['lambency']}: {p['classes']} classes, "

@@ -11,13 +11,25 @@ import os
 from functools import lru_cache
 from pathlib import Path
 
+LAMBENCIES = (2, 3, 4, 5, 7, 13)
+
 _override: Path | None = None
+_table_caches: list = []
+
+
+def table_cache() -> dict:
+    """A new dict for values built from the tables; ``set_data_dir`` empties it."""
+    cache: dict = {}
+    _table_caches.append(cache)
+    return cache
 
 
 def set_data_dir(path=None):
     global _override
     _override = Path(path) if path else None
     load_json.cache_clear()
+    for cache in _table_caches:
+        cache.clear()
 
 
 def data_dir() -> Path:

@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import gcd
+from math import lcm
 
-from .data import load_json
+from .data import load_json, table_cache
 from .errors import ClosureOverflow, UnknownClass
-
-LAMBENCIES = (2, 3, 4, 5, 7, 13)
-
 
 # ---------------------------------------------------------------------------
 # signed permutations
@@ -63,9 +60,6 @@ class SignedPerm:
     def __hash__(self):
         return hash(self.img)
 
-    def is_identity(self) -> bool:
-        return all(v == i << 1 for i, v in enumerate(self.img))
-
     def negate(self) -> "SignedPerm":
         """Composition with the central all-signs-flip."""
         return SignedPerm(tuple(v ^ 1 for v in self.img))
@@ -90,15 +84,11 @@ class SignedPerm:
     def order(self) -> int:
         o = 1
         for k, s in self.cycles():
-            o = _lcm(o, k if s > 0 else 2 * k)
+            o = lcm(o, k if s > 0 else 2 * k)
         return o
 
     def __repr__(self):
         return f"SignedPerm({self.img})"
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +195,9 @@ def order_from_frames(pi: dict, pibar: dict) -> int:
     o = 1
     for k, (plus, minus) in counts.items():
         if plus:
-            o = _lcm(o, k)
+            o = lcm(o, k)
         if minus:
-            o = _lcm(o, 2 * k)
+            o = lcm(o, 2 * k)
     return o
 
 
@@ -223,7 +213,7 @@ def gamma_symbol_from_frames(ell: int, pi: dict, pibar: dict) -> tuple:
     N = cyc[0] * cyc[-1]
     n = 1
     for k in pibar:
-        n = _lcm(n, k)
+        n = lcm(n, k)
     non_split = order_from_frames(pi, pibar) == 2 * n
     h = N // (2 * n) if (ell == 4 and non_split) else N // n
     return n, h
@@ -416,26 +406,33 @@ def enumerate_group(gens: list, bound: int = 400000) -> dict:
     return seen
 
 
+def _conjugation_closure(g: SignedPerm, gens: list, inv: list) -> set:
+    """Images of the conjugates of g, by closure under generator conjugation."""
+    orbit = {g.img}
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a, ai in zip(gens, inv):
+                y = (a * x) * ai
+                if y.img not in orbit:
+                    orbit.add(y.img)
+                    nxt.append(y)
+        frontier = nxt
+    return orbit
+
+
 def conjugacy_orbits(elements: dict, gens: list) -> list:
-    """Partition into conjugation orbits (closure under generator conjugation)."""
+    """Partition into conjugation orbits, each represented by its first element
+    in enumeration order: [(representative, orbit size)]."""
     inv = [g.inverse() for g in gens]
     unassigned = dict(elements)
     orbits = []
     while unassigned:
-        img, g = next(iter(unassigned.items()))
-        orbit = {img}
-        frontier = [g]
-        del unassigned[img]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for a, ai in zip(gens, inv):
-                    y = (a * x) * ai
-                    if y.img not in orbit:
-                        orbit.add(y.img)
-                        nxt.append(y)
-                        del unassigned[y.img]
-            frontier = nxt
+        g = next(iter(unassigned.values()))
+        orbit = _conjugation_closure(g, gens, inv)
+        for img in orbit:
+            del unassigned[img]
         orbits.append((g, len(orbit)))
     return orbits
 
@@ -488,7 +485,7 @@ def generate(ell: int, bound: int = 400000) -> GroupData:
     return gd
 
 
-_group_cache: dict = {}
+_group_cache = table_cache()
 
 
 def umbral_group(ell: int) -> GroupData:
@@ -503,19 +500,7 @@ def umbral_group(ell: int) -> GroupData:
 def conjugation_orbit(ell: int, g: SignedPerm) -> set:
     """The conjugation orbit of g under the lambency-l group, as images."""
     gens = generators(ell)
-    inv = [x.inverse() for x in gens]
-    orbit = {g.img}
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a, ai in zip(gens, inv):
-                y = (a * x) * ai
-                if y.img not in orbit:
-                    orbit.add(y.img)
-                    nxt.append(y)
-        frontier = nxt
-    return orbit
+    return _conjugation_closure(g, gens, [x.inverse() for x in gens])
 
 
 def squared_class_set(ell: int, label: str) -> set:

@@ -21,19 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import as_rat
+from .data import LAMBENCIES
 from .errors import OutOfRange, UnboundedSupport, WindowTooNarrow
 from .qseries import INF, FracSeries, eta, euler_product
 
 ENTIRE = "entire"
 LOWER = "lower"   # |q| < |y| < 1
 UPPER = "upper"   # 1 < |y| < 1/|q|
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 class WindowedSeries:
@@ -78,9 +75,6 @@ class WindowedSeries:
     def is_complete(self):
         return self.ywindow is None
 
-    def qexp(self, k):
-        return Fraction(k, self.denom)
-
     def coefficient(self, qe, ypow) -> Fraction:
         qe, ypow = as_rat(qe), as_rat(ypow)
         if qe >= self.qcut:
@@ -122,8 +116,8 @@ class WindowedSeries:
         raise ValueError(f"incompatible annuli {self.annulus}/{other.annulus}")
 
     def _aligned(self, other):
-        d = _lcm(self.denom, other.denom)
-        yd = _lcm(self.ydenom, other.ydenom)
+        d = lcm(self.denom, other.denom)
+        yd = lcm(self.ydenom, other.ydenom)
         def lift(s):
             fq, fy = d // s.denom, yd // s.ydenom
             return {k * fq: {y * fy: c for y, c in row.items()}
@@ -161,7 +155,7 @@ class WindowedSeries:
 
     def qshift(self, e):
         e = as_rat(e)
-        d = _lcm(self.denom, e.denominator)
+        d = lcm(self.denom, e.denominator)
         f = d // self.denom
         off = e.numerator * (d // e.denominator)
         rows = {k * f + off: dict(row) for k, row in self.rows.items()}
@@ -187,36 +181,8 @@ class WindowedSeries:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        return id(self)
-
     def is_zero(self):
         return not self.rows
-
-    def _plain_mul(self, other, qcut=None):
-        """Convolution of two complete series (exact,全 support kept)."""
-        d, yd, a, b = self._aligned(other)
-        cut = min(self.qcut + other.low_q(), other.qcut + self.low_q())
-        if qcut is not None:
-            cut = min(cut, as_rat(qcut))
-        kcut = cut * d
-        out = {}
-        bi = sorted(b.items())
-        for ka, rowa in a.items():
-            for kb, rowb in bi:
-                k = ka + kb
-                if k >= kcut:
-                    break
-                dst = out.setdefault(k, {})
-                for ya, ca in rowa.items():
-                    for yb, cb in rowb.items():
-                        y = ya + yb
-                        dst[y] = dst.get(y, 0) + ca * cb
-        si = None
-        if self.support_index is not None and other.support_index is not None:
-            si = self.support_index + other.support_index
-        return WindowedSeries(d, out, cut, support_index=si,
-                              annulus=self._combine_annulus(other), ydenom=yd)
 
     def low_q(self) -> Fraction:
         if not self.rows:
@@ -228,9 +194,7 @@ class WindowedSeries:
             return self.scale(other)
         if isinstance(other, FracSeries):
             other = WindowedSeries.from_fracseries(other)
-        if self.is_complete() and other.is_complete():
-            return self._plain_mul(other)
-        return windowed_mul(self, other)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -285,25 +249,34 @@ def windowed_mul(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
     complete factor's maximal |y|-power; otherwise the tails it is missing
     could fold back into the window.
     """
-    if a.is_complete() and b.is_complete():
-        out = a._plain_mul(b, qcut=qcut)
-        return out
-    if b.is_complete():
-        a, b = b, a
-    if not a.is_complete():
-        raise UnboundedSupport("product of two windowed series is not supported")
-    # a complete, b windowed
-    reach = a.max_abs_y()
+    return _product(a, b, qcut, ywindow)
+
+
+def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
+    """The convolution behind ``*`` and ``windowed_mul``.
+
+    Complete times complete keeps every term and adds the support indices.
+    With a windowed factor the full convolution is clipped to the target
+    window afterwards, so the inner loop carries no window test.  ``*``
+    calls this directly, so profiles charge its time to ``__mul__``.
+    """
+    target = None
+    if not (a.is_complete() and b.is_complete()):
+        if b.is_complete():
+            a, b = b, a
+        if not a.is_complete():
+            raise UnboundedSupport("product of two windowed series is not supported")
+        # a complete, b windowed
+        reach = a.max_abs_y()
+        target = ywindow if ywindow is not None else b.ywindow - reach
+        if target < 0 or b.ywindow < target + reach:
+            raise WindowTooNarrow(
+                f"need window {target}+{reach} on windowed factor, have {b.ywindow}")
     cut = min(a.qcut + b.low_q(), b.qcut + a.low_q())
     if qcut is not None:
         cut = min(cut, as_rat(qcut))
-    target = ywindow if ywindow is not None else b.ywindow - reach
-    if target < 0 or b.ywindow < target + reach:
-        raise WindowTooNarrow(
-            f"need window {target}+{reach} on windowed factor, have {b.ywindow}")
     d, yd, ra, rb = a._aligned(b)
     kcut = cut * d
-    ytgt = target * yd
     out = {}
     rbs = sorted(rb.items())
     for ka, rowa in ra.items():
@@ -315,10 +288,22 @@ def windowed_mul(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
             for ya, ca in rowa.items():
                 for yb, cb in rowb.items():
                     y = ya + yb
-                    if abs(y) <= ytgt:
-                        dst[y] = dst.get(y, 0) + ca * cb
-    return WindowedSeries(d, out, cut, ywindow=target,
+                    dst[y] = dst.get(y, 0) + ca * cb
+    si = None
+    if target is None and a.support_index is not None and b.support_index is not None:
+        si = a.support_index + b.support_index
+    prod = WindowedSeries(d, out, cut, support_index=si,
                           annulus=a._combine_annulus(b), ydenom=yd)
+    return prod if target is None else _clip(prod, target, prod.annulus)
+
+
+def _clip(s: WindowedSeries, ywindow, annulus: str) -> WindowedSeries:
+    """The terms of ``s`` with |y-power| <= ywindow, as a windowed series."""
+    ymax = ywindow * s.ydenom
+    rows = {k: {y: c for y, c in row.items() if abs(y) <= ymax}
+            for k, row in s.rows.items()}
+    return WindowedSeries(s.denom, rows, s.qcut, ywindow=ywindow, annulus=annulus,
+                          ydenom=s.ydenom)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +475,7 @@ def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
 
 def umbral_Z(ell: int, qcut) -> WindowedSeries:
     """The distinguished weight-0 form Z^(l) = 2 phi^(l)_1, l in {2,3,4,5,7,13}."""
-    if ell not in (2, 3, 4, 5, 7, 13):
+    if ell not in LAMBENCIES:
         raise OutOfRange(f"lambency {ell}")
     return gritsenko(ell, 1, qcut).scale(2)
 
@@ -672,7 +657,7 @@ def extract_from_form(phi: WindowedSeries, m: int, qcut, annulus: str = LOWER) -
 
 def extract_H(ell: int, qcut, annulus: str = LOWER) -> HVector:
     """The mock modular vector attached to Z^(l) (identity-class series)."""
-    if ell not in (2, 3, 4, 5, 7, 13):
+    if ell not in LAMBENCIES:
         raise OutOfRange(f"lambency {ell}")
     return extract_from_form(umbral_Z(ell, qcut), ell, qcut, annulus)
 
@@ -774,13 +759,3 @@ def verify_n4_identity(ell: int, qcut=10, ywindow=12) -> dict:
         total = total - _clip(piece, ywindow, total.annulus)
     bad = [(qe, yp, c) for qe, yp, c in total.items()]
     return {"lambency": ell, "residual_terms": bad, "ok": not bad}
-
-
-def _clip(s: WindowedSeries, ywindow: int, annulus: str) -> WindowedSeries:
-    rows = {}
-    for k, row in s.rows.items():
-        r = {y: c for y, c in row.items() if abs(Fraction(y, s.ydenom)) <= ywindow}
-        if r:
-            rows[k] = r
-    return WindowedSeries(s.denom, rows, s.qcut, ywindow=ywindow, annulus=annulus,
-                          ydenom=s.ydenom)

@@ -27,8 +27,7 @@ from .errors import (DataExhausted, DeterminantNotUnit, NotInGroup,
 from .groups import class_table
 from .qseries import (FracSeries, eta_quotient, lambda_n, mock_theta, newform,
                       unary_theta)
-
-LAMBENCIES = (2, 3, 4, 5, 7, 13)
+from .reps import row_component
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +126,11 @@ class TwistedH:
         """
         from .errors import CutoffUnderflow
         e = Fraction(fourld, 4 * self.lambency)
-        r = _row_component(self.lambency, fourld)
+        r = row_component(self.lambency, fourld)
         try:
             return self.component(r).coefficient(e)
         except CutoffUnderflow as exc:
             raise DataExhausted(str(exc)) from exc
-
-
-def _row_component(ell: int, fourld: int) -> int:
-    for r in range(1, ell):
-        if (fourld + r * r) % (4 * ell) == 0:
-            return r
-    raise UnknownClass(f"row {fourld} not on the lambency-{ell} lattice")
 
 
 _identity_cache: dict = {}
@@ -189,11 +181,6 @@ def _stored_components(ell: int, label: str) -> list:
         comps.append(FracSeries.from_terms(
             ((Fraction(k, 4 * ell), v) for k, v in rows.items()), cut))
     return comps
-
-
-def stored_table_depth(ell: int, r: int) -> int:
-    tab = load_json(f"mt_{ell}_{r}.json")
-    return max(int(k) for k in tab["rows"])
 
 
 def _finish(ell, label, comps) -> TwistedH:

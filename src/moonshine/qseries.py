@@ -14,16 +14,12 @@ orders 2, 3, 8 and 10.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .algebra import as_rat
 from .errors import CutoffUnderflow, DataExhausted, NotInvertible, NotUnimodular
 
 INF = Fraction(10**15)  # effectively infinite cutoff for exact polynomials
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class FracSeries:
@@ -51,7 +47,7 @@ class FracSeries:
         for e, c in terms:
             e = as_rat(e)
             if e < cutoff:
-                denom = _lcm(denom, e.denominator)
+                denom = lcm(denom, e.denominator)
                 pairs.append((e, c))
         coeffs = {}
         for e, c in pairs:
@@ -72,9 +68,6 @@ class FracSeries:
         return cls.from_terms([(exponent, coeff)], cutoff)
 
     # -- inspection ---------------------------------------------------
-    def exponent(self, k: int) -> Fraction:
-        return Fraction(k, self.denom)
-
     def items(self):
         """Sorted (Fraction exponent, coefficient) pairs."""
         for k in sorted(self.coeffs):
@@ -103,15 +96,12 @@ class FracSeries:
         cut = min(self.cutoff, other.cutoff)
         return self.truncate(cut).normalized_pairs() == other.truncate(cut).normalized_pairs()
 
-    def __hash__(self):
-        return hash((self.denom, self.cutoff, tuple(sorted(self.coeffs.items()))))
-
     def normalized_pairs(self):
         return tuple((Fraction(k, self.denom), as_rat(v)) for k, v in sorted(self.coeffs.items()))
 
     # -- arithmetic ----------------------------------------------------
     def _align(self, other: "FracSeries"):
-        d = _lcm(self.denom, other.denom)
+        d = lcm(self.denom, other.denom)
         fa, fb = d // self.denom, d // other.denom
         a = {k * fa: v for k, v in self.coeffs.items()}
         b = {k * fb: v for k, v in other.coeffs.items()}
@@ -203,7 +193,7 @@ class FracSeries:
         step = step or 1
         u = {k // step: v for k, v in rel.items() if k}
         kmax_f = (self.cutoff - low) * self.denom / step  # exact bound on reduced lattice
-        kmax = int(kmax_f) + (1 if kmax_f == int(kmax_f) else 1)
+        kmax = int(kmax_f) + 1
         inv = [Fraction(0)] * max(kmax, 1)
         inv[0] = Fraction(1)
         uk = sorted(u.items())
@@ -293,23 +283,6 @@ class FracSeries:
 
     def __repr__(self):
         return f"FracSeries({self.render(6)}, cutoff={self.cutoff})"
-
-
-def series_arith(a: FracSeries, b, op: str, **kw):
-    """Dispatcher over the series operations (mirror of the public methods)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "invert":
-        return a.invert()
-    if op == "rescale":
-        return a.rescale(kw["t"])
-    if op == "split":
-        return a.split(kw["residue"])
-    if op == "shift":
-        return a.shift(kw["exponent"])
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +399,7 @@ def unary_theta(m: int, r: int, cutoff) -> FracSeries:
     n = 0
     while True:
         added = False
-        for s in ((n, -n - 1) if True else ()):
+        for s in (n, -n - 1):
             j = 2 * m * s + r
             e = Fraction(j * j, 4 * m)
             if e < cutoff:

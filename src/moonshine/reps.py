@@ -6,15 +6,15 @@ irreducibles by character inversion over the quadratic fields involved.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .algebra import QuadValue, as_rat, squarefree_part
-from .data import load_json
+from .data import load_json, table_cache
 from .errors import DataCorrupt, UnknownClass
 from .groups import class_table, merged_members
-
-LAMBENCIES = (2, 3, 4, 5, 7, 13)
 
 
 @dataclass
@@ -27,9 +27,6 @@ class CharacterTable:
     fs: list                # Frobenius-Schur indicators per irreducible
     values: list            # values[i][k]: QuadValue of chi_{i+1} at column k
 
-    def value(self, i: int, label: str) -> QuadValue:
-        return self.values[i][self.classes.index(label)]
-
     def degree(self, i: int) -> int:
         return int(self.values[i][0].rat)
 
@@ -38,7 +35,7 @@ class CharacterTable:
         return len(self.values)
 
 
-_cache: dict = {}
+_cache = table_cache()
 
 
 def character_table(ell: int) -> CharacterTable:
@@ -49,6 +46,14 @@ def character_table(ell: int) -> CharacterTable:
         _cache[ell] = CharacterTable(ell, d["order"], d["classes"], d["centralizers"],
                                      d["power_maps"], d["fs"], values)
     return _cache[ell]
+
+
+def _label_order(label: str) -> int:
+    """The element order a class label such as '12B' states."""
+    m = re.match(r"(\d+)[A-Z]+$", label)
+    if m is None:
+        raise DataCorrupt(f"class label {label!r} states no element order")
+    return int(m.group(1))
 
 
 def validate_table(ell: int) -> dict:
@@ -77,13 +82,17 @@ def validate_table(ell: int) -> dict:
             want = 1 if i == j else 0
             if not (s.irr == 0 and s.rat == want):
                 raise DataCorrupt(f"row orthogonality ({i + 1},{j + 1}): {s}")
-    # power maps permute the class labels consistently
+    # the p-th power of a class of order n lies in a class of order n/gcd(n, p);
+    # for p dividing the group order a power map need not be a permutation
     for p, labels in t.power_maps.items():
-        if sorted(set(labels)) != sorted(set(labels)) or len(labels) != n:
+        if len(labels) != n:
             raise DataCorrupt(f"power map {p} malformed")
-        for lab in labels:
+        for src, lab in zip(t.classes, labels):
             if lab not in t.classes:
                 raise DataCorrupt(f"power map {p} hits unknown {lab}")
+            order = _label_order(src)
+            if _label_order(lab) != order // gcd(order, int(p)):
+                raise DataCorrupt(f"power map {p} sends {src} to {lab}")
     report["fs_zero"] = [i + 1 for i, v in enumerate(t.fs) if v == 0]
     return report
 
@@ -96,9 +105,6 @@ class Multiplicities:
     counts: list             # per irreducible, exact rationals
     integral: bool
     nonnegative: bool
-
-    def as_ints(self) -> list:
-        return [int(c) for c in self.counts]
 
 
 def decompose(ell: int, r: int, fourld: int, coefficients: dict) -> Multiplicities:
@@ -268,7 +274,7 @@ def type_n_inventory(ell: int) -> dict:
     for n in sorted(orders):
         lam = 1
         while n * lam * lam <= max(discs):
-            if n * lam * lam in discs and _coprime(lam, n):
+            if n * lam * lam in discs and gcd(lam, n) == 1:
                 ns.add(n)
                 break
             lam += 1
@@ -281,11 +287,6 @@ def type_n_inventory(ell: int) -> dict:
         by_field.setdefault(next(iter(ds)), []).append(i + 1)
     pairs = {n: sorted(by_field.get(squarefree_part(n)[0], [])) for n in ns}
     return {"types": ns, "pairs": pairs, "by_field": by_field}
-
-
-def _coprime(a, b):
-    from math import gcd
-    return gcd(a, b) == 1
 
 
 def minimal_lambda_rows(ell: int) -> dict:
@@ -384,14 +385,15 @@ def discriminant_report(ell: int) -> dict:
         if not ok:
             min_ok = False
     dbl = doublet_check(ell)
+    fs_ok = fs_zero_matches_types(ell)
     return {
         "lambency": ell,
         "types": sorted(inv["types"]),
         "pairs": inv["pairs"],
-        "fs_matches": fs_zero_matches_types(ell),
+        "fs_matches": fs_ok,
         "minimal_rows": minimal,
         "minimal_ok": min_ok,
         "doublet_ok": dbl["ok"],
         "doublet_rows": dbl["rows"],
-        "ok": fs_zero_matches_types(ell) and min_ok and dbl["ok"],
+        "ok": fs_ok and min_ok and dbl["ok"],
     }

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import as_rat
+from .data import LAMBENCIES
 from .errors import OutOfRange
 from .jacobi import WindowedSeries, jacobi_theta, umbral_Z
 from .qseries import eta
@@ -95,7 +96,7 @@ def exponential_lift(ell: int, pmax=3, nmax=3, ywindow=6) -> TripleSeries:
     The ordering (m, n, r) > 0 means m > 0, or m = 0 and n > 0, or
     m = n = 0 and r < 0.
     """
-    if ell not in (2, 3, 4, 5, 7, 13):
+    if ell not in LAMBENCIES:
         raise OutOfRange(f"lambency {ell}")
     table = _z_coeff_table(ell, pmax * nmax)
     row0 = {r: c for (n, r), c in table.items() if n == 0}

@@ -2,8 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from moonshine.algebra import (QuadValue, a_value, b_value, frac_exponent,
-                               quad_arith, squarefree_part)
+from moonshine.algebra import QuadValue, a_value, b_value, squarefree_part
 from moonshine.errors import MixedDiscriminant
 
 
@@ -24,7 +23,7 @@ def test_a2_squared():
 
 def test_mixed_discriminant_raises():
     with pytest.raises(MixedDiscriminant):
-        quad_arith(b_value(7), b_value(15), "mul")
+        b_value(7) * b_value(15)
 
 
 def test_rational_times_irrational_allowed():
@@ -73,9 +72,3 @@ def test_division():
     b = b_value(7)
     assert b / b == QuadValue.of(1)
     assert (b * 4) / 2 == b * 2
-
-
-def test_frac_exponents():
-    assert frac_exponent(-1, 8) + 1 == F(7, 8)
-    assert frac_exponent(-1, 12) < F(2, 3)
-    assert frac_exponent(-1, 20) + F(9, 20) == F(2, 5)

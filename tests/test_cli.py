@@ -59,7 +59,7 @@ def test_verify_group():
 
 
 def test_verify_tables_small():
-    code, out = run(["verify-tables", "--lambency", "13", "--jobs", "2"])
+    code, out = run(["verify-tables", "--lambency", "13"])
     assert code == 0, out
 
 

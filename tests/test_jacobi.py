@@ -269,6 +269,27 @@ def test_windowed_mul_guards():
         psi.specialize_z0()
 
 
+@pytest.mark.parametrize("ell", [2, 5])
+def test_windowed_mul_independent_of_factor_window(ell):
+    # a tail term folding into the target window would make the product
+    # depend on how wide the windowed factor is
+    qcut, target = 4, 3
+    z = jb.umbral_Z(ell, qcut)
+    reach = int(z.max_abs_y())
+    narrow = jb.windowed_mul(z, jb.psi_one_one(qcut, target + reach), ywindow=target)
+    wide = jb.windowed_mul(z, jb.psi_one_one(qcut, target + reach + 5), ywindow=target)
+    assert narrow.ywindow == wide.ywindow == target
+    assert narrow.dump() == wide.dump() != ""
+
+
+def test_series_unhashable():
+    # both classes compare by value (FracSeries at the smaller cutoff), so a
+    # hash could not agree with equality
+    for s in (FracSeries.one(5), jb.WindowedSeries.one(5)):
+        with pytest.raises(TypeError):
+            hash(s)
+
+
 def test_support_bound_adds():
     a = jb.gritsenko(3, 1, 4)
     b = jb.gritsenko(4, 1, 4)

@@ -5,8 +5,7 @@ import pytest
 from moonshine.errors import (CutoffUnderflow, DataExhausted, NotInvertible,
                               NotUnimodular)
 from moonshine.qseries import (FracSeries, dedekind_epsilon, eta, eta_quotient,
-                               lambda_n, mock_theta, newform, series_arith,
-                               unary_theta)
+                               lambda_n, mock_theta, newform, unary_theta)
 
 
 def heads(series, n):
@@ -144,12 +143,6 @@ def test_mock_theta_order10_heads():
     assert phi10.coefficient(0) == 1
     x = mock_theta("X", 5)
     assert x.coefficient(0) == 1 and x.coefficient(1) == -1
-
-
-def test_series_arith_dispatch():
-    a = FracSeries(1, {0: 1, 1: 2}, 5)
-    assert series_arith(a, a, "add") == a.scale(2)
-    assert series_arith(a, None, "shift", exponent=F(1, 2)).low() == F(1, 2)
 
 
 def test_dedekind_epsilon_values():

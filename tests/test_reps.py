@@ -1,10 +1,13 @@
+import json
+import shutil
 from fractions import Fraction as F
 
 import pytest
 
 from moonshine import reps
-from moonshine.errors import UnknownClass
-from moonshine.groups import class_table
+from moonshine.data import data_dir, set_data_dir
+from moonshine.errors import DataCorrupt, UnknownClass
+from moonshine.groups import class_table, umbral_group
 
 EXPECTED_TYPES = {2: [7, 15, 23], 3: [5, 8, 11, 20], 4: [3, 7],
                   5: [4], 7: [3], 13: [4]}
@@ -164,3 +167,44 @@ def test_discriminant_report_all():
     for ell in (2, 3, 4, 5, 7, 13):
         rep = reps.discriminant_report(ell)
         assert rep["ok"], rep
+
+
+def _edited_copy(tmp_path, edits):
+    """A copy of the data directory with ``edits[name](table)`` applied."""
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    for name, edit in edits.items():
+        table = json.loads((alt / name).read_text())
+        edit(table)
+        (alt / name).write_text(json.dumps(table))
+    return alt
+
+
+def test_set_data_dir_rebuilds_tables(tmp_path):
+    assert reps.character_table(13).order == 4
+    assert umbral_group(13).by_label["4AB"].gamma == (2, 8)
+    alt = _edited_copy(tmp_path, {
+        "chartab_13.json": lambda t: t.update(order=8),
+        "euler_13.json": lambda t: t["gamma"].__setitem__(2, "2|4"),
+    })
+    try:
+        set_data_dir(alt)
+        assert reps.character_table(13).order == 8
+        assert umbral_group(13).by_label["4AB"].gamma == (2, 4)
+    finally:
+        set_data_dir(None)
+    assert reps.character_table(13).order == 4
+    assert umbral_group(13).by_label["4AB"].gamma == (2, 8)
+
+
+def test_power_map_check_fires(tmp_path):
+    # 4A squares into 2A; a map sending 4A to itself keeps the order at 4
+    alt = _edited_copy(tmp_path, {
+        "chartab_13.json": lambda t: t["power_maps"]["2"].__setitem__(2, "4A"),
+    })
+    try:
+        set_data_dir(alt)
+        with pytest.raises(DataCorrupt, match="sends 4A to 4A"):
+            reps.validate_table(13)
+    finally:
+        set_data_dir(None)

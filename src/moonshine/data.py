@@ -1,35 +1,52 @@
-"""Access to the bundled data tables.
+"""Access to the bundled data tables, and the one memo of built values.
 
 Resolution order for the data directory: an explicit ``set_data_dir`` call
 (the CLI wires its --data-dir flag here), the MOONSHINE_DATA_DIR environment
 variable, then the files shipped inside the package.
+
+``memo`` is the one cache of built values.  A builder whose last parameter
+is ``qcut`` keeps one value per leading arguments, built at the deepest cutoff
+asked so far: a shallower call gets it truncated (sound, as a value is exact
+below its cutoff), a call at that cutoff gets the stored object itself.  Other
+builders keep one value per argument tuple.  ``set_data_dir`` empties the
+memo and ``load_json``.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import os
-from functools import lru_cache
+from functools import lru_cache, wraps
 from pathlib import Path
+
+from .algebra import as_rat
 
 LAMBENCIES = (2, 3, 4, 5, 7, 13)
 
 _override: Path | None = None
-_table_caches: list = []
+_registry: dict = {}
 
 
-def table_cache() -> dict:
-    """A new dict for values built from the tables; ``set_data_dir`` empties it."""
-    cache: dict = {}
-    _table_caches.append(cache)
-    return cache
+def memo(build):
+    """Memoize ``build`` under the policy of the module docstring."""
+    by_cut = list(inspect.signature(build).parameters)[-1] == "qcut"
+
+    @wraps(build)
+    def cached(*args):
+        head, qcut = (args[:-1], as_rat(args[-1])) if by_cut else (args, None)
+        key = (build, *head)
+        built = _registry.get(key)
+        if built is None or by_cut and built[0] < qcut:
+            built = _registry[key] = (qcut, build(*head, qcut) if by_cut else build(*args))
+        return built[1] if built[0] == qcut else built[1].truncate(qcut)
+    return cached
 
 
 def set_data_dir(path=None):
     global _override
     _override = Path(path) if path else None
     load_json.cache_clear()
-    for cache in _table_caches:
-        cache.clear()
+    _registry.clear()
 
 
 def data_dir() -> Path:

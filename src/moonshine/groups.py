@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from math import lcm
 
-from .data import load_json, table_cache
+from .data import load_json, memo
 from .errors import ClosureOverflow, UnknownClass
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,7 @@ def merged_members(label: str) -> list:
     return [f"{m.group(1)}{c}" for c in m.group(2)]
 
 
+@memo
 def class_table(ell: int) -> GroupData:
     """Class-level data from the stored tables, pairing derived from shapes."""
     d = load_json(f"euler_{ell}.json")
@@ -485,13 +486,9 @@ def generate(ell: int, bound: int = 400000) -> GroupData:
     return gd
 
 
-_group_cache = table_cache()
-
-
+@memo
 def umbral_group(ell: int) -> GroupData:
-    if ell not in _group_cache:
-        _group_cache[ell] = generate(ell)
-    return _group_cache[ell]
+    return generate(ell)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import as_rat
-from .data import LAMBENCIES
+from .data import LAMBENCIES, memo
 from .errors import OutOfRange, UnboundedSupport, WindowTooNarrow
 from .qseries import INF, FracSeries, eta, euler_product
 
@@ -372,18 +372,17 @@ def hat_theta(m: int, r: int, qcut) -> WindowedSeries:
 # ---------------------------------------------------------------------------
 # the weight-0 basis
 
-_memo: dict = {}
-
-
+@memo
 def _theta_ratio_sq(i: int, qcut) -> WindowedSeries:
-    """f_i^2 = (theta_i(tau,z)/theta_i(tau,0))^2 for i in {2,3,4}."""
-    key = ("frat", i, qcut)
-    if key not in _memo:
-        th = jacobi_theta(i, qcut)
-        num = th * th
-        den = th.specialize_z0()
-        _memo[key] = num * WindowedSeries.from_fracseries((den * den).invert())
-    return _memo[key]
+    """f_i^2 = (theta_i(tau,z)/theta_i(tau,0))^2 for i in {2,3,4}.
+
+    theta_2(tau,0) starts at q^(1/8), so inverting its square costs 1/8 of
+    the cutoff; the thetas are built that much deeper.
+    """
+    th = jacobi_theta(i, qcut + Fraction(1, 8))
+    num = th * th
+    den = th.specialize_z0()
+    return (num * WindowedSeries.from_fracseries((den * den).invert())).truncate(qcut)
 
 
 def _phi_seed(m: int, qcut) -> WindowedSeries:
@@ -399,18 +398,16 @@ def _phi_seed(m: int, qcut) -> WindowedSeries:
     raise OutOfRange(m)
 
 
+@memo
 def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
     """The weight 0, index m-1 basis form phi^(m)_n (2 <= m <= 25, 1 <= n < m).
 
     Built from the three theta-quotient generators by the standard recursion
-    scheme; results are memoized per (m, n, qcut).
+    scheme.  One form per (m, n) is kept, at the deepest cutoff asked; a
+    shallower call gets it truncated (``data.memo``).
     """
-    qcut = as_rat(qcut)
     if not (2 <= m <= 25 and 1 <= n <= m - 1):
         raise OutOfRange(f"no basis form phi^({m})_{n}")
-    key = (m, n, qcut)
-    if key in _memo:
-        return _memo[key]
     g = lambda a, b: gcd(a, b)
     p1 = lambda mm: gritsenko(mm, 1, qcut)
     if n == 1:
@@ -469,7 +466,6 @@ def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
         out = gritsenko(m - 3, n - 1, qcut) * gritsenko(4, 1, qcut)
     out = out.truncate(qcut)
     out.support_index = m - 1
-    _memo[key] = out
     return out
 
 
@@ -480,20 +476,17 @@ def umbral_Z(ell: int, qcut) -> WindowedSeries:
     return gritsenko(ell, 1, qcut).scale(2)
 
 
+@memo
 def zeta_form(qcut) -> WindowedSeries:
     """The weight 0 index 6 generator theta_1^12 / eta^12 of the cusp ideal."""
-    qcut = as_rat(qcut)
-    key = ("zeta", qcut)
-    if key not in _memo:
-        t1 = jacobi_theta(1, qcut + Fraction(3, 2))
-        t2 = t1 * t1
-        t4 = t2 * t2
-        t12 = (t4 * t4) * t4
-        e12 = (eta(qcut + Fraction(3, 2)) ** 12).invert()
-        out = (t12 * WindowedSeries.from_fracseries(e12)).truncate(qcut)
-        out.support_index = 6
-        _memo[key] = out
-    return _memo[key]
+    t1 = jacobi_theta(1, qcut + Fraction(3, 2))
+    t2 = t1 * t1
+    t4 = t2 * t2
+    t12 = (t4 * t4) * t4
+    e12 = (eta(qcut + Fraction(3, 2)) ** 12).invert()
+    out = (t12 * WindowedSeries.from_fracseries(e12)).truncate(qcut)
+    out.support_index = 6
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +507,9 @@ def _pole_row(ywindow: int, annulus: str) -> WindowedSeries:
     return WindowedSeries(1, {0: row}, INF, ywindow=ywindow, annulus=annulus)
 
 
+@memo
 def _psi_core(qcut) -> WindowedSeries:
     """prod (1-q^n)^2 (1-y^2 q^n)(1-y^-2 q^n) / [(1-y q^n)(1-y^-1 q^n)]^2."""
-    key = ("psicore", qcut)
-    if key in _memo:
-        return _memo[key]
-    qcut = as_rat(qcut)
     N = int(qcut) + 1
     A = WindowedSeries.one(qcut)
     for n in range(1, N):
@@ -539,9 +529,7 @@ def _psi_core(qcut) -> WindowedSeries:
     D = C.y_reflect()
     B = C * D
     B = (B * B).truncate(qcut)
-    out = (A * B).truncate(qcut)
-    _memo[key] = out
-    return out
+    return (A * B).truncate(qcut)
 
 
 def psi_one_one(qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
@@ -621,15 +609,22 @@ class HVector:
     def __iter__(self):
         return iter(self.components)
 
+    def truncate(self, qcut) -> "HVector":
+        """Component r cut at qcut - r^2/4l, as ``extract_from_form`` cuts it."""
+        m = self.lambency
+        return HVector(m, [h.truncate(qcut - Fraction(r * r, 4 * m))
+                           for r, h in enumerate(self.components, 1)])
+
 
 def extract_from_form(phi: WindowedSeries, m: int, qcut, annulus: str = LOWER) -> HVector:
     """Theta-coefficients H_r of the finite part of (Psi_{1,1} * phi).
 
     ``phi`` is a weak Jacobi form of weight 0 and index m-1 (complete);
     H_r = -q^(-r^2/4m) [y^r](Psi*phi - chi*mu^(m)_0), both blocks expanded in
-    the same annulus.
+    the same annulus.  Coefficients are exact below ``phi.qcut`` only, so
+    the cutoff is capped there.
     """
-    qcut = as_rat(qcut)
+    qcut = min(as_rat(qcut), phi.qcut)
     chi = phi.specialize_z0().coefficient(0)
     reach = int(phi.max_abs_y())
     psi = psi_one_one(qcut, (m - 1) + reach + 1, annulus)

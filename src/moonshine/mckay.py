@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import jacobi
 from .algebra import as_rat
-from .data import load_json
+from .data import load_json, memo
 from .errors import (DataExhausted, DeterminantNotUnit, NotInGroup,
                      NotInvertible, UnknownClass)
 from .groups import class_table
@@ -133,15 +133,9 @@ class TwistedH:
             raise DataExhausted(str(exc)) from exc
 
 
-_identity_cache: dict = {}
-
-
+@memo
 def identity_H(ell: int, qcut) -> jacobi.HVector:
-    qcut = as_rat(qcut)
-    key = (ell, qcut)
-    if key not in _identity_cache:
-        _identity_cache[key] = jacobi.extract_H(ell, qcut)
-    return _identity_cache[key]
+    return jacobi.extract_H(ell, qcut)
 
 
 def _class_info(ell: int, label: str):
@@ -318,7 +312,8 @@ def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
     cat = _catalog(ell)
     report = {"lambency": ell, "class": label, "checked": [], "ok": True}
     tw = twisted_H(ell, label, qcut + 1)
-    hats = hat_components(tw)
+    # F2 pairs hat_r with S_(l-r), which starts up to (l-2)/4 above r^2/4l
+    hats = hat_components(tw, as_rat(qcut) + Fraction(ell, 4))
     for variant in ("F", "F2"):
         if (label, variant) not in cat:
             continue

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import QuadValue, as_rat, squarefree_part
-from .data import load_json, table_cache
+from .data import load_json, memo
 from .errors import DataCorrupt, UnknownClass
 from .groups import class_table, merged_members
 
@@ -35,17 +35,13 @@ class CharacterTable:
         return len(self.values)
 
 
-_cache = table_cache()
-
-
+@memo
 def character_table(ell: int) -> CharacterTable:
-    if ell not in _cache:
-        d = load_json(f"chartab_{ell}.json")
-        values = [[QuadValue(Fraction(v["rat"]), Fraction(v["irr"]), v["disc"])
-                   for v in row] for row in d["values"]]
-        _cache[ell] = CharacterTable(ell, d["order"], d["classes"], d["centralizers"],
-                                     d["power_maps"], d["fs"], values)
-    return _cache[ell]
+    d = load_json(f"chartab_{ell}.json")
+    values = [[QuadValue(Fraction(v["rat"]), Fraction(v["irr"]), v["disc"])
+               for v in row] for row in d["values"]]
+    return CharacterTable(ell, d["order"], d["classes"], d["centralizers"],
+                          d["power_maps"], d["fs"], values)
 
 
 def _label_order(label: str) -> int:

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from moonshine import jacobi as jb
+from moonshine import mckay
+from moonshine.data import LAMBENCIES, set_data_dir
 from moonshine.errors import OutOfRange, UnboundedSupport, WindowTooNarrow
 from moonshine.qseries import FracSeries, eta_quotient, unary_theta
 
@@ -315,3 +317,64 @@ def test_psi_times_Z_spot_value():
 def test_dump_format():
     th = jb.index_theta(2, 1, 2)
     assert th.dump() == "(1/8, 1) -> 1\n(9/8, -3) -> 1"
+
+
+# -- cutoffs of the Gritsenko tower and the memo -------------------------------
+
+@pytest.mark.parametrize("ell", [2, 5])
+def test_extracted_vector_exact_below_its_cutoff(ell):
+    # the theta_2 normalisation used to cost the tower 1/8 of its cutoff
+    # while the extraction still certified the rows in that gap
+    c = F(113, 16)
+    set_data_dir(None)  # empties the memo, so both vectors are fresh builds
+    shallow = jb.extract_H(ell, c)
+    set_data_dir(None)
+    deep = jb.extract_H(ell, 9)
+    for r, (h, d) in enumerate(zip(shallow, deep), 1):
+        assert list(h.items()) == list(d.truncate(h.cutoff).items())
+        assert h.cutoff == c - F(r * r, 4 * ell)
+    assert jb.umbral_Z(ell, c).qcut == c
+
+
+MEMOIZED_SERIES = [
+    *[(f"theta_ratio_sq({i})", lambda c, i=i: jb._theta_ratio_sq(i, c)) for i in (2, 3, 4)],
+    *[(f"gritsenko({m},1)", lambda c, m=m: jb.gritsenko(m, 1, c))
+      for m in sorted({*LAMBENCIES, 9})],
+    ("gritsenko(5,3)", lambda c: jb.gritsenko(5, 3, c)),
+    ("zeta_form", jb.zeta_form),
+    ("psi_core", jb._psi_core),
+    *[(f"identity_H({ell})", lambda c, ell=ell: mckay.identity_H(ell, c))
+      for ell in (2, 5, 13)],
+]
+
+
+def _reported(value):
+    """Everything a memoized value reports: terms, cutoffs and tags."""
+    if isinstance(value, jb.HVector):
+        return [(list(h.items()), h.cutoff) for h in value]
+    return (list(value.items()), value.qcut, value.support_index, value.ywindow,
+            value.annulus)
+
+
+@pytest.mark.parametrize("c", [7, F(113, 16), F(41, 3)], ids=str)
+def test_memo_independent_of_build_cutoff(c):
+    set_data_dir(None)
+    fresh = {name: _reported(build(c)) for name, build in MEMOIZED_SERIES}
+    set_data_dir(None)
+    for _, build in MEMOIZED_SERIES:
+        build(14)
+    for name, build in MEMOIZED_SERIES:
+        assert _reported(build(c)) == fresh[name], name
+        if not name.startswith("identity_H"):
+            assert fresh[name][1] == c, name
+
+
+def test_memo_serves_the_built_object():
+    set_data_dir(None)
+    phi = jb.gritsenko(5, 1, 9)
+    assert jb.gritsenko(5, 1, F(18, 2)) is phi
+    assert jb.gritsenko(5, 1, 7).qcut == 7
+    assert jb.gritsenko(5, 1, 9) is phi  # a shallower call keeps the deeper value
+    H = mckay.identity_H(5, 9)
+    assert mckay.identity_H(5, 9) is H
+    assert jb.gritsenko(5, 1, 10) is not phi

@@ -183,6 +183,7 @@ def _edited_copy(tmp_path, edits):
 def test_set_data_dir_rebuilds_tables(tmp_path):
     assert reps.character_table(13).order == 4
     assert umbral_group(13).by_label["4AB"].gamma == (2, 8)
+    assert class_table(13).by_label["4AB"].gamma == (2, 8)
     alt = _edited_copy(tmp_path, {
         "chartab_13.json": lambda t: t.update(order=8),
         "euler_13.json": lambda t: t["gamma"].__setitem__(2, "2|4"),
@@ -191,10 +192,12 @@ def test_set_data_dir_rebuilds_tables(tmp_path):
         set_data_dir(alt)
         assert reps.character_table(13).order == 8
         assert umbral_group(13).by_label["4AB"].gamma == (2, 4)
+        assert class_table(13).by_label["4AB"].gamma == (2, 4)
     finally:
         set_data_dir(None)
     assert reps.character_table(13).order == 4
     assert umbral_group(13).by_label["4AB"].gamma == (2, 8)
+    assert class_table(13).by_label["4AB"].gamma == (2, 8)
 
 
 def test_power_map_check_fires(tmp_path):

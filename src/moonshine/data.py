@@ -8,8 +8,9 @@ variable, then the files shipped inside the package.
 is ``qcut`` keeps one value per leading arguments, built at the deepest cutoff
 asked so far: a shallower call gets it truncated (sound, as a value is exact
 below its cutoff), a call at that cutoff gets the stored object itself.  Other
-builders keep one value per argument tuple.  ``set_data_dir`` empties the
-memo and ``load_json``.
+builders keep one value per argument tuple.  Both caches are keyed by the
+data directory as well, so setting MOONSHINE_DATA_DIR in a running process
+never serves tables of the old one.  ``set_data_dir`` empties both.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ def memo(build):
     @wraps(build)
     def cached(*args):
         head, qcut = (args[:-1], as_rat(args[-1])) if by_cut else (args, None)
-        key = (build, *head)
+        key = (data_dir(), build, *head)
         built = _registry.get(key)
         if built is None or by_cut and built[0] < qcut:
             built = _registry[key] = (qcut, build(*head, qcut) if by_cut else build(*args))
@@ -58,7 +59,17 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-@lru_cache(maxsize=None)
 def load_json(name: str):
-    with open(data_dir() / name) as f:
+    """The parsed table ``name`` of the current data directory, cached."""
+    return _read_json(data_dir(), name)
+
+
+@lru_cache(maxsize=None)
+def _read_json(directory: Path, name: str):
+    with open(directory / name) as f:
         return json.load(f)
+
+
+# statistics and reset of the cache, as an lru_cache function has them
+load_json.cache_info = _read_json.cache_info
+load_json.cache_clear = _read_json.cache_clear

@@ -16,17 +16,20 @@ The ``annulus`` tag records which geometric expansion produced a meromorphic
 block: ``lower`` means |q| < |y| < 1, ``upper`` means 1 < |y| < 1/|q|.
 Entire series combine with anything; two tagged series combine only when the
 tags agree.
+
+Coefficients are stored as in ``qseries``: an ``int`` when integral, else a
+``Fraction``, never a ``float``; the Gritsenko tower runs on ints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
-from .algebra import as_rat
+from .algebra import _canonical, as_rat
 from .data import LAMBENCIES, memo
 from .errors import OutOfRange, UnboundedSupport, WindowTooNarrow
-from .qseries import INF, FracSeries, eta, euler_product
+from .qseries import INF, FracSeries, _convolve, eta, euler_product
 
 ENTIRE = "entire"
 LOWER = "lower"   # |q| < |y| < 1
@@ -43,12 +46,12 @@ class WindowedSeries:
         self.denom = denom
         self.ydenom = ydenom
         self.qcut = as_rat(qcut)
-        kcut = self.qcut * denom
+        kcut = ceil(self.qcut * denom)
         clean = {}
         for k, row in rows.items():
             if k >= kcut:
                 continue
-            r = {y: c for y, c in row.items() if c != 0}
+            r = {y: _canonical(c) for y, c in row.items() if c}
             if r:
                 clean[k] = r
         self.rows = clean
@@ -96,15 +99,16 @@ class WindowedSeries:
         return Fraction(m, self.ydenom)
 
     def items(self):
+        """Sorted (q-exponent, y-power, coefficient) triples, all Fractions."""
         for k in sorted(self.rows):
             for y in sorted(self.rows[k]):
-                yield Fraction(k, self.denom), Fraction(y, self.ydenom), self.rows[k][y]
+                yield Fraction(k, self.denom), Fraction(y, self.ydenom), as_rat(self.rows[k][y])
 
     def dump(self) -> str:
         """Line format '(q_num/q_den, y_pow) -> rational', sorted."""
         out = []
         for qe, yp, c in self.items():
-            out.append(f"({qe.numerator}/{qe.denominator}, {yp}) -> {as_rat(c)}")
+            out.append(f"({qe.numerator}/{qe.denominator}, {yp}) -> {c}")
         return "\n".join(out)
 
     # -- algebra -----------------------------------------------------------
@@ -222,11 +226,8 @@ class WindowedSeries:
         """(1/2 pi i) d/dz at z = 0: weight each coefficient by its y-power."""
         if not self.is_complete():
             raise UnboundedSupport("derivative needs a y-polynomial series")
-        out = {}
-        for k, row in self.rows.items():
-            s = sum(Fraction(y, self.ydenom) * c for y, c in row.items())
-            if s:
-                out[k] = s
+        out = {k: sum(Fraction(y, self.ydenom) * c for y, c in row.items())
+               for k, row in self.rows.items()}
         return FracSeries(self.denom, out, self.qcut)
 
     def y_row(self, ypow: int) -> FracSeries:
@@ -234,12 +235,8 @@ class WindowedSeries:
         if self.ywindow is not None and abs(ypow) > self.ywindow:
             raise WindowTooNarrow(f"row {ypow} outside window {self.ywindow}")
         y = ypow * self.ydenom
-        out = {}
-        for k, row in self.rows.items():
-            c = row.get(y, 0)
-            if c:
-                out[k] = c
-        return FracSeries(self.denom, out, self.qcut)
+        return FracSeries(self.denom, {k: row.get(y, 0) for k, row in self.rows.items()},
+                          self.qcut)
 
 
 def windowed_mul(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
@@ -276,19 +273,7 @@ def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
     if qcut is not None:
         cut = min(cut, as_rat(qcut))
     d, yd, ra, rb = a._aligned(b)
-    kcut = cut * d
-    out = {}
-    rbs = sorted(rb.items())
-    for ka, rowa in ra.items():
-        for kb, rowb in rbs:
-            k = ka + kb
-            if k >= kcut:
-                break
-            dst = out.setdefault(k, {})
-            for ya, ca in rowa.items():
-                for yb, cb in rowb.items():
-                    y = ya + yb
-                    dst[y] = dst.get(y, 0) + ca * cb
+    out = _convolve(ra, rb, ceil(cut * d))
     si = None
     if target is None and a.support_index is not None and b.support_index is not None:
         si = a.support_index + b.support_index
@@ -386,15 +371,16 @@ def _theta_ratio_sq(i: int, qcut) -> WindowedSeries:
 
 
 def _phi_seed(m: int, qcut) -> WindowedSeries:
-    f2 = _theta_ratio_sq(2, qcut)
+    # theta_2(tau,0)^2 leads with 4: g2 = 4 f2, f3 and f4 are integral
+    g2 = _theta_ratio_sq(2, qcut).scale(4)
     f3 = _theta_ratio_sq(3, qcut)
     f4 = _theta_ratio_sq(4, qcut)
     if m == 2:
-        return (f2 + f3 + f4).scale(4)
+        return g2 + (f3 + f4).scale(4)
     if m == 3:
-        return (f2 * f3 + f3 * f4 + f4 * f2).scale(2)
+        return (g2 * (f3 + f4)).scale(Fraction(1, 2)) + (f3 * f4).scale(2)
     if m == 4:
-        return ((f2 * f3) * f4).scale(4)
+        return (g2 * f3) * f4
     raise OutOfRange(m)
 
 
@@ -629,23 +615,10 @@ def extract_from_form(phi: WindowedSeries, m: int, qcut, annulus: str = LOWER) -
     reach = int(phi.max_abs_y())
     psi = psi_one_one(qcut, (m - 1) + reach + 1, annulus)
     mu0 = appell_mu(m, 0, qcut, m + 1, annulus)
+    prod = windowed_mul(phi, psi, qcut=qcut, ywindow=m - 1)
     comps = []
-    d, yd, rp, rf = psi._aligned(phi)
-    kcut = qcut * d
     for r in range(1, m):
-        acc = {}
-        for kf, rowf in rf.items():
-            for yf, cf in rowf.items():
-                want = r * yd - yf
-                for kp, rowp in rp.items():
-                    k = kp + kf
-                    if k >= kcut:
-                        continue
-                    c = rowp.get(want)
-                    if c is not None:
-                        acc[k] = acc.get(k, 0) + c * cf
-        mrow = mu0.y_row(r)
-        row = FracSeries(d, acc, qcut) - mrow.scale(chi)
+        row = prod.y_row(r) - mu0.y_row(r).scale(chi)
         comps.append((-row).shift(Fraction(-r * r, 4 * m)))
     return HVector(m, comps)
 

@@ -298,7 +298,7 @@ def hat_components(tw: TwistedH, qcut=None) -> list:
     cut = min(c.cutoff for c in tw.components)
     if qcut is not None:
         cut = min(cut, as_rat(qcut))
-    H = identity_H(ell, cut + 1)
+    H = identity_H(ell, cut)
     out = []
     for r in range(1, ell):
         mult = Fraction(chi_r(ell, tw.label, r), 1) / chi

@@ -6,6 +6,10 @@ below the cutoff are exact, everything above is unknown.  Operations
 propagate the tightest cutoff they can guarantee and refuse (rather than
 silently truncate) when asked for data beyond it.
 
+Coefficients are stored as an ``int`` when integral, else a ``Fraction``,
+never a ``float`` (``coefficient`` and ``items`` hand out Fractions), so
+products of integral series run on ints in ``_convolve``, the one product loop.
+
 The catalog covers the Dedekind eta function and eta quotients, the weight-2
 Eisenstein combinations Lambda_N, the level 11/14/15/20/23/44 newforms, the
 unary theta functions S^(m)_r, and the classical mock theta functions of
@@ -14,12 +18,32 @@ orders 2, 3, 8 and 10.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm
 
-from .algebra import as_rat
+from .algebra import _canonical, as_rat
 from .errors import CutoffUnderflow, DataExhausted, NotInvertible, NotUnimodular
 
 INF = Fraction(10**15)  # effectively infinite cutoff for exact polynomials
+
+
+def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
+    """Product of rows ``{k: {y: c}}`` at keys k < kcut (rows may hold zeros).
+
+    Both series classes multiply here; a FracSeries passes one-entry rows.
+    """
+    out = {}
+    rbs = sorted(rb.items())
+    for ka, rowa in ra.items():
+        for kb, rowb in rbs:
+            k = ka + kb
+            if k >= kcut:
+                break
+            dst = out.setdefault(k, {})
+            for ya, ca in rowa.items():
+                for yb, cb in rowb.items():
+                    y = ya + yb
+                    dst[y] = dst.get(y, 0) + ca * cb
+    return out
 
 
 class FracSeries:
@@ -34,8 +58,8 @@ class FracSeries:
     def __init__(self, denom: int, coeffs: dict, cutoff: Fraction):
         self.denom = denom
         self.cutoff = as_rat(cutoff)
-        kcut = self.cutoff * denom
-        self.coeffs = {k: v for k, v in coeffs.items() if v != 0 and k < kcut}
+        kcut = ceil(self.cutoff * denom)
+        self.coeffs = {k: _canonical(v) for k, v in coeffs.items() if v and k < kcut}
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -69,9 +93,9 @@ class FracSeries:
 
     # -- inspection ---------------------------------------------------
     def items(self):
-        """Sorted (Fraction exponent, coefficient) pairs."""
+        """Sorted (exponent, coefficient) pairs, both Fractions."""
         for k in sorted(self.coeffs):
-            yield Fraction(k, self.denom), self.coeffs[k]
+            yield Fraction(k, self.denom), as_rat(self.coeffs[k])
 
     def coefficient(self, e) -> Fraction:
         e = as_rat(e)
@@ -94,10 +118,7 @@ class FracSeries:
         if not isinstance(other, FracSeries):
             return NotImplemented
         cut = min(self.cutoff, other.cutoff)
-        return self.truncate(cut).normalized_pairs() == other.truncate(cut).normalized_pairs()
-
-    def normalized_pairs(self):
-        return tuple((Fraction(k, self.denom), as_rat(v)) for k, v in sorted(self.coeffs.items()))
+        return list(self.truncate(cut).items()) == list(other.truncate(cut).items())
 
     # -- arithmetic ----------------------------------------------------
     def _align(self, other: "FracSeries"):
@@ -121,16 +142,12 @@ class FracSeries:
         return FracSeries(self.denom, {k: -v for k, v in self.coeffs.items()}, self.cutoff)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FracSeries.monomial(0, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c) -> "FracSeries":
-        if c == 0:
-            return FracSeries(1, {}, self.cutoff)
         return FracSeries(self.denom, {k: c * v for k, v in self.coeffs.items()}, self.cutoff)
 
     def __mul__(self, other):
@@ -138,19 +155,11 @@ class FracSeries:
             return self.scale(other)
         d, a, b = self._align(other)
         if not a or not b:
-            cut = min(self.cutoff, other.cutoff)
-            return FracSeries(1, {}, INF if (self.cutoff == INF and other.cutoff == INF) else cut)
+            return FracSeries(1, {}, min(self.cutoff, other.cutoff))
         cut = min(self.cutoff + other.low(), other.cutoff + self.low())
-        kcut = cut * d  # exact Fraction; compare k < kcut
-        out = {}
-        bi = sorted(b.items())
-        for ka, va in a.items():
-            for kb, vb in bi:
-                k = ka + kb
-                if k >= kcut:
-                    break
-                out[k] = out.get(k, 0) + va * vb
-        return FracSeries(d, out, cut)
+        out = _convolve({k: {0: v} for k, v in a.items()},
+                        {k: {0: v} for k, v in b.items()}, ceil(cut * d))
+        return FracSeries(d, {k: row[0] for k, row in out.items()}, cut)
 
     __rmul__ = __mul__
 
@@ -175,18 +184,16 @@ class FracSeries:
         """
         if not self.coeffs:
             raise NotInvertible("cannot invert the zero series")
-        work = self
         if cutoff is not None:
-            work = self.truncate(min(self.cutoff, as_rat(cutoff) + 2 * self.low()))
-        if work.cutoff >= INF:
+            self = self.truncate(min(self.cutoff, as_rat(cutoff) + 2 * self.low()))
+        if self.cutoff >= INF:
             raise CutoffUnderflow("inverting an exact polynomial needs a target cutoff")
-        self = work
         low_k = min(self.coeffs)
         lead = as_rat(self.coeffs[low_k])
         low = Fraction(low_k, self.denom)
         cut = self.cutoff - 2 * low
-        # reduce to monic 1 + u on the sparsest sublattice
-        rel = {k - low_k: as_rat(v) / lead for k, v in self.coeffs.items()}
+        # reduce to monic 1 + u on the sparsest sublattice (ints if u is)
+        rel = {k - low_k: _canonical(v / lead) for k, v in self.coeffs.items()}
         step = 0
         for k in rel:
             step = gcd(step, k)
@@ -194,11 +201,11 @@ class FracSeries:
         u = {k // step: v for k, v in rel.items() if k}
         kmax_f = (self.cutoff - low) * self.denom / step  # exact bound on reduced lattice
         kmax = int(kmax_f) + 1
-        inv = [Fraction(0)] * max(kmax, 1)
-        inv[0] = Fraction(1)
+        inv = [0] * max(kmax, 1)
+        inv[0] = 1
         uk = sorted(u.items())
         for k in range(1, len(inv)):
-            s = Fraction(0)
+            s = 0
             for j, uj in uk:
                 if j > k:
                     break
@@ -258,8 +265,7 @@ class FracSeries:
         cutoff = as_rat(cutoff)
         if cutoff > self.cutoff:
             raise CutoffUnderflow(f"cannot extend cutoff {self.cutoff} to {cutoff}")
-        kcut = cutoff * self.denom
-        return FracSeries(self.denom, {k: v for k, v in self.coeffs.items() if k < kcut}, cutoff)
+        return FracSeries(self.denom, self.coeffs, cutoff)
 
     def render(self, max_terms: int = 12) -> str:
         """Canonical text form q^(a/b)*(c0 + c1*q^(s) + ...)."""
@@ -273,9 +279,9 @@ class FracSeries:
                 break
             rel = e - low
             if rel == 0:
-                parts.append(str(as_rat(c)))
+                parts.append(str(c))
             else:
-                parts.append(f"{as_rat(c)}*q^({rel})")
+                parts.append(f"{c}*q^({rel})")
         body = " + ".join(parts).replace("+ -", "- ")
         if low == 0:
             return body

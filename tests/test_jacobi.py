@@ -319,6 +319,42 @@ def test_dump_format():
     assert th.dump() == "(1/8, 1) -> 1\n(9/8, -3) -> 1"
 
 
+# -- canonical coefficients -----------------------------------------------------
+
+def stored(series):
+    """Every coefficient a FracSeries or a WindowedSeries stores."""
+    if isinstance(series, FracSeries):
+        return list(series.coeffs.values())
+    return [c for r in series.rows.values() for c in r.values()]
+
+
+def test_tower_and_vectors_store_ints():
+    # the extremal forms and their mock modular vectors are integral, so the
+    # canonical form keeps every coefficient an int
+    for m in LAMBENCIES:
+        assert {type(c) for c in stored(jb.gritsenko(m, 1, 12))} == {int}, m
+        for h in jb.extract_H(m, 12):
+            assert {type(c) for c in stored(h)} == {int}, m
+
+
+def test_no_series_stores_a_float_or_an_integral_fraction():
+    built = [jb._theta_ratio_sq(2, 5), jb.psi_one_one(5, 4), jb.appell_mu(3, 0, 5, 4),
+             jb.zeta_form(4), mckay.twisted_H(3, "2B", 6).component(1),
+             eta_quotient([(1, 1), (2, -2)], 8), unary_theta(5, 2, 9)]
+    for series in built:
+        for c in stored(series):
+            assert type(c) is int or type(c) is F and c.denominator != 1, series
+    for make in (lambda c: FracSeries(1, {0: c}, 3),
+                 lambda c: jb.WindowedSeries(1, {0: {0: c}}, 3),
+                 lambda c: FracSeries.one(3).scale(c)):
+        with pytest.raises(TypeError):
+            make(0.5)
+        assert type(stored(make(F(6, 3)))[0]) is int
+    # the public accessors still hand out Fractions
+    assert type(FracSeries(1, {0: 2}, 3).coefficient(0)) is F
+    assert type(jb.WindowedSeries(1, {0: {0: 2}}, 3).coefficient(0, 0)) is F
+
+
 # -- cutoffs of the Gritsenko tower and the memo -------------------------------
 
 @pytest.mark.parametrize("ell", [2, 5])

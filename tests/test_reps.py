@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from moonshine import reps
-from moonshine.data import data_dir, set_data_dir
+from moonshine.data import data_dir, load_json, set_data_dir
 from moonshine.errors import DataCorrupt, UnknownClass
 from moonshine.groups import class_table, umbral_group
 
@@ -198,6 +198,16 @@ def test_set_data_dir_rebuilds_tables(tmp_path):
     assert reps.character_table(13).order == 4
     assert umbral_group(13).by_label["4AB"].gamma == (2, 8)
     assert class_table(13).by_label["4AB"].gamma == (2, 8)
+
+
+def test_data_dir_variable_followed_in_a_running_process(tmp_path, monkeypatch):
+    alt = _edited_copy(tmp_path, {"chartab_13.json": lambda t: t.update(order=8)})
+    assert reps.character_table(13).order == 4
+    monkeypatch.setenv("MOONSHINE_DATA_DIR", str(alt))
+    assert load_json("chartab_13.json")["order"] == 8
+    assert reps.character_table(13).order == 8
+    monkeypatch.delenv("MOONSHINE_DATA_DIR")
+    assert reps.character_table(13).order == 4
 
 
 def test_power_map_check_fires(tmp_path):

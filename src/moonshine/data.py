@@ -24,6 +24,7 @@ from .algebra import as_rat
 
 LAMBENCIES = (2, 3, 4, 5, 7, 13)
 
+_PACKAGE_DATA = Path(__file__).parent / "data"
 _override: Path | None = None
 _registry: dict = {}
 
@@ -56,7 +57,7 @@ def data_dir() -> Path:
     env = os.environ.get("MOONSHINE_DATA_DIR")
     if env:
         return Path(env)
-    return Path(__file__).parent / "data"
+    return _PACKAGE_DATA
 
 
 def load_json(name: str):

@@ -3,17 +3,27 @@
 The six character tables are stored data validated by exact orthogonality;
 coefficient vectors (one integer per conjugacy class) are decomposed into
 irreducibles by character inversion over the quadratic fields involved.
+
+``CharacterTable.values`` holds ``QuadValue``s; the loops run on an integer
+view built on first use.  With e the common denominator of the entries and L
+the lcm of the centralizer orders, e*chi_i(K) = R[i][K] + X[i][K]*sqrt(d_i)
+and conj(chi_i(K))/|C(K)| = (A[i][K] - B[i][K]*sqrt(d_i))/(e*L), where A and
+B are R and X times the integer weights L/|C(K)|.  ``decompose`` checks on
+every call that sum_K B[i][K]*c_K = 0: a non-real multiplicity depends on the
+class function, not only on the table (at lambency 2, the function 1 on 7A
+and 0 elsewhere has a non-real chi_3 part).
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
-from .algebra import QuadValue, as_rat, squarefree_part
+from .algebra import QuadValue, _canonical, squarefree_part
 from .data import load_json, memo
-from .errors import DataCorrupt, UnknownClass
+from .errors import DataCorrupt, MixedDiscriminant, UnknownClass
 from .groups import class_table, merged_members
 
 
@@ -44,6 +54,28 @@ def character_table(ell: int) -> CharacterTable:
                           d["power_maps"], d["fs"], values)
 
 
+def _one_disc(values, where: str) -> int:
+    ds = {v.disc for v in values} - {0}
+    if len(ds) > 1:
+        raise MixedDiscriminant(f"{where} mixes sqrt({min(ds)}) and sqrt({max(ds)})")
+    return ds.pop() if ds else 0
+
+
+@memo
+def _int_view(ell: int):
+    """(e, L, R, X, A, B, row_disc, col_disc) of the module docstring."""
+    t = character_table(ell)
+    e = lcm(*(x.denominator for row in t.values for v in row for x in (v.rat, v.irr)))
+    big_l = lcm(*t.centralizers)
+    w = [big_l // c for c in t.centralizers]
+    R = [[int(v.rat * e) for v in row] for row in t.values]
+    X = [[int(v.irr * e) for v in row] for row in t.values]
+    rdisc = [_one_disc(row, f"chi_{i + 1}") for i, row in enumerate(t.values)]
+    cdisc = [_one_disc(col, f"column {lab}") for lab, col in zip(t.classes, zip(*t.values))]
+    return (e, big_l, R, X, [list(map(mul, row, w)) for row in R],
+            [list(map(mul, row, w)) for row in X], rdisc, cdisc)
+
+
 def _label_order(label: str) -> int:
     """The element order a class label such as '12B' states."""
     m = re.match(r"(\d+)[A-Z]+$", label)
@@ -59,24 +91,25 @@ def validate_table(ell: int) -> dict:
     report = {"lambency": ell, "order": t.order, "classes": n, "ok": True}
     if len(t.values) != n:
         raise DataCorrupt(f"table {ell} not square")
+    e, big_l, R, X, A, B, rdisc, cdisc = _int_view(ell)
     # column norms reproduce the stored centralizer orders
-    for k in range(n):
-        s = QuadValue.of(0)
-        for i in range(n):
-            s = s + t.values[i][k] * t.values[i][k].conj()
-        if not (s.irr == 0 and s.rat == t.centralizers[k]):
-            raise DataCorrupt(f"column norm at {t.classes[k]}: {s}")
+    for k, (lab, c) in enumerate(zip(t.classes, t.centralizers)):
+        norm = sum(R[i][k] ** 2 - cdisc[k] * X[i][k] ** 2 for i in range(n))
+        if norm != e * e * c:
+            raise DataCorrupt(f"column norm at {lab}: {Fraction(norm, e * e)}")
     if sum(Fraction(t.order, c) for c in t.centralizers) != t.order:
         raise DataCorrupt("class equation broken")
-    # row orthogonality
+    # row orthogonality: sum_K w_K (e chi_i)(e conj chi_j) = e^2 L delta_ij; its
+    # irrational part is irr_i*sqrt(d_i) - irr_j*sqrt(d_j)
+    scale = e * e * big_l
     for i in range(n):
         for j in range(i, n):
-            s = QuadValue.of(0)
-            for k in range(n):
-                s = s + t.values[i][k] * t.values[j][k].conj() * QuadValue.of(
-                    Fraction(1, t.centralizers[k]))
-            want = 1 if i == j else 0
-            if not (s.irr == 0 and s.rat == want):
+            rat = sum(map(mul, A[i], R[j])) - rdisc[i] * sum(map(mul, B[i], X[j]))
+            irr_i, irr_j = sum(map(mul, B[i], R[j])), sum(map(mul, A[i], X[j]))
+            if (rat != (scale if i == j else 0) or irr_i != irr_j
+                    or irr_i and rdisc[i] != rdisc[j]):
+                s = (QuadValue(Fraction(rat, scale), Fraction(irr_i, scale), rdisc[i])
+                     - QuadValue(0, Fraction(irr_j, scale), rdisc[j]))
                 raise DataCorrupt(f"row orthogonality ({i + 1},{j + 1}): {s}")
     # the p-th power of a class of order n lies in a class of order n/gcd(n, p);
     # for p dividing the group order a power map need not be a permutation
@@ -120,32 +153,16 @@ def decompose(ell: int, r: int, fourld: int, coefficients: dict) -> Multipliciti
     if len(by_col) != len(t.classes):
         missing = set(t.classes) - set(by_col)
         raise UnknownClass(f"coefficient vector incomplete: missing {sorted(missing)}")
+    e, big_l, _, _, A, B, _, _ = _int_view(ell)
+    cs = [_canonical(by_col[lab]) for lab in t.classes]
     counts = []
     for i in range(t.nchars):
-        s = QuadValue.of(0)
-        for k, lab in enumerate(t.classes):
-            s = s + t.values[i][k].conj() * QuadValue.of(
-                as_rat(by_col[lab]) / t.centralizers[k])
-        if s.irr != 0:
+        if sum(map(mul, B[i], cs)):
             raise DataCorrupt(f"non-real multiplicity for chi_{i + 1}")
-        counts.append(s.rat)
+        counts.append(Fraction(sum(map(mul, A[i], cs)), e * big_l))
     integral = all(c.denominator == 1 for c in counts)
     nonneg = all(c >= 0 for c in counts)
     return Multiplicities(ell, r, fourld, counts, integral, nonneg)
-
-
-def recompose(ell: int, mults: Multiplicities) -> dict:
-    """Class function from multiplicities (round-trip partner of decompose)."""
-    t = character_table(ell)
-    out = {}
-    for k, lab in enumerate(t.classes):
-        s = QuadValue.of(0)
-        for i, m in enumerate(mults.counts):
-            s = s + t.values[i][k] * QuadValue.of(m)
-        if s.irr != 0:
-            raise DataCorrupt(f"non-real recomposition at {lab}")
-        out[lab] = s.rat
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +292,9 @@ def type_n_inventory(ell: int) -> dict:
                 break
             lam += 1
     by_field = {}
-    for i in range(t.nchars):
-        ds = {squarefree_part(-v.disc)[0] for v in t.values[i] if v.irr != 0}
-        if not ds:
-            continue
-        assert len(ds) == 1
-        by_field.setdefault(next(iter(ds)), []).append(i + 1)
+    for i, d in enumerate(_int_view(ell)[6]):  # the row discriminants
+        if d:
+            by_field.setdefault(squarefree_part(-d)[0], []).append(i + 1)
     pairs = {n: sorted(by_field.get(squarefree_part(n)[0], [])) for n in ns}
     return {"types": ns, "pairs": pairs, "by_field": by_field}
 

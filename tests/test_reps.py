@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from moonshine import reps
-from moonshine.data import data_dir, load_json, set_data_dir
-from moonshine.errors import DataCorrupt, UnknownClass
-from moonshine.groups import class_table, umbral_group
+from moonshine.algebra import QuadValue
+from moonshine.data import LAMBENCIES, data_dir, load_json, set_data_dir
+from moonshine.errors import DataCorrupt, MixedDiscriminant, UnknownClass
+from moonshine.groups import class_table, merged_members, umbral_group
 
 EXPECTED_TYPES = {2: [7, 15, 23], 3: [5, 8, 11, 20], 4: [3, 7],
                   5: [4], 7: [3], 13: [4]}
@@ -83,6 +84,69 @@ def test_decompose_recompose_roundtrip(rng):
         vec[lab] = s.rat
     got = reps.decompose(5, 1, 19, vec)
     assert got.counts == mults
+
+
+def _reference_multiplicities(ell, coefficients):
+    """m_i = sum_K conj(chi_i(K)) c_K / |C(K)| in plain QuadValue arithmetic."""
+    t = reps.character_table(ell)
+    by_col = {m: F(c) for lab, c in coefficients.items() for m in merged_members(lab)}
+    out = []
+    for i in range(t.nchars):
+        s = QuadValue.of(0)
+        for k, lab in enumerate(t.classes):
+            s = s + t.values[i][k].conj() * QuadValue.of(by_col[lab] / t.centralizers[k])
+        out.append(s)
+    return out
+
+
+def test_decompose_matches_reference_on_every_stored_row():
+    rows = 0
+    for ell in LAMBENCIES:
+        for r in range(1, ell):
+            for key in load_json(f"mt_{ell}_{r}.json")["rows"]:
+                coeffs = reps.coefficient_row(ell, r, int(key))
+                want = _reference_multiplicities(ell, coeffs)
+                assert all(m.is_rational for m in want)
+                got = reps.decompose(ell, r, int(key), coeffs)
+                assert got.counts == [m.rat for m in want], (ell, r, key)
+                rows += 1
+    assert rows == 1032
+
+
+def test_decompose_matches_reference_on_random_class_functions(rng):
+    for ell in LAMBENCIES:
+        t = reps.character_table(ell)
+        dual = {i: j for i in range(t.nchars) for j in range(t.nchars)
+                if all(a == b.conj() for a, b in zip(t.values[i], t.values[j]))}
+        for _ in range(4):
+            # equal multiplicities on conjugate pairs: a real class function
+            mults = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(t.nchars)]
+            for i, j in dual.items():
+                mults[max(i, j)] = mults[min(i, j)]
+            vec = {}
+            for k, lab in enumerate(t.classes):
+                s = sum((t.values[i][k] * m for i, m in enumerate(mults)),
+                        start=QuadValue.of(0))
+                assert s.is_rational
+                # ints, Fractions and 'p/q' strings are all exact inputs
+                vec[lab] = rng.choice([s.rat, str(s.rat), s.rat.numerator
+                                       if s.rat.denominator == 1 else s.rat])
+            got = reps.decompose(ell, 1, 1, vec)
+            assert got.counts == mults == [m.rat for m in _reference_multiplicities(ell, vec)]
+            # arbitrary rational values: rejected at the reference's first non-real one
+            vec = {lab: F(rng.randint(-20, 20), rng.randint(1, 3)) for lab in t.classes}
+            want = _reference_multiplicities(ell, vec)
+            first = next(i for i, m in enumerate(want) if not m.is_rational)
+            with pytest.raises(DataCorrupt, match=rf"non-real multiplicity for chi_{first + 1}$"):
+                reps.decompose(ell, 1, 1, vec)
+
+
+def test_non_real_multiplicity_rejected():
+    t = reps.character_table(2)
+    vec = {lab: int(lab == "7A") for lab in t.classes}
+    assert not _reference_multiplicities(2, vec)[2].is_rational
+    with pytest.raises(DataCorrupt, match=r"non-real multiplicity for chi_3$"):
+        reps.decompose(2, 1, 1, vec)
 
 
 def test_incomplete_vector_rejected():
@@ -221,3 +285,53 @@ def test_power_map_check_fires(tmp_path):
             reps.validate_table(13)
     finally:
         set_data_dir(None)
+
+
+def _set_value(row, col, rat="0", irr="0", disc=0):
+    return lambda t: t["values"][row].__setitem__(
+        col, {"rat": rat, "irr": irr, "disc": disc})
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    # chi_3 of lambency 13 is i at 4A; one entry sqrt(-3) mixes two fields
+    (_set_value(2, 3, irr="1", disc=-3), MixedDiscriminant, "chi_3 mixes"),
+    # a centralizer off by a factor of 2
+    (lambda t: t["centralizers"].__setitem__(1, 8), DataCorrupt, "column norm at 2A"),
+    # chi_2(4A) = 1 instead of -1 keeps every column norm
+    (_set_value(1, 2, rat="1"), DataCorrupt, r"row orthogonality \(1,2\)"),
+])
+def test_table_checks_fire(tmp_path, edit, error, message):
+    alt = _edited_copy(tmp_path, {"chartab_13.json": edit})
+    try:
+        set_data_dir(alt)
+        with pytest.raises(error, match=message):
+            reps.validate_table(13)
+    finally:
+        set_data_dir(None)
+    assert reps.validate_table(13)["ok"]
+
+
+def test_mixed_row_rejected_by_decompose(tmp_path):
+    alt = _edited_copy(tmp_path, {"chartab_13.json": _set_value(2, 3, irr="1", disc=-3)})
+    vec = {"1A": 1, "2A": 1, "4A": 1, "4B": 1}
+    try:
+        set_data_dir(alt)
+        with pytest.raises(MixedDiscriminant, match="chi_3 mixes"):
+            reps.decompose(13, 1, 1, vec)
+    finally:
+        set_data_dir(None)
+    assert reps.decompose(13, 1, 1, vec).counts == [1, 0, 0, 0]
+
+
+def test_decompose_follows_a_data_dir_switch(tmp_path):
+    # chi_2 negated: the class function chi_2 then has multiplicity -1
+    vec = {"1A": 1, "2A": 1, "4A": -1, "4B": -1}
+    assert reps.decompose(13, 1, 1, vec).counts == [0, 1, 0, 0]
+    alt = _edited_copy(tmp_path, {"chartab_13.json": lambda t: t["values"].__setitem__(
+        1, [{"rat": str(-int(v["rat"])), "irr": "0", "disc": 0} for v in t["values"][1]])})
+    try:
+        set_data_dir(alt)
+        assert reps.decompose(13, 1, 1, vec).counts == [0, -1, 0, 0]
+    finally:
+        set_data_dir(None)
+    assert reps.decompose(13, 1, 1, vec).counts == [0, 1, 0, 0]

@@ -111,12 +111,17 @@ def frame_shapes(g: SignedPerm):
             pi[2 * k] = pi.get(2 * k, 0) + 1
             pi[k] = pi.get(k, 0) - 1
     pi = {k: v for k, v in pi.items() if v}
+    return pi, pibar, _total_shape(pi, pibar)
+
+
+def _total_shape(pi: dict, pibar: dict) -> dict:
+    """The formal product pi * pibar, zero exponents dropped."""
     total = dict(pibar)
     for k, v in pi.items():
         total[k] = total.get(k, 0) + v
         if not total[k]:
             del total[k]
-    return pi, pibar, total
+    return total
 
 
 def total_frame_direct(g: SignedPerm) -> dict:
@@ -204,12 +209,7 @@ def order_from_frames(pi: dict, pibar: dict) -> int:
 def gamma_symbol_from_frames(ell: int, pi: dict, pibar: dict) -> tuple:
     """(n_g, h_g): n = order of the unsigned image, N = shortest*longest cycle
     of the total shape, h = N/n, halved at lambency 4 for non-split classes."""
-    total = dict(pibar)
-    for k, v in pi.items():
-        total[k] = total.get(k, 0) + v
-        if not total[k]:
-            del total[k]
-    cyc = sorted(k for k, v in total.items() if v > 0)
+    cyc = sorted(k for k, v in _total_shape(pi, pibar).items() if v > 0)
     N = cyc[0] * cyc[-1]
     n = 1
     for k in pibar:

@@ -18,15 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import gcd
 
 from . import jacobi
 from .algebra import as_rat
 from .data import load_json, memo
-from .errors import (DataExhausted, DeterminantNotUnit, NotInGroup,
-                     NotInvertible, UnknownClass)
+from .errors import (CutoffUnderflow, DataExhausted, DeterminantNotUnit,
+                     NotInGroup, NotInvertible, UnknownClass)
 from .groups import class_table
-from .qseries import (FracSeries, eta_quotient, lambda_n, mock_theta, newform,
-                      unary_theta)
+from .qseries import (_F44_CUT, INF, FracSeries, eta_quotient, lambda_n,
+                      mock_theta, newform, unary_theta)
 from .reps import row_component
 
 
@@ -42,18 +44,46 @@ def weight2_classes(ell: int, variant: str = "F") -> list:
     return [c for (c, v) in _catalog(ell) if v == variant]
 
 
+def _terms(terms):
+    """Read catalog terms as (coeff, scale, build, cap): a term is coeff times
+    the block series build(cutoff/scale) at q -> q^scale, known only below
+    q^cap (f44 is stored data; every other block has cap INF)."""
+    for term in terms:
+        scale = as_rat(term.get("scale", "1"))
+        blk = term["block"]
+        cap = INF
+        if blk["type"] == "lambda":
+            build = partial(lambda_n, blk["n"])
+        elif blk["type"] == "eta":
+            build = partial(eta_quotient, [(as_rat(k), m) for k, m in blk["spec"]])
+        elif blk["type"] == "newform":
+            build = partial(newform, blk["label"])
+            if blk["label"] == "f44":
+                cap = _F44_CUT * scale
+        else:
+            raise UnknownClass(f"unknown block {blk['type']}")
+        yield as_rat(term["coeff"]), scale, build, cap
+
+
+def _combination(terms, cutoff) -> FracSeries:
+    """sum coeff * block(scale*tau) over catalog terms, exact below ``cutoff``."""
+    total = FracSeries.zero(cutoff)
+    for coeff, scale, build, _ in _terms(terms):
+        s = build(cutoff / scale)
+        if scale != 1:
+            s = s.rescale(scale)
+        total = total + s.scale(coeff)
+    return total
+
+
 def weight2_cap(ell: int, label: str, variant: str = "F") -> Fraction:
     """Largest cutoff the catalog entry supports (f44 is stored data)."""
     rec = _catalog(ell).get((label, variant))
     if rec is None:
         raise UnknownClass(f"no weight-2 form for ({ell}, {label}, {variant})")
-    cap = as_rat(10**15)
     if "twist_of" in rec:
         return weight2_cap(ell, rec["twist_of"], variant)
-    for term in rec["terms"]:
-        if term["block"]["type"] == "newform" and term["block"]["label"] == "f44":
-            cap = min(cap, as_rat(28) * as_rat(term.get("scale", "1")))
-    return cap
+    return min((cap for *_, cap in _terms(rec["terms"])), default=INF)
 
 
 def quarter_twist(f: FracSeries) -> FracSeries:
@@ -83,24 +113,7 @@ def weight2(ell: int, label: str, variant: str = "F", cutoff=30) -> FracSeries:
         raise UnknownClass(f"no weight-2 form for ({ell}, {label}, {variant})")
     if "twist_of" in rec:
         return quarter_twist(weight2(ell, rec["twist_of"], variant, cutoff))
-    total = FracSeries.zero(cutoff)
-    for term in rec["terms"]:
-        coeff = as_rat(term["coeff"])
-        scale = as_rat(term.get("scale", "1"))
-        blk = term["block"]
-        inner = cutoff / scale
-        if blk["type"] == "lambda":
-            s = lambda_n(blk["n"], inner)
-        elif blk["type"] == "eta":
-            s = eta_quotient([(as_rat(k), m) for k, m in blk["spec"]], inner)
-        elif blk["type"] == "newform":
-            s = newform(blk["label"], inner)
-        else:
-            raise UnknownClass(f"unknown block {blk['type']}")
-        if scale != 1:
-            s = s.rescale(scale)
-        total = total + s.scale(coeff)
-    return total
+    return _combination(rec["terms"], cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +137,6 @@ class TwistedH:
         Past the exact cutoff of a data-limited reconstruction (stored
         columns, the capped newform) this raises DataExhausted.
         """
-        from .errors import CutoffUnderflow
         e = Fraction(fourld, 4 * self.lambency)
         r = row_component(self.lambency, fourld)
         try:
@@ -235,24 +247,14 @@ def _twisted_4(label: str, qcut) -> TwistedH:
         h2cls = l4["bridge"][label]
         star = twisted_H(2, h2cls, 2 * qcut + 1).component(1).rescale(Fraction(1, 2))
     else:
-        star = FracSeries.zero(qcut)
-        for term in l4["star_eta"][label]:
-            spec = [(as_rat(k), m) for k, m in term["block"]["spec"]]
-            star = star + eta_quotient(spec, qcut).scale(as_rat(term["coeff"]))
+        star = _combination(l4["star_eta"][label], qcut)
     h1 = star.split(Fraction(-1, 16))
     h3 = star.split(Fraction(7, 16)).scale(-1)
     # second component: H_{g,2} = (chi_g/8) H_2 + W_g / S2 with S2 = 2 eta(2t)^3
     H2 = identity_H(4, qcut).component(2)
     h2 = H2.scale(Fraction(c.chi, 8))
     if label in l4["h2_hat"]:
-        W = FracSeries.zero(qcut + 1)
-        for term in l4["h2_hat"][label]:
-            blk = term["block"]
-            if blk["type"] == "lambda":
-                s = lambda_n(blk["n"], qcut + 1)
-            else:
-                s = newform(blk["label"], qcut + 1)
-            W = W + s.scale(as_rat(term["coeff"]))
+        W = _combination(l4["h2_hat"][label], qcut + 1)
         s2_inv = eta_quotient([(2, -3)], qcut + 1).scale(Fraction(1, 2))
         h2 = h2 + (W * s2_inv).truncate(qcut - Fraction(3, 4))
     return _finish(4, label, [h1, h2, h3])
@@ -338,70 +340,56 @@ def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
 # ---------------------------------------------------------------------------
 # mock theta identities
 
-def _tw(ell, label, r, qcut):
-    return twisted_H(ell, label, qcut).component(r)
-
-
+# name: (lhs, rhs).  A side is a twisted component (lambency, class, r) or a
+# list of terms (coeff, label, argument, e), each coeff * q^e * mock_theta(label)
+# at argument q, -q, q2 (for q^2) or -q2.
 MOCK_IDENTITIES = {
     # lambency 2
-    "2:4B=mu": lambda N: (_tw(2, "4B", 1, N),
-                          mock_theta("mu2", N).shift(Fraction(-1, 8)).scale(-2)),
-    "2:8A=U0": lambda N: (_tw(2, "8A", 1, N),
-                          mock_theta("U0", N).shift(Fraction(-1, 8)).scale(-2)),
+    "2:4B=mu": ((2, "4B", 1), [(-2, "mu2", "q", "-1/8")]),
+    "2:8A=U0": ((2, "8A", 1), [(-2, "U0", "q", "-1/8")]),
     # lambency 3
-    "3:2B,1=f(q2)": lambda N: (_tw(3, "2B", 1, N),
-                               mock_theta("f", N / 2).rescale(2).shift(Fraction(-1, 12)).scale(-2)),
-    "3:6C,1=chi(q2)": lambda N: (_tw(3, "6C", 1, N),
-                                 mock_theta("chi", N / 2).rescale(2).shift(Fraction(-1, 12)).scale(-2)),
-    "3:8CD,1=phi(-q2)": lambda N: (_tw(3, "8CD", 1, N),
-                                   mock_theta("phi", N / 2).substitute_minus_q()
-                                   .rescale(2).shift(Fraction(-1, 12)).scale(-2)),
-    "3:2B,2=omega(-q)": lambda N: (_tw(3, "2B", 2, N),
-                                   mock_theta("omega", N).substitute_minus_q()
-                                   .shift(Fraction(2, 3)).scale(-4)),
-    "3:6C,2=rho(-q)": lambda N: (_tw(3, "6C", 2, N),
-                                 mock_theta("rho", N).substitute_minus_q()
-                                 .shift(Fraction(2, 3)).scale(2)),
+    "3:2B,1=f(q2)": ((3, "2B", 1), [(-2, "f", "q2", "-1/12")]),
+    "3:6C,1=chi(q2)": ((3, "6C", 1), [(-2, "chi", "q2", "-1/12")]),
+    "3:8CD,1=phi(-q2)": ((3, "8CD", 1), [(-2, "phi", "-q2", "-1/12")]),
+    "3:2B,2=omega(-q)": ((3, "2B", 2), [(-4, "omega", "-q", "2/3")]),
+    "3:6C,2=rho(-q)": ((3, "6C", 2), [(2, "rho", "-q", "2/3")]),
     # lambency 4
-    "4:2C,1=-2S0+4T0": lambda N: (_tw(4, "2C", 1, N),
-                                  (mock_theta("S0", N).scale(-2) + mock_theta("T0", N).scale(4))
-                                  .shift(Fraction(-1, 16))),
-    "4:2C,3=2S1-4T1": lambda N: (_tw(4, "2C", 3, N),
-                                 (mock_theta("S1", N).scale(2) + mock_theta("T1", N).scale(-4))
-                                 .shift(Fraction(7, 16))),
-    "4:4C,1=-2S0": lambda N: (_tw(4, "4C", 1, N),
-                              mock_theta("S0", N).shift(Fraction(-1, 16)).scale(-2)),
-    "4:4C,3=2S1": lambda N: (_tw(4, "4C", 3, N),
-                             mock_theta("S1", N).shift(Fraction(7, 16)).scale(2)),
+    "4:2C,1=-2S0+4T0": ((4, "2C", 1), [(-2, "S0", "q", "-1/16"), (4, "T0", "q", "-1/16")]),
+    "4:2C,3=2S1-4T1": ((4, "2C", 3), [(2, "S1", "q", "7/16"), (-4, "T1", "q", "7/16")]),
+    "4:4C,1=-2S0": ((4, "4C", 1), [(-2, "S0", "q", "-1/16")]),
+    "4:4C,3=2S1": ((4, "4C", 3), [(2, "S1", "q", "7/16")]),
     # derived inter-identities among the order 2/8 functions
-    "8:U0=S0+qS1": lambda N: (mock_theta("U0", N),
-                              mock_theta("S0", N / 2).rescale(2)
-                              + mock_theta("S1", N / 2).rescale(2).shift(1)),
-    "8:U1=T0+qT1": lambda N: (mock_theta("U1", N),
-                              mock_theta("T0", N / 2).rescale(2)
-                              + mock_theta("T1", N / 2).rescale(2).shift(1)),
-    "8:mu=U0-2U1": lambda N: (mock_theta("mu2", N),
-                              mock_theta("U0", N) + mock_theta("U1", N).scale(-2)),
+    "8:U0=S0+qS1": ([(1, "U0", "q", "0")], [(1, "S0", "q2", "0"), (1, "S1", "q2", "1")]),
+    "8:U1=T0+qT1": ([(1, "U1", "q", "0")], [(1, "T0", "q2", "0"), (1, "T1", "q2", "1")]),
+    "8:mu=U0-2U1": ([(1, "mu2", "q", "0")], [(1, "U0", "q", "0"), (-2, "U1", "q", "0")]),
     # lambency 5
-    "5:2B,1=X(q2)": lambda N: (_tw(5, "2B", 1, N),
-                               mock_theta("X", N / 2).rescale(2).shift(Fraction(-1, 20)).scale(-2)),
-    "5:2B,3=chi10(q2)": lambda N: (_tw(5, "2B", 3, N),
-                                   mock_theta("chi10", N / 2).rescale(2)
-                                   .shift(Fraction(-9, 20)).scale(-2)),
-    "5:2C,2=psi10(-q)": lambda N: (_tw(5, "2C", 2, N),
-                                   mock_theta("psi10", N).substitute_minus_q()
-                                   .shift(Fraction(-1, 5)).scale(2)),
-    "5:2C,4=-phi10(-q)": lambda N: (_tw(5, "2C", 4, N),
-                                    mock_theta("phi10", N).substitute_minus_q()
-                                    .shift(Fraction(1, 5)).scale(-2)),
+    "5:2B,1=X(q2)": ((5, "2B", 1), [(-2, "X", "q2", "-1/20")]),
+    "5:2B,3=chi10(q2)": ((5, "2B", 3), [(-2, "chi10", "q2", "-9/20")]),
+    "5:2C,2=psi10(-q)": ((5, "2C", 2), [(2, "psi10", "-q", "-1/5")]),
+    "5:2C,4=-phi10(-q)": ((5, "2C", 4), [(-2, "phi10", "-q", "1/5")]),
 }
+
+
+def _identity_side(side, qcut) -> FracSeries:
+    if isinstance(side, tuple):
+        ell, label, r = side
+        return twisted_H(ell, label, qcut).component(r)
+    total = FracSeries.zero(INF)
+    for coeff, label, arg, e in side:
+        s = mock_theta(label, qcut / 2 if arg.endswith("2") else qcut)
+        if arg.startswith("-"):
+            s = s.substitute_minus_q()
+        if arg.endswith("2"):
+            s = s.rescale(2)
+        total = total + s.shift(as_rat(e)).scale(coeff)
+    return total
 
 
 def mock_identity_check(name: str, qcut=21) -> dict:
     """Expand both sides of a cataloged identity and compare exactly."""
     if name not in MOCK_IDENTITIES:
         raise UnknownClass(f"unknown identity {name!r}")
-    lhs, rhs = MOCK_IDENTITIES[name](as_rat(qcut))
+    lhs, rhs = (_identity_side(side, as_rat(qcut)) for side in MOCK_IDENTITIES[name])
     cut = min(lhs.cutoff, rhs.cutoff)
     diff = lhs.truncate(cut) - rhs.truncate(cut)
     bad = next((e for e, c in diff.items() if c != 0), None)
@@ -433,7 +421,6 @@ def multiplier_rho(ell: int, n: int, h: int, gamma: tuple):
     if n % h == 0:
         x = Fraction(-v * c * d, n * h) % 1
         return scalar_times(x, ident)
-    from math import gcd as _g
     J = [[(Fraction(0) if (i + 1) % 2 else Fraction(1, 2)) if i == j else None
           for j in range(size)] for i in range(size)]
     K = [[Fraction(0) if i + j == size - 1 else None for j in range(size)] for i in range(size)]
@@ -452,13 +439,10 @@ def multiplier_rho(ell: int, n: int, h: int, gamma: tuple):
                     out[i][j] = (A[i][k] + B[k][j]) % 1
         return out
 
-    def mat_pow(A, e):
-        # J and K are involutions
-        return mat_mul(ident, A) if e % 2 else ident
-
     if n % 2 == 0:
-        x = (Fraction(-v * c * d, n * h) * Fraction(_g(n, h), n)) % 1
+        x = (Fraction(-v * c * d, n * h) * Fraction(gcd(n, h), n)) % 1
     else:
-        x = (Fraction(-v * c * d, n * h) * Fraction(n, _g(n, h))) % 1
-    M = mat_mul(mat_pow(J, (c * (d + 1)) // n), mat_pow(K, c // n))
+        x = (Fraction(-v * c * d, n * h) * Fraction(n, gcd(n, h))) % 1
+    # J and K are involutions
+    M = mat_mul(J if (c * (d + 1)) // n % 2 else ident, K if c // n % 2 else ident)
     return scalar_times(x, M)

@@ -446,153 +446,47 @@ def _eulerian(cutoff, valuation, numerator, denominator, sign=None):
     return FracSeries(total.denom, total.coeffs, cutoff)
 
 
-def _rng(n, mk_exp, sign=1):
-    return [(sign, mk_exp(k)) for k in range(1, n + 1)]
-
-
-_MOCK_THETA = {}
-
-
-def _register(label):
-    def deco(fn):
-        _MOCK_THETA[label] = fn
-        return fn
-    return deco
-
-
-@_register("f")
-def _mock_f(cut):
-    return _eulerian(cut, lambda n: n * n,
-                     lambda n: [],
-                     lambda n: _rng(n, lambda k: k) * 2)
-
-
-@_register("phi")
-def _mock_phi(cut):
-    return _eulerian(cut, lambda n: n * n,
-                     lambda n: [],
-                     lambda n: _rng(n, lambda k: 2 * k))
-
-
-@_register("chi")
-def _mock_chi(cut):
-    # denominators (1 - q^k + q^(2k)); expand each factor exactly
-    cut = as_rat(cut)
-    total = FracSeries.zero(cut)
-    n = 0
-    while n * n < cut:
-        rel = cut - n * n
-        den = FracSeries.one()
-        for k in range(1, n + 1):
-            den = den * FracSeries(1, {0: 1, k: -1, 2 * k: 1}, INF)
-        term = den.invert(cutoff=rel).truncate(rel).shift(n * n)
-        total = total + term
-        n += 1
-    return FracSeries(total.denom, total.coeffs, cut)
-
-
-@_register("omega")
-def _mock_omega(cut):
-    return _eulerian(cut, lambda n: 2 * n * (n + 1),
-                     lambda n: [],
-                     lambda n: [(-1, 2 * k + 1) for k in range(n + 1)] * 2)
-
-
-@_register("rho")
-def _mock_rho(cut):
-    cut = as_rat(cut)
-    total = FracSeries.zero(cut)
-    n = 0
-    while 2 * n * (n + 1) < cut:
-        v = 2 * n * (n + 1)
-        rel = cut - v
-        den = FracSeries.one()
-        for k in range(n + 1):
-            e = 2 * k + 1
-            den = den * FracSeries(1, {0: 1, e: 1, 2 * e: 1}, INF)
-        total = total + den.invert(cutoff=rel).truncate(rel).shift(v)
-        n += 1
-    return FracSeries(total.denom, total.coeffs, cut)
-
-
-@_register("mu2")
-def _mock_mu2(cut):
-    return _eulerian(cut, lambda n: n * n,
-                     lambda n: _rng(n, lambda k: 2 * k - 1, -1),
-                     lambda n: _rng(n, lambda k: 2 * k) * 2,
-                     sign=lambda n: n % 2)
-
-
-@_register("U0")
-def _mock_u0(cut):
-    return _eulerian(cut, lambda n: n * n,
-                     lambda n: _rng(n, lambda k: 2 * k - 1),
-                     lambda n: _rng(n, lambda k: 4 * k))
-
-
-@_register("U1")
-def _mock_u1(cut):
-    return _eulerian(cut, lambda n: (n + 1) ** 2,
-                     lambda n: _rng(n, lambda k: 2 * k - 1),
-                     lambda n: [(1, 4 * k - 2) for k in range(1, n + 2)])
-
-
-@_register("S0")
-def _mock_s0(cut):
-    return _eulerian(cut, lambda n: n * n,
-                     lambda n: _rng(n, lambda k: 2 * k - 1),
-                     lambda n: _rng(n, lambda k: 2 * k))
-
-
-@_register("S1")
-def _mock_s1(cut):
-    return _eulerian(cut, lambda n: n * (n + 2),
-                     lambda n: _rng(n, lambda k: 2 * k - 1),
-                     lambda n: _rng(n, lambda k: 2 * k))
-
-
-@_register("T0")
-def _mock_t0(cut):
-    return _eulerian(cut, lambda n: (n + 1) * (n + 2),
-                     lambda n: _rng(n, lambda k: 2 * k),
-                     lambda n: _rng(n + 1, lambda k: 2 * k - 1))
-
-
-@_register("T1")
-def _mock_t1(cut):
-    return _eulerian(cut, lambda n: n * (n + 1),
-                     lambda n: _rng(n, lambda k: 2 * k),
-                     lambda n: _rng(n + 1, lambda k: 2 * k - 1))
-
-
-@_register("phi10")
-def _mock_phi10(cut):
-    return _eulerian(cut, lambda n: n * (n + 1) // 2,
-                     lambda n: [],
-                     lambda n: [(-1, 2 * k - 1) for k in range(1, n + 2)])
-
-
-@_register("psi10")
-def _mock_psi10(cut):
-    return _eulerian(cut, lambda n: (n + 1) * (n + 2) // 2,
-                     lambda n: [],
-                     lambda n: [(-1, 2 * k - 1) for k in range(1, n + 2)])
-
-
-@_register("X")
-def _mock_x(cut):
-    return _eulerian(cut, lambda n: n * n,
-                     lambda n: [],
-                     lambda n: _rng(2 * n, lambda k: k),
-                     sign=lambda n: n % 2)
-
-
-@_register("chi10")
-def _mock_chi10(cut):
-    return _eulerian(cut, lambda n: (n + 1) ** 2,
-                     lambda n: [],
-                     lambda n: _rng(2 * n + 1, lambda k: k),
-                     sign=lambda n: n % 2)
+# label: (valuation, numerator, denominator, sign) as functions of the
+# summation index n, read by _eulerian; numerator and denominator list the
+# factors (1 + s*q^e) as (s, e).  chi and rho keep to this form through
+# 1 - x + x^2 = (1 + x^3)/(1 + x) and 1 + x + x^2 = (1 - x^3)/(1 - x).
+_MOCK_THETA = {
+    # order 3
+    "f": (lambda n: n * n, lambda n: [],
+          lambda n: [(1, k) for k in range(1, n + 1)] * 2, None),
+    "phi": (lambda n: n * n, lambda n: [],
+            lambda n: [(1, 2 * k) for k in range(1, n + 1)], None),
+    "chi": (lambda n: n * n, lambda n: [(1, k) for k in range(1, n + 1)],
+            lambda n: [(1, 3 * k) for k in range(1, n + 1)], None),
+    "omega": (lambda n: 2 * n * (n + 1), lambda n: [],
+              lambda n: [(-1, 2 * k + 1) for k in range(n + 1)] * 2, None),
+    "rho": (lambda n: 2 * n * (n + 1), lambda n: [(-1, 2 * k + 1) for k in range(n + 1)],
+            lambda n: [(-1, 6 * k + 3) for k in range(n + 1)], None),
+    # order 2 and 8
+    "mu2": (lambda n: n * n, lambda n: [(-1, 2 * k - 1) for k in range(1, n + 1)],
+            lambda n: [(1, 2 * k) for k in range(1, n + 1)] * 2, lambda n: n % 2),
+    "U0": (lambda n: n * n, lambda n: [(1, 2 * k - 1) for k in range(1, n + 1)],
+           lambda n: [(1, 4 * k) for k in range(1, n + 1)], None),
+    "U1": (lambda n: (n + 1) ** 2, lambda n: [(1, 2 * k - 1) for k in range(1, n + 1)],
+           lambda n: [(1, 4 * k - 2) for k in range(1, n + 2)], None),
+    "S0": (lambda n: n * n, lambda n: [(1, 2 * k - 1) for k in range(1, n + 1)],
+           lambda n: [(1, 2 * k) for k in range(1, n + 1)], None),
+    "S1": (lambda n: n * (n + 2), lambda n: [(1, 2 * k - 1) for k in range(1, n + 1)],
+           lambda n: [(1, 2 * k) for k in range(1, n + 1)], None),
+    "T0": (lambda n: (n + 1) * (n + 2), lambda n: [(1, 2 * k) for k in range(1, n + 1)],
+           lambda n: [(1, 2 * k - 1) for k in range(1, n + 2)], None),
+    "T1": (lambda n: n * (n + 1), lambda n: [(1, 2 * k) for k in range(1, n + 1)],
+           lambda n: [(1, 2 * k - 1) for k in range(1, n + 2)], None),
+    # order 10
+    "phi10": (lambda n: n * (n + 1) // 2, lambda n: [],
+              lambda n: [(-1, 2 * k - 1) for k in range(1, n + 2)], None),
+    "psi10": (lambda n: (n + 1) * (n + 2) // 2, lambda n: [],
+              lambda n: [(-1, 2 * k - 1) for k in range(1, n + 2)], None),
+    "X": (lambda n: n * n, lambda n: [],
+          lambda n: [(1, k) for k in range(1, 2 * n + 1)], lambda n: n % 2),
+    "chi10": (lambda n: (n + 1) ** 2, lambda n: [],
+              lambda n: [(1, k) for k in range(1, 2 * n + 2)], lambda n: n % 2),
+}
 
 
 def mock_theta(label: str, cutoff) -> FracSeries:
@@ -602,10 +496,10 @@ def mock_theta(label: str, cutoff) -> FracSeries:
     S0, S1, T0, T1; order 10: phi10, psi10, X, chi10.
     """
     try:
-        fn = _MOCK_THETA[label]
+        row = _MOCK_THETA[label]
     except KeyError:
         raise KeyError(f"unknown mock theta {label!r}") from None
-    return fn(as_rat(cutoff))
+    return _eulerian(cutoff, *row)
 
 
 # ---------------------------------------------------------------------------

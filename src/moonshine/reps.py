@@ -275,7 +275,6 @@ def type_n_inventory(ell: int) -> dict:
     Fields match up to square factors (type 8 lives in Q(sqrt(-2)), type 20
     in Q(sqrt(-5))), so pairs are grouped by the squarefree kernel.
     """
-    t = character_table(ell)
     gd = class_table(ell)
     orders = set()
     for c in gd.classes:
@@ -342,11 +341,7 @@ def doublet_check(ell: int) -> dict:
             if not got.integral:
                 report["failures"].append((r, fourld, "non-integral"))
                 continue
-            halves = all(Fraction(c, 2).denominator == 1 for c in got.counts)
-            # doublet: two copies of a single irreducible -- equivalently all
-            # multiplicities even AND the halved vector is a single module...
-            # the conjecture's usable form: representable <=> NOT doublet.
-            doublet = halves and _is_doubled(got.counts)
+            doublet = _is_doubled(got.counts)
             rep = is_representable(ell, fourld, types)
             report["rows"] += 1
             if doublet == rep:

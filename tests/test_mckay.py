@@ -1,9 +1,11 @@
+import json
+import shutil
 from fractions import Fraction as F
 
 import pytest
 
 from moonshine import mckay as mk
-from moonshine.data import load_json
+from moonshine.data import data_dir, load_json, set_data_dir
 from moonshine.errors import UnknownClass
 from moonshine.qseries import eta_quotient, lambda_n, mock_theta
 
@@ -176,3 +178,23 @@ def test_l4_bridge_equations():
         want = mk.twisted_H(2, partner, 17).component(1).rescale(F(1, 2))
         cut = min(star.cutoff, want.cutoff)
         assert star.truncate(cut) == want.truncate(cut), lab
+
+
+def test_unknown_block_type_in_l4_data_raises(tmp_path):
+    # every term list goes through one reader, which rejects an unknown block
+    # type; an h2_hat block that is not a lambda must not pass as a newform
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    path = alt / "l4_reconstruction.json"
+    table = json.loads(path.read_text())
+    blocks = [t["block"] for t in table["h2_hat"]["7AB"] if t["block"]["type"] == "newform"]
+    assert blocks
+    for blk in blocks:
+        blk["type"] = "bogus"
+    path.write_text(json.dumps(table))
+    try:
+        set_data_dir(alt)
+        with pytest.raises(UnknownClass, match="bogus"):
+            mk.twisted_H(4, "7AB", 11)
+    finally:
+        set_data_dir(None)

@@ -145,6 +145,92 @@ def test_mock_theta_order10_heads():
     assert x.coefficient(0) == 1 and x.coefficient(1) == -1
 
 
+# Reference expansions of the 16 mock theta functions from their classical
+# definitions (Gordon and McIntosh 2012), on plain integer coefficient lists
+# indexed by the exponent; chi and rho keep their trinomial denominators.
+
+def _mul(a, p, n):
+    """a * p truncated to exponents < n."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(p[:n - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _div(a, p, n):
+    """a / p truncated to exponents < n (p[0] == 1)."""
+    out = list(a[:n]) + [0] * (n - len(a))
+    for i in range(n):
+        for j in range(1, min(i, len(p) - 1) + 1):
+            out[i] -= p[j] * out[i - j]
+    return out
+
+
+def _binomial(c, e):
+    """1 + c*q^e."""
+    return [1] + [0] * (e - 1) + [c]
+
+
+def _trinomial(c, e):
+    """1 + c*q^e + q^(2e)."""
+    return [1] + [0] * (e - 1) + [c] + [0] * (e - 1) + [1]
+
+
+def _poch(c, e, d, m):
+    """(-c q^e; q^d)_m as factors: prod_{j<m} (1 + c*q^(e + d*j))."""
+    return [_binomial(c, e + d * j) for j in range(m)]
+
+
+_CLASSICAL = {
+    # label: n -> (sign, q-exponent, numerator factors, denominator factors)
+    "f": lambda n: (1, n * n, [], _poch(1, 1, 1, n) * 2),
+    "phi": lambda n: (1, n * n, [], _poch(1, 2, 2, n)),
+    "chi": lambda n: (1, n * n, [], [_trinomial(-1, k) for k in range(1, n + 1)]),
+    "omega": lambda n: (1, 2 * n * (n + 1), [], _poch(-1, 1, 2, n + 1) * 2),
+    "rho": lambda n: (1, 2 * n * (n + 1), [], [_trinomial(1, 2 * k + 1) for k in range(n + 1)]),
+    "mu2": lambda n: ((-1) ** n, n * n, _poch(-1, 1, 2, n), _poch(1, 2, 2, n) * 2),
+    "U0": lambda n: (1, n * n, _poch(1, 1, 2, n), _poch(1, 4, 4, n)),
+    "U1": lambda n: (1, (n + 1) ** 2, _poch(1, 1, 2, n), _poch(1, 2, 4, n + 1)),
+    "S0": lambda n: (1, n * n, _poch(1, 1, 2, n), _poch(1, 2, 2, n)),
+    "S1": lambda n: (1, n * (n + 2), _poch(1, 1, 2, n), _poch(1, 2, 2, n)),
+    "T0": lambda n: (1, (n + 1) * (n + 2), _poch(1, 2, 2, n), _poch(1, 1, 2, n + 1)),
+    "T1": lambda n: (1, n * (n + 1), _poch(1, 2, 2, n), _poch(1, 1, 2, n + 1)),
+    "phi10": lambda n: (1, n * (n + 1) // 2, [], _poch(-1, 1, 2, n + 1)),
+    "psi10": lambda n: (1, (n + 1) * (n + 2) // 2, [], _poch(-1, 1, 2, n + 1)),
+    "X": lambda n: ((-1) ** n, n * n, [], _poch(1, 1, 1, 2 * n)),
+    "chi10": lambda n: ((-1) ** n, (n + 1) ** 2, [], _poch(1, 1, 1, 2 * n + 1)),
+}
+
+
+def _classical(label, n_terms):
+    """Coefficients of q^0 .. q^(n_terms - 1)."""
+    total = [0] * n_terms
+    n = 0
+    while True:
+        sign, v, num, den = _CLASSICAL[label](n)
+        if v >= n_terms:
+            return total
+        term = [0] * v + [sign]
+        for p in num:
+            term = _mul(term, p, n_terms)
+        for p in den:
+            term = _div(term, p, n_terms)
+        total = [a + b for a, b in zip(total, term + [0] * n_terms)]
+        n += 1
+
+
+@pytest.mark.parametrize("cut", [F(7), F(21, 2), F(41)], ids=str)
+def test_mock_theta_matches_classical_definitions(cut):
+    n_terms = -(-cut.numerator // cut.denominator)
+    for label in _CLASSICAL:
+        got = mock_theta(label, cut)
+        assert got.cutoff == cut, label
+        want = _classical(label, n_terms)
+        assert list(got.items()) == [(F(k), c) for k, c in enumerate(want) if c], label
+
+
 def test_dedekind_epsilon_values():
     assert dedekind_epsilon(1, 1, 0, 1) == 23      # e(-1/24)
     assert dedekind_epsilon(1, 5, 0, 1) == 19      # e(-5/24)

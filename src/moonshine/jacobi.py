@@ -29,7 +29,7 @@ from math import ceil, gcd, lcm
 from .algebra import _canonical, as_rat
 from .data import LAMBENCIES, memo
 from .errors import OutOfRange, UnboundedSupport, WindowTooNarrow
-from .qseries import INF, FracSeries, _convolve, eta, euler_product
+from .qseries import INF, FracSeries, _convolve, eta
 
 ENTIRE = "entire"
 LOWER = "lower"   # |q| < |y| < 1
@@ -39,10 +39,9 @@ UPPER = "upper"   # 1 < |y| < 1/|q|
 class WindowedSeries:
     """q/y bi-series with exact windowing; see module docstring."""
 
-    __slots__ = ("denom", "ydenom", "qcut", "rows", "ywindow", "support_index", "annulus")
+    __slots__ = ("denom", "ydenom", "qcut", "rows", "ywindow", "annulus")
 
-    def __init__(self, denom, rows, qcut, ywindow=None, support_index=None,
-                 annulus=ENTIRE, ydenom=1):
+    def __init__(self, denom, rows, qcut, ywindow=None, annulus=ENTIRE, ydenom=1):
         self.denom = denom
         self.ydenom = ydenom
         self.qcut = as_rat(qcut)
@@ -56,7 +55,6 @@ class WindowedSeries:
                 clean[k] = r
         self.rows = clean
         self.ywindow = ywindow
-        self.support_index = support_index
         self.annulus = annulus
 
     # -- constructors ----------------------------------------------------
@@ -66,13 +64,12 @@ class WindowedSeries:
 
     @classmethod
     def one(cls, qcut=INF):
-        return cls(1, {0: {0: 1}}, qcut, support_index=0)
+        return cls(1, {0: {0: 1}}, qcut)
 
     @classmethod
     def from_fracseries(cls, f: FracSeries) -> "WindowedSeries":
         """Embed a one-variable series as a y-independent bi-series."""
-        return cls(f.denom, {k: {0: v} for k, v in f.coeffs.items()}, f.cutoff,
-                   support_index=0)
+        return cls(f.denom, {k: {0: v} for k, v in f.coeffs.items()}, f.cutoff)
 
     # -- basic inspection --------------------------------------------------
     def is_complete(self):
@@ -137,12 +134,8 @@ class WindowedSeries:
             for y, c in row.items():
                 dst[y] = dst.get(y, 0) + c
         wins = [w for w in (self.ywindow, other.ywindow) if w is not None]
-        si = None
-        if self.support_index is not None and other.support_index is not None:
-            si = max(self.support_index, other.support_index)
         return WindowedSeries(d, a, min(self.qcut, other.qcut),
                               ywindow=min(wins) if wins else None,
-                              support_index=si,
                               annulus=self._combine_annulus(other), ydenom=yd)
 
     def __neg__(self):
@@ -154,7 +147,6 @@ class WindowedSeries:
     def scale(self, c):
         rows = {k: {y: c * v for y, v in row.items()} for k, row in self.rows.items()}
         return WindowedSeries(self.denom, rows, self.qcut, ywindow=self.ywindow,
-                              support_index=self.support_index,
                               annulus=self.annulus, ydenom=self.ydenom)
 
     def qshift(self, e):
@@ -164,21 +156,12 @@ class WindowedSeries:
         off = e.numerator * (d // e.denominator)
         rows = {k * f + off: dict(row) for k, row in self.rows.items()}
         return WindowedSeries(d, rows, self.qcut + e, ywindow=self.ywindow,
-                              support_index=self.support_index,
                               annulus=self.annulus, ydenom=self.ydenom)
-
-    def y_reflect(self):
-        """y -> 1/y."""
-        rows = {k: {-y: c for y, c in row.items()} for k, row in self.rows.items()}
-        ann = {LOWER: UPPER, UPPER: LOWER}.get(self.annulus, ENTIRE)
-        return WindowedSeries(self.denom, rows, self.qcut, ywindow=self.ywindow,
-                              support_index=self.support_index, annulus=ann,
-                              ydenom=self.ydenom)
 
     def truncate(self, qcut):
         return WindowedSeries(self.denom, self.rows, min(self.qcut, as_rat(qcut)),
-                              ywindow=self.ywindow, support_index=self.support_index,
-                              annulus=self.annulus, ydenom=self.ydenom)
+                              ywindow=self.ywindow, annulus=self.annulus,
+                              ydenom=self.ydenom)
 
     def __eq__(self, other):
         if not isinstance(other, WindowedSeries):
@@ -252,7 +235,7 @@ def windowed_mul(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
 def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
     """The convolution behind ``*`` and ``windowed_mul``.
 
-    Complete times complete keeps every term and adds the support indices.
+    Complete times complete keeps every term.
     With a windowed factor the full convolution is clipped to the target
     window afterwards, so the inner loop carries no window test.  ``*``
     calls this directly, so profiles charge its time to ``__mul__``.
@@ -274,11 +257,7 @@ def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
         cut = min(cut, as_rat(qcut))
     d, yd, ra, rb = a._aligned(b)
     out = _convolve(ra, rb, ceil(cut * d))
-    si = None
-    if target is None and a.support_index is not None and b.support_index is not None:
-        si = a.support_index + b.support_index
-    prod = WindowedSeries(d, out, cut, support_index=si,
-                          annulus=a._combine_annulus(b), ydenom=yd)
+    prod = WindowedSeries(d, out, cut, annulus=a._combine_annulus(b), ydenom=yd)
     return prod if target is None else _clip(prod, target, prod.annulus)
 
 
@@ -294,38 +273,28 @@ def _clip(s: WindowedSeries, ywindow, annulus: str) -> WindowedSeries:
 # ---------------------------------------------------------------------------
 # theta functions
 
-def jacobi_theta(i: int, qcut, z_scale: int = 1) -> WindowedSeries:
-    """The four classical theta functions as exact products.
+def jacobi_theta(i: int, qcut) -> WindowedSeries:
+    """The four classical theta functions, summed as theta series.
 
-    The first one is returned with its constant unit -i divided out, so all
-    four have rational coefficients; only even powers of theta_1 (or the
-    ratio combinations used below) appear in this library, and for those the
-    unit cancels.  theta_1 and theta_2 carry half-integer y-powers.
-    ``z_scale`` evaluates at (tau, z_scale*z).
+    By the Jacobi triple product (with theta_1's constant unit -i divided
+    out, so all four have rational coefficients)
+
+        theta_1 = q^(1/8) (y^(1/2) - y^(-1/2)) prod (1-q^n)(1-y q^n)(1-y^-1 q^n)
+                = sum_n (-1)^n q^((2n+1)^2/8) y^((2n+1)/2),
+        theta_3 = prod (1-q^n)(1+y q^(n-1/2))(1+y^-1 q^(n-1/2))
+                = sum_n q^(n^2/2) y^n,
+
+    and theta_2, theta_4 drop the signs (-1)^n, resp. put them in.  In terms
+    of the index-2 theta series at z/2, theta_i = theta^(2)_r +- theta^(2)_(r+2)
+    with r = 1 for i = 1, 2 and r = 0 for i = 3, 4, minus for i = 1, 4: the
+    rows of ``index_theta(2, .)`` read with y-denominator 2.  Only even powers
+    of theta_1 (or ratios) appear in this library, and there the unit cancels.
     """
-    qcut = as_rat(qcut)
-    rows = {0: {z_scale: 1, -z_scale: -1}} if i == 1 else (
-        {0: {z_scale: 1, -z_scale: 1}} if i == 2 else {0: {0: 1}})
-    pref = WindowedSeries(1, rows, INF, support_index=None, ydenom=2)
-    out = pref
-    sign_y = -1 if i in (1, 4) else 1
-    half = i in (3, 4)
-    n = 1
-    while (Fraction(2 * n - 1, 2) if half else Fraction(n)) < qcut:
-        qe = Fraction(2 * n - 1, 2) if half else Fraction(n)
-        dd = qe.denominator
-        k = qe.numerator
-        fac = WindowedSeries(dd, {k: {z_scale: sign_y}, 0: {0: 1}}, INF, ydenom=1)
-        fac2 = WindowedSeries(dd, {k: {-z_scale: sign_y}, 0: {0: 1}}, INF, ydenom=1)
-        out = (out * fac) * fac2
-        out = out.truncate(qcut)
-        n += 1
-    if i in (1, 2):
-        out = out * WindowedSeries.from_fracseries(
-            euler_product(qcut - Fraction(1, 8)).shift(Fraction(1, 8)))
-    else:
-        out = out * WindowedSeries.from_fracseries(euler_product(qcut))
-    return out.truncate(qcut)
+    if i not in (1, 2, 3, 4):
+        raise OutOfRange(f"no theta function theta_{i}")
+    r = 1 if i <= 2 else 0
+    s = index_theta(2, r, qcut) + index_theta(2, r + 2, qcut).scale(-1 if i in (1, 4) else 1)
+    return WindowedSeries(s.denom, s.rows, s.qcut, ydenom=2)
 
 
 def index_theta(m: int, r: int, qcut) -> WindowedSeries:
@@ -346,7 +315,7 @@ def index_theta(m: int, r: int, qcut) -> WindowedSeries:
         if not hit:
             break
         n += 1
-    return WindowedSeries(4 * m, rows, qcut, support_index=m)
+    return WindowedSeries(4 * m, rows, qcut)
 
 
 def hat_theta(m: int, r: int, qcut) -> WindowedSeries:
@@ -450,9 +419,7 @@ def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
         out = (p1(2) ** (m - 3)) * gritsenko(3, 1, qcut)
     else:  # 3 <= n <= m - 3
         out = gritsenko(m - 3, n - 1, qcut) * gritsenko(4, 1, qcut)
-    out = out.truncate(qcut)
-    out.support_index = m - 1
-    return out
+    return out.truncate(qcut)
 
 
 def umbral_Z(ell: int, qcut) -> WindowedSeries:
@@ -470,65 +437,25 @@ def zeta_form(qcut) -> WindowedSeries:
     t4 = t2 * t2
     t12 = (t4 * t4) * t4
     e12 = (eta(qcut + Fraction(3, 2)) ** 12).invert()
-    out = (t12 * WindowedSeries.from_fracseries(e12)).truncate(qcut)
-    out.support_index = 6
-    return out
+    return (t12 * WindowedSeries.from_fracseries(e12)).truncate(qcut)
 
 
 # ---------------------------------------------------------------------------
 # meromorphic blocks
 
-def _pole_row(ywindow: int, annulus: str) -> WindowedSeries:
-    """(y+1)/(y-1) expanded in the chosen annulus, as a q^0 row."""
-    if annulus == LOWER:   # = -(1+y) sum_{j>=0} y^j
-        row = {0: -1}
-        for j in range(1, ywindow + 1):
-            row[j] = -2
-    elif annulus == UPPER:  # = (1+1/y) sum_{j>=0} y^-j
-        row = {0: 1}
-        for j in range(1, ywindow + 1):
-            row[-j] = 2
-    else:
-        raise ValueError(annulus)
-    return WindowedSeries(1, {0: row}, INF, ywindow=ywindow, annulus=annulus)
-
-
-@memo
-def _psi_core(qcut) -> WindowedSeries:
-    """prod (1-q^n)^2 (1-y^2 q^n)(1-y^-2 q^n) / [(1-y q^n)(1-y^-1 q^n)]^2."""
-    N = int(qcut) + 1
-    A = WindowedSeries.one(qcut)
-    for n in range(1, N):
-        A = A * WindowedSeries(1, {0: {0: 1}, n: {2: -1}}, INF)
-        A = A * WindowedSeries(1, {0: {0: 1}, n: {-2: -1}}, INF)
-        A = A.truncate(qcut)
-    A = A * WindowedSeries.from_fracseries(euler_product(qcut) ** 2)
-    A = A.truncate(qcut)
-    C = WindowedSeries.one(qcut)
-    for n in range(1, N):
-        row = {}
-        i = 0
-        while n * i < qcut:
-            row.setdefault(n * i, {})[i] = 1
-            i += 1
-        C = (C * WindowedSeries(1, row, qcut)).truncate(qcut)
-    D = C.y_reflect()
-    B = C * D
-    B = (B * B).truncate(qcut)
-    return (A * B).truncate(qcut)
-
-
 def psi_one_one(qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
-    """The meromorphic weight 1 index 1 block, expanded in the given annulus.
+    """The meromorphic weight 1 index 1 block Psi_{1,1} = -i theta_1(tau,2z)
+    eta^3 / theta_1(tau,z)^2, expanded in the given annulus.
 
-    Product form: (y+1)/(y-1) * prod_{n>=1} (1-q^n)^2 (1-y^2 q^n)(1-y^-2 q^n)
-    / [(1-y q^n)^2 (1-y^-1 q^n)^2]; all geometric factors expand with positive
-    exponents inside either annulus, only the pole factor depends on it.
+    It equals the Appell-Lerch sum mu^(1)_0 (Dabholkar, Murthy and Zagier,
+    "Quantum black holes, wall crossing and mock modular forms", 2012): the
+    shadow of mu^(1)_0 is built from sum_(r = l mod 2) r q^(r^2/4), which is
+    zero as r and -r cancel, so both sides are meromorphic Jacobi forms of
+    weight 1 and index 1 with simple poles only at z in Z tau + Z and the same
+    residue 1/(pi i) at z = 0.  Their difference is a holomorphic Jacobi form
+    of weight 1, and there is none but 0 (Skoruppa).
     """
-    core = _psi_core(qcut)
-    reach = int(core.max_abs_y())
-    pole = _pole_row(ywindow + reach, annulus)
-    return windowed_mul(core, pole, qcut=qcut, ywindow=ywindow)
+    return appell_mu(1, 0, qcut, ywindow, annulus)
 
 
 def appell_mu(m: int, j2: int, qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
@@ -540,6 +467,8 @@ def appell_mu(m: int, j2: int, qcut, ywindow: int, annulus: str = LOWER) -> Wind
     """
     if not 0 <= j2 <= m - 1:
         raise OutOfRange(f"2j = {j2} outside 0..{m - 1}")
+    if annulus not in (LOWER, UPPER):
+        raise ValueError(annulus)
     qcut = as_rat(qcut)
     sign = -1 if j2 % 2 == 0 else 1  # (-1)^(1+2j)
     rows = {}

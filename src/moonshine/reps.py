@@ -268,6 +268,7 @@ def h_discriminants(ell: int) -> set:
     return out
 
 
+@memo
 def type_n_inventory(ell: int) -> dict:
     """The integers n passing the two discriminant conditions, with the
     irreducible pairs whose character fields are Q(sqrt(-n)).

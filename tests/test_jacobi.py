@@ -6,7 +6,7 @@ from moonshine import jacobi as jb
 from moonshine import mckay
 from moonshine.data import LAMBENCIES, set_data_dir
 from moonshine.errors import OutOfRange, UnboundedSupport, WindowTooNarrow
-from moonshine.qseries import FracSeries, eta_quotient, unary_theta
+from moonshine.qseries import FracSeries, eta, eta_quotient, unary_theta
 
 
 def row(series, n):
@@ -33,6 +33,58 @@ def test_theta1_antisymmetric():
     t1 = jb.jacobi_theta(1, 4)
     for qe, yp, c in t1.items():
         assert t1.coefficient(qe, -yp) == -c
+
+
+def _mul_upto(a, b, c):
+    """Product of {(q-exponent, y-power): coefficient} dicts below q^c."""
+    out = {}
+    for (qa, ya), ca in a.items():
+        for (qb, yb), cb in b.items():
+            if qa + qb < c:
+                out[qa + qb, ya + yb] = out.get((qa + qb, ya + yb), 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def _triple_product(i, c):
+    """theta_1,2 = q^(1/8)(y^(1/2) -+ y^(-1/2)) prod (1-q^n)(1 -+ y q^n)(1 -+ y^-1 q^n),
+    theta_3,4 = prod (1-q^n)(1 +- y q^(n-1/2))(1 +- y^-1 q^(n-1/2)), expanded below q^c."""
+    s = -1 if i in (1, 4) else 1
+    one = {(0, 0): 1}
+    if i <= 2:
+        out, lag = _mul_upto(one, {(F(1, 8), F(1, 2)): 1, (F(1, 8), F(-1, 2)): s}, c), 0
+    else:
+        out, lag = one, F(1, 2)
+    n = 1
+    while n - lag < c:
+        for factor in ({(n, 0): -1}, {(n - lag, 1): s}, {(n - lag, -1): s}):
+            out = _mul_upto(out, {**one, **factor}, c)
+        n += 1
+    return sorted((F(q), F(y), v) for (q, y), v in out.items())
+
+
+@pytest.mark.parametrize("c", [F(1, 8), F(9, 8), F(113, 16), 31], ids=str)
+def test_thetas_match_triple_product(c):
+    for i in (1, 2, 3, 4):
+        th = jb.jacobi_theta(i, c)
+        assert list(th.items()) == _triple_product(i, c), i
+        assert th.qcut == c, i
+
+
+@pytest.mark.parametrize("annulus", [jb.LOWER, jb.UPPER])
+@pytest.mark.parametrize("c", [5, F(113, 16), 12], ids=str)
+def test_psi_times_theta1_squared(c, annulus):
+    # Psi_{1,1} theta_1(tau,z)^2 = theta_1(tau,2z) eta^3, with the units -i of
+    # both thetas divided out; this pins psi_one_one = mu^(1)_0
+    t1 = jb.jacobi_theta(1, c)
+    t1_2z = jb.WindowedSeries(t1.denom, {k: {2 * y: v for y, v in row.items()}
+                                         for k, row in t1.rows.items()},
+                              t1.qcut, ydenom=t1.ydenom)
+    sq = t1 * t1
+    lhs = jb.windowed_mul(sq, jb.psi_one_one(c, 6 + int(sq.max_abs_y()), annulus),
+                          ywindow=6)
+    rhs = jb._clip(t1_2z * eta(c) ** 3, 6, annulus)
+    assert list(lhs.items()) == list(rhs.items())
+    assert (lhs.qcut, lhs.ywindow, lhs.annulus) == (rhs.qcut, 6, annulus)
 
 
 def test_index_theta_lattice():
@@ -127,6 +179,16 @@ def test_gritsenko_out_of_range():
         jb.gritsenko(26, 1, 3)
     with pytest.raises(OutOfRange):
         jb.gritsenko(5, 5, 3)
+
+
+def test_theta_and_block_arguments_checked():
+    for i in (0, 5):
+        with pytest.raises(OutOfRange):
+            jb.jacobi_theta(i, 3)
+    with pytest.raises(ValueError):
+        jb.psi_one_one(3, 4, jb.ENTIRE)
+    with pytest.raises(ValueError):
+        jb.appell_mu(3, 0, 3, 4, jb.ENTIRE)
 
 
 # -- meromorphic blocks ------------------------------------------------------
@@ -292,12 +354,6 @@ def test_series_unhashable():
             hash(s)
 
 
-def test_support_bound_adds():
-    a = jb.gritsenko(3, 1, 4)
-    b = jb.gritsenko(4, 1, 4)
-    assert (a * b).support_index == a.support_index + b.support_index
-
-
 def test_scalar_row_scaling():
     ht = jb.hat_theta(2, 1, 5)
     s = FracSeries(1, {0: 3, 1: -1}, 5)
@@ -378,7 +434,6 @@ MEMOIZED_SERIES = [
       for m in sorted({*LAMBENCIES, 9})],
     ("gritsenko(5,3)", lambda c: jb.gritsenko(5, 3, c)),
     ("zeta_form", jb.zeta_form),
-    ("psi_core", jb._psi_core),
     *[(f"identity_H({ell})", lambda c, ell=ell: mckay.identity_H(ell, c))
       for ell in (2, 5, 13)],
 ]
@@ -388,8 +443,7 @@ def _reported(value):
     """Everything a memoized value reports: terms, cutoffs and tags."""
     if isinstance(value, jb.HVector):
         return [(list(h.items()), h.cutoff) for h in value]
-    return (list(value.items()), value.qcut, value.support_index, value.ywindow,
-            value.annulus)
+    return list(value.items()), value.qcut, value.ywindow, value.annulus
 
 
 @pytest.mark.parametrize("c", [7, F(113, 16), F(41, 3)], ids=str)

@@ -200,6 +200,11 @@ def test_type_inventory_matches_tables():
         assert {n: sorted(v) for n, v in inv["pairs"].items()} == EXPECTED_PAIRS[ell]
 
 
+def test_type_inventory_built_once():
+    # discriminant_report reads it four times per lambency
+    assert reps.type_n_inventory(5) is reps.type_n_inventory(5)
+
+
 def test_fs_zero_iff_typed():
     for ell in (2, 3, 4, 5, 7, 13):
         assert reps.fs_zero_matches_types(ell)

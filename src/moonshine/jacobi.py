@@ -28,8 +28,8 @@ from math import ceil, gcd, lcm
 
 from .algebra import _canonical, as_rat
 from .data import LAMBENCIES, memo
-from .errors import OutOfRange, UnboundedSupport, WindowTooNarrow
-from .qseries import INF, FracSeries, _convolve, eta
+from .errors import CutoffUnderflow, OutOfRange, UnboundedSupport, WindowTooNarrow
+from .qseries import FracSeries, _convolve, _power, eta
 
 ENTIRE = "entire"
 LOWER = "lower"   # |q| < |y| < 1
@@ -59,11 +59,7 @@ class WindowedSeries:
 
     # -- constructors ----------------------------------------------------
     @classmethod
-    def zero(cls, qcut, **kw):
-        return cls(1, {}, qcut, **kw)
-
-    @classmethod
-    def one(cls, qcut=INF):
+    def one(cls, qcut):
         return cls(1, {0: {0: 1}}, qcut)
 
     @classmethod
@@ -127,7 +123,7 @@ class WindowedSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = WindowedSeries.one(INF).scale(other)
+            other = WindowedSeries(1, {0: {0: other}}, self.qcut)
         d, yd, a, b = self._aligned(other)
         for k, row in b.items():
             dst = a.setdefault(k, {})
@@ -159,7 +155,10 @@ class WindowedSeries:
                               annulus=self.annulus, ydenom=self.ydenom)
 
     def truncate(self, qcut):
-        return WindowedSeries(self.denom, self.rows, min(self.qcut, as_rat(qcut)),
+        qcut = as_rat(qcut)
+        if qcut > self.qcut:
+            raise CutoffUnderflow(f"cannot extend qcut {self.qcut} to {qcut}")
+        return WindowedSeries(self.denom, self.rows, qcut,
                               ywindow=self.ywindow, annulus=self.annulus,
                               ydenom=self.ydenom)
 
@@ -172,8 +171,9 @@ class WindowedSeries:
         return not self.rows
 
     def low_q(self) -> Fraction:
+        """Lowest q-exponent that may be nonzero: qcut if no term is stored."""
         if not self.rows:
-            return Fraction(0)
+            return self.qcut
         return Fraction(min(self.rows), self.denom)
 
     def __mul__(self, other):
@@ -188,15 +188,7 @@ class WindowedSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported on bi-series")
-        out = WindowedSeries.one(INF)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n) if n else WindowedSeries.one(self.qcut)
 
     def specialize_z0(self) -> FracSeries:
         """Set z = 0, i.e. sum each q-row over y.  Complete series only."""
@@ -606,7 +598,7 @@ def extremal_space_dim(m: int, nbound: int | None = None, qcut=None) -> int:
     if qcut is None:
         qcut = nbound + 2
     basis = [gritsenko(m, 1, qcut)]
-    zpow = WindowedSeries.one(INF)
+    zpow = WindowedSeries.one(qcut)
     for i in range(1, (m - 1) // 6 + 1):
         zpow = (zpow * zeta_form(qcut)).truncate(qcut)
         for j in range(1, m - 6 * i):

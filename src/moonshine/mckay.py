@@ -27,7 +27,7 @@ from .data import load_json, memo
 from .errors import (CutoffUnderflow, DataExhausted, DeterminantNotUnit,
                      NotInGroup, NotInvertible, UnknownClass)
 from .groups import class_table
-from .qseries import (_F44_CUT, INF, FracSeries, eta_quotient, lambda_n,
+from .qseries import (_F44_CUT, FracSeries, eta_quotient, lambda_n,
                       mock_theta, newform, unary_theta)
 from .reps import row_component
 
@@ -47,11 +47,11 @@ def weight2_classes(ell: int, variant: str = "F") -> list:
 def _terms(terms):
     """Read catalog terms as (coeff, scale, build, cap): a term is coeff times
     the block series build(cutoff/scale) at q -> q^scale, known only below
-    q^cap (f44 is stored data; every other block has cap INF)."""
+    q^cap (f44 is stored data; every other block has cap None)."""
     for term in terms:
         scale = as_rat(term.get("scale", "1"))
         blk = term["block"]
-        cap = INF
+        cap = None
         if blk["type"] == "lambda":
             build = partial(lambda_n, blk["n"])
         elif blk["type"] == "eta":
@@ -76,14 +76,14 @@ def _combination(terms, cutoff) -> FracSeries:
     return total
 
 
-def weight2_cap(ell: int, label: str, variant: str = "F") -> Fraction:
-    """Largest cutoff the catalog entry supports (f44 is stored data)."""
+def weight2_cap(ell: int, label: str, variant: str, cutoff) -> Fraction:
+    """``cutoff`` lowered to the data cap of the catalog entry (f44 is stored data)."""
     rec = _catalog(ell).get((label, variant))
     if rec is None:
         raise UnknownClass(f"no weight-2 form for ({ell}, {label}, {variant})")
     if "twist_of" in rec:
-        return weight2_cap(ell, rec["twist_of"], variant)
-    return min((cap for *_, cap in _terms(rec["terms"])), default=INF)
+        return weight2_cap(ell, rec["twist_of"], variant, cutoff)
+    return min([as_rat(cutoff)] + [cap for *_, cap in _terms(rec["terms"]) if cap is not None])
 
 
 def quarter_twist(f: FracSeries) -> FracSeries:
@@ -228,8 +228,7 @@ def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
 
 def _twisted_3(label: str, qcut) -> TwistedH:
     c, zlab = _class_info(3, label)
-    cap = min(weight2_cap(3, label), weight2_cap(3, zlab))
-    fcut = min(qcut + 2, cap)
+    fcut = weight2_cap(3, zlab, "F", weight2_cap(3, label, "F", qcut + 2))
     Fg = weight2(3, label, "F", fcut)
     Fz = weight2(3, zlab, "F", fcut)
     H = identity_H(3, qcut)
@@ -326,7 +325,7 @@ def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
             if variant == "F2" and r % 2 == 0:
                 piece = piece.scale(-1)
             total = total + piece
-        want_cut = min(total.cutoff, weight2_cap(ell, label, variant))
+        want_cut = weight2_cap(ell, label, variant, total.cutoff)
         want = weight2(ell, label, variant, want_cut)
         diff = (total.truncate(want_cut) - want)
         first_bad = next((e for e, cc in diff.items() if cc != 0), None)
@@ -374,15 +373,15 @@ def _identity_side(side, qcut) -> FracSeries:
     if isinstance(side, tuple):
         ell, label, r = side
         return twisted_H(ell, label, qcut).component(r)
-    total = FracSeries.zero(INF)
+    terms = []
     for coeff, label, arg, e in side:
         s = mock_theta(label, qcut / 2 if arg.endswith("2") else qcut)
         if arg.startswith("-"):
             s = s.substitute_minus_q()
         if arg.endswith("2"):
             s = s.rescale(2)
-        total = total + s.shift(as_rat(e)).scale(coeff)
-    return total
+        terms.append(s.shift(as_rat(e)).scale(coeff))
+    return sum(terms[1:], terms[0])
 
 
 def mock_identity_check(name: str, qcut=21) -> dict:

@@ -4,7 +4,10 @@ A :class:`FracSeries` is a Laurent series in q^(1/D) with rational
 coefficients and an explicit *cutoff*: coefficients at exponents strictly
 below the cutoff are exact, everything above is unknown.  Operations
 propagate the tightest cutoff they can guarantee and refuse (rather than
-silently truncate) when asked for data beyond it.
+silently truncate) when asked for data beyond it.  A cutoff is always finite
+and chosen by the caller, even for a known polynomial.  A product is exact
+below min(cut_a + low_b, cut_b + low_a), where ``low()`` of a series with no
+stored term is its cutoff, the lowest exponent that may be nonzero.
 
 Coefficients are stored as an ``int`` when integral, else a ``Fraction``,
 never a ``float`` (``coefficient`` and ``items`` hand out Fractions), so
@@ -22,8 +25,6 @@ from math import ceil, gcd, isqrt, lcm
 
 from .algebra import _canonical, as_rat
 from .errors import CutoffUnderflow, DataExhausted, NotInvertible, NotUnimodular
-
-INF = Fraction(10**15)  # effectively infinite cutoff for exact polynomials
 
 
 def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
@@ -44,6 +45,18 @@ def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
                     y = ya + yb
                     dst[y] = dst.get(y, 0) + ca * cb
     return out
+
+
+def _power(x, n: int):
+    """x**n (n >= 1) by repeated squaring from x itself; both series classes use it."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x
 
 
 class FracSeries:
@@ -80,16 +93,12 @@ class FracSeries:
         return cls(denom, coeffs, cutoff)
 
     @classmethod
-    def zero(cls, cutoff=INF) -> "FracSeries":
+    def zero(cls, cutoff) -> "FracSeries":
         return cls(1, {}, cutoff)
 
     @classmethod
-    def one(cls, cutoff=INF) -> "FracSeries":
+    def one(cls, cutoff) -> "FracSeries":
         return cls(1, {0: 1}, cutoff)
-
-    @classmethod
-    def monomial(cls, exponent, coeff=1, cutoff=INF) -> "FracSeries":
-        return cls.from_terms([(exponent, coeff)], cutoff)
 
     # -- inspection ---------------------------------------------------
     def items(self):
@@ -106,9 +115,9 @@ class FracSeries:
         return Fraction(0)
 
     def low(self) -> Fraction:
-        """Lowest exponent with a nonzero coefficient (0 for the zero series)."""
+        """Lowest exponent that may be nonzero: the cutoff if no term is stored."""
         if not self.coeffs:
-            return Fraction(0)
+            return self.cutoff
         return Fraction(min(self.coeffs), self.denom)
 
     def is_zero(self) -> bool:
@@ -130,7 +139,7 @@ class FracSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = FracSeries.monomial(0, other)
+            other = FracSeries(1, {0: other}, self.cutoff)
         d, a, b = self._align(other)
         for k, v in b.items():
             a[k] = a.get(k, 0) + v
@@ -154,8 +163,6 @@ class FracSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         d, a, b = self._align(other)
-        if not a or not b:
-            return FracSeries(1, {}, min(self.cutoff, other.cutoff))
         cut = min(self.cutoff + other.low(), other.cutoff + self.low())
         out = _convolve({k: {0: v} for k, v in a.items()},
                         {k: {0: v} for k, v in b.items()}, ceil(cut * d))
@@ -165,29 +172,16 @@ class FracSeries:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.invert() ** (-n)
-        result = FracSeries.one(self.cutoff if n == 0 else INF)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            return _power(self.invert(), -n)
+        return _power(self, n) if n else FracSeries.one(self.cutoff)
 
-    def invert(self, cutoff=None) -> "FracSeries":
+    def invert(self) -> "FracSeries":
         """Multiplicative inverse; requires a nonzero lowest-order coefficient.
 
-        The result is exact below ``self.cutoff - 2*low``.  An everywhere-
-        exact polynomial has no finite inverse expansion, so a target
-        ``cutoff`` must be supplied for those.
+        The result is exact below ``self.cutoff - 2*low``.
         """
         if not self.coeffs:
             raise NotInvertible("cannot invert the zero series")
-        if cutoff is not None:
-            self = self.truncate(min(self.cutoff, as_rat(cutoff) + 2 * self.low()))
-        if self.cutoff >= INF:
-            raise CutoffUnderflow("inverting an exact polynomial needs a target cutoff")
         low_k = min(self.coeffs)
         lead = as_rat(self.coeffs[low_k])
         low = Fraction(low_k, self.denom)
@@ -324,7 +318,7 @@ def eta_quotient(spec, cutoff) -> FracSeries:
     integers, negative entries handled by exact series inversion.
     """
     cutoff = as_rat(cutoff)
-    result = FracSeries.one()
+    result = None
     for k, m in spec:
         k = as_rat(k)
         if k <= 0 or m == 0:
@@ -333,8 +327,10 @@ def eta_quotient(spec, cutoff) -> FracSeries:
             raise ValueError("eta scale must be positive")
         # generous inner cutoff: inversion costs 2*low, powers cost |m|*low
         inner = cutoff / k + Fraction(abs(m) + 2, 12)
-        base = eta(inner).rescale(k)
-        result = result * (base ** m)
+        factor = eta(inner).rescale(k) ** m
+        result = factor if result is None else result * factor
+    if result is None:
+        return FracSeries.one(cutoff)
     return result.truncate(cutoff) if result.cutoff > cutoff else result
 
 
@@ -421,11 +417,11 @@ def unary_theta(m: int, r: int, cutoff) -> FracSeries:
 # mock theta functions
 
 def _poch(signs_exps, cutoff):
-    """prod (1 + sign*q^e) as an exact polynomial below cutoff."""
-    out = FracSeries.one()
+    """prod (1 + sign*q^e) below cutoff; every factor has low 0, so keeps it."""
+    out = FracSeries.one(cutoff)
     for sign, e in signs_exps:
-        out = out * FracSeries(1, {0: 1, e: sign}, INF)
-    return out.truncate(min(out.cutoff, cutoff))
+        out = out * FracSeries(1, {0: 1, e: sign}, cutoff)
+    return out
 
 
 def _eulerian(cutoff, valuation, numerator, denominator, sign=None):
@@ -443,7 +439,7 @@ def _eulerian(cutoff, valuation, numerator, denominator, sign=None):
             term = -term
         total = total + term
         n += 1
-    return FracSeries(total.denom, total.coeffs, cutoff)
+    return total
 
 
 # label: (valuation, numerator, denominator, sign) as functions of the

@@ -118,7 +118,7 @@ def exponential_lift(ell: int, pmax=3, nmax=3, ywindow=6) -> TripleSeries:
                 raise OutOfRange("infinite pure-y factor in the product lift")
             kmax = expo
         else:
-            kmax = min(pmax // m if m else 10**9, nmax // n if n else 10**9)
+            kmax = min(top // step for top, step in ((pmax, m), (nmax, n)) if step)
         series = {0: Fraction(1)}
         sign = -1
         coef = Fraction(1)
@@ -169,8 +169,6 @@ def compare_igusa(pmax=3, nmax=3, ywindow=6) -> dict:
             for r in range(-ywindow, ywindow + 1):
                 a = add.get(m, n, r)
                 e = exp.get(m - 1, n - 1, r - 1) if (n >= 1) else Fraction(0)
-                if n == 0:
-                    e = Fraction(0)
                 if a != e:
                     report["first_mismatch"] = (m, n, r, str(a), str(e))
                     report["ok"] = False

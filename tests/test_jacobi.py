@@ -5,7 +5,7 @@ import pytest
 from moonshine import jacobi as jb
 from moonshine import mckay
 from moonshine.data import LAMBENCIES, set_data_dir
-from moonshine.errors import OutOfRange, UnboundedSupport, WindowTooNarrow
+from moonshine.errors import CutoffUnderflow, OutOfRange, UnboundedSupport, WindowTooNarrow
 from moonshine.qseries import FracSeries, eta, eta_quotient, unary_theta
 
 
@@ -352,6 +352,14 @@ def test_series_unhashable():
     for s in (FracSeries.one(5), jb.WindowedSeries.one(5)):
         with pytest.raises(TypeError):
             hash(s)
+
+
+def test_truncate_refuses_a_deeper_cutoff():
+    # both classes raise rather than report a cutoff they were not built to
+    for s in (FracSeries.one(5), jb.WindowedSeries.one(5)):
+        assert s.truncate(3) == type(s).one(3)
+        with pytest.raises(CutoffUnderflow):
+            s.truncate(6)
 
 
 def test_scalar_row_scaling():

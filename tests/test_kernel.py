@@ -16,6 +16,11 @@ from moonshine.qseries import FracSeries, _convolve
 SEED = 20121
 
 
+def low(terms, cutoff):
+    """Lowest exponent that may be nonzero: the cutoff when no term is stored."""
+    return min((F(t[0]) for t in terms), default=cutoff)
+
+
 def reference(a_terms, b_terms, cut):
     """sum of ca*cb at (qa+qb, ya+yb) over the pairs with qa + qb < cut.
 
@@ -70,16 +75,16 @@ def frac_series(rng, denom, cutoff, low):
 def test_fracseries_product_matches_reference():
     rng = random.Random(SEED + 1)
     boundary = 0
-    for _ in range(300):
+    for i in range(300):
         da, db = rng.choice([1, 2, 3, 4, 6]), rng.choice([1, 2, 3, 4, 6])
         ca = F(rng.randint(3, 40), rng.randint(1, 7))
         cb = ca if rng.random() < 0.5 else F(rng.randint(3, 40), rng.randint(1, 7))
         a = frac_series(rng, da, ca, rng.randint(-1, 0))
         b = frac_series(rng, db, cb, rng.randint(-1, 0))
-        if a.is_zero() or b.is_zero():
-            continue
+        # zero operands, either and both, without moving the random stream
+        a, b = a.scale(0) if i % 10 == 0 else a, b.scale(0) if i % 15 == 0 else b
         prod = a * b
-        cut = min(a.cutoff + b.low(), b.cutoff + a.low())
+        cut = min(a.cutoff + low(b.items(), b.cutoff), b.cutoff + low(a.items(), a.cutoff))
         assert prod.cutoff == cut
         want = reference([(e, 0, c) for e, c in a.items()],
                          [(e, 0, c) for e, c in b.items()], cut)
@@ -112,15 +117,14 @@ def windowed(rng, denom, ydenom, cutoff, low):
 def test_windowed_product_matches_reference():
     rng = random.Random(SEED + 2)
     boundary = 0
-    for _ in range(200):
+    for i in range(200):
         a = windowed(rng, rng.choice([1, 2, 8]), rng.choice([1, 2]),
                      F(rng.randint(3, 30), rng.randint(1, 8)), rng.randint(-1, 0))
         b = windowed(rng, rng.choice([1, 3, 4]), rng.choice([1, 2]),
                      F(rng.randint(3, 30), rng.randint(1, 8)), rng.randint(-1, 0))
-        if a.is_zero() or b.is_zero():
-            continue
+        a, b = a.scale(0) if i % 10 == 0 else a, b.scale(0) if i % 15 == 0 else b
         prod = a * b
-        cut = min(a.qcut + b.low_q(), b.qcut + a.low_q())
+        cut = min(a.qcut + low(b.items(), b.qcut), b.qcut + low(a.items(), a.qcut))
         assert prod.qcut == cut
         want = reference(list(a.items()), list(b.items()), cut)
         assert {(q, y): c for q, y, c in prod.items()} == want
@@ -130,3 +134,15 @@ def test_windowed_product_matches_reference():
         if F(ceil(cut * d) - 1, d) in sums and F(ceil(cut * d), d) in sums:
             boundary += 1
     assert boundary > 30
+
+
+def test_product_cutoff_with_zero_operands():
+    # FracSeries(1, {5: 1}, 6) agrees with zero(5) below q^5, and its product
+    # with b has coefficient 1 at q^4: a zero factor's low is its cutoff
+    b = FracSeries(1, {-1: 1, 0: 3}, 10)
+    assert (FracSeries(1, {5: 1}, 6) * b).coefficient(4) == 1
+    assert (FracSeries.zero(5) * b).cutoff == 4
+    assert (b * FracSeries.zero(5)).cutoff == 4
+    assert (FracSeries.zero(-1) * FracSeries.zero(-1)).cutoff == -2
+    w = WindowedSeries(1, {}, -1)
+    assert (w * w).qcut == -2

@@ -27,7 +27,7 @@ def _parser() -> argparse.ArgumentParser:
                            parser_class=lambda **kw: argparse.ArgumentParser(
                                parents=[shared], **kw))
 
-    def common(sp, lambency=True, cls=False, r=False, order=None, ywindow=False):
+    def common(sp, lambency=True, cls=False, r=False, order=None):
         if lambency:
             sp.add_argument("--lambency", type=int, required=True, choices=LAMBENCIES)
         if cls:
@@ -38,8 +38,6 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--order", type=int, default=order,
                             help="integer q-order bound; rows are keyed by "
                                  "4*l*d on the 1/(4l) exponent lattice")
-        if ywindow:
-            sp.add_argument("--ywindow", type=int, default=10)
         return sp
 
     common(sub.add_parser("coeffs", help="table-format coefficient rows"),

@@ -329,23 +329,24 @@ def class_table(ell: int) -> GroupData:
 # ---------------------------------------------------------------------------
 # generation by closure
 
-def _point_index(sym: str, degree: int) -> int:
-    if sym == "inf":
-        return 0
-    if sym == "X":
-        return 11
-    return int(sym) + 1
+# lambency: (degree, generators in cycle notation on inf, 0, ..., 9, X = e_1, ..., e_12).
+# In cycle (a b c), e_a -> e_b etc.; a prime marks a bar, which negates the image
+# landing on its entry, including the wrap-around onto the first entry.
+_GENERATORS = {
+    3: (12, ["(inf 6)(2' X')(3 5)(7' 8')", "(0 1 2 3 4 5 6 7 8 9 X)"]),
+    4: (8, ["(inf 5)(0')(1')(2 4)", "(0 1 2 3 4 5 6)"]),
+    5: (6, ["(inf 0')(3 1')(2 4')", "(0 1 2 3 4)"]),
+    7: (4, ["(inf 0')(1' 2)", "(0 1 2)"]),
+    13: (2, ["(inf 0')"]),
+}
+_POINTS = "inf 0 1 2 3 4 5 6 7 8 9 X".split()
 
 
-def _perm_from_cycles(degree: int, cycles) -> SignedPerm:
-    """Cycles given as lists of (symbol, bar) with bar marking -e_target.
-
-    In cycle (a b c), e_a -> e_b etc.; a bar attached to an entry negates the
-    image landing on it, including the wrap-around onto the first entry.
-    """
+def _perm_from_cycles(degree: int, cycles: str) -> SignedPerm:
+    """The signed permutation written as ``cycles`` (see ``_GENERATORS``)."""
     mapping = {}
-    for cyc in cycles:
-        pts = [(_point_index(s, degree), bar) for s, bar in cyc]
+    for cyc in re.findall(r"\(([^)]*)\)", cycles):
+        pts = [(_POINTS.index(s.rstrip("'")), s.endswith("'")) for s in cyc.split()]
         for i, (p, _) in enumerate(pts):
             t, bar = pts[(i + 1) % len(pts)]
             mapping[p] = (t, -1 if bar else 1)
@@ -354,37 +355,10 @@ def _perm_from_cycles(degree: int, cycles) -> SignedPerm:
 
 def generators(ell: int) -> list:
     """The two (one for lambency 13) generating signed permutations."""
-    if ell == 3:
-        deg = 12
-        sigma = _perm_from_cycles(deg, [
-            [("inf", 0), ("6", 0)], [("2", 1), ("X", 1)],
-            [("3", 0), ("5", 0)], [("7", 1), ("8", 1)],
-        ])
-        tau = _perm_from_cycles(deg, [[(str(i) if i < 10 else "X", 0)
-                                       for i in range(11)]])
-        return [sigma, tau]
-    if ell == 4:
-        deg = 8
-        sigma = _perm_from_cycles(deg, [
-            [("inf", 0), ("5", 0)], [("0", 1)], [("1", 1)], [("2", 0), ("4", 0)],
-        ])
-        tau = _perm_from_cycles(deg, [[(str(i), 0) for i in range(7)]])
-        return [sigma, tau]
-    if ell == 5:
-        deg = 6
-        sigma = _perm_from_cycles(deg, [
-            [("inf", 0), ("0", 1)], [("3", 0), ("1", 1)], [("2", 0), ("4", 1)],
-        ])
-        tau = _perm_from_cycles(deg, [[(str(i), 0) for i in range(5)]])
-        return [sigma, tau]
-    if ell == 7:
-        deg = 4
-        sigma = _perm_from_cycles(deg, [[("inf", 0), ("0", 1)], [("1", 1), ("2", 0)]])
-        tau = _perm_from_cycles(deg, [[("0", 0), ("1", 0), ("2", 0)]])
-        return [sigma, tau]
-    if ell == 13:
-        return [_perm_from_cycles(2, [[("inf", 0), ("0", 1)]])]
-    raise UnknownClass(f"no generators at lambency {ell}")
+    if ell not in _GENERATORS:
+        raise UnknownClass(f"no generators at lambency {ell}")
+    degree, cycles = _GENERATORS[ell]
+    return [_perm_from_cycles(degree, c) for c in cycles]
 
 
 def enumerate_group(gens: list, bound: int = 400000) -> dict:

@@ -345,6 +345,18 @@ def _phi_seed(m: int, qcut) -> WindowedSeries:
     raise OutOfRange(m)
 
 
+# Gritsenko's recursion for phi^(m)_1, m >= 6 outside _PRODUCT_ROWS (V. Gritsenko,
+# "Elliptic genus of Calabi-Yau manifolds and Jacobi and Siegel modular forms", 1999):
+# c phi^(m)_1 = sum_j a_j gcd(12, m-j) phi^(m-j+1)_1 phi^(j)_1, where c = gcd(12, m-1)
+# and the row {j: a_j} depends on c only.
+_RECURSION = {1: {5: 1, 3: 1, 4: -2}, 2: {5: 1, 3: 1, 4: -2}, 4: {13: 1, 5: 1, 9: -1},
+              3: {4: 2, 7: 1, 5: -3}, 6: {4: 2, 7: 1, 5: -3}, 12: {4: 2, 7: 1, 5: -3}}
+# m = 5, 7, 9 and 13 take one product row instead, m: (c, {(a, b): k}) for
+# c phi^(m)_1 = sum k phi^(a)_1 phi^(b)_1.
+_PRODUCT_ROWS = {5: (4, {(4, 2): 1, (3, 3): -1}), 7: (1, {(3, 5): 1, (4, 4): -1}),
+                 9: (1, {(3, 7): 1, (5, 5): -1}), 13: (1, {(5, 9): 1, (7, 7): -2})}
+
+
 @memo
 def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
     """The weight 0, index m-1 basis form phi^(m)_n (2 <= m <= 25, 1 <= n < m).
@@ -355,45 +367,17 @@ def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
     """
     if not (2 <= m <= 25 and 1 <= n <= m - 1):
         raise OutOfRange(f"no basis form phi^({m})_{n}")
-    g = lambda a, b: gcd(a, b)
     p1 = lambda mm: gritsenko(mm, 1, qcut)
-    if n == 1:
-        if m in (2, 3, 4):
-            out = _phi_seed(m, qcut)
-        elif m == 5:
-            out = (p1(4) * p1(2) - p1(3) * p1(3)).scale(Fraction(1, 4))
-        elif m == 7:
-            out = p1(3) * p1(5) - p1(4) * p1(4)
-        elif m == 9:
-            out = p1(3) * p1(7) - p1(5) * p1(5)
-        elif m == 13:
-            out = p1(5) * p1(9) - (p1(7) * p1(7)).scale(2)
+    if n == 1 and m <= 4:
+        out = _phi_seed(m, qcut)
+    elif n == 1:
+        if m in _PRODUCT_ROWS:
+            c, terms = _PRODUCT_ROWS[m]
         else:
-            c = g(12, m - 1)
-            if c == 1:
-                out = (p1(m - 4) * p1(5)).scale(g(12, m - 5)) \
-                    + (p1(m - 2) * p1(3)).scale(g(12, m - 3)) \
-                    - (p1(m - 3) * p1(4)).scale(2 * g(12, m - 4))
-            elif c == 2:
-                out = ((p1(m - 4) * p1(5)).scale(g(12, m - 5))
-                       + (p1(m - 2) * p1(3)).scale(g(12, m - 3))
-                       - (p1(m - 3) * p1(4)).scale(2 * g(12, m - 4))).scale(Fraction(1, 2))
-            elif c == 3:
-                out = (p1(m - 3) * p1(4)).scale(Fraction(2 * g(12, m - 4), 3)) \
-                    + (p1(m - 6) * p1(7)).scale(Fraction(g(12, m - 7), 3)) \
-                    - (p1(m - 4) * p1(5)).scale(g(12, m - 5))
-            elif c == 4:
-                out = ((p1(m - 12) * p1(13)).scale(g(12, m - 13))
-                       + (p1(m - 4) * p1(5)).scale(g(12, m - 5))
-                       - (p1(m - 8) * p1(9)).scale(g(12, m - 9))).scale(Fraction(1, 4))
-            elif c == 6:
-                out = (p1(m - 3) * p1(4)).scale(Fraction(g(12, m - 4), 3)) \
-                    + (p1(m - 6) * p1(7)).scale(Fraction(g(12, m - 7), 6)) \
-                    - (p1(m - 4) * p1(5)).scale(Fraction(g(12, m - 5), 2))
-            else:  # c == 12, m > 24
-                out = (p1(m - 3) * p1(4)).scale(Fraction(g(12, m - 4), 6)) \
-                    - (p1(m - 4) * p1(5)).scale(Fraction(g(12, m - 5), 4)) \
-                    + (p1(m - 6) * p1(7)).scale(Fraction(g(12, m - 7), 12))
+            c = gcd(12, m - 1)
+            terms = {(m - j + 1, j): a * gcd(12, m - j) for j, a in _RECURSION[c].items()}
+        prods = [(p1(a) * p1(b)).scale(k) for (a, b), k in terms.items()]
+        out = sum(prods[1:], prods[0]).scale(Fraction(1, c))
     elif n == 2:
         if m == 3:
             out = p1(2) * p1(2) - p1(3).scale(24)
@@ -402,9 +386,9 @@ def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
         elif m == 5:
             out = p1(2) * p1(4) - p1(5).scale(16)
         else:
-            out = (p1(m - 3) * p1(4)).scale(g(12, m - 4)) \
-                - (p1(m - 4) * p1(5)).scale(g(12, m - 5)) \
-                - p1(m).scale(g(12, m - 1))
+            out = (p1(m - 3) * p1(4)).scale(gcd(12, m - 4)) \
+                - (p1(m - 4) * p1(5)).scale(gcd(12, m - 5)) \
+                - p1(m).scale(gcd(12, m - 1))
     elif n == m - 1:
         out = p1(2) ** (m - 1)
     elif n == m - 2:
@@ -551,8 +535,9 @@ def extract_H(ell: int, qcut, annulus: str = LOWER) -> HVector:
     return extract_from_form(umbral_Z(ell, qcut), ell, qcut, annulus)
 
 
-def verify_extremal(ell: int, qcut=6) -> dict:
-    """Check the distinguished polar structure of the extracted vector."""
+def verify_extremal(ell: int) -> dict:
+    """Check the distinguished polar structure of the extracted vector below q^6."""
+    qcut = 6
     H = extract_H(ell, qcut)
     z0 = umbral_Z(ell, qcut).specialize_z0()
     report = {
@@ -584,19 +569,18 @@ def leading_row_relation(phi: WindowedSeries, m: int) -> bool:
     return (m - 1) * (a + 2 * b) == 12 * b
 
 
-def extremal_space_dim(m: int, nbound: int | None = None, qcut=None) -> int:
+def extremal_space_dim(m: int) -> int:
     """Dimension of the space of extremal candidates at index m-1 (m in {9, 25}).
 
     Sets up the span of phi^(m)_1 and zeta^i phi^(m-6i)_j, imposes vanishing
-    of every massive-side coefficient q^n y^r with r^2 - 4mn >= 0 (and of all
-    polar terms other than the r = 1 head), and returns the nullity.
+    of every massive-side coefficient q^n y^r with r^2 - 4mn >= 0 and
+    n <= max(4, (m-1)^2 // 4m) (and of all polar terms other than the r = 1
+    head), and returns the nullity.
     """
     if m not in (9, 25):
         raise OutOfRange("supported candidates: m in {9, 25}")
-    if nbound is None:
-        nbound = max(4, (m - 1) ** 2 // (4 * m))
-    if qcut is None:
-        qcut = nbound + 2
+    nbound = max(4, (m - 1) ** 2 // (4 * m))
+    qcut = nbound + 2
     basis = [gritsenko(m, 1, qcut)]
     zpow = WindowedSeries.one(qcut)
     for i in range(1, (m - 1) // 6 + 1):

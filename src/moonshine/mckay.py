@@ -204,10 +204,10 @@ def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
     qcut = as_rat(qcut)
     if ell == 2:
         c, _ = _class_info(2, label)
-        F = weight2(2, label, "F", qcut + 1)
-        eta3 = eta_quotient([(1, 3)], qcut + 1)
+        F = weight2(2, label, "F", qcut)
+        eta3 = eta_quotient([(1, 3)], qcut + Fraction(1, 8))
         h = identity_H(2, qcut).component(1)
-        comp = h.scale(Fraction(c.chi, 24)) + (F * eta3.invert()).truncate(qcut - Fraction(1, 8))
+        comp = h.scale(Fraction(c.chi, 24)) + F / eta3
         return _finish(2, label, [comp])
     if ell == 3:
         return _twisted_3(label, qcut)
@@ -228,12 +228,12 @@ def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
 
 def _twisted_3(label: str, qcut) -> TwistedH:
     c, zlab = _class_info(3, label)
-    fcut = weight2_cap(3, zlab, "F", weight2_cap(3, label, "F", qcut + 2))
+    fcut = weight2_cap(3, zlab, "F", weight2_cap(3, label, "F", qcut))
     Fg = weight2(3, label, "F", fcut)
     Fz = weight2(3, zlab, "F", fcut)
     H = identity_H(3, qcut)
-    s1_inv = eta_quotient([(4, 2), (2, -5)], fcut + Fraction(1, 12))     # 1/S1
-    s2_inv = eta_quotient([(2, 1), (1, -2), (4, -2)], fcut + Fraction(1, 3)).scale(Fraction(1, 2))
+    s1_inv = eta_quotient([(4, 2), (2, -5)], fcut)     # 1/S1
+    s2_inv = eta_quotient([(2, 1), (1, -2), (4, -2)], fcut).scale(Fraction(1, 2))
     h1 = H.component(1).scale(Fraction(c.chibar, 12)) + ((Fg + Fz) * s1_inv).scale(Fraction(1, 2))
     h2 = H.component(2).scale(Fraction(c.chi, 12)) + ((Fg - Fz) * s2_inv).scale(Fraction(1, 2))
     return _finish(3, label, [h1, h2])
@@ -402,46 +402,23 @@ _V_ELL = {2: 1, 3: 5, 4: 3, 5: 7, 7: 1, 13: 7}
 
 
 def multiplier_rho(ell: int, n: int, h: int, gamma: tuple):
-    """The (l-1)x(l-1) matrix of the n|h multiplier at gamma in Gamma_0(n).
+    """The (l-1)x(l-1) matrix e(x) J^a K^b of the n|h multiplier at gamma in Gamma_0(n).
 
-    Entries are roots of unity stored as Fraction exponents x meaning e(x),
-    or None for zero.
+    J = diag(1, -1, 1, ...), K is the antidiagonal permutation and x = -v c d/(n h).
+    If h does not divide n, x is scaled by gcd(n, h)/n (n even) or n/gcd(n, h) (n odd),
+    a = floor(c(d+1)/n) mod 2 and b = floor(c/n) mod 2; else a = b = 0.  Entries are
+    roots of unity stored as Fraction exponents y meaning e(y), or None for zero.
     """
     a, b, c, d = gamma
     if a * d - b * c != 1 or c % n:
         raise NotInGroup(f"{gamma} not in Gamma_0({n})")
     size = ell - 1
-    v = _V_ELL[ell]
-
-    def scalar_times(x, mat):
-        return [[None if e is None else (x + e) % 1 for e in row] for row in mat]
-
-    ident = [[Fraction(0) if i == j else None for j in range(size)] for i in range(size)]
-    if n % h == 0:
-        x = Fraction(-v * c * d, n * h) % 1
-        return scalar_times(x, ident)
-    J = [[(Fraction(0) if (i + 1) % 2 else Fraction(1, 2)) if i == j else None
-          for j in range(size)] for i in range(size)]
-    K = [[Fraction(0) if i + j == size - 1 else None for j in range(size)] for i in range(size)]
-
-    def mat_mul(A, B):
-        out = [[None] * size for _ in range(size)]
-        for i in range(size):
-            for k in range(size):
-                if A[i][k] is None:
-                    continue
-                for j in range(size):
-                    if B[k][j] is None:
-                        continue
-                    if out[i][j] is not None:
-                        raise ArithmeticError("root-of-unity matrix sum not supported")
-                    out[i][j] = (A[i][k] + B[k][j]) % 1
-        return out
-
-    if n % 2 == 0:
-        x = (Fraction(-v * c * d, n * h) * Fraction(gcd(n, h), n)) % 1
-    else:
-        x = (Fraction(-v * c * d, n * h) * Fraction(n, gcd(n, h))) % 1
-    # J and K are involutions
-    M = mat_mul(J if (c * (d + 1)) // n % 2 else ident, K if c // n % 2 else ident)
-    return scalar_times(x, M)
+    x = Fraction(-_V_ELL[ell] * c * d, n * h)
+    jpow = kpow = 0
+    if n % h:
+        x *= Fraction(gcd(n, h), n) if n % 2 == 0 else Fraction(n, gcd(n, h))
+        jpow, kpow = (c * (d + 1)) // n % 2, c // n % 2
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][size - 1 - i if kpow else i] = (x + Fraction(jpow * (i % 2), 2)) % 1
+    return rows

@@ -288,15 +288,15 @@ class FracSeries:
 # ---------------------------------------------------------------------------
 # catalog: eta and friends
 
-def euler_product(cutoff, step: int = 1) -> FracSeries:
-    """prod_{n>=1} (1 - q^(step*n)) by the pentagonal number expansion."""
+def euler_product(cutoff) -> FracSeries:
+    """prod_{n>=1} (1 - q^n) by the pentagonal number expansion."""
     cutoff = as_rat(cutoff)
     coeffs = {}
     k = 0
     while True:
         hit = False
         for kk in ((k, -k) if k else (0,)):
-            e = step * kk * (3 * kk - 1) // 2
+            e = kk * (3 * kk - 1) // 2
             if e < cutoff:
                 coeffs[e] = coeffs.get(e, 0) + (-1) ** (kk % 2)
                 hit = True
@@ -315,23 +315,26 @@ def eta_quotient(spec, cutoff) -> FracSeries:
     """prod_k eta(k*tau)^(m_k) for spec a sequence of (scale, exponent).
 
     Scales may be rationals (used for arguments like tau/2); exponents any
-    integers, negative entries handled by exact series inversion.
+    integers, negative entries handled by exact series inversion.  The result
+    is exact below ``cutoff`` and reports it.  It starts at q^L, L = sum k*m/24,
+    so is zero there if cutoff <= L; else each factor takes eta exact below
+    (cutoff - L)/k + 1/24 and so (a power loses (m-1)*low, an inverse power
+    (|m|+1)*low) is exact below cutoff - L + k*m/24, as the product rule needs.
     """
     cutoff = as_rat(cutoff)
+    spec = [(as_rat(k), m) for k, m in spec if m]
+    if any(k <= 0 for k, _ in spec):
+        raise ValueError("eta scale must be positive")
+    if not spec:
+        return FracSeries.one(cutoff)
+    low = sum(k * m for k, m in spec) / 24
+    if cutoff <= low:
+        return FracSeries.zero(cutoff)
     result = None
     for k, m in spec:
-        k = as_rat(k)
-        if k <= 0 or m == 0:
-            if m == 0:
-                continue
-            raise ValueError("eta scale must be positive")
-        # generous inner cutoff: inversion costs 2*low, powers cost |m|*low
-        inner = cutoff / k + Fraction(abs(m) + 2, 12)
-        factor = eta(inner).rescale(k) ** m
+        factor = eta((cutoff - low) / k + Fraction(1, 24)).rescale(k) ** m
         result = factor if result is None else result * factor
-    if result is None:
-        return FracSeries.one(cutoff)
-    return result.truncate(cutoff) if result.cutoff > cutoff else result
+    return result
 
 
 def divisor_sigma(k: int) -> int:
@@ -432,9 +435,8 @@ def _eulerian(cutoff, valuation, numerator, denominator, sign=None):
     while valuation(n) < cutoff:
         rel = cutoff - valuation(n)
         num = _poch(numerator(n), rel)
-        den = _poch(denominator(n), rel + 1)
-        term = (num * den.invert()).truncate(rel)
-        term = term.shift(valuation(n))
+        den = _poch(denominator(n), rel)
+        term = (num * den.invert()).shift(valuation(n))
         if sign is not None and sign(n):
             term = -term
         total = total + term

@@ -230,8 +230,8 @@ def verify_decomposition_tables(ell: int) -> dict:
     return report
 
 
-def parity_split_ok(ell: int, depth_rows: int = 10) -> bool:
-    """Odd r rows use only z-trivial irreducibles, even r only faithful ones."""
+def parity_split_ok(ell: int) -> bool:
+    """Odd r rows use only z-trivial irreducibles, even r only faithful ones (first 10 rows)."""
     if ell == 2:
         return True
     t = character_table(ell)
@@ -240,7 +240,7 @@ def parity_split_ok(ell: int, depth_rows: int = 10) -> bool:
                 if t.values[i][zcol].rat == -t.degree(i)]
     for r in range(1, ell):
         tab = load_json(f"mt_{ell}_{r}.json")
-        for key in sorted(tab["rows"], key=int)[:depth_rows]:
+        for key in sorted(tab["rows"], key=int)[:10]:
             if int(key) < 0:
                 continue
             got = decompose(ell, r, int(key), coefficient_row(ell, r, int(key)))

@@ -56,11 +56,11 @@ def _phi_10_1(qcut) -> WindowedSeries:
     return (t1 * t1) * WindowedSeries.from_fracseries(eta(qcut) ** 18)
 
 
-def additive_lift(pmax=3, nmax=3, ywindow=6, weight=10) -> TripleSeries:
+def additive_lift(pmax=3, nmax=3, ywindow=6) -> TripleSeries:
     """Fourier--Jacobi slices phi|V_m of the weight 10 index 1 form.
 
     The Hecke-like operator acts on coefficients by
-    c|V_m(n, r) = sum over j | gcd(n, r, m) of j^(weight-1) c(nm/j^2, r/j).
+    c|V_m(n, r) = sum over j | gcd(n, r, m) of j^(k-1) c(nm/j^2, r/j), k = 10.
     """
     out = TripleSeries(pmax, nmax, ywindow)
     phi = _phi_10_1(pmax * nmax + 1)
@@ -74,7 +74,7 @@ def additive_lift(pmax=3, nmax=3, ywindow=6, weight=10) -> TripleSeries:
                 total = Fraction(0)
                 for j in range(1, g + 1):
                     if g % j == 0:
-                        total += j ** (weight - 1) * as_rat(c.get((n * m // (j * j), r // j), 0))
+                        total += j ** 9 * as_rat(c.get((n * m // (j * j), r // j), 0))
                 out.set(m, n, r, total)
     return out
 

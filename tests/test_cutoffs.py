@@ -58,7 +58,7 @@ def spec_id(spec):
 TWISTED_3_INVERSES = [((4, 2), (2, -5)), ((2, 1), (1, -2), (4, -2))]
 
 BUILDERS = [
-    *[(f"eta_quotient({spec_id(spec)})", lambda c, s=spec: qs.eta_quotient(s, c), at_most())
+    *[(f"eta_quotient({spec_id(spec)})", lambda c, s=spec: qs.eta_quotient(s, c), exactly())
       for spec in catalog_eta_specs() + TWISTED_3_INVERSES],
     *[(f"newform({label})", lambda c, lb=label: qs.newform(lb, c), exactly())
       for label in ("f11", "f14", "f15", "f20", "f23a", "f23b", "f44")],

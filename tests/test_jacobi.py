@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -160,6 +161,53 @@ def test_umbral_Z_constants():
 def test_leading_row_relation_all_indices():
     for m in range(2, 26):
         assert jb.leading_row_relation(jb.gritsenko(m, 1, 3), m)
+
+
+def _phi1_by_cases(m, qcut):
+    """phi^(m)_1 by the case analysis on c = gcd(12, m-1), one branch per c."""
+    p1 = lambda mm: jb.gritsenko(mm, 1, qcut)
+    g = gcd
+    if m == 5:
+        return (p1(4) * p1(2) - p1(3) * p1(3)).scale(F(1, 4))
+    if m == 7:
+        return p1(3) * p1(5) - p1(4) * p1(4)
+    if m == 9:
+        return p1(3) * p1(7) - p1(5) * p1(5)
+    if m == 13:
+        return p1(5) * p1(9) - (p1(7) * p1(7)).scale(2)
+    c = g(12, m - 1)
+    if c == 1:
+        return (p1(m - 4) * p1(5)).scale(g(12, m - 5)) \
+            + (p1(m - 2) * p1(3)).scale(g(12, m - 3)) \
+            - (p1(m - 3) * p1(4)).scale(2 * g(12, m - 4))
+    if c == 2:
+        return ((p1(m - 4) * p1(5)).scale(g(12, m - 5))
+                + (p1(m - 2) * p1(3)).scale(g(12, m - 3))
+                - (p1(m - 3) * p1(4)).scale(2 * g(12, m - 4))).scale(F(1, 2))
+    if c == 3:
+        return (p1(m - 3) * p1(4)).scale(F(2 * g(12, m - 4), 3)) \
+            + (p1(m - 6) * p1(7)).scale(F(g(12, m - 7), 3)) \
+            - (p1(m - 4) * p1(5)).scale(g(12, m - 5))
+    if c == 4:
+        return ((p1(m - 12) * p1(13)).scale(g(12, m - 13))
+                + (p1(m - 4) * p1(5)).scale(g(12, m - 5))
+                - (p1(m - 8) * p1(9)).scale(g(12, m - 9))).scale(F(1, 4))
+    if c == 6:
+        return (p1(m - 3) * p1(4)).scale(F(g(12, m - 4), 3)) \
+            + (p1(m - 6) * p1(7)).scale(F(g(12, m - 7), 6)) \
+            - (p1(m - 4) * p1(5)).scale(F(g(12, m - 5), 2))
+    assert c == 12
+    return (p1(m - 3) * p1(4)).scale(F(g(12, m - 4), 6)) \
+        - (p1(m - 4) * p1(5)).scale(F(g(12, m - 5), 4)) \
+        + (p1(m - 6) * p1(7)).scale(F(g(12, m - 7), 12))
+
+
+# one m per gcd(12, m - 1) in {1, 2, 3, 4, 6, 12} and the four product rows
+@pytest.mark.parametrize("m", [6, 11, 16, 17, 19, 25, 5, 7, 9, 13])
+def test_gritsenko_recursion_table_matches_case_analysis(m):
+    got = jb.gritsenko(m, 1, 3)
+    want = _phi1_by_cases(m, 3)
+    assert (list(got.items()), got.qcut) == (list(want.items()), want.qcut)
 
 
 def test_zeta_in_cusp_ideal():

@@ -1,6 +1,7 @@
 import json
 import shutil
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -132,6 +133,56 @@ def test_multiplier_rho_J_signs():
     m = mk.multiplier_rho(5, 2, 4, (1, 1, 4, 5))
     # c/n = 2 (K^2 = I), c(d+1)/n = 12 (J^12 = I): scalar * identity
     assert all(m[i][i] is not None for i in range(4))
+
+
+def _rho_by_matrices(ell, n, h, gamma):
+    """rho_{n|h}(gamma) as the product e(x) J^a K^b of root-of-unity matrices."""
+    a, b, c, d = gamma
+    size = ell - 1
+    v = mk._V_ELL[ell]
+
+    def scalar_times(x, mat):
+        return [[None if e is None else (x + e) % 1 for e in row] for row in mat]
+
+    ident = [[F(0) if i == j else None for j in range(size)] for i in range(size)]
+    if n % h == 0:
+        return scalar_times(F(-v * c * d, n * h) % 1, ident)
+    J = [[(F(0) if (i + 1) % 2 else F(1, 2)) if i == j else None
+          for j in range(size)] for i in range(size)]
+    K = [[F(0) if i + j == size - 1 else None for j in range(size)] for i in range(size)]
+
+    def mat_mul(A, B):
+        out = [[None] * size for _ in range(size)]
+        for i in range(size):
+            for k in range(size):
+                for j in range(size):
+                    if A[i][k] is not None and B[k][j] is not None:
+                        assert out[i][j] is None  # monomial matrices
+                        out[i][j] = (A[i][k] + B[k][j]) % 1
+        return out
+
+    scale = F(gcd(n, h), n) if n % 2 == 0 else F(n, gcd(n, h))
+    x = (F(-v * c * d, n * h) * scale) % 1
+    return scalar_times(x, mat_mul(J if (c * (d + 1)) // n % 2 else ident,
+                                   K if c // n % 2 else ident))
+
+
+def test_multiplier_rho_matches_matrix_product():
+    checked = 0
+    for ell in (2, 3, 4, 5, 7, 13):
+        for n in (1, 2, 3, 4, 6, 8, 12):
+            for c in range(0, 6 * n, n):
+                for d in range(-7, 8):
+                    if gcd(c, d) != 1:
+                        continue
+                    # a d - b c = 1: a = d^-1 mod c (a = d = +-1 when c = 0)
+                    a = pow(d, -1, c) if c > 1 else d if c == 0 else 1
+                    gamma = (a, (a * d - 1) // c if c else 0, c, d)
+                    for h in range(1, 7):
+                        got = mk.multiplier_rho(ell, n, h, gamma)
+                        assert got == _rho_by_matrices(ell, n, h, gamma), (ell, n, h, gamma)
+                        checked += 1
+    assert checked > 7000
 
 
 def test_multiplier_not_in_group():

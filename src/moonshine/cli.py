@@ -239,8 +239,7 @@ def cmd_siegel(args):
 
 
 def cmd_group_info(args):
-    gd = groups.umbral_group(args.lambency) if args.lambency != 2 \
-        else groups.class_table(2)
+    gd = groups.umbral_group(args.lambency)
     payload = {"lambency": args.lambency, "order": gd.order, "classes": [
         {"label": c.label, "size": c.size, "order": c.order,
          "gamma": f"{c.gamma[0]}|{c.gamma[1]}" if c.gamma[1] != 1 else str(c.gamma[0]),

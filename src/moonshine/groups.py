@@ -2,34 +2,56 @@
 
 The five groups at lambency 3, 4, 5, 7, 13 are generated by explicit signed
 permutations and enumerated by closure; their conjugacy classes are labelled
-by matching (element order, Frame shapes) against the bundled class data.
+by matching their Frame shapes against the bundled class data.
 The degree 24 group at lambency 2 is far too large to enumerate and is
 served from stored class data throughout.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from math import lcm
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from math import inf, lcm
 
 from .data import load_json, memo
-from .errors import ClosureOverflow, UnknownClass
+from .errors import ClosureOverflow, DataCorrupt, OutOfRange, UnknownClass
 
 # ---------------------------------------------------------------------------
 # signed permutations
 #
-# An element of degree n maps e_i -> sign * e_target; images are packed as
-# (target << 1) | (sign < 0) into a tuple for fast hashing and composition.
+# A signed permutation of degree n is a permutation of the 2n points +-e_i
+# that commutes with negation.  Point 2i is +e_i and 2i+1 is -e_i, so negation
+# is p ^ 1.  An element is the bytes of its 2n point images; padded with the
+# fixed points 2n..255 it is a translate table, so product, inverse and
+# negation are single C calls (and the degree is at most 128).
+
+_IDENTITY = bytes(range(256))
+_FLIP = bytes(p ^ 1 for p in range(256))
+
+
+def _table(perm: bytes) -> bytes:
+    """The 256-byte translate table of a point permutation."""
+    return perm + _IDENTITY[len(perm):]
+
 
 class SignedPerm:
-    __slots__ = ("img",)
+    __slots__ = ("perm",)
 
-    def __init__(self, img: tuple):
-        self.img = img
+    def __init__(self, img):
+        """``img[i]``: the image of e_i as the point (target << 1) | (sign < 0)."""
+        if len(img) > 128:
+            raise OutOfRange(f"degree {len(img)} exceeds 128, the most bytes hold")
+        self.perm = bytes(p for v in img for p in (v, v ^ 1))
+
+    @classmethod
+    def _of(cls, perm: bytes) -> "SignedPerm":
+        g = object.__new__(cls)
+        g.perm = perm
+        return g
 
     @classmethod
     def identity(cls, n: int) -> "SignedPerm":
-        return cls(tuple(i << 1 for i in range(n)))
+        return cls(range(0, 2 * n, 2))
 
     @classmethod
     def from_map(cls, n: int, mapping: dict) -> "SignedPerm":
@@ -37,107 +59,118 @@ class SignedPerm:
         img = [i << 1 for i in range(n)]
         for i, (t, s) in mapping.items():
             img[i] = (t << 1) | (1 if s < 0 else 0)
-        return cls(tuple(img))
+        return cls(img)
+
+    @property
+    def img(self) -> bytes:
+        """Images of the e_i: the even positions of the point permutation."""
+        return self.perm[0::2]
 
     @property
     def degree(self) -> int:
-        return len(self.img)
+        return len(self.perm) >> 1
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         """Composition acting left: (g*h)(e_i) = g(h(e_i))."""
-        gi = self.img
-        return SignedPerm(tuple(gi[v >> 1] ^ (v & 1) for v in other.img))
+        return SignedPerm._of(other.perm.translate(_table(self.perm)))
 
     def inverse(self) -> "SignedPerm":
-        img = [0] * len(self.img)
-        for i, v in enumerate(self.img):
-            img[v >> 1] = (i << 1) | (v & 1)
-        return SignedPerm(tuple(img))
+        return SignedPerm._of(bytes.maketrans(_table(self.perm), _IDENTITY)[:len(self.perm)])
 
     def __eq__(self, other):
-        return self.img == other.img
+        return self.perm == other.perm
 
     def __hash__(self):
-        return hash(self.img)
+        return hash(self.perm)
 
     def negate(self) -> "SignedPerm":
         """Composition with the central all-signs-flip."""
-        return SignedPerm(tuple(v ^ 1 for v in self.img))
+        return SignedPerm._of(self.perm.translate(_FLIP))
 
     def cycles(self):
-        """Underlying cycles with their sign products: [(length, sign), ...]."""
+        """Underlying cycles with their sign products: [(length, sign), ...].
+
+        The walk from +e_i closes after k steps at +e_i (sign +1: with its
+        negative, two k-cycles on the 2n points) or at -e_i (sign -1: one
+        2k-cycle through both).
+        """
         seen = [False] * self.degree
         out = []
-        for start in range(self.degree):
-            if seen[start]:
+        for i in range(self.degree):
+            if seen[i]:
                 continue
-            length, sign, i = 0, 1, start
-            while not seen[i]:
-                seen[i] = True
-                v = self.img[i]
-                sign = -sign if (v & 1) else sign
-                i = v >> 1
+            length, p = 0, 2 * i
+            while not seen[p >> 1]:
+                seen[p >> 1] = True
+                p = self.perm[p]
                 length += 1
-            out.append((length, sign))
+            out.append((length, -1 if p & 1 else 1))
         return out
 
-    def order(self) -> int:
-        o = 1
+    def _cycle_type(self) -> dict:
+        """The signed cycle type {k: (plus, minus)}, as ``sign_counts`` gives it."""
+        counts = {}
         for k, s in self.cycles():
-            o = lcm(o, k if s > 0 else 2 * k)
-        return o
+            plus, minus = counts.get(k, (0, 0))
+            counts[k] = (plus + 1, minus) if s > 0 else (plus, minus + 1)
+        return counts
+
+    def order(self) -> int:
+        return _order(self._cycle_type())
 
     def __repr__(self):
-        return f"SignedPerm({self.img})"
+        return f"SignedPerm({tuple(self.img)})"
 
 
 # ---------------------------------------------------------------------------
-# frame shapes
+# frame shapes, all read from the signed cycle type {k: (plus, minus)}
 
-def frame_shapes(g: SignedPerm):
-    """(signed, unsigned, total) Frame shapes of a signed permutation.
+def _frames(counts: dict):
+    """(signed, unsigned, total) Frame shapes of a signed cycle type.
 
     A cycle of length k contributes k to the signed shape when its sign
     product is +1 and (2k)/k when it is -1; the unsigned shape collects k
     always; the total shape is their formal product and equals the genuine
     cycle shape on the 2n points +-e_i.
     """
-    pi, pibar = {}, {}
-    for k, s in g.cycles():
-        pibar[k] = pibar.get(k, 0) + 1
-        if s > 0:
-            pi[k] = pi.get(k, 0) + 1
-        else:
-            pi[2 * k] = pi.get(2 * k, 0) + 1
-            pi[k] = pi.get(k, 0) - 1
-    pi = {k: v for k, v in pi.items() if v}
-    return pi, pibar, _total_shape(pi, pibar)
+    pi, pibar, total = Counter(), Counter(), Counter()
+    for k, (plus, minus) in counts.items():
+        pi[k] += plus - minus
+        pi[2 * k] += minus
+        pibar[k] += plus + minus
+        total[k] += 2 * plus
+        total[2 * k] += minus
+    return tuple({k: v for k, v in s.items() if v} for s in (pi, pibar, total))
 
 
-def _total_shape(pi: dict, pibar: dict) -> dict:
-    """The formal product pi * pibar, zero exponents dropped."""
-    total = dict(pibar)
-    for k, v in pi.items():
-        total[k] = total.get(k, 0) + v
-        if not total[k]:
-            del total[k]
-    return total
+def _order(counts: dict) -> int:
+    """Element order: a k-cycle of sign -1 has order 2k."""
+    o = 1
+    for k, (plus, minus) in counts.items():
+        if plus:
+            o = lcm(o, k)
+        if minus:
+            o = lcm(o, 2 * k)
+    return o
+
+
+def frame_shapes(g: SignedPerm):
+    """(signed, unsigned, total) Frame shapes of a signed permutation."""
+    return _frames(g._cycle_type())
 
 
 def total_frame_direct(g: SignedPerm) -> dict:
     """Cycle shape of g acting as a plain permutation of the 2n points."""
-    n = g.degree
-    seen = [False] * (2 * n)
+    perm = g.perm
+    seen = [False] * len(perm)
     shape = {}
-    for start in range(2 * n):
+    for start in range(len(perm)):
         if seen[start]:
             continue
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            p, s = i >> 1, i & 1
-            v = g.img[p]
-            i = ((v >> 1) << 1) | (s ^ (v & 1))
+        length, p = 0, start
+        while not seen[p]:
+            seen[p] = True
+            p = perm[p]
             length += 1
         shape[length] = shape.get(length, 0) + 1
     return shape
@@ -145,8 +178,7 @@ def total_frame_direct(g: SignedPerm) -> dict:
 
 def euler_chars(g: SignedPerm):
     """(signed, unsigned) twisted Euler characters: fixed -+ anti-fixed counts."""
-    plus = sum(1 for i, v in enumerate(g.img) if v == i << 1)
-    minus = sum(1 for i, v in enumerate(g.img) if v == (i << 1) | 1)
+    plus, minus = g._cycle_type().get(1, (0, 0))
     return plus - minus, plus + minus
 
 
@@ -167,54 +199,45 @@ def parse_frame(s: str) -> dict:
 
 
 def sign_counts(pi: dict, pibar: dict) -> dict:
-    """Per cycle length: (positive-sign cycles, negative-sign cycles).
+    """The signed cycle type {k: (plus, minus)} that has these Frame shapes.
 
     Inverts the Frame shape encoding: the exponent of k in the signed shape
     is plus(k) - minus(k) + minus(k/2), solvable from short cycles upward.
+    The shapes come from data files, so a pair that no signed permutation
+    has raises ``DataCorrupt``.
     """
     out = {}
     for k in sorted(pibar):
         t = pibar[k]
         e = pi.get(k, 0) - (out.get(k // 2, (0, 0))[1] if k % 2 == 0 else 0)
         minus = (t - e) // 2
-        assert 0 <= minus <= t and (t - e) % 2 == 0, (pi, pibar, k)
+        if not (0 <= minus <= t and (t - e) % 2 == 0):
+            raise DataCorrupt(f"no signed permutation has Frame shapes "
+                              f"{frame_str(pi)} and {frame_str(pibar)}")
         out[k] = (t - minus, minus)
     return out
 
 
 def z_partner_frame(pi: dict, pibar: dict) -> dict:
-    """Signed Frame shape of z*g given that of g (z the central sign flip)."""
-    counts = sign_counts(pi, pibar)
-    out = {}
-    for k, (plus, minus) in counts.items():
-        if k % 2:  # odd cycles flip sign under z
-            plus, minus = minus, plus
-        out[k] = out.get(k, 0) + plus - minus
-        if minus:
-            out[2 * k] = out.get(2 * k, 0) + minus
-    return {k: v for k, v in out.items() if v}
+    """Signed Frame shape of z*g given that of g (z the central sign flip,
+    under which the odd cycles change sign)."""
+    counts = {k: (minus, plus) if k % 2 else (plus, minus)
+              for k, (plus, minus) in sign_counts(pi, pibar).items()}
+    return _frames(counts)[0]
 
 
 def order_from_frames(pi: dict, pibar: dict) -> int:
-    counts = sign_counts(pi, pibar)
-    o = 1
-    for k, (plus, minus) in counts.items():
-        if plus:
-            o = lcm(o, k)
-        if minus:
-            o = lcm(o, 2 * k)
-    return o
+    return _order(sign_counts(pi, pibar))
 
 
 def gamma_symbol_from_frames(ell: int, pi: dict, pibar: dict) -> tuple:
     """(n_g, h_g): n = order of the unsigned image, N = shortest*longest cycle
     of the total shape, h = N/n, halved at lambency 4 for non-split classes."""
-    cyc = sorted(k for k, v in _total_shape(pi, pibar).items() if v > 0)
+    counts = sign_counts(pi, pibar)
+    cyc = sorted(_frames(counts)[2])
     N = cyc[0] * cyc[-1]
-    n = 1
-    for k in pibar:
-        n = lcm(n, k)
-    non_split = order_from_frames(pi, pibar) == 2 * n
+    n = lcm(*pibar)
+    non_split = _order(counts) == 2 * n
     h = N // (2 * n) if (ell == 4 and non_split) else N // n
     return n, h
 
@@ -253,8 +276,7 @@ class GroupData:
 
     def __post_init__(self):
         self.by_label = {c.label: c for c in self.classes}
-        self._by_key = {(c.order, frame_str(c.pi), frame_str(c.pibar)): c.label
-                        for c in self.classes}
+        self._by_key = {_class_key(c.pi, c.pibar): c.label for c in self.classes}
 
     @property
     def orbit_count(self) -> int:
@@ -262,12 +284,16 @@ class GroupData:
         return sum(c.merged for c in self.classes)
 
     def class_of(self, g: SignedPerm) -> str:
-        pi, pibar, _ = frame_shapes(g)
-        key = (g.order(), frame_str(pi), frame_str(pibar))
+        key = _class_key(*frame_shapes(g)[:2])
         try:
             return self._by_key[key]
         except KeyError:
             raise UnknownClass(f"no class with invariants {key}") from None
+
+
+def _class_key(pi: dict, pibar: dict) -> tuple:
+    """A class is known by its two Frame shapes; they fix the element order."""
+    return frame_str(pi), frame_str(pibar)
 
 
 def merged_members(label: str) -> list:
@@ -291,20 +317,15 @@ def class_table(ell: int) -> GroupData:
             merged=len(merged_members(lab)),
         ))
     pairing = {}
+    by_key = {_class_key(c.pi, c.pibar): c for c in classes}
     for c in classes:
         if ell == 2:
             pairing[c.label] = c.label
             continue
-        zpi = frame_str(z_partner_frame(c.pi, c.pibar))
-        zbar = frame_str(c.pibar)
-        zorder = order_from_frames(parse_frame(zpi), c.pibar)
-        for c2 in classes:
-            if (frame_str(c2.pi), frame_str(c2.pibar), c2.order) == (zpi, zbar, zorder) \
-                    and c2.chi == -c.chi and c2.chibar == c.chibar:
-                pairing[c.label] = c2.label
-                break
-        else:
+        c2 = by_key.get(_class_key(z_partner_frame(c.pi, c.pibar), c.pibar))
+        if c2 is None or (c2.chi, c2.chibar) != (-c.chi, c.chibar):
             raise UnknownClass(f"no z-partner for {c.label} at lambency {ell}")
+        pairing[c.label] = c2.label
     ctab = load_json(f"chartab_{ell}.json")
     order = ctab["order"]
     # class sizes from character-table centralizers, summed over merged columns
@@ -361,54 +382,48 @@ def generators(ell: int) -> list:
     return [_perm_from_cycles(degree, c) for c in cycles]
 
 
+def _orbit(start: bytes, steps: list, bound=inf) -> list:
+    """The orbit of a point permutation in breadth-first order (the orbit
+    algorithm, Holt, Eick and O'Brien 2005, section 4.1); each step maps the
+    translate table of an orbit point to a new point.  Raises past the bound."""
+    order, seen = [start], {start}
+    for x in order:
+        table = _table(x)
+        for step in steps:
+            y = step(table)
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                if len(order) > bound:
+                    raise ClosureOverflow(f"closure exceeded {bound} elements")
+    return order
+
+
+def _conjugations(gens: list) -> list:
+    """Orbit steps x -> a x a^-1 on the table of x, one per generator a."""
+    return [lambda tx, t=_table(a.perm), ai=a.inverse().perm: ai.translate(tx).translate(t)
+            for a in gens]
+
+
 def enumerate_group(gens: list, bound: int = 400000) -> dict:
-    """All elements by breadth-first closure; raises past the safety bound."""
-    n = gens[0].degree
-    ident = SignedPerm.identity(n)
-    seen = {ident.img: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                p = g * h
-                if p.img not in seen:
-                    seen[p.img] = p
-                    nxt.append(p)
-                    if len(seen) > bound:
-                        raise ClosureOverflow(f"closure exceeded {bound} elements")
-        frontier = nxt
-    return seen
-
-
-def _conjugation_closure(g: SignedPerm, gens: list, inv: list) -> set:
-    """Images of the conjugates of g, by closure under generator conjugation."""
-    orbit = {g.img}
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a, ai in zip(gens, inv):
-                y = (a * x) * ai
-                if y.img not in orbit:
-                    orbit.add(y.img)
-                    nxt.append(y)
-        frontier = nxt
-    return orbit
+    """All elements by breadth-first closure, keyed by ``img``; raises past
+    the safety bound.  The steps are x -> x h for the generators h."""
+    identity = SignedPerm.identity(gens[0].degree).perm
+    elements = _orbit(identity, [h.perm.translate for h in gens], bound)
+    return {p[0::2]: SignedPerm._of(p) for p in elements}
 
 
 def conjugacy_orbits(elements: dict, gens: list) -> list:
     """Partition into conjugation orbits, each represented by its first element
     in enumeration order: [(representative, orbit size)]."""
-    inv = [g.inverse() for g in gens]
-    unassigned = dict(elements)
+    steps = _conjugations(gens)
+    unassigned = {g.perm for g in elements.values()}  # not the orbits' copies
     orbits = []
-    while unassigned:
-        g = next(iter(unassigned.values()))
-        orbit = _conjugation_closure(g, gens, inv)
-        for img in orbit:
-            del unassigned[img]
-        orbits.append((g, len(orbit)))
+    for g in elements.values():
+        if g.perm in unassigned:
+            orbit = _orbit(g.perm, steps)
+            unassigned.difference_update(orbit)
+            orbits.append((g, len(orbit)))
     return orbits
 
 
@@ -422,39 +437,26 @@ def generate(ell: int, bound: int = 400000) -> GroupData:
         return class_table(2)
     gens = generators(ell)
     elements = enumerate_group(gens, bound)
-    orbits = conjugacy_orbits(elements, gens)
     table = class_table(ell)
     found = {}
-    for rep, size in orbits:
-        pi, pibar, _ = frame_shapes(rep)
-        key = (rep.order(), frame_str(pi), frame_str(pibar))
-        found.setdefault(key, []).append((rep, size))
+    for rep, size in conjugacy_orbits(elements, gens):
+        found.setdefault(table.class_of(rep), []).append((rep, size))
     classes = []
     for c in table.classes:
-        key = (c.order, frame_str(c.pi), frame_str(c.pibar))
-        if key not in found:
-            raise UnknownClass(f"class {c.label} not found in generated group")
-        orbs = found.pop(key)
+        orbs = found.get(c.label, [])
         if len(orbs) != c.merged:
             raise UnknownClass(
                 f"class {c.label}: found {len(orbs)} orbits, expected {c.merged}")
-        cd = ClassData(label=c.label, gamma=c.gamma, chi=c.chi, chibar=c.chibar,
-                       pi=c.pi, pibar=c.pibar, order=c.order,
-                       size=sum(s for _, s in orbs), merged=c.merged,
-                       rep=orbs[0][0], power_map=c.power_map)
-        classes.append(cd)
-    if found:
-        raise UnknownClass(f"unmatched orbits {sorted(found)} at lambency {ell}")
+        classes.append(replace(c, size=sum(s for _, s in orbs), rep=orbs[0][0]))
     total = sum(c.size for c in classes)
     if total != len(elements):
         raise ClosureOverflow(f"class equation broken: {total} != {len(elements)}")
-    gd = GroupData(ell, len(elements), classes, dict(class_table(ell).pairing))
+    gd = GroupData(ell, len(elements), classes, dict(table.pairing))
     # verify the derived pairing against the actual central element
-    z = SignedPerm.identity(gens[0].degree).negate()
-    if z.img not in elements:
+    if SignedPerm.identity(gens[0].degree).negate().img not in elements:
         raise UnknownClass("central sign flip not in group")
     for c in classes:
-        zlab = gd.class_of(z * c.rep)
+        zlab = gd.class_of(c.rep.negate())
         if zlab != gd.pairing[c.label]:
             raise UnknownClass(f"pairing mismatch at {c.label}: {zlab}")
     return gd
@@ -470,8 +472,7 @@ def umbral_group(ell: int) -> GroupData:
 
 def conjugation_orbit(ell: int, g: SignedPerm) -> set:
     """The conjugation orbit of g under the lambency-l group, as images."""
-    gens = generators(ell)
-    return _conjugation_closure(g, gens, [x.inverse() for x in gens])
+    return {p[0::2] for p in _orbit(g.perm, _conjugations(generators(ell)))}
 
 
 def squared_class_set(ell: int, label: str) -> set:
@@ -486,10 +487,8 @@ def squared_class_set(ell: int, label: str) -> set:
     gd = umbral_group(ell)
     if label not in gd.by_label:
         raise UnknownClass(f"no class {label} at lambency {ell}")
-    c = gd.by_label[label]
-    orbit = conjugation_orbit(ell, c.rep)
-    g0 = c.rep
-    return {gd.class_of(g0 * SignedPerm(img)) for img in orbit}
+    g0 = gd.by_label[label].rep
+    return {gd.class_of(g0 * SignedPerm(img)) for img in conjugation_orbit(ell, g0)}
 
 
 def shuffle_group(n: int) -> int:

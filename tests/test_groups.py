@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from moonshine import groups as gr
-from moonshine.errors import ClosureOverflow, UnknownClass
+from moonshine.errors import ClosureOverflow, OutOfRange, UnknownClass
 
 EXPECTED_ORDERS = {3: 190080, 4: 2688, 5: 240, 7: 24, 13: 4}
 
@@ -160,3 +162,69 @@ def test_order_from_frames_matches_reps(generated):
     for ell in (3, 5, 7):
         for c in generated[ell].classes:
             assert gr.order_from_frames(c.pi, c.pibar) == c.rep.order() == c.order
+
+
+# Reference formulas on tuples of packed images (target << 1) | (sign < 0),
+# kept here to check the byte operations of SignedPerm against.
+
+def _tuple_mul(g, h):
+    return tuple(g[v >> 1] ^ (v & 1) for v in h)
+
+
+def _tuple_inverse(g):
+    img = [0] * len(g)
+    for i, v in enumerate(g):
+        img[v >> 1] = (i << 1) | (v & 1)
+    return tuple(img)
+
+
+def _tuple_negate(g):
+    return tuple(v ^ 1 for v in g)
+
+
+def _tuple_cycles(g):
+    seen = [False] * len(g)
+    out = []
+    for start in range(len(g)):
+        if seen[start]:
+            continue
+        length, sign, i = 0, 1, start
+        while not seen[i]:
+            seen[i] = True
+            v = g[i]
+            sign = -sign if (v & 1) else sign
+            i = v >> 1
+            length += 1
+        out.append((length, sign))
+    return out
+
+
+def _random_img(rng, n):
+    targets = list(range(n))
+    rng.shuffle(targets)
+    return tuple((t << 1) | rng.randrange(2) for t in targets)
+
+
+def test_byte_operations_match_tuple_reference():
+    rng = random.Random(20120)
+    pairs = [(_random_img(rng, n), _random_img(rng, n))
+             for n in [*range(1, 25), 128] for _ in range(4)]
+    for ell in (3, 4, 5, 7, 13):
+        gens = [tuple(g.img) for g in gr.generators(ell)]
+        pairs += [(a, b) for a in gens for b in gens]
+    for a, b in pairs:
+        g, h = gr.SignedPerm(a), gr.SignedPerm(b)
+        assert tuple(g.img) == a and g.degree == len(a)
+        assert tuple((g * h).img) == _tuple_mul(a, b)
+        assert tuple(g.inverse().img) == _tuple_inverse(a)
+        assert tuple(g.negate().img) == _tuple_negate(a)
+        assert g.cycles() == _tuple_cycles(a)
+        assert gr.total_frame_direct(g) == gr.frame_shapes(g)[2]
+
+
+def test_degree_capped_at_128():
+    assert gr.SignedPerm.identity(128).degree == 128
+    with pytest.raises(OutOfRange):
+        gr.SignedPerm(tuple(range(0, 258, 2)))
+    with pytest.raises(OutOfRange):
+        gr.SignedPerm.identity(129)

@@ -188,6 +188,19 @@ def test_self_paired_classes_kill_faithful_characters():
                     assert not t.values[i][k], (ell, lab, i + 1)
 
 
+def test_element_keys_are_images():
+    # the orbit tests above look images up in these collections; a key of
+    # another type than .img would make every such lookup miss silently
+    from moonshine.groups import (SignedPerm, conjugation_orbit, enumerate_group,
+                                  generators)
+    for ell in (3, 4, 5, 7, 13):
+        elements = enumerate_group(generators(ell))
+        for c in umbral_group(ell).classes:
+            assert c.rep.img in elements
+            assert c.rep.img in conjugation_orbit(ell, c.rep)
+            assert SignedPerm(c.rep.img) == c.rep
+
+
 def test_parity_split():
     for ell in (3, 4, 5, 7, 13):
         assert reps.parity_split_ok(ell)
@@ -340,3 +353,18 @@ def test_decompose_follows_a_data_dir_switch(tmp_path):
     finally:
         set_data_dir(None)
     assert reps.decompose(13, 1, 1, vec).counts == [0, 1, 0, 0]
+
+
+def test_impossible_frame_shapes_raise_data_corrupt(tmp_path, capsys):
+    # pi "1^3" over pibar "1^2" would need -1/2 anti-fixed points
+    from moonshine.cli import main
+    alt = _edited_copy(tmp_path, {"euler_13.json": lambda t: t["pi"].__setitem__(0, "1^3")})
+    try:
+        set_data_dir(alt)
+        with pytest.raises(DataCorrupt, match="no signed permutation"):
+            class_table(13)
+        assert main(["group-info", "--lambency", "13", "--data-dir", str(alt)]) == 1
+        assert "no signed permutation" in capsys.readouterr().err
+    finally:
+        set_data_dir(None)
+    assert class_table(13).order == 4

@@ -211,10 +211,10 @@ def sign_counts(pi: dict, pibar: dict) -> dict:
         t = pibar[k]
         e = pi.get(k, 0) - (out.get(k // 2, (0, 0))[1] if k % 2 == 0 else 0)
         minus = (t - e) // 2
-        if not (0 <= minus <= t and (t - e) % 2 == 0):
-            raise DataCorrupt(f"no signed permutation has Frame shapes "
-                              f"{frame_str(pi)} and {frame_str(pibar)}")
         out[k] = (t - minus, minus)
+    if any(min(v) < 0 for v in out.values()) or _frames(out)[:2] != (pi, pibar):
+        raise DataCorrupt(f"no signed permutation has Frame shapes "
+                          f"{frame_str(pi)} and {frame_str(pibar)}")
     return out
 
 
@@ -405,25 +405,29 @@ def _conjugations(gens: list) -> list:
             for a in gens]
 
 
-def enumerate_group(gens: list, bound: int = 400000) -> dict:
-    """All elements by breadth-first closure, keyed by ``img``; raises past
-    the safety bound.  The steps are x -> x h for the generators h."""
+def _closure(gens: list, bound: int) -> list:
+    """All elements as point permutations, by breadth-first closure under the
+    steps x -> x h for the generators h; raises past the safety bound."""
     identity = SignedPerm.identity(gens[0].degree).perm
-    elements = _orbit(identity, [h.perm.translate for h in gens], bound)
-    return {p[0::2]: SignedPerm._of(p) for p in elements}
+    return _orbit(identity, [h.perm.translate for h in gens], bound)
 
 
-def conjugacy_orbits(elements: dict, gens: list) -> list:
-    """Partition into conjugation orbits, each represented by its first element
-    in enumeration order: [(representative, orbit size)]."""
+def enumerate_group(gens: list, bound: int = 400000) -> set:
+    """The images ``img`` of all elements; raises past the safety bound."""
+    return {p[0::2] for p in _closure(gens, bound)}
+
+
+def conjugacy_orbits(elements: list, gens: list) -> list:
+    """Partition point permutations into conjugation orbits, each represented
+    by its first element in the given order: [(representative, orbit size)]."""
     steps = _conjugations(gens)
-    unassigned = {g.perm for g in elements.values()}  # not the orbits' copies
+    unassigned = set(elements)
     orbits = []
-    for g in elements.values():
-        if g.perm in unassigned:
-            orbit = _orbit(g.perm, steps)
+    for p in elements:
+        if p in unassigned:
+            orbit = _orbit(p, steps)
             unassigned.difference_update(orbit)
-            orbits.append((g, len(orbit)))
+            orbits.append((SignedPerm._of(p), len(orbit)))
     return orbits
 
 
@@ -436,10 +440,11 @@ def generate(ell: int, bound: int = 400000) -> GroupData:
     if ell == 2:
         return class_table(2)
     gens = generators(ell)
-    elements = enumerate_group(gens, bound)
+    elements = _closure(gens, bound)
     table = class_table(ell)
     found = {}
-    for rep, size in conjugacy_orbits(elements, gens):
+    orbits = conjugacy_orbits(elements, gens)
+    for rep, size in orbits:
         found.setdefault(table.class_of(rep), []).append((rep, size))
     classes = []
     for c in table.classes:
@@ -452,8 +457,9 @@ def generate(ell: int, bound: int = 400000) -> GroupData:
     if total != len(elements):
         raise ClosureOverflow(f"class equation broken: {total} != {len(elements)}")
     gd = GroupData(ell, len(elements), classes, dict(table.pairing))
-    # verify the derived pairing against the actual central element
-    if SignedPerm.identity(gens[0].degree).negate().img not in elements:
+    # verify the derived pairing against the actual central element; if it is
+    # in the group it is an orbit of its own, so one of the representatives
+    if SignedPerm.identity(gens[0].degree).negate() not in (rep for rep, _ in orbits):
         raise UnknownClass("central sign flip not in group")
     for c in classes:
         zlab = gd.class_of(c.rep.negate())

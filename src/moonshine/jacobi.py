@@ -29,7 +29,7 @@ from math import ceil, gcd, lcm
 from .algebra import _canonical, as_rat
 from .data import LAMBENCIES, memo
 from .errors import CutoffUnderflow, OutOfRange, UnboundedSupport, WindowTooNarrow
-from .qseries import FracSeries, _convolve, _power, eta
+from .qseries import FracSeries, _convolve, _power, _theta_lattice, eta
 
 ENTIRE = "entire"
 LOWER = "lower"   # |q| < |y| < 1
@@ -290,23 +290,10 @@ def jacobi_theta(i: int, qcut) -> WindowedSeries:
 
 
 def index_theta(m: int, r: int, qcut) -> WindowedSeries:
-    """theta^(m)_r(tau, z) = sum_n q^((2mn+r)^2/4m) y^(2mn+r)."""
-    if m < 1:
-        raise OutOfRange("index must be positive")
-    qcut = as_rat(qcut)
+    """theta^(m)_r(tau, z) = sum over j = r (mod 2m) of q^(j^2/4m) y^j."""
     rows = {}
-    n = 0
-    while True:
-        hit = False
-        for s in (n, -n - 1):
-            j = 2 * m * s + r
-            e = Fraction(j * j, 4 * m)
-            if e < qcut:
-                hit = True
-                rows.setdefault(j * j, {})[j] = 1
-        if not hit:
-            break
-        n += 1
+    for j in _theta_lattice(m, r, qcut):
+        rows.setdefault(j * j, {})[j] = 1
     return WindowedSeries(4 * m, rows, qcut)
 
 

@@ -205,9 +205,8 @@ def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
     if ell == 2:
         c, _ = _class_info(2, label)
         F = weight2(2, label, "F", qcut)
-        eta3 = eta_quotient([(1, 3)], qcut + Fraction(1, 8))
         h = identity_H(2, qcut).component(1)
-        comp = h.scale(Fraction(c.chi, 24)) + F / eta3
+        comp = h.scale(Fraction(c.chi, 24)) + F * eta_quotient([(1, -3)], qcut)
         return _finish(2, label, [comp])
     if ell == 3:
         return _twisted_3(label, qcut)
@@ -253,9 +252,8 @@ def _twisted_4(label: str, qcut) -> TwistedH:
     H2 = identity_H(4, qcut).component(2)
     h2 = H2.scale(Fraction(c.chi, 8))
     if label in l4["h2_hat"]:
-        W = _combination(l4["h2_hat"][label], qcut + 1)
-        s2_inv = eta_quotient([(2, -3)], qcut + 1).scale(Fraction(1, 2))
-        h2 = h2 + (W * s2_inv).truncate(qcut - Fraction(3, 4))
+        W = _combination(l4["h2_hat"][label], qcut)
+        h2 = h2 + W * eta_quotient([(2, -3)], qcut).scale(Fraction(1, 2))
     return _finish(4, label, [h1, h2, h3])
 
 

@@ -16,7 +16,9 @@ products of integral series run on ints in ``_convolve``, the one product loop.
 The catalog covers the Dedekind eta function and eta quotients, the weight-2
 Eisenstein combinations Lambda_N, the level 11/14/15/20/23/44 newforms, the
 unary theta functions S^(m)_r, and the classical mock theta functions of
-orders 2, 3, 8 and 10.
+orders 2, 3, 8 and 10.  Eta, S^(m)_r and the index-m theta functions of
+``jacobi`` are sums over one lattice, the j = r (mod 2m) with j^2/4m below
+the cutoff, enumerated by ``_theta_lattice``.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
 
 from .algebra import _canonical, as_rat
-from .errors import CutoffUnderflow, DataExhausted, NotInvertible, NotUnimodular
+from .errors import (CutoffUnderflow, DataExhausted, NotInvertible, NotUnimodular,
+                     OutOfRange)
 
 
 def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
@@ -288,27 +291,24 @@ class FracSeries:
 # ---------------------------------------------------------------------------
 # catalog: eta and friends
 
-def euler_product(cutoff) -> FracSeries:
-    """prod_{n>=1} (1 - q^n) by the pentagonal number expansion."""
-    cutoff = as_rat(cutoff)
-    coeffs = {}
-    k = 0
-    while True:
-        hit = False
-        for kk in ((k, -k) if k else (0,)):
-            e = kk * (3 * kk - 1) // 2
-            if e < cutoff:
-                coeffs[e] = coeffs.get(e, 0) + (-1) ** (kk % 2)
-                hit = True
-        if not hit and k > 0:
-            break
-        k += 1
-    return FracSeries(1, coeffs, cutoff)
+def _theta_lattice(m: int, r: int, cutoff) -> range:
+    """The integers j = r (mod 2m) with j^2/4m below ``cutoff``, ascending.
+
+    Every theta series here sums over this lattice: S^(m)_r, theta^(m)_r and,
+    by Euler's pentagonal theorem, eta = (theta^(6)_1 - theta^(6)_7)(tau, 0).
+    """
+    if m < 1:
+        raise OutOfRange("index must be positive")
+    bound = ceil(as_rat(cutoff) * 4 * m)  # j^2 < 4m*cutoff iff j^2 < bound
+    top = isqrt(bound - 1) if bound > 0 else -1
+    return range(-top + (r + top) % (2 * m), top + 1, 2 * m)
 
 
 def eta(cutoff) -> FracSeries:
-    """Dedekind eta: q^(1/24) prod (1 - q^n)."""
-    return euler_product(as_rat(cutoff) - Fraction(1, 24)).shift(Fraction(1, 24))
+    """Dedekind eta: q^(1/24) prod (1 - q^n) = sum over j = 1 (mod 6) of
+    +-q^(j^2/24), + for j = 1 and - for j = 7 (mod 12)."""
+    return FracSeries.from_terms(((Fraction(j * j, 24), s) for r, s in ((1, 1), (7, -1))
+                                  for j in _theta_lattice(6, r, cutoff)), cutoff)
 
 
 def eta_quotient(spec, cutoff) -> FracSeries:
@@ -396,24 +396,9 @@ def newform(label: str, cutoff) -> FracSeries:
 
 
 def unary_theta(m: int, r: int, cutoff) -> FracSeries:
-    """S^(m)_r = sum_n (2mn + r) q^((2mn+r)^2 / 4m)."""
-    if m < 1:
-        raise ValueError("index m must be >= 1")
-    cutoff = as_rat(cutoff)
-    terms = []
-    n = 0
-    while True:
-        added = False
-        for s in (n, -n - 1):
-            j = 2 * m * s + r
-            e = Fraction(j * j, 4 * m)
-            if e < cutoff:
-                terms.append((e, j))
-                added = True
-        if not added:
-            break
-        n += 1
-    return FracSeries.from_terms(terms, cutoff)
+    """S^(m)_r = sum over j = r (mod 2m) of j q^(j^2/4m)."""
+    return FracSeries.from_terms(((Fraction(j * j, 4 * m), j)
+                                  for j in _theta_lattice(m, r, cutoff)), cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,11 @@ BUILDERS = [
     *[(f"newform({label})", lambda c, lb=label: qs.newform(lb, c), exactly())
       for label in ("f11", "f14", "f15", "f20", "f23a", "f23b", "f44")],
     *[(f"lambda_n({n})", lambda c, n=n: qs.lambda_n(n, c), exactly()) for n in (2, 7, 44)],
+    ("eta", qs.eta, exactly()),
     *[(f"unary_theta({m},{r})", lambda c, m=m, r=r: qs.unary_theta(m, r, c), exactly())
-      for m, r in ((2, 1), (5, 4), (13, 6))],
+      for m, r in ((2, 1), (5, 4), (13, 6), (2, -3))],
+    *[(f"index_theta({m},{r})", lambda c, m=m, r=r: jb.index_theta(m, r, c), exactly())
+      for m, r in ((1, 0), (4, 1), (13, 6), (3, -5))],
     *[(f"mock_theta({label})", lambda c, lb=label: qs.mock_theta(lb, c), exactly())
       for label in qs._MOCK_THETA],
     *[(f"jacobi_theta({i})", lambda c, i=i: jb.jacobi_theta(i, c), exactly())
@@ -83,9 +86,10 @@ BUILDERS = [
     *[(f"twisted_H({ell},{label})",
        lambda c, a=(ell, label): mckay.twisted_H(*a, c).components, at_most())
       for ell, label in ((2, "3A"), (3, "2B"), (3, "22AB"), (4, "4A"), (5, "2B"))],
-    # the lambency-4 bridge reads the lambency-2 series at 2c + 1 at half argument
-    ("twisted_H(4,2A)", lambda c: mckay.twisted_H(4, "2A", c).components,
-     at_most(lambda c: c + F(1, 2))),
+    # the lambency-4 bridge reads the lambency-2 series at 2c + 1 at half argument;
+    # 3A also builds its second component from W / S2
+    *[(f"twisted_H(4,{label})", lambda c, lb=label: mckay.twisted_H(4, lb, c).components,
+       at_most(lambda c: c + F(1, 2))) for label in ("2A", "3A")],
     # stored columns are exact to the table's depth, whatever c asks
     ("twisted_H(7,3AB)", lambda c: mckay.twisted_H(7, "3AB", c).components, None),
     # the structural operations and their cutoff rules

@@ -106,8 +106,36 @@ def test_index_theta_r0_specialization():
 
 
 def test_dz_gives_unary_theta():
-    for m, r in ((2, 1), (3, 2), (5, 3)):
-        assert jb.index_theta(m, r, 8).dz_at_z0() == unary_theta(m, r, 8)
+    for c in (F(1, 8), 1, F(113, 16), 8):
+        for m in range(1, 7):
+            for r in range(-3 * m, 3 * m + 1):
+                assert jb.index_theta(m, r, c).dz_at_z0() == unary_theta(m, r, c), (m, r, c)
+
+
+def test_theta_series_depend_on_r_mod_2m():
+    # the lattice j = r (mod 2m) is all that r names, far outside 0..2m too:
+    # S^(2)_(-3) = S^(2)_1 = q^(1/8) + ..., though j = -3 itself sits at q^(9/8)
+    for c in (F(1, 8), 1, F(113, 16)):
+        for m in range(1, 7):
+            for r in range(-3 * m, 3 * m + 1):
+                th, u = jb.index_theta(m, r, c), unary_theta(m, r, c)
+                th0, u0 = jb.index_theta(m, r % (2 * m), c), unary_theta(m, r % (2 * m), c)
+                assert (list(th.items()), th.qcut) == (list(th0.items()), th0.qcut), (m, r, c)
+                assert (list(u.items()), u.cutoff) == (list(u0.items()), u0.cutoff), (m, r, c)
+    assert unary_theta(2, -3, 1).coefficient(F(1, 8)) == 1
+
+
+def test_eta_is_a_difference_of_index_6_thetas():
+    # Euler's pentagonal theorem: eta = (theta^(6)_1 - theta^(6)_7)(tau, 0)
+    for c in (F(1, 48), 1, F(113, 16), 31):
+        theta = (jb.index_theta(6, 1, c) - jb.index_theta(6, 7, c)).specialize_z0()
+        assert (list(eta(c).items()), eta(c).cutoff) == (list(theta.items()), theta.cutoff)
+
+
+def test_theta_lattice_needs_positive_index():
+    for make in (unary_theta, jb.index_theta, jb.hat_theta):
+        with pytest.raises(OutOfRange):
+            make(0, 1, 5)
 
 
 def test_hat_theta_specializes_to_zero():

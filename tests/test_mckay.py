@@ -231,6 +231,21 @@ def test_l4_bridge_equations():
         assert star.truncate(cut) == want.truncate(cut), lab
 
 
+def test_l4_h2_hat_second_component_as_deep_as_identity():
+    # W_g / S2 has low -1/4, so built at c it is exact below c - 1/4, the
+    # cutoff of H_2 itself; at c = 113/16 that reaches the term q^(27/4)
+    l4 = mk.load_json("l4_reconstruction.json")
+    for c in (7, F(113, 16)):
+        want = mk.twisted_H(4, "1A", c).component(2).cutoff
+        assert want == c - F(1, 4)
+        for lab in l4["h2_hat"]:
+            h2 = mk.twisted_H(4, lab, c).component(2)
+            assert h2.cutoff == want, (lab, c)
+            deeper = mk.twisted_H(4, lab, c + 1).component(2)
+            assert deeper.truncate(want) == h2, (lab, c)
+    assert mk.twisted_H(4, "3A", F(113, 16)).component(2).coefficient(F(27, 4)) != 0
+
+
 def test_unknown_block_type_in_l4_data_raises(tmp_path):
     # every term list goes through one reader, which rejects an unknown block
     # type; an h2_hat block that is not a lambda must not pass as a newform

@@ -368,3 +368,16 @@ def test_impossible_frame_shapes_raise_data_corrupt(tmp_path, capsys):
     finally:
         set_data_dir(None)
     assert class_table(13).order == 4
+
+
+def test_signed_shape_with_an_extra_cycle_length_is_corrupt(tmp_path, capsys):
+    # "1^24 3^1" agrees with the unsigned "1^24" at every length the latter
+    # has, but 3-cycles exist only in the signed shape
+    from moonshine.cli import main
+    alt = _edited_copy(tmp_path, {"euler_2.json": lambda t: t["pi"].__setitem__(0, "1^24 3^1")})
+    try:
+        assert main(["group-info", "--lambency", "2", "--data-dir", str(alt)]) == 1
+        assert "no signed permutation has Frame shapes 1^24 3^1" in capsys.readouterr().err
+    finally:
+        set_data_dir(None)
+    assert class_table(2).by_label["1A"].pi == {1: 24}

@@ -1,8 +1,11 @@
 """Twisted series for every conjugacy class, from weight-2 form data.
 
-Each lambency has its own reconstruction route (scalar shift, paired
-combinations, half-argument bridge plus parity split, 2x2 series solves,
-stored columns); the bundled coefficient tables are regenerated exactly.
+Every computed component follows one formula, H_{g,r} = (chi_{g,r}/chi) H_r
++ hat H_{g,r}: the shadow part is a multiple of the identity series, and the
+shadow-free part hat H_g solves the weight-2 relations against the unary
+thetas S_r, one parity block of r at a time.  The lambency-4 bridge (odd r)
+and the stored columns at lambencies 7 and 13 replace whole components; the
+bundled coefficient tables are regenerated exactly.
 """
 from fractions import Fraction as F
 

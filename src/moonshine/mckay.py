@@ -1,18 +1,15 @@
 """Twisted series for every conjugacy class, from the weight-2 form catalogs.
 
-Per lambency the reconstruction routes differ:
-
-* 2: one component, H_g = (chi_g/24) H + F_g / eta^3.
-* 3: the two components from the paired combinations F_g +- F_zg divided by
-  the eta-quotient expressions of the unary theta components.
-* 4: H_{g,1} - H_{g,3} comes from the lambency-2 series at half argument (or
-  an eta quotient for the three classes without a degree-24 partner) and is
-  split by exponent residue; second components from stored weight-2 data.
-* 5: two 2x2 linear solves over the series ring per class pair, one per
-  parity, using both weight-2 catalogs.
-* 7, 13: identity and its pair from the extraction pipeline; the remaining
-  classes are served from the stored coefficient tables, with the cataloged
-  weight-2 forms acting as consistency checks.
+Every computed component follows one formula, H_{g,r} = (chi_{g,r}/chi) H_r +
+hat H_{g,r} with chi = 24/(l-1) and H the extracted identity vector.  The
+shadow-free part hat H_g solves F_g = sum_r hat H_{g,r} S_r against the unary
+thetas (and F2_g = sum_r +-hat H_{g,r} S_(l-r) at lambency 5), one parity block
+of r at a time; at lambency 4 the even block reads the stored form W_g, and at
+7 and 13 hat H vanishes for 1A and 2A.  Two sources replace whole components:
+the lambency-4 bridge (odd r: H_{g,1} - H_{g,3} is the lambency-2 series of the
+bridge partner at half argument, or an eta quotient, split by exponent residue)
+and the stored coefficient tables of every other class at 7 and 13, which the
+cataloged weight-2 forms check.
 """
 from __future__ import annotations
 
@@ -23,9 +20,9 @@ from math import gcd
 
 from . import jacobi
 from .algebra import as_rat
-from .data import load_json, memo
-from .errors import (CutoffUnderflow, DataExhausted, DeterminantNotUnit,
-                     NotInGroup, NotInvertible, UnknownClass)
+from .data import LAMBENCIES, load_json, memo
+from .errors import (CutoffUnderflow, DataCorrupt, DataExhausted,
+                     DeterminantNotUnit, NotInGroup, NotInvertible, UnknownClass)
 from .groups import class_table
 from .qseries import (_F44_CUT, FracSeries, eta_quotient, lambda_n,
                       mock_theta, newform, unary_theta)
@@ -91,7 +88,7 @@ def quarter_twist(f: FracSeries) -> FracSeries:
 
     The phase at exponent e is e(e + 1/4), which is -1 on e = 1/4 (mod 1)
     and +1 on e = 3/4 (mod 1); anything off that lattice would make the
-    result non-real and is rejected.
+    result non-real, so the catalog entry is rejected as corrupt.
     """
     terms = []
     for e, c in f.items():
@@ -101,7 +98,7 @@ def quarter_twist(f: FracSeries) -> FracSeries:
         elif res == 0:
             terms.append((e, c))
         else:
-            raise ArithmeticError(f"quarter twist off-lattice exponent {e}")
+            raise DataCorrupt(f"quarter twist off-lattice exponent {e}")
     return FracSeries.from_terms(terms, f.cutoff)
 
 
@@ -197,94 +194,88 @@ def _finish(ell, label, comps) -> TwistedH:
 def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
     """The vector-valued twisted series for a conjugacy class.
 
-    Components carry their exact cutoffs; data-limited reconstructions
-    (the f44-capped class at lambency 3, the stored classes at 7 and 13)
+    Component r is (chi_{g,r}/chi) H_r + hat H_{g,r} with chi = 24/(l-1),
+    hat H from ``_hat_H``; the lambency-4 bridge (odd r) and the stored
+    columns (lambencies 7 and 13, classes other than 1A and 2A) replace whole
+    components.  Components carry their exact cutoffs; data-limited
+    reconstructions (the f44-capped class at lambency 3, the stored classes)
     return series whose cutoff reports the cap.
     """
     qcut = as_rat(qcut)
-    if ell == 2:
-        c, _ = _class_info(2, label)
-        F = weight2(2, label, "F", qcut)
-        h = identity_H(2, qcut).component(1)
-        comp = h.scale(Fraction(c.chi, 24)) + F * eta_quotient([(1, -3)], qcut)
-        return _finish(2, label, [comp])
-    if ell == 3:
-        return _twisted_3(label, qcut)
-    if ell == 4:
-        return _twisted_4(label, qcut)
-    if ell == 5:
-        return _twisted_5(label, qcut)
-    if ell in (7, 13):
-        if label in ("1A", "2A"):
-            H = identity_H(ell, qcut)
-            flip = label == "2A"
-            comps = [H.component(r).scale(-1) if (flip and r % 2 == 0) else H.component(r)
-                     for r in range(1, ell)]
-            return _finish(ell, label, comps)
+    if ell not in LAMBENCIES:
+        raise UnknownClass(f"lambency {ell}")
+    if ell in (7, 13) and label not in ("1A", "2A"):
         return _finish(ell, label, _stored_components(ell, label))
-    raise UnknownClass(f"lambency {ell}")
+    hat = {} if ell in (7, 13) else _hat_H(ell, label, qcut)
+    H = identity_H(ell, qcut)
+    comps = [H.component(r).scale(Fraction(chi_r(ell, label, r) * (ell - 1), 24)) + hat.get(r, 0)
+             for r in range(1, ell)]
+    if ell == 4:
+        comps[0], comps[2] = _l4_odd(label, qcut)
+    return _finish(ell, label, comps)
 
 
-def _twisted_3(label: str, qcut) -> TwistedH:
-    c, zlab = _class_info(3, label)
-    fcut = weight2_cap(3, zlab, "F", weight2_cap(3, label, "F", qcut))
-    Fg = weight2(3, label, "F", fcut)
-    Fz = weight2(3, zlab, "F", fcut)
-    H = identity_H(3, qcut)
-    s1_inv = eta_quotient([(4, 2), (2, -5)], fcut)     # 1/S1
-    s2_inv = eta_quotient([(2, 1), (1, -2), (4, -2)], fcut).scale(Fraction(1, 2))
-    h1 = H.component(1).scale(Fraction(c.chibar, 12)) + ((Fg + Fz) * s1_inv).scale(Fraction(1, 2))
-    h2 = H.component(2).scale(Fraction(c.chi, 12)) + ((Fg - Fz) * s2_inv).scale(Fraction(1, 2))
-    return _finish(3, label, [h1, h2])
+def _hat_H(ell: int, label: str, qcut) -> dict:
+    """hat H_{g,r} keyed by r, from the weight-2 relations; an absent r is zero.
 
-
-def _twisted_4(label: str, qcut) -> TwistedH:
-    c, _ = _class_info(4, label)
-    l4 = load_json("l4_reconstruction.json")
-    if label in l4["bridge"]:
-        h2cls = l4["bridge"][label]
-        star = twisted_H(2, h2cls, 2 * qcut + 1).component(1).rescale(Fraction(1, 2))
+    The r of one pairing sign e form a block, solved by Cramer's rule over
+    the series ring: (F_g + e F_zg)/2 = sum_r hat_r S_r and, where the F2
+    catalog has the class, e (F2_g + e F2_zg)/2 = sum_r hat_r S_(l-r).  At
+    lambency 4 only the even block is solved, from W_g = hat_2 S_2.
+    """
+    zlab, signs = pairing(ell, label)
+    if ell == 4:
+        terms = load_json("l4_reconstruction.json")["h2_hat"].get(label)
+        cap = qcut
+        sides = {-1: [_combination(terms, cap)]} if terms else {}
     else:
-        star = _combination(l4["star_eta"][label], qcut)
-    h1 = star.split(Fraction(-1, 16))
-    h3 = star.split(Fraction(7, 16)).scale(-1)
-    # second component: H_{g,2} = (chi_g/8) H_2 + W_g / S2 with S2 = 2 eta(2t)^3
-    H2 = identity_H(4, qcut).component(2)
-    h2 = H2.scale(Fraction(c.chi, 8))
-    if label in l4["h2_hat"]:
-        W = _combination(l4["h2_hat"][label], qcut)
-        h2 = h2 + W * eta_quotient([(2, -3)], qcut).scale(Fraction(1, 2))
-    return _finish(4, label, [h1, h2, h3])
+        variants = ["F"] + (["F2"] if (label, "F2") in _catalog(ell) else [])
+        cap = min(weight2_cap(ell, lab, v, qcut) for lab in (label, zlab) for v in variants)
+        form = {(lab, v): weight2(ell, lab, v, cap) for lab in {label, zlab} for v in variants}
+        sides = {e: [(form[label, v] + form[zlab, v].scale(e)).scale(
+                     Fraction(e if v == "F2" else 1, 2)) for v in variants] for e in (1, -1)}
+    # S_r is built 1/3 past the cap: inverting a 1x1 block loses low(S_r) =
+    # r^2/4l <= 1/3 when the weight-2 side has no negative powers, and the
+    # 2x2 blocks at lambency 5 need 1/5
+    S = {r: unary_theta(ell, r, cap + Fraction(1, 3)) for r in range(1, ell)}
+    hat = {}
+    for e, rhs in sides.items():
+        rs = [r for r in range(1, ell) if signs[r - 1] == e]
+        if rs:  # lambency 2 has no even r
+            rows = [[S[r] for r in rs], [S[ell - r] for r in rs]][:len(rhs)]
+            hat.update(zip(rs, _cramer(rows, rhs)))
+    return hat
 
 
-def _twisted_5(label: str, qcut) -> TwistedH:
-    c, zlab = _class_info(5, label)
-    fcut = qcut + 2
-    Fg = weight2(5, label, "F", fcut)
-    Fz = weight2(5, zlab, "F", fcut)
-    F2g = weight2(5, label, "F2", fcut)
-    F2z = weight2(5, zlab, "F2", fcut)
-    S = {r: unary_theta(5, r, fcut) for r in (1, 2, 3, 4)}
-    det = S[1] * S[2] - S[3] * S[4]
+def _det(m: list) -> FracSeries:
+    """Determinant of a square matrix of series, expanded along its first row."""
+    if len(m) == 1:
+        return m[0][0]
+    terms = [a.scale((-1) ** j) * _det([row[:j] + row[j + 1:] for row in m[1:]])
+             for j, a in enumerate(m[0])]
+    return sum(terms[1:], terms[0])
+
+
+def _cramer(m: list, rhs: list) -> list:
+    """The solution x of m x = rhs over the series ring, by Cramer's rule."""
     try:
-        det_inv = det.invert()
+        inv = _det(m).invert()
     except NotInvertible as exc:
         raise DeterminantNotUnit(str(exc)) from exc
-    rhs1 = (Fg + Fz).scale(Fraction(1, 2))
-    rhs2 = (F2g + F2z).scale(Fraction(1, 2))
-    rhs3 = (Fg - Fz).scale(Fraction(1, 2))
-    rhs4 = (F2z - F2g).scale(Fraction(1, 2))
-    hat1 = (rhs1 * S[2] - rhs2 * S[3]) * det_inv
-    hat3 = (rhs2 * S[1] - rhs1 * S[4]) * det_inv
-    hat2 = (rhs3 * S[1] - rhs4 * S[4]) * det_inv
-    hat4 = (rhs4 * S[2] - rhs3 * S[3]) * det_inv
-    H = identity_H(5, qcut)
-    comps = []
-    for r, hat in ((1, hat1), (2, hat2), (3, hat3), (4, hat4)):
-        mult = c.chibar if r % 2 else c.chi
-        comps.append((H.component(r).scale(Fraction(mult, 6)) + hat).truncate(
-            min(qcut - Fraction(r * r, 20), hat.cutoff)))
-    return _finish(5, label, comps)
+    return [_det([row[:j] + [b] + row[j + 1:] for row, b in zip(m, rhs)]) * inv
+            for j in range(len(m))]
+
+
+def _l4_odd(label: str, qcut) -> tuple:
+    """H_{g,1} and H_{g,3} at lambency 4, split by exponent residue from their
+    difference: the bridge partner's lambency-2 series at half argument, or an
+    eta quotient for the classes without one."""
+    l4 = load_json("l4_reconstruction.json")
+    if label in l4["bridge"]:
+        star = twisted_H(2, l4["bridge"][label], 2 * qcut + 1).component(1).rescale(Fraction(1, 2))
+    else:
+        star = _combination(l4["star_eta"][label], qcut)
+    return star.split(Fraction(-1, 16)), star.split(Fraction(7, 16)).scale(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -100,3 +100,25 @@ def test_data_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv("MOONSHINE_DATA_DIR", str(alt))
     assert data_dir() == alt
     monkeypatch.delenv("MOONSHINE_DATA_DIR")
+
+
+def test_off_lattice_quarter_twist_in_data_exits_1(tmp_path, capsys):
+    # 2C's F2 form at lambency 5 is the quarter twist of 2B's; with 2B's F2
+    # terms replaced by one lambda block (integer exponents) the twist is
+    # off its lattice, which the CLI reports as corrupt data, not a traceback
+    import shutil
+    from moonshine.data import data_dir, set_data_dir
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    path = alt / "weight2_5.json"
+    table = json.loads(path.read_text())
+    rec = next(r for r in table["records"] if (r["class"], r["variant"]) == ("2B", "F2"))
+    rec["terms"] = [{"coeff": "1", "block": {"type": "lambda", "n": 2}, "scale": "1"}]
+    path.write_text(json.dumps(table))
+    try:
+        code, _ = run(["twist", "--lambency", "5", "--class", "2C", "--order", "5",
+                       "--data-dir", str(alt)])
+    finally:
+        set_data_dir(None)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: quarter twist off-lattice exponent")

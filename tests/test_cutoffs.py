@@ -50,11 +50,17 @@ def catalog_eta_specs():
     return sorted(specs)
 
 
+def shifted(tw):
+    """The components of a twisted series, component r times q^(r^2/4l)."""
+    return [s.shift(F(r * r, 4 * tw.lambency)) for r, s in enumerate(tw.components, 1)]
+
+
 def spec_id(spec):
     return ",".join(f"{k}^{m}" for k, m in spec)
 
 
-# the inverses 1/S1 and 1/S2 of the lambency-3 reconstruction
+# eta-quotient coverage only: the quotients equal to 1/S1 and 1/S2 at
+# lambency 3, which twisted_H does not build (it inverts S_r itself)
 TWISTED_3_INVERSES = [((4, 2), (2, -5)), ((2, 1), (1, -2), (4, -2))]
 
 BUILDERS = [
@@ -81,13 +87,15 @@ BUILDERS = [
        exactly()) for ell, label, var in ((2, "3A", "F"), (3, "2B", "F"), (3, "22AB", "F"),
                                           (5, "2B", "F2"), (5, "2C", "F2"), (7, "3AB", "F"),
                                           (13, "2A", "F2"))],
-    # one class per reconstruction route; component r of the routes through
-    # identity_H is exact below c - r^2/4l at most
-    *[(f"twisted_H({ell},{label})",
-       lambda c, a=(ell, label): mckay.twisted_H(*a, c).components, at_most())
-      for ell, label in ((2, "3A"), (3, "2B"), (3, "22AB"), (4, "4A"), (5, "2B"))],
-    # the lambency-4 bridge reads the lambency-2 series at 2c + 1 at half argument;
-    # 3A also builds its second component from W / S2
+    # one class per route of the solver: component r, shifted by r^2/4l, is
+    # exact below c lowered to the data cap (the f44 newform of 22AB)
+    *[(f"twisted_H({ell},{label})", lambda c, a=(ell, label): shifted(mckay.twisted_H(*a, c)),
+       exactly(lambda c, a=(ell, label): mckay.weight2_cap(*a, "F", c)))
+      for ell, label in ((2, "3A"), (3, "2B"), (3, "22AB"), (5, "2B"))],
+    ("twisted_H(4,3A).component(2)",
+     lambda c: shifted(mckay.twisted_H(4, "3A", c))[1], exactly()),
+    ("twisted_H(4,4A)", lambda c: mckay.twisted_H(4, "4A", c).components, at_most()),
+    # the lambency-4 bridge reads the lambency-2 series at 2c + 1 at half argument
     *[(f"twisted_H(4,{label})", lambda c, lb=label: mckay.twisted_H(4, lb, c).components,
        at_most(lambda c: c + F(1, 2))) for label in ("2A", "3A")],
     # stored columns are exact to the table's depth, whatever c asks

@@ -7,8 +7,9 @@ import pytest
 
 from moonshine import mckay as mk
 from moonshine.data import data_dir, load_json, set_data_dir
-from moonshine.errors import UnknownClass
-from moonshine.qseries import eta_quotient, lambda_n, mock_theta
+from moonshine.errors import DataCorrupt, UnknownClass
+from moonshine.groups import class_table
+from moonshine.qseries import eta_quotient, lambda_n, mock_theta, unary_theta
 
 
 def test_weight2_lambda_combination():
@@ -38,7 +39,8 @@ def test_quarter_twist_is_residue_sign():
 
 
 def test_quarter_twist_rejects_off_lattice():
-    with pytest.raises(ArithmeticError):
+    # an integer exponent has no real quarter twist: the catalog entry is corrupt
+    with pytest.raises(DataCorrupt, match="off-lattice exponent 0"):
         mk.quarter_twist(lambda_n(2, 4))
 
 
@@ -49,6 +51,67 @@ def test_twisted_identity_columns_match_extraction():
         for r in range(1, ell):
             cut = min(tw.component(r).cutoff, H.component(r).cutoff)
             assert tw.component(r).truncate(cut) == H.component(r).truncate(cut)
+
+
+# The weight-2 relations solved by hand, as the reference for the one solver
+# of twisted_H: F eta^-3 at lambency 2, the eta-quotient inverses 1/S1 and 1/S2
+# at lambency 3, a written-out 2x2 solve at lambency 5 (its forms built 2 past
+# the cutoff) and W / (2 eta(2t)^3) for the second component at lambency 4.
+
+def _reference_2(label, qcut):
+    c = class_table(2).by_label[label]
+    f = mk.weight2(2, label, "F", qcut)
+    h = mk.identity_H(2, qcut).component(1)
+    return [h.scale(F(c.chi, 24)) + f * eta_quotient([(1, -3)], qcut)]
+
+
+def _reference_3(label, qcut):
+    c, zlab = class_table(3).by_label[label], mk.pairing(3, label)[0]
+    fcut = mk.weight2_cap(3, zlab, "F", mk.weight2_cap(3, label, "F", qcut))
+    fg, fz = mk.weight2(3, label, "F", fcut), mk.weight2(3, zlab, "F", fcut)
+    H = mk.identity_H(3, qcut)
+    s1_inv = eta_quotient([(4, 2), (2, -5)], fcut)
+    s2_inv = eta_quotient([(2, 1), (1, -2), (4, -2)], fcut).scale(F(1, 2))
+    return [H.component(1).scale(F(c.chibar, 12)) + ((fg + fz) * s1_inv).scale(F(1, 2)),
+            H.component(2).scale(F(c.chi, 12)) + ((fg - fz) * s2_inv).scale(F(1, 2))]
+
+
+def _reference_5(label, qcut):
+    c, zlab = class_table(5).by_label[label], mk.pairing(5, label)[0]
+    fcut = qcut + 2
+    fg, fz, f2g, f2z = (mk.weight2(5, lab, v, fcut) for v in ("F", "F2") for lab in (label, zlab))
+    S = {r: unary_theta(5, r, fcut) for r in (1, 2, 3, 4)}
+    det_inv = (S[1] * S[2] - S[3] * S[4]).invert()
+    rhs1, rhs3 = (fg + fz).scale(F(1, 2)), (fg - fz).scale(F(1, 2))
+    rhs2, rhs4 = (f2g + f2z).scale(F(1, 2)), (f2z - f2g).scale(F(1, 2))
+    hat = {1: (rhs1 * S[2] - rhs2 * S[3]) * det_inv, 3: (rhs2 * S[1] - rhs1 * S[4]) * det_inv,
+           2: (rhs3 * S[1] - rhs4 * S[4]) * det_inv, 4: (rhs4 * S[2] - rhs3 * S[3]) * det_inv}
+    H = mk.identity_H(5, qcut)
+    return [(H.component(r).scale(F(c.chibar if r % 2 else c.chi, 6)) + hat[r]).truncate(
+        min(qcut - F(r * r, 20), hat[r].cutoff)) for r in (1, 2, 3, 4)]
+
+
+def _reference_4_second(label, qcut):
+    c = class_table(4).by_label[label]
+    W = mk._combination(load_json("l4_reconstruction.json")["h2_hat"][label], qcut)
+    return (mk.identity_H(4, qcut).component(2).scale(F(c.chi, 8))
+            + W * eta_quotient([(2, -3)], qcut).scale(F(1, 2)))
+
+
+def exact(s):
+    return list(s.items()), s.cutoff
+
+
+@pytest.mark.parametrize("qcut", [7, F(113, 16)])
+def test_twisted_H_matches_hand_coded_reference(qcut):
+    for ell, reference in ((2, _reference_2), (3, _reference_3), (5, _reference_5)):
+        for label in class_table(ell).by_label:
+            got = mk.twisted_H(ell, label, qcut).components
+            assert [exact(s) for s in got] == [exact(s) for s in reference(label, qcut)], \
+                (ell, label)
+    for label in ("3A", "6A", "7AB", "14AB"):
+        got = mk.twisted_H(4, label, qcut).component(2)
+        assert exact(got) == exact(_reference_4_second(label, qcut)), label
 
 
 def test_pairing_sign_rule_on_tables():

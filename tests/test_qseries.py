@@ -257,3 +257,15 @@ def test_render_canonical_form():
     s = eta_quotient([(1, 3)], 4)
     assert s.render(2) == "q^(1/8)*(1 - 3*q^(1) + ...)"
     assert s.render(3) == "q^(1/8)*(1 - 3*q^(1) + 5*q^(3))"
+
+
+@pytest.mark.parametrize("cut", [3, F(113, 16), F(41, 3)])
+def test_unary_thetas_as_eta_quotients(cut):
+    # S^(2)_1 = eta^3, S^(3)_1 = eta(2t)^5/eta(4t)^2,
+    # S^(3)_2 = 2 eta^2 eta(4t)^2/eta(2t) and S^(4)_2 = 2 eta(2t)^3
+    for (m, r), spec, coeff in (((2, 1), [(1, 3)], 1),
+                                ((3, 1), [(2, 5), (4, -2)], 1),
+                                ((3, 2), [(1, 2), (4, 2), (2, -1)], 2),
+                                ((4, 2), [(2, 3)], 2)):
+        theta, quotient = unary_theta(m, r, cut), eta_quotient(spec, cut).scale(coeff)
+        assert (list(theta.items()), theta.cutoff) == (list(quotient.items()), quotient.cutoff)

@@ -57,6 +57,14 @@ class WindowedSeries:
         self.ywindow = ywindow
         self.annulus = annulus
 
+    @classmethod
+    def _of(cls, denom, rows, qcut, ywindow=None, annulus=ENTIRE, ydenom=1):
+        """Wrap rows that are already canonical, nonzero and below ``qcut``."""
+        s = object.__new__(cls)
+        s.denom, s.ydenom, s.qcut, s.rows = denom, ydenom, qcut, rows
+        s.ywindow, s.annulus = ywindow, annulus
+        return s
+
     # -- constructors ----------------------------------------------------
     @classmethod
     def one(cls, qcut):
@@ -65,7 +73,7 @@ class WindowedSeries:
     @classmethod
     def from_fracseries(cls, f: FracSeries) -> "WindowedSeries":
         """Embed a one-variable series as a y-independent bi-series."""
-        return cls(f.denom, {k: {0: v} for k, v in f.coeffs.items()}, f.cutoff)
+        return cls._of(f.denom, {k: {0: v} for k, v in f.coeffs.items()}, f.cutoff)
 
     # -- basic inspection --------------------------------------------------
     def is_complete(self):
@@ -150,17 +158,18 @@ class WindowedSeries:
         d = lcm(self.denom, e.denominator)
         f = d // self.denom
         off = e.numerator * (d // e.denominator)
-        rows = {k * f + off: dict(row) for k, row in self.rows.items()}
-        return WindowedSeries(d, rows, self.qcut + e, ywindow=self.ywindow,
-                              annulus=self.annulus, ydenom=self.ydenom)
+        rows = {k * f + off: row for k, row in self.rows.items()}
+        return WindowedSeries._of(d, rows, self.qcut + e, ywindow=self.ywindow,
+                                  annulus=self.annulus, ydenom=self.ydenom)
 
     def truncate(self, qcut):
         qcut = as_rat(qcut)
         if qcut > self.qcut:
             raise CutoffUnderflow(f"cannot extend qcut {self.qcut} to {qcut}")
-        return WindowedSeries(self.denom, self.rows, qcut,
-                              ywindow=self.ywindow, annulus=self.annulus,
-                              ydenom=self.ydenom)
+        kcut = ceil(qcut * self.denom)
+        return WindowedSeries._of(self.denom, {k: r for k, r in self.rows.items() if k < kcut},
+                                  qcut, ywindow=self.ywindow, annulus=self.annulus,
+                                  ydenom=self.ydenom)
 
     def __eq__(self, other):
         if not isinstance(other, WindowedSeries):
@@ -225,12 +234,16 @@ def windowed_mul(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
 
 
 def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
-    """The convolution behind ``*`` and ``windowed_mul``.
+    """The product behind ``*`` and ``windowed_mul``.
 
-    Complete times complete keeps every term.
-    With a windowed factor the full convolution is clipped to the target
-    window afterwards, so the inner loop carries no window test.  ``*``
-    calls this directly, so profiles charge its time to ``__mul__``.
+    Both operands are lifted to common q- and y-denominators and multiplied
+    by ``qseries._convolve``: one big-integer product of the two operands
+    packed with one slot per (q, y) term, each slot bits(max|a|) +
+    bits(max|b|) + bits(min #terms) + 1 bits wide, so no product coefficient
+    spills into the next.  Complete times complete keeps every term.  With a
+    windowed factor the full product is clipped to the target window
+    afterwards.  ``*`` calls this directly, so profiles charge its time to
+    ``__mul__``.
     """
     target = None
     if not (a.is_complete() and b.is_complete()):
@@ -249,17 +262,17 @@ def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
         cut = min(cut, as_rat(qcut))
     d, yd, ra, rb = a._aligned(b)
     out = _convolve(ra, rb, ceil(cut * d))
-    prod = WindowedSeries(d, out, cut, annulus=a._combine_annulus(b), ydenom=yd)
+    prod = WindowedSeries._of(d, out, cut, annulus=a._combine_annulus(b), ydenom=yd)
     return prod if target is None else _clip(prod, target, prod.annulus)
 
 
 def _clip(s: WindowedSeries, ywindow, annulus: str) -> WindowedSeries:
     """The terms of ``s`` with |y-power| <= ywindow, as a windowed series."""
     ymax = ywindow * s.ydenom
-    rows = {k: {y: c for y, c in row.items() if abs(y) <= ymax}
-            for k, row in s.rows.items()}
-    return WindowedSeries(s.denom, rows, s.qcut, ywindow=ywindow, annulus=annulus,
-                          ydenom=s.ydenom)
+    rows = {k: r for k, row in s.rows.items()
+            if (r := {y: c for y, c in row.items() if abs(y) <= ymax})}
+    return WindowedSeries._of(s.denom, rows, s.qcut, ywindow=ywindow, annulus=annulus,
+                              ydenom=s.ydenom)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +299,7 @@ def jacobi_theta(i: int, qcut) -> WindowedSeries:
         raise OutOfRange(f"no theta function theta_{i}")
     r = 1 if i <= 2 else 0
     s = index_theta(2, r, qcut) + index_theta(2, r + 2, qcut).scale(-1 if i in (1, 4) else 1)
-    return WindowedSeries(s.denom, s.rows, s.qcut, ydenom=2)
+    return WindowedSeries._of(s.denom, s.rows, s.qcut, ydenom=2)
 
 
 def index_theta(m: int, r: int, qcut) -> WindowedSeries:
@@ -581,28 +594,34 @@ def extremal_space_dim(m: int) -> int:
         H = extract_from_form(phi, m, qcut)
         matrix.append([H.component(r).coefficient(Fraction(4 * m * n - r * r, 4 * m))
                        for r, n in slots])
-    # rank of the (basis x slots) matrix by exact Gaussian elimination
-    nvars = len(basis)
-    rowspace = [list(row) for row in matrix]
-    r_ix = 0
-    for c in range(len(slots)):
-        piv = None
-        for rr in range(r_ix, nvars):
-            if rowspace[rr][c] != 0:
-                piv = rr
-                break
+    return len(basis) - _rank(matrix)
+
+
+def _rank(matrix: list) -> int:
+    """Rank of a matrix of ints and Fractions by fraction-free (Bareiss) elimination.
+
+    Rows are scaled to integers; after each pivot p every entry below it is a
+    minor of the scaled matrix, so the division by the previous pivot is exact
+    (E. H. Bareiss, Math. Comp. 22 (1968)).
+    """
+    rows = []
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        rowspace[r_ix], rowspace[piv] = rowspace[piv], rowspace[r_ix]
-        pv = rowspace[r_ix][c]
-        for rr in range(nvars):
-            if rr != r_ix and rowspace[rr][c] != 0:
-                f = Fraction(rowspace[rr][c], 1) / pv
-                rowspace[rr] = [x - f * y for x, y in zip(rowspace[rr], rowspace[r_ix])]
-        r_ix += 1
-        if r_ix == nvars:
-            break
-    return nvars - r_ix
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * t) // prev for x, t in zip(rows[i], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 def verify_n4_identity(ell: int, qcut=10, ywindow=12) -> dict:

@@ -10,8 +10,17 @@ below min(cut_a + low_b, cut_b + low_a), where ``low()`` of a series with no
 stored term is its cutoff, the lowest exponent that may be nonzero.
 
 Coefficients are stored as an ``int`` when integral, else a ``Fraction``,
-never a ``float`` (``coefficient`` and ``items`` hand out Fractions), so
-products of integral series run on ints in ``_convolve``, the one product loop.
+never a ``float`` (``coefficient`` and ``items`` hand out Fractions).  The
+public constructors canonicalize; operations whose terms are canonical
+already (products, ``truncate``) wrap them through the private ``_of``.
+
+Both series classes multiply in ``_convolve`` by Kronecker substitution: each
+operand, scaled to integers by the lcm of its denominators, is packed into
+one Python int with a slot of B bytes per (q, y) term, the two ints are
+multiplied once, and the slots below the cutoff are read back.  A slot holds
+at most min(#terms) pairs, so bits(max|a|) + bits(max|b|) + bits(min #terms)
+bits and a sign bit make it wide enough for every product coefficient (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 8).
 
 The catalog covers the Dedekind eta function and eta quotients, the weight-2
 Eisenstein combinations Lambda_N, the level 11/14/15/20/23/44 newforms, the
@@ -31,22 +40,71 @@ from .errors import (CutoffUnderflow, DataExhausted, NotInvertible, NotUnimodula
 
 
 def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
-    """Product of rows ``{k: {y: c}}`` at keys k < kcut (rows may hold zeros).
+    """Product of rows ``{k: {y: c}}`` at keys k < kcut, by Kronecker substitution.
 
     Both series classes multiply here; a FracSeries passes one-entry rows.
+    Each operand is scaled to integers by the lcm of its denominators and
+    packed into one int: term (k, y) sits at slot ((k - k0)/ks)*W + (y - y0)/ys
+    of B bytes, with k0 and y0 the operand's lowest key and y-power, ks and ys
+    the gcd of both operands' key and y offsets, and W = wa + wb + 1 for y-spans
+    wa and wb in steps of ys, so no two product terms share a slot.  A product
+    slot sums at most min(#terms) pairs, so its absolute value is below
+    2^(bits(max|a|) + bits(max|b|) + bits(min #terms)); one sign bit more is
+    the slot width.  Positive and negative terms are packed apart and
+    subtracted; the one big-integer product, biased by 2^(8B-1) per slot below
+    kcut, reads back slot by slot and is divided by the two lcms once.  Rows
+    may hold zeros; the product holds only nonzero canonical values.
     """
+    ta = [(k, y, c) for k, row in ra.items() for y, c in row.items() if c]
+    tb = [(k, y, c) for k, row in rb.items() for y, c in row.items() if c]
+    if not ta or not tb:
+        return {}
+    ka, kb = min(t[0] for t in ta), min(t[0] for t in tb)
+    ya, yb = min(t[1] for t in ta), min(t[1] for t in tb)
+    ks = gcd(*(t[0] - ka for t in ta), *(t[0] - kb for t in tb)) or 1
+    ys = gcd(*(t[1] - ya for t in ta), *(t[1] - yb for t in tb)) or 1
+    nrows = -((ka + kb - kcut) // ks)  # product keys ka + kb + i*ks below kcut
+    if nrows <= 0:
+        return {}
+    ta = [t for t in ta if t[0] - ka < nrows * ks]
+    tb = [t for t in tb if t[0] - kb < nrows * ks]
+    width = (max(t[1] for t in ta) - ya + max(t[1] for t in tb) - yb) // ys + 1
+    da = lcm(*(c.denominator for _, _, c in ta))
+    db = lcm(*(c.denominator for _, _, c in tb))
+    va = [c.numerator * (da // c.denominator) for _, _, c in ta]
+    vb = [c.numerator * (db // c.denominator) for _, _, c in tb]
+    bits = (max(map(abs, va)).bit_length() + max(map(abs, vb)).bit_length()
+            + min(len(va), len(vb)).bit_length() + 1)
+    nb = (bits + 7) // 8
+
+    def pack(terms, vals, k0, y0):
+        slots = [((k - k0) // ks * width + (y - y0) // ys) * nb for k, y, _ in terms]
+        pos, neg = bytearray(max(slots) + nb), bytearray(max(slots) + nb)
+        for o, v in zip(slots, vals):
+            if v > 0:
+                pos[o:o + nb] = v.to_bytes(nb, "little")
+            else:
+                neg[o:o + nb] = (-v).to_bytes(nb, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << (8 * nb - 1)
+    zero = half.to_bytes(nb, "little")
+    size = nrows * width * nb
+    bias = int.from_bytes(zero * (nrows * width), "little")
+    buf = ((pack(ta, va, ka, ya) * pack(tb, vb, kb, yb) + bias)
+           & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    den = da * db
     out = {}
-    rbs = sorted(rb.items())
-    for ka, rowa in ra.items():
-        for kb, rowb in rbs:
-            k = ka + kb
-            if k >= kcut:
-                break
-            dst = out.setdefault(k, {})
-            for ya, ca in rowa.items():
-                for yb, cb in rowb.items():
-                    y = ya + yb
-                    dst[y] = dst.get(y, 0) + ca * cb
+    zrow, step = zero * width, width * nb
+    for i, o in enumerate(range(0, size, step)):
+        if buf[o:o + step] == zrow:
+            continue
+        row = {}
+        for j, p in enumerate(range(o, o + step, nb)):
+            if buf[p:p + nb] != zero:
+                v = int.from_bytes(buf[p:p + nb], "little") - half
+                row[ya + yb + j * ys] = v // den if v % den == 0 else Fraction(v, den)
+        out[ka + kb + i * ks] = row
     return out
 
 
@@ -76,6 +134,13 @@ class FracSeries:
         self.cutoff = as_rat(cutoff)
         kcut = ceil(self.cutoff * denom)
         self.coeffs = {k: _canonical(v) for k, v in coeffs.items() if v and k < kcut}
+
+    @classmethod
+    def _of(cls, denom, coeffs, cutoff):
+        """Wrap coefficients that are already canonical, nonzero and below ``cutoff``."""
+        s = object.__new__(cls)
+        s.denom, s.coeffs, s.cutoff = denom, coeffs, cutoff
+        return s
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -169,7 +234,7 @@ class FracSeries:
         cut = min(self.cutoff + other.low(), other.cutoff + self.low())
         out = _convolve({k: {0: v} for k, v in a.items()},
                         {k: {0: v} for k, v in b.items()}, ceil(cut * d))
-        return FracSeries(d, {k: row[0] for k, row in out.items()}, cut)
+        return FracSeries._of(d, {k: row[0] for k, row in out.items()}, cut)
 
     __rmul__ = __mul__
 
@@ -262,7 +327,9 @@ class FracSeries:
         cutoff = as_rat(cutoff)
         if cutoff > self.cutoff:
             raise CutoffUnderflow(f"cannot extend cutoff {self.cutoff} to {cutoff}")
-        return FracSeries(self.denom, self.coeffs, cutoff)
+        kcut = ceil(cutoff * self.denom)
+        return FracSeries._of(self.denom, {k: v for k, v in self.coeffs.items() if k < kcut},
+                              cutoff)
 
     def render(self, max_terms: int = 12) -> str:
         """Canonical text form q^(a/b)*(c0 + c1*q^(s) + ...)."""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -398,6 +399,37 @@ def test_extremal_space_dims():
     assert jb.extremal_space_dim(9) == 0
 
 
+def gauss_jordan_rank(matrix):
+    rows, rank = [[F(x) for x in row] for row in matrix], 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_bareiss_rank_matches_gauss_jordan():
+    # products of n x r and r x m factors, so the rank is often below min(n, m)
+    rng = random.Random(24)
+    deficient = 0
+    for _ in range(60):
+        n, m, r = rng.randint(1, 7), rng.randint(1, 9), rng.randint(0, 6)
+        a = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)] for _ in range(n)]
+        b = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
+        mat = [[sum((a[i][k] * b[k][j] for k in range(r)), F(0)) for j in range(m)]
+               for i in range(n)]
+        want = gauss_jordan_rank(mat)
+        assert jb._rank(mat) == want
+        deficient += want < min(n, m)
+    assert deficient > 15
+
+
 def test_windowed_mul_guards():
     psi = jb.psi_one_one(3, 4)
     with pytest.raises(UnboundedSupport):
@@ -486,6 +518,7 @@ def test_no_series_stores_a_float_or_an_integral_fraction():
             assert type(c) is int or type(c) is F and c.denominator != 1, series
     for make in (lambda c: FracSeries(1, {0: c}, 3),
                  lambda c: jb.WindowedSeries(1, {0: {0: c}}, 3),
+                 lambda c: FracSeries.from_terms([(0, c)], 3),
                  lambda c: FracSeries.one(3).scale(c)):
         with pytest.raises(TypeError):
             make(0.5)

@@ -1,10 +1,13 @@
 """Seeded differential tests of the one convolution kernel.
 
-``qseries._convolve`` and both ``*`` operators are compared with a
-schoolbook product written here on Fractions only, with exponents compared
-as Fractions against the cutoff.  The operands mix ints, Fractions, negative
-values and terms that cancel, and the cutoffs are fractional with products
-landing on both sides of the integer bound ceil(cut * d).
+``qseries._convolve`` (Kronecker substitution) and both ``*`` operators are
+compared with a schoolbook product written here on Fractions only, with
+exponents compared as Fractions against the cutoff.  The operands mix ints,
+Fractions, negative values and terms that cancel, and the cutoffs are
+fractional with products landing on both sides of the integer bound
+ceil(cut * d).  Targeted cases cover the packing: strided keys, negative keys
+and powers, coefficients that fill the slot width exactly, denominators,
+empty operands and cutoffs below the lowest product key.
 """
 import random
 from fractions import Fraction as F
@@ -35,6 +38,21 @@ def reference(a_terms, b_terms, cut):
     return {key: c for key, c in out.items() if c != 0}
 
 
+def flat(r):
+    return [(k, y, c) for k, row in r.items() for y, c in row.items()]
+
+
+def assert_product(ra, rb, kcut):
+    """``_convolve`` equals the reference and holds only nonzero canonical values."""
+    out = _convolve(ra, rb, kcut)
+    got = {(F(k), F(y)): F(c) for k, row in out.items() for y, c in row.items()}
+    assert got == reference(flat(ra), flat(rb), kcut)
+    for row in out.values():
+        assert row
+        assert all(type(c) is int or (type(c) is F and c.denominator > 1) for c in row.values())
+    return out
+
+
 def coefficient(rng):
     """An int or a Fraction, either sign, small enough to cancel often."""
     return rng.choice([rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 4))])
@@ -56,13 +74,76 @@ def test_convolve_matches_reference():
         ka = rng.choice(list(ra))
         rb.setdefault(kbound - 1 - ka, {0: 1})
         rb.setdefault(kbound - ka, {0: -1})
-        got = {(F(k), F(y)): F(c) for k, row in _convolve(ra, rb, kbound).items()
-               for y, c in row.items() if c != 0}
-        flat = lambda r: [(k, y, c) for k, row in r.items() for y, c in row.items()]
-        want = reference(flat(ra), flat(rb), kbound)
-        assert got == want
-        kept_last += any(k == kbound - 1 for k, _ in want)
+        out = assert_product(ra, rb, kbound)
+        kept_last += kbound - 1 in out
     assert kept_last > 200
+
+
+def test_convolve_strided_keys():
+    # aligned lambency-2 rows sit on every 8th key, and y on even powers
+    rng = random.Random(SEED + 3)
+    for _ in range(60):
+        ra = rows(rng, [8 * i + 3 for i in rng.sample(range(10), 4)], [-4, -2, 0, 2, 6])
+        rb = rows(rng, [8 * i - 5 for i in rng.sample(range(10), 4)], [-2, 2, 4])
+        assert_product(ra, rb, rng.randint(-10, 90))
+
+
+def test_convolve_negative_keys_and_powers():
+    rng = random.Random(SEED + 4)
+    for _ in range(60):
+        ra = rows(rng, rng.sample(range(-30, -10), 5), [-9, -5, -4])
+        rb = rows(rng, rng.sample(range(-12, 3), 5), [-7, -1, 2])
+        assert_product(ra, rb, rng.randint(-45, 0))
+
+
+def test_convolve_slot_width_is_tight():
+    # n pairs of coefficients of ba and bb bits land on slot n - 1; where
+    # ba + bb + bits(n) is a multiple of 8 and n = 3 or 7, the sum needs every
+    # bit of the bound, so a slot one bit narrower is a byte short
+    tight = 0
+    for ba in range(297, 305):
+        for bb in (299, 300, 301):
+            for n in (1, 2, 3, 4, 7):
+                for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                    ra = {k: {0: sa * (2 ** ba - 1)} for k in range(n)}
+                    rb = {k: {0: sb * (2 ** bb - 1)} for k in range(n)}
+                    out = assert_product(ra, rb, n)
+                    assert out[n - 1][0] == sa * sb * n * (2 ** ba - 1) * (2 ** bb - 1)
+                    tight += n in (3, 7) and (ba + bb + n.bit_length()) % 8 == 0
+    assert tight >= 12
+
+
+def test_convolve_rational_rows():
+    rng = random.Random(SEED + 5)
+    for _ in range(60):
+        ra = {k: {y: F(rng.randint(-9, 9), rng.choice([1, 3, 4])) for y in (0, 1, 3)}
+              for k in rng.sample(range(8), 3)}
+        rb = {k: {y: F(rng.randint(-9, 9), rng.choice([1, 5, 6])) for y in (-1, 0)}
+              for k in rng.sample(range(8), 3)}
+        assert_product(ra, rb, rng.randint(1, 16))
+
+
+def test_convolve_integral_fractions_come_out_as_ints():
+    ra = {0: {0: F(4, 2), 1: F(3)}, 1: {0: F(1, 2)}}
+    rb = {0: {0: F(6, 3)}, 2: {-1: F(2, 4)}}
+    out = assert_product(ra, rb, 3)
+    assert out == {0: {0: 4, 1: 6}, 1: {0: 1}, 2: {-1: 1, 0: F(3, 2)}}
+    assert [type(out[k][y]) for k, y in ((0, 0), (0, 1), (1, 0), (2, -1))] == [int] * 4
+
+
+def test_convolve_empty_operand():
+    a = {0: {0: 1, 1: -2}}
+    for empty in ({}, {3: {}}, {0: {0: 0, 2: F(0)}}):
+        assert _convolve(a, empty, 10) == {}
+        assert _convolve(empty, a, 10) == {}
+
+
+def test_convolve_cut_at_or_below_lowest_key():
+    # the lowest product key is -3 + 5 = 2
+    ra, rb = {-3: {0: 1}, 1: {1: 2}}, {5: {-1: 3}, 9: {0: 1}}
+    assert _convolve(ra, rb, 2) == {}
+    assert _convolve(ra, rb, -7) == {}
+    assert _convolve(ra, rb, 3) == {2: {-1: 3}}
 
 
 def frac_series(rng, denom, cutoff, low):

@@ -1,10 +1,10 @@
 """Two routes to the weight-10 Siegel cusp form, compared coefficientwise.
 
-The additive lift assembles Fourier-Jacobi slices of the weight 10 index 1
-form through the divisor-sum operator; the product lift exponentiates the
-weight-0 form's coefficients.  Both are computed exactly on a finite box
-and must agree, which crosses essentially every series primitive in the
-library in one check.
+The additive lift sums the Hecke images phi|V_m of the weight 10 index 1
+form; the product lift exponentiates minus the sum of the images Z|V_m of
+the weight-0 form under the same operator.  Both are computed exactly on a
+finite box and must agree, which crosses essentially every series primitive
+in the library in one check.
 """
 from moonshine.siegel import additive_lift, compare_igusa, exponential_lift
 
@@ -16,7 +16,7 @@ for m in (1, 2):
 
 print("\nProduct lift prefactor exponents (A, B, C) per lambency:")
 for ell in (2, 3, 4, 5, 7, 13):
-    lift = exponential_lift(ell, 1, 1, 3)
+    lift = exponential_lift(ell, 1, 1)
     print(f"  lambency {ell:>2}: p^{lift.prefactor[0]} q^{lift.prefactor[1]} "
           f"y^{lift.prefactor[2]}")
 
@@ -25,6 +25,6 @@ rep = compare_igusa(3, 3, 6)
 print("  additive == exponential:", rep["ok"])
 
 print("\nA few product-lift coefficients at lambency 3 (paramodular side):")
-lift = exponential_lift(3, 2, 2, 4)
+lift = exponential_lift(3, 2, 2)
 for row in lift.dump()[:8]:
     print(f"  c({row['m']}, {row['n']}, {row['r']}) = {row['c']}")

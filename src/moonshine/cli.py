@@ -220,17 +220,20 @@ def cmd_extremal_dim(args):
 
 def cmd_siegel(args):
     ell = args.lambency
+    if min(args.pmax, args.nmax) < 1 or args.ywindow < 0:
+        print("usage error: --pmax and --nmax must be >= 1, --ywindow >= 0", file=sys.stderr)
+        return 2
     if ell == 2:
         rep = siegel.compare_igusa(args.pmax, args.nmax, args.ywindow)
         if args.json:
-            lift = siegel.exponential_lift(2, args.pmax, args.nmax, args.ywindow)
+            lift = siegel.exponential_lift(2, args.pmax, args.nmax)
             print(json.dumps({"compare": rep, "coefficients": lift.dump()},
                              indent=1, default=str))
         else:
             print(f"additive vs product lift on box {rep['box']}: "
                   + ("equal" if rep["ok"] else f"MISMATCH at {rep['first_mismatch']}"))
         return 0 if rep["ok"] else 1
-    lift = siegel.exponential_lift(ell, args.pmax, args.nmax, args.ywindow)
+    lift = siegel.exponential_lift(ell, args.pmax, args.nmax)
     payload = {"lambency": ell, "prefactor": [str(x) for x in lift.prefactor],
                "coefficients": lift.dump()}
     _emit(args, payload, lambda p: print(

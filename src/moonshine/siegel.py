@@ -1,7 +1,13 @@
-"""Truncated three-variable lifts: the additive lift of the weight 10 index 1
-cusp form and the exponential (product) lift of the distinguished weight-0
-forms, with the coefficientwise cross-check between the two routes to the
-weight 10 Siegel cusp form.
+"""Truncated three-variable lifts, both built from one Hecke operator.
+
+For a weight-k Jacobi form phi = sum c(n, r) q^n y^r, phi|V_m has the
+coefficient sum over j | gcd(m, n, r) of j^(k-1) c(nm/j^2, r/j) at q^n y^r
+(V. Gritsenko and V. Nikulin, Int. J. Math. 9 (1998)).  The additive (Maass)
+lift of the weight 10 index 1 cusp form is sum_{m >= 1} p^m phi|V_m.  The
+exponential (Borcherds) lift of a weight-0 form Z, the product of
+(1 - p^m q^n y^r)^c(mn, r) over (m, n, r) > 0, is head * exp(-sum p^m Z|V_m)
+with V_m at weight 0 and head = prod_{r < 0} (1 - y^r)^c(0, r).  At lambency
+2 both give Igusa's chi_10, which ``compare_igusa`` checks coefficientwise.
 """
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import as_rat
-from .data import LAMBENCIES
+from .data import LAMBENCIES, memo
 from .errors import OutOfRange
 from .jacobi import WindowedSeries, jacobi_theta, umbral_Z
 from .qseries import eta
@@ -24,10 +30,7 @@ class TripleSeries:
     so lifts with non-integral leading powers still live on integer keys.
     """
 
-    pmax: int
-    nmax: int
-    ywindow: int
-    coeffs: dict = field(default_factory=dict)  # (m, n, r) -> Fraction
+    coeffs: dict = field(default_factory=dict)  # (m, n, r) -> int or Fraction
     prefactor: tuple = (Fraction(0), Fraction(0), Fraction(0))
 
     def set(self, m, n, r, c):
@@ -40,7 +43,7 @@ class TripleSeries:
         return as_rat(self.coeffs.get((m, n, r), 0))
 
     def slice(self, m: int) -> dict:
-        return {(n, r): c for (mm, n, r), c in self.coeffs.items() if mm == m}
+        return {(n, r): as_rat(c) for (mm, n, r), c in self.coeffs.items() if mm == m}
 
     def dump(self) -> list:
         out = []
@@ -50,6 +53,31 @@ class TripleSeries:
         return out
 
 
+def _coeffs(s: WindowedSeries) -> dict:
+    """The rows {n: {r: c(n, r)}} of a series on integer q- and y-exponents."""
+    rows = {}
+    for qe, yp, v in s.items():
+        rows.setdefault(int(qe), {})[int(yp)] = v
+    return rows
+
+
+def _hecke(c: dict, m: int, weight: int, nmax: int) -> WindowedSeries:
+    """phi|V_m below q^(nmax+1) from the rows ``c`` of phi (module docstring).
+
+    With m = 0 only n >= 1 remain: gcd(0, 0) = 0 leaves no j.
+    """
+    rows = {}
+    for n in range(nmax + 1):
+        g = gcd(m, n)
+        row = rows[n] = {}
+        for j in range(1, g + 1):
+            if g % j == 0:
+                w = Fraction(j) ** (weight - 1)
+                for r, v in c.get(n * m // (j * j), {}).items():
+                    row[r * j] = row.get(r * j, 0) + w * v
+    return WindowedSeries(1, rows, nmax + 1)
+
+
 def _phi_10_1(qcut) -> WindowedSeries:
     """The weight 10 index 1 cusp form eta^18 * (theta_1 / -i)^2."""
     t1 = jacobi_theta(1, qcut)
@@ -57,100 +85,60 @@ def _phi_10_1(qcut) -> WindowedSeries:
 
 
 def additive_lift(pmax=3, nmax=3, ywindow=6) -> TripleSeries:
-    """Fourier--Jacobi slices phi|V_m of the weight 10 index 1 form.
-
-    The Hecke-like operator acts on coefficients by
-    c|V_m(n, r) = sum over j | gcd(n, r, m) of j^(k-1) c(nm/j^2, r/j), k = 10.
-    """
-    out = TripleSeries(pmax, nmax, ywindow)
-    phi = _phi_10_1(pmax * nmax + 1)
-    c = {}
-    for qe, yp, v in phi.items():
-        c[(int(qe), int(yp))] = v
+    """The slices phi|V_m, 1 <= m <= pmax, of the weight 10 index 1 form,
+    for n <= nmax and |r| <= ywindow."""
+    if min(pmax, nmax, ywindow) < 0:
+        raise OutOfRange(f"negative box size in {(pmax, nmax, ywindow)}")
+    c = _coeffs(_phi_10_1(pmax * nmax + 1))
+    out = TripleSeries()
     for m in range(1, pmax + 1):
-        for n in range(0, nmax + 1):
-            for r in range(-ywindow, ywindow + 1):
-                g = gcd(gcd(n, abs(r)), m)
-                total = Fraction(0)
-                for j in range(1, g + 1):
-                    if g % j == 0:
-                        total += j ** 9 * as_rat(c.get((n * m // (j * j), r // j), 0))
-                out.set(m, n, r, total)
+        for n, row in _hecke(c, m, 10, nmax).rows.items():
+            for r, v in row.items():
+                if abs(r) <= ywindow:
+                    out.set(m, n, r, v)
     return out
 
 
-def _z_coeff_table(ell: int, kmax: int) -> dict:
-    """c(n, r) coefficients of the weight-0 form up to q^kmax, all r."""
-    Z = umbral_Z(ell, kmax + 1)
-    out = {}
-    for qe, yp, v in Z.items():
-        out[(int(qe), int(yp))] = v
-    return out
-
-
-def exponential_lift(ell: int, pmax=3, nmax=3, ywindow=6) -> TripleSeries:
-    """Product lift prod (1 - p^m q^n y^r)^(c(mn, r)) over (m, n, r) > 0,
-    with prefactor exponents A = sum_r c(0,r)/24, B = sum_{r>0} r c(0,r)/2,
+@memo
+def exponential_lift(ell: int, pmax=3, nmax=3) -> TripleSeries:
+    """Product lift prod (1 - p^m q^n y^r)^(c(mn, r)) over (m, n, r) > 0 of
+    Z = umbral_Z(ell), for m <= pmax, n <= nmax and every r, with prefactor
+    exponents A = sum_r c(0,r)/24, B = sum_{r>0} r c(0,r)/2,
     C = sum_r r^2 c(0,r)/4.
 
     The ordering (m, n, r) > 0 means m > 0, or m = 0 and n > 0, or
-    m = n = 0 and r < 0.
+    m = n = 0 and r < 0.  Every term of X = -sum p^m Z|V_m has m + n >= 1,
+    so exp(X) stops at X^(pmax + nmax) / (pmax + nmax)!.  Built once per
+    arguments (``data.memo``): callers share the result and must not change it.
     """
     if ell not in LAMBENCIES:
         raise OutOfRange(f"lambency {ell}")
-    table = _z_coeff_table(ell, pmax * nmax)
-    row0 = {r: c for (n, r), c in table.items() if n == 0}
-    A = sum(row0.values()) / 24
-    B = sum(r * c for r, c in row0.items() if r > 0) / 2
-    C = sum(r * r * c for r, c in row0.items()) / 4
-    # accumulate the product on integer exponents
-    acc = {(0, 0, 0): Fraction(1)}
-
-    def mul_factor(m, n, r, expo):
-        """Multiply acc by (1 - p^m q^n y^r)^expo inside the box."""
-        nonlocal acc
-        # binomial series; for m = n = 0 the factor is a pure y-polynomial
-        # with positive exponent, else truncation in p or q bounds powers
-        if expo == 0:
-            return
-        if m == 0 and n == 0:
-            if expo < 0:
-                raise OutOfRange("infinite pure-y factor in the product lift")
-            kmax = expo
-        else:
-            kmax = min(top // step for top, step in ((pmax, m), (nmax, n)) if step)
-        series = {0: Fraction(1)}
-        sign = -1
-        coef = Fraction(1)
-        # (1 - x)^expo = sum_k binom(expo, k)(-x)^k
-        for k in range(1, kmax + 1):
-            coef = coef * Fraction(expo - k + 1, k)
-            series[k] = coef * ((-1) ** k)
-        new = {}
-        for (pm, pn, pr), v in acc.items():
-            for k, bk in series.items():
-                if bk == 0:
-                    continue
-                key = (pm + k * m, pn + k * n, pr + k * r)
-                if key[0] > pmax or key[1] > nmax:
-                    continue
-                new[key] = new.get(key, Fraction(0)) + v * bk
-        acc = {k: v for k, v in new.items() if v}
-
-    for r in sorted((r for r in row0 if r < 0), reverse=True):
-        mul_factor(0, 0, r, int(row0[r]))
-    for n in range(1, nmax + 1):
-        for r in sorted(row0):
-            mul_factor(0, n, r, int(row0[r]))
-    for m in range(1, pmax + 1):
-        for n in range(0, nmax + 1):
-            k = m * n
-            rs = sorted(r for (nn, r) in table if nn == k)
-            for r in rs:
-                mul_factor(m, n, r, int(table[(k, r)]))
-    out = TripleSeries(pmax, nmax, ywindow, prefactor=(A, B, C))
-    for (m, n, r), v in acc.items():
-        out.set(m, n, r, v)
+    if min(pmax, nmax) < 0:
+        raise OutOfRange(f"negative box size in {(pmax, nmax)}")
+    c = _coeffs(umbral_Z(ell, pmax * nmax + 1))
+    row0 = c[0]
+    prefactor = (Fraction(sum(row0.values()), 24),
+                 Fraction(sum(r * v for r, v in row0.items() if r > 0), 2),
+                 Fraction(sum(r * r * v for r, v in row0.items()), 4))
+    qcut = nmax + 1
+    zero = WindowedSeries(1, {}, qcut)
+    x = [-_hecke(c, m, 0, nmax) for m in range(pmax + 1)]
+    # p-slices of X^k / k! and of their running sum
+    term = [WindowedSeries.one(qcut)] + [zero] * pmax
+    total = list(term)
+    for k in range(1, pmax + nmax + 1):
+        term = [sum((term[i] * x[m - i] for i in range(m + 1)), zero).scale(Fraction(1, k))
+                for m in range(pmax + 1)]
+        total = [s + t for s, t in zip(total, term)]
+    head = WindowedSeries.one(qcut)
+    for r, e in row0.items():
+        if r < 0:
+            head = head * WindowedSeries(1, {0: {0: 1, r: -1}}, qcut) ** int(e)
+    out = TripleSeries(prefactor=prefactor)
+    for m, s in enumerate(total):
+        for n, row in (head * s).rows.items():
+            for r, v in row.items():
+                out.set(m, n, r, v)
     return out
 
 
@@ -159,9 +147,13 @@ def compare_igusa(pmax=3, nmax=3, ywindow=6) -> dict:
 
     The exponential lift at lambency 2 has prefactor p q y, so its integer-
     key coefficients are compared against the additive lift shifted by one.
+    A box without m >= 1, n >= 1 and r = 0 compares nothing of the product
+    side and is refused.
     """
+    if min(pmax, nmax) < 1 or ywindow < 0:
+        raise OutOfRange(f"empty comparison box {(pmax, nmax, ywindow)}")
     add = additive_lift(pmax, nmax, ywindow)
-    exp = exponential_lift(2, pmax, nmax, ywindow)
+    exp = exponential_lift(2, pmax, nmax)
     assert exp.prefactor == (1, 1, 1)
     report = {"box": (pmax, nmax, ywindow), "first_mismatch": None, "ok": True}
     for m in range(1, pmax + 1):

@@ -78,6 +78,29 @@ def test_siegel_verb():
     assert code == 0 and "equal" in out
 
 
+def test_siegel_negative_pmax_is_a_usage_error():
+    code, _ = run(["siegel", "--lambency", "3", "--pmax", "-1"])
+    assert code == 2
+
+
+def test_siegel_negative_ywindow_is_a_usage_error():
+    code, _ = run(["siegel", "--lambency", "2", "--ywindow", "-1"])
+    assert code == 2
+
+
+def test_siegel_empty_box_is_a_usage_error():
+    code, _ = run(["siegel", "--lambency", "2", "--pmax", "0", "--nmax", "0"])
+    assert code == 2
+    code, _ = run(["siegel", "--lambency", "2", "--nmax", "0"])
+    assert code == 2
+
+
+def test_siegel_box_edges_are_accepted():
+    code, out = run(["siegel", "--lambency", "2", "--pmax", "1", "--nmax", "1",
+                     "--ywindow", "0"])
+    assert code == 0 and "equal" in out
+
+
 def test_extract_verb():
     code, out = run(["extract", "--lambency", "5", "--order", "3"])
     assert code == 0 and "H_1" in out and "H_4" in out

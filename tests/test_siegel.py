@@ -1,7 +1,57 @@
 from fractions import Fraction as F
 
+import pytest
+
 from moonshine import siegel
+from moonshine.data import LAMBENCIES
+from moonshine.errors import OutOfRange
 from moonshine.jacobi import umbral_Z
+
+
+def reference_product(ell, pmax, nmax):
+    """The product lift of umbral_Z(ell) on m <= pmax, n <= nmax, every r,
+    multiplied out one binomial factor (1 - p^m q^n y^r)^c(mn, r) at a time
+    on Fractions.  Returns the nonzero coefficients and the prefactor."""
+    Z = umbral_Z(ell, pmax * nmax + 1)
+    table = {(int(qe), int(yp)): c for qe, yp, c in Z.items()}
+    row0 = {r: c for (n, r), c in table.items() if n == 0}
+    prefactor = (sum(row0.values()) / 24,
+                 sum(r * c for r, c in row0.items() if r > 0) / 2,
+                 sum(r * r * c for r, c in row0.items()) / 4)
+    acc = {(0, 0, 0): F(1)}
+
+    def mul_factor(m, n, r, expo):
+        """Multiply acc by (1 - p^m q^n y^r)^expo inside the box."""
+        nonlocal acc
+        if m == 0 and n == 0:
+            assert expo >= 0, "infinite pure-y factor"
+            kmax = expo
+        else:
+            kmax = min(top // step for top, step in ((pmax, m), (nmax, n)) if step)
+        # (1 - x)^expo = sum_k binom(expo, k) (-x)^k
+        series = {0: F(1)}
+        coef = F(1)
+        for k in range(1, kmax + 1):
+            coef = coef * F(expo - k + 1, k)
+            series[k] = coef * (-1) ** k
+        new = {}
+        for (pm, pn, pr), v in acc.items():
+            for k, bk in series.items():
+                key = (pm + k * m, pn + k * n, pr + k * r)
+                if bk and key[0] <= pmax and key[1] <= nmax:
+                    new[key] = new.get(key, F(0)) + v * bk
+        acc = {k: v for k, v in new.items() if v}
+
+    for r in sorted((r for r in row0 if r < 0), reverse=True):
+        mul_factor(0, 0, r, int(row0[r]))
+    for n in range(1, nmax + 1):
+        for r in sorted(row0):
+            mul_factor(0, n, r, int(row0[r]))
+    for m in range(1, pmax + 1):
+        for n in range(0, nmax + 1):
+            for r in sorted(r for (nn, r) in table if nn == m * n):
+                mul_factor(m, n, r, int(table[(m * n, r)]))
+    return acc, prefactor
 
 
 def test_additive_m1_slice_is_the_form():
@@ -26,8 +76,38 @@ def test_vm_collapses_when_coprime():
                 assert add.get(m, n, r) == want
 
 
+@pytest.mark.parametrize("pmax, nmax", [(1, 1), (2, 2), (3, 3), (1, 4), (4, 1)])
+def test_exponential_lift_matches_binomial_product(pmax, nmax):
+    for ell in LAMBENCIES:
+        acc, prefactor = reference_product(ell, pmax, nmax)
+        lift = siegel.exponential_lift(ell, pmax, nmax)
+        want = [{"m": m, "n": n, "r": r, "c": f"{c.numerator}/{c.denominator}"}
+                for (m, n, r), c in sorted(acc.items())]
+        assert lift.dump() == want, ell
+        assert lift.prefactor == prefactor, ell
+
+
+def test_exponential_lift_is_built_once():
+    assert siegel.exponential_lift(3, 2, 1) is siegel.exponential_lift(3, 2, 1)
+
+
+def test_negative_box_sizes_are_refused():
+    with pytest.raises(OutOfRange):
+        siegel.exponential_lift(3, -1, 3)
+    with pytest.raises(OutOfRange):
+        siegel.exponential_lift(3, 3, -1)
+    with pytest.raises(OutOfRange):
+        siegel.additive_lift(3, 3, -1)
+
+
+@pytest.mark.parametrize("box", [(0, 0, 6), (0, 3, 6), (3, 0, 6), (3, 3, -1)])
+def test_igusa_refuses_an_empty_box(box):
+    with pytest.raises(OutOfRange):
+        siegel.compare_igusa(*box)
+
+
 def test_exponential_prefactor_l2():
-    lift = siegel.exponential_lift(2, 2, 2, 4)
+    lift = siegel.exponential_lift(2, 2, 2)
     assert lift.prefactor == (1, 1, 1)
 
 
@@ -36,7 +116,7 @@ def test_exponential_prefactors_from_q0_row():
     for ell in (3, 5, 13):
         Z = umbral_Z(ell, 2)
         row0 = {int(yp): c for qe, yp, c in Z.items() if qe == 0}
-        lift = siegel.exponential_lift(ell, 1, 1, 3)
+        lift = siegel.exponential_lift(ell, 1, 1)
         A = sum(row0.values()) / 24
         B = sum(r * c for r, c in row0.items() if r > 0) / 2
         C = sum(r * r * c for r, c in row0.items()) / 4
@@ -46,7 +126,7 @@ def test_exponential_prefactors_from_q0_row():
 def test_ordering_includes_negative_r_at_origin():
     # the (m, n, r) > 0 ordering admits (0, 0, -1) but not (0, 0, +1):
     # the y^-1 factor contributes a pure y-polynomial piece
-    lift = siegel.exponential_lift(2, 1, 1, 4)
+    lift = siegel.exponential_lift(2, 1, 1)
     assert lift.get(0, 0, -1) == -2   # from (1 - 1/y)^2 expansion head
     assert lift.get(0, 0, -2) == 1
     assert lift.get(0, 0, 1) == 0
@@ -72,7 +152,7 @@ def test_r_reflection_consistency():
     # slices are symmetric, and the product side is symmetric about the
     # y-exponent of its prefactor
     add = siegel.additive_lift(2, 2, 5)
-    exp = siegel.exponential_lift(2, 2, 2, 5)
+    exp = siegel.exponential_lift(2, 2, 2)
     for (m, n, r), c in list(add.coeffs.items()):
         assert add.get(m, n, -r) == c
     for (m, n, r), c in list(exp.coeffs.items()):
@@ -85,7 +165,7 @@ def test_log_exp_internal_consistency():
     from math import gcd
     ell = 2
     pmax = nmax = 2
-    lift = siegel.exponential_lift(ell, pmax, nmax, 6)
+    lift = siegel.exponential_lift(ell, pmax, nmax)
     Z = umbral_Z(ell, pmax * nmax + 1)
     table = {(int(qe), int(yp)): c for qe, yp, c in Z.items()}
     # log sum: -sum c(mn, r)/k * (p^m q^n y^r)^k over factors, k >= 1
@@ -137,7 +217,7 @@ def test_log_exp_internal_consistency():
 
 
 def test_dump_schema():
-    lift = siegel.exponential_lift(2, 1, 1, 2)
+    lift = siegel.exponential_lift(2, 1, 1)
     rows = lift.dump()
     assert all(set(r) == {"m", "n", "r", "c"} for r in rows)
     assert all("/" in r["c"] for r in rows)

@@ -26,12 +26,12 @@ print("  Lambda_2 =", lambda_n(2, 6).render(6))
 print("  f11      =", newform("f11", 9).render(8))
 print("  f23a     =", newform("f23a", 6).render(5))
 
-print("\nThe level-44 newform is bundled data up to q^27; beyond that the")
-print("library refuses rather than extrapolate:")
-try:
-    newform("f44", 40)
-except Exception as exc:
-    print("  newform('f44', 40) ->", type(exc).__name__, "-", exc)
+print("\nThe level-44 newform is counted from its elliptic curve")
+print("y^2 = x^3 + x^2 + 3x - 1: a_p = p - #{(x, y) mod p}, so it has no depth limit:")
+f44 = newform("f44", 400)
+print("  f44      =", f44.render(8))
+print("  a_397    =", f44.coefficient(397), " |a_397| <= 2 sqrt(397):",
+      f44.coefficient(397) ** 2 <= 4 * 397)
 
 print("\nClassical mock theta functions by their Eulerian series:")
 for label in ("f", "mu2", "U0", "S0", "phi10", "X"):

@@ -132,24 +132,22 @@ def cmd_verify_tables(args):
     classes = tabs[1]["classes"]
 
     def check(lab):
+        """(class, r, row, computed, stored) for every stored cell; a cell at
+        or past its component's cutoff is computed as "past cutoff c"."""
         tw = mckay.twisted_H(ell, lab, qcut)
-        bad = []
         for r in range(1, ell):
-            j = tabs[r]["classes"].index(lab)
             comp = tw.component(r)
-            for key, vals in tabs[r]["rows"].items():
+            for key in tabs[r]["rows"]:
                 e = Fraction(int(key), 4 * ell)
-                if e >= comp.cutoff:
-                    continue
-                want = reps.coefficient_row(ell, r, int(key))[lab]
-                if comp.coefficient(e) != want:
-                    bad.append((lab, r, int(key), str(comp.coefficient(e)), want))
-        return bad
+                got = comp.coefficient(e) if e < comp.cutoff else f"past cutoff {comp.cutoff}"
+                yield lab, r, int(key), str(got), reps.coefficient_row(ell, r, int(key))[lab]
 
-    bad = [b for lab in classes for b in check(lab)]
-    payload = {"lambency": ell, "classes": len(classes), "mismatches": bad}
+    cells = [cell for lab in classes for cell in check(lab)]
+    bad = [cell for cell in cells if cell[3] != str(cell[4])]
+    payload = {"lambency": ell, "classes": len(classes), "cells": len(cells),
+               "mismatches": bad}
     _emit(args, payload, lambda p: print(
-        f"lambency {p['lambency']}: {p['classes']} classes, "
+        f"lambency {p['lambency']}: {p['classes']} classes, {p['cells']} cells, "
         f"{len(p['mismatches'])} mismatches"
         + (f"; first {p['mismatches'][0]}" if p["mismatches"] else "")))
     return 0 if not bad else 1

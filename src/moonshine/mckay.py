@@ -24,8 +24,8 @@ from .data import LAMBENCIES, load_json, memo
 from .errors import (CutoffUnderflow, DataCorrupt, DataExhausted,
                      DeterminantNotUnit, NotInGroup, NotInvertible, UnknownClass)
 from .groups import class_table
-from .qseries import (_F44_CUT, FracSeries, eta_quotient, lambda_n,
-                      mock_theta, newform, unary_theta)
+from .qseries import (FracSeries, eta_quotient, lambda_n, mock_theta, newform,
+                      unary_theta)
 from .reps import row_component
 
 
@@ -42,45 +42,31 @@ def weight2_classes(ell: int, variant: str = "F") -> list:
 
 
 def _terms(terms):
-    """Read catalog terms as (coeff, scale, build, cap): a term is coeff times
-    the block series build(cutoff/scale) at q -> q^scale, known only below
-    q^cap (f44 is stored data; every other block has cap None)."""
+    """Read catalog terms as (coeff, scale, build): a term is coeff times the
+    block series build(cutoff/scale) at q -> q^scale."""
     for term in terms:
         scale = as_rat(term.get("scale", "1"))
         blk = term["block"]
-        cap = None
         if blk["type"] == "lambda":
             build = partial(lambda_n, blk["n"])
         elif blk["type"] == "eta":
             build = partial(eta_quotient, [(as_rat(k), m) for k, m in blk["spec"]])
         elif blk["type"] == "newform":
             build = partial(newform, blk["label"])
-            if blk["label"] == "f44":
-                cap = _F44_CUT * scale
         else:
             raise UnknownClass(f"unknown block {blk['type']}")
-        yield as_rat(term["coeff"]), scale, build, cap
+        yield as_rat(term["coeff"]), scale, build
 
 
 def _combination(terms, cutoff) -> FracSeries:
     """sum coeff * block(scale*tau) over catalog terms, exact below ``cutoff``."""
     total = FracSeries.zero(cutoff)
-    for coeff, scale, build, _ in _terms(terms):
+    for coeff, scale, build in _terms(terms):
         s = build(cutoff / scale)
         if scale != 1:
             s = s.rescale(scale)
         total = total + s.scale(coeff)
     return total
-
-
-def weight2_cap(ell: int, label: str, variant: str, cutoff) -> Fraction:
-    """``cutoff`` lowered to the data cap of the catalog entry (f44 is stored data)."""
-    rec = _catalog(ell).get((label, variant))
-    if rec is None:
-        raise UnknownClass(f"no weight-2 form for ({ell}, {label}, {variant})")
-    if "twist_of" in rec:
-        return weight2_cap(ell, rec["twist_of"], variant, cutoff)
-    return min([as_rat(cutoff)] + [cap for *_, cap in _terms(rec["terms"]) if cap is not None])
 
 
 def quarter_twist(f: FracSeries) -> FracSeries:
@@ -131,8 +117,8 @@ class TwistedH:
     def coefficient(self, fourld: int):
         """Coefficient at q^(d/4l) given the integer 4l*d (table row key).
 
-        Past the exact cutoff of a data-limited reconstruction (stored
-        columns, the capped newform) this raises DataExhausted.
+        Past the exact cutoff of a component (the stored columns end at
+        their table's depth) this raises DataExhausted.
         """
         e = Fraction(fourld, 4 * self.lambency)
         r = row_component(self.lambency, fourld)
@@ -197,9 +183,8 @@ def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
     Component r is (chi_{g,r}/chi) H_r + hat H_{g,r} with chi = 24/(l-1),
     hat H from ``_hat_H``; the lambency-4 bridge (odd r) and the stored
     columns (lambencies 7 and 13, classes other than 1A and 2A) replace whole
-    components.  Components carry their exact cutoffs; data-limited
-    reconstructions (the f44-capped class at lambency 3, the stored classes)
-    return series whose cutoff reports the cap.
+    components.  Components carry their exact cutoffs; the stored columns
+    report their table's depth, whatever ``qcut`` asks.
     """
     qcut = as_rat(qcut)
     if ell not in LAMBENCIES:
@@ -226,18 +211,16 @@ def _hat_H(ell: int, label: str, qcut) -> dict:
     zlab, signs = pairing(ell, label)
     if ell == 4:
         terms = load_json("l4_reconstruction.json")["h2_hat"].get(label)
-        cap = qcut
-        sides = {-1: [_combination(terms, cap)]} if terms else {}
+        sides = {-1: [_combination(terms, qcut)]} if terms else {}
     else:
         variants = ["F"] + (["F2"] if (label, "F2") in _catalog(ell) else [])
-        cap = min(weight2_cap(ell, lab, v, qcut) for lab in (label, zlab) for v in variants)
-        form = {(lab, v): weight2(ell, lab, v, cap) for lab in {label, zlab} for v in variants}
+        form = {(lab, v): weight2(ell, lab, v, qcut) for lab in {label, zlab} for v in variants}
         sides = {e: [(form[label, v] + form[zlab, v].scale(e)).scale(
                      Fraction(e if v == "F2" else 1, 2)) for v in variants] for e in (1, -1)}
-    # S_r is built 1/3 past the cap: inverting a 1x1 block loses low(S_r) =
+    # S_r is built 1/3 past qcut: inverting a 1x1 block loses low(S_r) =
     # r^2/4l <= 1/3 when the weight-2 side has no negative powers, and the
     # 2x2 blocks at lambency 5 need 1/5
-    S = {r: unary_theta(ell, r, cap + Fraction(1, 3)) for r in range(1, ell)}
+    S = {r: unary_theta(ell, r, qcut + Fraction(1, 3)) for r in range(1, ell)}
     hat = {}
     for e, rhs in sides.items():
         rs = [r for r in range(1, ell) if signs[r - 1] == e]
@@ -272,7 +255,9 @@ def _l4_odd(label: str, qcut) -> tuple:
     eta quotient for the classes without one."""
     l4 = load_json("l4_reconstruction.json")
     if label in l4["bridge"]:
-        star = twisted_H(2, l4["bridge"][label], 2 * qcut + 1).component(1).rescale(Fraction(1, 2))
+        # component 1 at lambency 2 reports 2c + 1/8 - 1/8 = 2c, that is c at half argument
+        star = twisted_H(2, l4["bridge"][label], 2 * qcut + Fraction(1, 8)).component(1)
+        star = star.rescale(Fraction(1, 2))
     else:
         star = _combination(l4["star_eta"][label], qcut)
     return star.split(Fraction(-1, 16)), star.split(Fraction(7, 16)).scale(-1)
@@ -314,11 +299,9 @@ def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
             if variant == "F2" and r % 2 == 0:
                 piece = piece.scale(-1)
             total = total + piece
-        want_cut = weight2_cap(ell, label, variant, total.cutoff)
-        want = weight2(ell, label, variant, want_cut)
-        diff = (total.truncate(want_cut) - want)
+        diff = total - weight2(ell, label, variant, total.cutoff)
         first_bad = next((e for e, cc in diff.items() if cc != 0), None)
-        entry = {"variant": variant, "order": str(want_cut), "first_mismatch": first_bad}
+        entry = {"variant": variant, "order": str(total.cutoff), "first_mismatch": first_bad}
         report["checked"].append(entry)
         if first_bad is not None:
             report["ok"] = False

@@ -35,8 +35,7 @@ from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
 
 from .algebra import _canonical, as_rat
-from .errors import (CutoffUnderflow, DataExhausted, NotInvertible, NotUnimodular,
-                     OutOfRange)
+from .errors import CutoffUnderflow, NotInvertible, NotUnimodular, OutOfRange
 
 
 def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
@@ -431,9 +430,29 @@ def lambda_n(n: int, cutoff) -> FracSeries:
     return FracSeries(1, coeffs, cutoff)
 
 
-_F44 = {1: 1, 3: 1, 5: -3, 7: 2, 9: -2, 11: -1, 13: -4, 15: -3, 17: 6, 19: 8,
-        21: 2, 23: -3, 25: 4, 27: -5}
-_F44_CUT = 28  # stored data is exact below q^28
+def _curve_newform(a2: int, a4: int, a6: int, level: int, cutoff) -> FracSeries:
+    """Newform of the curve y^2 = x^3 + a2 x^2 + a4 x + a6 (a minimal model of
+    conductor ``level``): a_p = p - #{(x, y) mod p}, bad primes included;
+    a_(p^k) = a_p a_(p^(k-1)) - p a_(p^(k-2)), the second term dropped when p
+    divides the level; a_mn = a_m a_n for coprime m and n."""
+    top = max(ceil(cutoff), 1)
+    a = [0, 1] + [0] * (top - 2)
+    for n in range(2, top):
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        pk = p
+        while n % (pk * p) == 0:
+            pk *= p
+        if pk < n:
+            a[n] = a[pk] * a[n // pk]
+        elif pk == p:
+            squares = [0] * p
+            for y in range(p):
+                squares[y * y % p] += 1
+            a[p] = p - sum(squares[(x ** 3 + a2 * x * x + a4 * x + a6) % p] for x in range(p))
+        else:
+            a[n] = a[p] * a[n // p] - (0 if level % p == 0 else p * a[n // (p * p)])
+    return FracSeries(1, dict(enumerate(a)), cutoff)
+
 
 _NEWFORM_SPECS = {
     "f11": [(1, 2), (11, 2)],
@@ -455,10 +474,8 @@ def newform(label: str, cutoff) -> FracSeries:
         out = out + eta_quotient([(1, 1), (2, 1), (23, 1), (46, 1)], cutoff).scale(4)
         out = out + eta_quotient([(2, 2), (46, 2)], cutoff).scale(4)
         return out
-    if label == "f44":
-        if cutoff > _F44_CUT:
-            raise DataExhausted(f"f44 stored to q^{_F44_CUT - 1} only; asked for {cutoff}")
-        return FracSeries(1, {k: v for k, v in _F44.items() if k < cutoff}, cutoff)
+    if label == "f44":  # Cremona's curve 44a1
+        return _curve_newform(1, 3, -1, 44, cutoff)
     raise KeyError(f"unknown newform {label!r}")
 
 

@@ -146,18 +146,19 @@ def compare_igusa(pmax=3, nmax=3, ywindow=6) -> dict:
     """Additive vs exponential lift of the weight 10 form, coefficientwise.
 
     The exponential lift at lambency 2 has prefactor p q y, so its integer-
-    key coefficients are compared against the additive lift shifted by one.
-    A box without m >= 1, n >= 1 and r = 0 compares nothing of the product
-    side and is refused.
+    key coefficients are compared against the additive lift shifted by one,
+    which is built one row and column larger so that every (m, n) of the
+    product side is read.  A box without m >= 1, n >= 1 and r = 0 compares
+    nothing of the product side and is refused.
     """
     if min(pmax, nmax) < 1 or ywindow < 0:
         raise OutOfRange(f"empty comparison box {(pmax, nmax, ywindow)}")
-    add = additive_lift(pmax, nmax, ywindow)
+    add = additive_lift(pmax + 1, nmax + 1, ywindow)
     exp = exponential_lift(2, pmax, nmax)
     assert exp.prefactor == (1, 1, 1)
     report = {"box": (pmax, nmax, ywindow), "first_mismatch": None, "ok": True}
-    for m in range(1, pmax + 1):
-        for n in range(0, nmax + 1):
+    for m in range(1, pmax + 2):
+        for n in range(0, nmax + 2):
             for r in range(-ywindow, ywindow + 1):
                 a = add.get(m, n, r)
                 e = exp.get(m - 1, n - 1, r - 1) if (n >= 1) else Fraction(0)

@@ -60,7 +60,23 @@ def test_verify_group():
 
 def test_verify_tables_small():
     code, out = run(["verify-tables", "--lambency", "13"])
-    assert code == 0, out
+    assert code == 0 and "3 classes, 1341 cells, 0 mismatches" in out, out
+
+
+def test_verify_tables_fails_a_row_past_the_cutoff(monkeypatch):
+    # a stored row the computed series does not reach is a failure, not a skip
+    from dataclasses import replace
+
+    from moonshine import mckay
+    full = mckay.twisted_H
+
+    def short(*args):
+        tw = full(*args)
+        return replace(tw, components=[s.truncate(5) for s in tw.components])
+
+    monkeypatch.setattr(mckay, "twisted_H", short)
+    code, out = run(["verify-tables", "--lambency", "13"])
+    assert code == 1 and "past cutoff 5" in out, out
 
 
 def test_decompose_verb():

@@ -82,22 +82,20 @@ BUILDERS = [
        lambda c, m=m, j2=j2, ann=ann: jb.appell_mu(m, j2, c, 6, ann), exactly())
       for m, j2, ann in ((1, 0, jb.LOWER), (1, 0, jb.UPPER), (3, 1, jb.UPPER))],
     # one record per catalog, an F2 record, a quarter twist and the f44 record
-    # (stored below q^28, so every cutoff here is below its cap)
     *[(f"weight2({ell},{label},{var})", lambda c, a=(ell, label, var): mckay.weight2(*a, c),
        exactly()) for ell, label, var in ((2, "3A", "F"), (3, "2B", "F"), (3, "22AB", "F"),
                                           (5, "2B", "F2"), (5, "2C", "F2"), (7, "3AB", "F"),
                                           (13, "2A", "F2"))],
-    # one class per route of the solver: component r, shifted by r^2/4l, is
-    # exact below c lowered to the data cap (the f44 newform of 22AB)
+    # one class per route of the solver (22AB reads the f44 newform):
+    # component r, shifted by r^2/4l, is exact below c
     *[(f"twisted_H({ell},{label})", lambda c, a=(ell, label): shifted(mckay.twisted_H(*a, c)),
-       exactly(lambda c, a=(ell, label): mckay.weight2_cap(*a, "F", c)))
-      for ell, label in ((2, "3A"), (3, "2B"), (3, "22AB"), (5, "2B"))],
+       exactly()) for ell, label in ((2, "3A"), (3, "2B"), (3, "22AB"), (5, "2B"))],
     ("twisted_H(4,3A).component(2)",
      lambda c: shifted(mckay.twisted_H(4, "3A", c))[1], exactly()),
     ("twisted_H(4,4A)", lambda c: mckay.twisted_H(4, "4A", c).components, at_most()),
-    # the lambency-4 bridge reads the lambency-2 series at 2c + 1 at half argument
+    # the lambency-4 bridge reads the lambency-2 series at 2c + 1/8 at half argument
     *[(f"twisted_H(4,{label})", lambda c, lb=label: mckay.twisted_H(4, lb, c).components,
-       at_most(lambda c: c + F(1, 2))) for label in ("2A", "3A")],
+       at_most()) for label in ("2A", "3A")],
     # stored columns are exact to the table's depth, whatever c asks
     ("twisted_H(7,3AB)", lambda c: mckay.twisted_H(7, "3AB", c).components, None),
     # the structural operations and their cutoff rules

@@ -67,11 +67,10 @@ def _reference_2(label, qcut):
 
 def _reference_3(label, qcut):
     c, zlab = class_table(3).by_label[label], mk.pairing(3, label)[0]
-    fcut = mk.weight2_cap(3, zlab, "F", mk.weight2_cap(3, label, "F", qcut))
-    fg, fz = mk.weight2(3, label, "F", fcut), mk.weight2(3, zlab, "F", fcut)
+    fg, fz = mk.weight2(3, label, "F", qcut), mk.weight2(3, zlab, "F", qcut)
     H = mk.identity_H(3, qcut)
-    s1_inv = eta_quotient([(4, 2), (2, -5)], fcut)
-    s2_inv = eta_quotient([(2, 1), (1, -2), (4, -2)], fcut).scale(F(1, 2))
+    s1_inv = eta_quotient([(4, 2), (2, -5)], qcut)
+    s2_inv = eta_quotient([(2, 1), (1, -2), (4, -2)], qcut).scale(F(1, 2))
     return [H.component(1).scale(F(c.chibar, 12)) + ((fg + fz) * s1_inv).scale(F(1, 2)),
             H.component(2).scale(F(c.chi, 12)) + ((fg - fz) * s2_inv).scale(F(1, 2))]
 
@@ -155,11 +154,10 @@ def test_identity_class_F_vanishes():
         assert all(h.is_zero() for h in hats)
 
 
-def test_f44_cap_reported():
+def test_f44_class_reports_the_cutoff_asked():
+    # f44 is computed from its elliptic curve, so nothing caps 22AB
     tw = mk.twisted_H(3, "22AB", 40)
-    # the stored newform data caps exactness below requested order
-    assert tw.component(1).cutoff < 40 - F(1, 12)
-    assert tw.component(1).cutoff > 26
+    assert [s.cutoff for s in tw.components] == [40 - F(r * r, 12) for r in (1, 2)]
 
 
 def test_stored_class_depth():

@@ -1,9 +1,9 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from moonshine.errors import (CutoffUnderflow, DataExhausted, NotInvertible,
-                              NotUnimodular)
+from moonshine.errors import CutoffUnderflow, NotInvertible, NotUnimodular
 from moonshine.qseries import (FracSeries, dedekind_epsilon, eta, eta_quotient,
                                lambda_n, mock_theta, newform, unary_theta)
 
@@ -60,16 +60,37 @@ def test_lambda_low_coefficients_are_n_sigma():
 def test_newforms():
     f11 = newform("f11", 8)
     assert [f11.coefficient(k) for k in range(1, 8)] == [1, -2, -1, 2, 1, 2, -2]
-    assert newform("f44", 28).coefficient(5) == -3
     f23b = newform("f23b", 5)
     assert f23b.low() == 2 and f23b.coefficient(2) == 1
     f23a = newform("f23a", 4)
     assert f23a.coefficient(1) == 1 and f23a.coefficient(2) == 0
 
 
-def test_f44_data_exhausted():
-    with pytest.raises(DataExhausted):
-        newform("f44", 40)
+# f44 below q^28 as tabulated for Cremona's curve 44a1 (it has no even terms)
+F44_BELOW_28 = {1: 1, 3: 1, 5: -3, 7: 2, 9: -2, 11: -1, 13: -4, 15: -3, 17: 6, 19: 8,
+                21: 2, 23: -3, 25: 4, 27: -5}
+
+
+def test_f44_matches_table():
+    f = newform("f44", 28)
+    assert f.cutoff == 28 and {int(e): c for e, c in f.items()} == F44_BELOW_28
+
+
+def test_f44_hecke_relations_and_hasse_bound():
+    f = newform("f44", 200)
+    a = {n: f.coefficient(n) for n in range(1, 200)}
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    for p in primes:
+        assert a[p] ** 2 <= 4 * p, p
+        pk = p * p
+        while pk < 200:
+            bad = 0 if 44 % p == 0 else p * a[pk // (p * p)]
+            assert a[pk] == a[p] * a[pk // p] - bad, pk
+            pk *= p
+    for m in range(2, 200):
+        for n in range(m + 1, 200 // m + 1):
+            if m * n < 200 and gcd(m, n) == 1:
+                assert a[m * n] == a[m] * a[n], (m, n)
 
 
 def test_invert_geometric():

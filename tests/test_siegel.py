@@ -137,6 +137,16 @@ def test_igusa_cross_check_box():
     assert rep["ok"], rep
 
 
+def test_igusa_reads_the_corner_of_the_product_lift(monkeypatch):
+    # the product side's (pmax, nmax) corner is compared, not just built
+    lift = siegel.exponential_lift(2, 3, 3)
+    bad = siegel.TripleSeries(dict(lift.coeffs), lift.prefactor)
+    bad.set(3, 3, 0, bad.get(3, 3, 0) + 1)
+    monkeypatch.setattr(siegel, "exponential_lift", lambda *args: bad)
+    rep = siegel.compare_igusa(3, 3, 6)
+    assert not rep["ok"] and rep["first_mismatch"][:3] == (4, 4, 1), rep
+
+
 def test_fj_slice_discriminant_dependence():
     # fixed-m slices depend on (r^2 - 4mn, r mod 2m) on the computed box
     add = siegel.additive_lift(3, 3, 6)

@@ -1,8 +1,11 @@
 """Signed permutation groups: generation, conjugacy data, Frame shapes.
 
 The five groups at lambency 3, 4, 5, 7, 13 are generated by explicit signed
-permutations and enumerated by closure; their conjugacy classes are labelled
-by matching their Frame shapes against the bundled class data.
+permutations and never listed: the group order comes from a stabilizer chain
+(Schreier-Sims), a lazy breadth-first walk starts the conjugation orbits until
+they hold the whole group, and the orbit of z g (z the central sign flip) is
+z times that of g.  The classes are labelled by matching their Frame shapes
+against the bundled class data.
 The degree 24 group at lambency 2 is far too large to enumerate and is
 served from stored class data throughout.
 """
@@ -11,7 +14,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from math import inf, lcm
+from itertools import islice
+from math import lcm, prod
 
 from .data import load_json, memo
 from .errors import ClosureOverflow, DataCorrupt, OutOfRange, UnknownClass
@@ -32,6 +36,11 @@ _FLIP = bytes(p ^ 1 for p in range(256))
 def _table(perm: bytes) -> bytes:
     """The 256-byte translate table of a point permutation."""
     return perm + _IDENTITY[len(perm):]
+
+
+def _inverse(perm: bytes) -> bytes:
+    """The translate table of the inverse of a point permutation."""
+    return bytes.maketrans(_table(perm), _IDENTITY)
 
 
 class SignedPerm:
@@ -75,7 +84,7 @@ class SignedPerm:
         return SignedPerm._of(other.perm.translate(_table(self.perm)))
 
     def inverse(self) -> "SignedPerm":
-        return SignedPerm._of(bytes.maketrans(_table(self.perm), _IDENTITY)[:len(self.perm)])
+        return SignedPerm._of(_inverse(self.perm)[:len(self.perm)])
 
     def __eq__(self, other):
         return self.perm == other.perm
@@ -348,7 +357,7 @@ def class_table(ell: int) -> GroupData:
 
 
 # ---------------------------------------------------------------------------
-# generation by closure
+# generation: stabilizer chain, lazy walk, conjugation orbits
 
 # lambency: (degree, generators in cycle notation on inf, 0, ..., 9, X = e_1, ..., e_12).
 # In cycle (a b c), e_a -> e_b etc.; a prime marks a bar, which negates the image
@@ -382,21 +391,19 @@ def generators(ell: int) -> list:
     return [_perm_from_cycles(degree, c) for c in cycles]
 
 
-def _orbit(start: bytes, steps: list, bound=inf) -> list:
-    """The orbit of a point permutation in breadth-first order (the orbit
-    algorithm, Holt, Eick and O'Brien 2005, section 4.1); each step maps the
-    translate table of an orbit point to a new point.  Raises past the bound."""
+def _orbit(start: bytes, steps: list):
+    """The orbit of a point permutation, walked lazily in breadth-first order
+    (the orbit algorithm, Holt, Eick and O'Brien 2005, section 4.1); each step
+    maps the translate table of an orbit point to a new point."""
     order, seen = [start], {start}
     for x in order:
+        yield x
         table = _table(x)
         for step in steps:
             y = step(table)
             if y not in seen:
                 seen.add(y)
                 order.append(y)
-                if len(order) > bound:
-                    raise ClosureOverflow(f"closure exceeded {bound} elements")
-    return order
 
 
 def _conjugations(gens: list) -> list:
@@ -405,46 +412,113 @@ def _conjugations(gens: list) -> list:
             for a in gens]
 
 
-def _closure(gens: list, bound: int) -> list:
-    """All elements as point permutations, by breadth-first closure under the
-    steps x -> x h for the generators h; raises past the safety bound."""
-    identity = SignedPerm.identity(gens[0].degree).perm
-    return _orbit(identity, [h.perm.translate for h in gens], bound)
+def _walk(gens: list):
+    """All elements as point permutations, walked lazily by the steps x -> x h."""
+    return _orbit(SignedPerm.identity(gens[0].degree).perm, [h.perm.translate for h in gens])
 
 
 def enumerate_group(gens: list, bound: int = 400000) -> set:
     """The images ``img`` of all elements; raises past the safety bound."""
-    return {p[0::2] for p in _closure(gens, bound)}
+    elements = {p[0::2] for p in islice(_walk(gens), bound + 1)}
+    if len(elements) > bound:
+        raise ClosureOverflow(f"closure exceeded {bound} elements")
+    return elements
 
 
-def conjugacy_orbits(elements: list, gens: list) -> list:
-    """Partition point permutations into conjugation orbits, each represented
-    by its first element in the given order: [(representative, orbit size)]."""
-    steps = _conjugations(gens)
-    unassigned = set(elements)
-    orbits = []
+def _sift(levels: list, g: bytes, first: int = 0) -> tuple:
+    """(residue, dropout level) of g sifted through the chain from level ``first``."""
+    for i, (base, _, tv) in enumerate(levels[first:], first):
+        if g[base] not in tv:
+            return g, i
+        g = g.translate(_inverse(tv[g[base]]))
+    return g, len(levels)
+
+
+def _chain(gens: list) -> tuple:
+    """(stabilizer chain, order) of the group ``gens`` generate, by
+    deterministic Schreier-Sims (Holt, Eick and O'Brien 2005, section 4.4.2).
+    A level is [base point, strong generators, transversal]; the transversal
+    maps each orbit point b to a u taking the base point to b, where u then s
+    is u.translate(_table(s)).  Down from the last level, each Schreier
+    generator u s u'^-1 sifts to 1 through the levels below it, or its residue
+    joins their strong generators."""
+    one, levels = _IDENTITY[:len(gens[0].perm)], []
+
+    def add(h, first, last):
+        if last == len(levels):
+            levels.append([next(p for p, q in enumerate(h) if p != q), [], None])
+        for level in levels[first:last + 1]:
+            level[1].append(h)
+            tv, queue = {level[0]: one}, [level[0]]
+            for b in queue:
+                for s in level[1]:
+                    if s[b] not in tv:
+                        tv[s[b]] = tv[b].translate(_table(s))
+                        queue.append(s[b])
+            level[2] = tv
+
+    for g in gens:
+        h, j = _sift(levels, g.perm)
+        if h != one:
+            add(h, 0, j)
+    i = len(levels) - 1
+    while i >= 0:
+        _, strong, tv = levels[i]
+        residues = (_sift(levels, u.translate(_table(s)).translate(_inverse(tv[s[b]])), i + 1)
+                    for b, u in tv.items() for s in strong)
+        h, j = next((r for r in residues if r[0] != one), (one, i - 1))
+        if h != one:
+            add(h, i + 1, j)
+        i = j
+    return levels, prod(len(tv) for *_, tv in levels)
+
+
+def conjugacy_orbits(elements, gens: list, order: int) -> list:
+    """Conjugation orbits [(representative, size)] of the group of ``order``
+    elements generated by ``gens``, z among them: one starts at each element of
+    the walk ``elements`` that no orbit holds, until they hold ``order`` (the
+    class equation).  As z is central, orbit(zp) = z orbit(p) comes with
+    orbit(p), represented by zp, when zp is not in orbit(p)."""
+    steps, held, orbits = _conjugations(gens), set(), []
     for p in elements:
-        if p in unassigned:
-            orbit = _orbit(p, steps)
-            unassigned.difference_update(orbit)
-            orbits.append((SignedPerm._of(p), len(orbit)))
+        if p in held:
+            continue
+        orbit = list(_orbit(p, steps))
+        held.update(orbit)
+        orbits.append((SignedPerm._of(p), len(orbit)))
+        zp = p.translate(_FLIP)
+        if zp not in held:  # held is closed under z, so zp is not in orbit(p)
+            held.update(x.translate(_FLIP) for x in orbit)
+            orbits.append((SignedPerm._of(zp), len(orbit)))
+        if len(held) >= order:
+            break
+    if len(held) != order:
+        raise ClosureOverflow(f"class equation broken: {len(held)} != {order}")
     return orbits
 
 
 def generate(ell: int, bound: int = 400000) -> GroupData:
     """Generate the lambency-l umbral group and label its conjugacy classes.
 
+    The order comes from a stabilizer chain, checked against ``bound``; the
+    chain proves z a member before ``conjugacy_orbits`` walks the group.  A
+    class is represented by its first orbit's representative (zp for a class
+    met as the z-partner orbit of p), which lies in that orbit.
     For lambency 2 the stored class inventory is returned (the degree 24
     group is never enumerated).
     """
     if ell == 2:
         return class_table(2)
     gens = generators(ell)
-    elements = _closure(gens, bound)
+    levels, order = _chain(gens)
+    if order > bound:
+        raise ClosureOverflow(f"group order {order} exceeds the bound {bound}")
+    z = SignedPerm.identity(gens[0].degree).negate().perm
+    if _sift(levels, z)[0] != _IDENTITY[:len(z)]:
+        raise UnknownClass("central sign flip not in group")
     table = class_table(ell)
     found = {}
-    orbits = conjugacy_orbits(elements, gens)
-    for rep, size in orbits:
+    for rep, size in conjugacy_orbits(_walk(gens), gens, order):
         found.setdefault(table.class_of(rep), []).append((rep, size))
     classes = []
     for c in table.classes:
@@ -453,14 +527,8 @@ def generate(ell: int, bound: int = 400000) -> GroupData:
             raise UnknownClass(
                 f"class {c.label}: found {len(orbs)} orbits, expected {c.merged}")
         classes.append(replace(c, size=sum(s for _, s in orbs), rep=orbs[0][0]))
-    total = sum(c.size for c in classes)
-    if total != len(elements):
-        raise ClosureOverflow(f"class equation broken: {total} != {len(elements)}")
-    gd = GroupData(ell, len(elements), classes, dict(table.pairing))
-    # verify the derived pairing against the actual central element; if it is
-    # in the group it is an orbit of its own, so one of the representatives
-    if SignedPerm.identity(gens[0].degree).negate() not in (rep for rep, _ in orbits):
-        raise UnknownClass("central sign flip not in group")
+    gd = GroupData(ell, order, classes, dict(table.pairing))
+    # verify the derived pairing against the actual central element
     for c in classes:
         zlab = gd.class_of(c.rep.negate())
         if zlab != gd.pairing[c.label]:
@@ -501,9 +569,12 @@ def shuffle_group(n: int) -> int:
     """Order of the group generated by the reverse and Mongean shuffles."""
     if 12 % n:
         raise UnknownClass("n must divide 12")
-    r = SignedPerm.from_map(n, {t: (n - 1 - t, 1) for t in range(n)})
-    s = SignedPerm.from_map(n, {t: (min(2 * t, 2 * n - 1 - 2 * t), 1) for t in range(n)})
-    return len(enumerate_group([r, s]))
+    return _chain(_shuffles(n))[1]
+
+
+def _shuffles(n: int) -> list:
+    return [SignedPerm.from_map(n, {t: (n - 1 - t, 1) for t in range(n)}),
+            SignedPerm.from_map(n, {t: (min(2 * t, 2 * n - 1 - 2 * t), 1) for t in range(n)})]
 
 
 def check_ell4_to_ell2() -> dict:

@@ -89,14 +89,19 @@ def quarter_twist(f: FracSeries) -> FracSeries:
 
 
 def weight2(ell: int, label: str, variant: str = "F", cutoff=30) -> FracSeries:
-    """Evaluate the cataloged weight-2 combination for (lambency, class)."""
-    cutoff = as_rat(cutoff)
+    """Evaluate the cataloged weight-2 combination for (lambency, class);
+    each form is built once, at the deepest cutoff asked (``data.memo``)."""
+    return _weight2(ell, label, variant, cutoff)
+
+
+@memo
+def _weight2(ell: int, label: str, variant: str, qcut) -> FracSeries:
     rec = _catalog(ell).get((label, variant))
     if rec is None:
         raise UnknownClass(f"no weight-2 form for ({ell}, {label}, {variant})")
     if "twist_of" in rec:
-        return quarter_twist(weight2(ell, rec["twist_of"], variant, cutoff))
-    return _combination(rec["terms"], cutoff)
+        return quarter_twist(_weight2(ell, rec["twist_of"], variant, qcut))
+    return _combination(rec["terms"], qcut)
 
 
 # ---------------------------------------------------------------------------

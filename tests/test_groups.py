@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -151,6 +152,75 @@ def test_m24_class_table():
 def test_closure_overflow_guard():
     with pytest.raises(ClosureOverflow):
         gr.generate(3, bound=1000)
+    assert gr.generate(13, bound=4).order == 4
+    with pytest.raises(ClosureOverflow, match="exceeds the bound 3"):
+        gr.generate(13, bound=3)
+
+
+def test_chain_order_matches_enumeration():
+    for ell, want in EXPECTED_ORDERS.items():
+        gens = gr.generators(ell)
+        assert gr._chain(gens)[1] == len(gr.enumerate_group(gens)) == want
+    for n in (1, 2, 3, 4, 6, 12):
+        assert gr.shuffle_group(n) == len(gr.enumerate_group(gr._shuffles(n)))
+
+
+def _plant_order(monkeypatch, factor):
+    """Make the stabilizer chain report ``factor`` times the group order."""
+    chain = gr._chain
+
+    def planted(gens):
+        levels, order = chain(gens)
+        return levels, int(order * factor)
+    monkeypatch.setattr(gr, "_chain", planted)
+
+
+@pytest.mark.parametrize("ell, factor", [*((ell, 2) for ell in sorted(EXPECTED_ORDERS)),
+                                         (4, 0.5), (5, 0.5), (7, 0.5)])
+def test_class_equation_checked(monkeypatch, ell, factor):
+    # twice the order: the walk ends first; half of it: the orbits overshoot
+    _plant_order(monkeypatch, factor)
+    with pytest.raises(ClosureOverflow, match="class equation broken"):
+        gr.generate(ell)
+
+
+@pytest.mark.parametrize("ell", [3, 13])
+def test_half_order_misses_classes(monkeypatch, ell):
+    # here the first orbits hold exactly half the group, so the walk stops
+    # with classes unmet, which the orbit count reports
+    _plant_order(monkeypatch, 0.5)
+    with pytest.raises(UnknownClass, match="found 0 orbits"):
+        gr.generate(ell)
+
+
+def test_central_flip_checked(monkeypatch):
+    # (inf 0) alone generates a group of order 2 without the sign flip
+    monkeypatch.setitem(gr._GENERATORS, 13, (2, ["(inf 0)"]))
+    with pytest.raises(UnknownClass, match="central sign flip not in group"):
+        gr.generate(13)
+
+
+def _planted_table(monkeypatch, ell, label, **change):
+    """Make ``generate`` read a class table whose class ``label`` is changed."""
+    t = gr.class_table(ell)
+    planted = gr.GroupData(ell, t.order, [replace(c, **change) if c.label == label else c
+                                          for c in t.classes], dict(t.pairing))
+    monkeypatch.setattr(gr, "class_table", lambda _: planted)
+    return planted
+
+
+@pytest.mark.parametrize("merged", [1, 3])
+def test_orbit_count_checked(monkeypatch, merged):
+    _planted_table(monkeypatch, 5, "4AB", merged=merged)
+    with pytest.raises(UnknownClass, match=f"class 4AB: found 2 orbits, expected {merged}"):
+        gr.generate(5)
+
+
+def test_pairing_checked(monkeypatch):
+    planted = _planted_table(monkeypatch, 5, "1A")
+    planted.pairing["1A"] = "1A"
+    with pytest.raises(UnknownClass, match="pairing mismatch at 1A: 2A"):
+        gr.generate(5)
 
 
 def test_unknown_class():

@@ -553,6 +553,9 @@ MEMOIZED_SERIES = [
     ("zeta_form", jb.zeta_form),
     *[(f"identity_H({ell})", lambda c, ell=ell: mckay.identity_H(ell, c))
       for ell in (2, 5, 13)],
+    # 5A F2 at lambency 5 is the quarter twist of another catalog record
+    *[(f"weight2({ell},{label},{variant})", lambda c, a=(ell, label, variant): mckay.weight2(*a, c))
+      for ell, label, variant in ((2, "2B", "F"), (3, "10A", "F"), (5, "2B", "F2"), (5, "5A", "F2"))],
 ]
 
 
@@ -560,6 +563,8 @@ def _reported(value):
     """Everything a memoized value reports: terms, cutoffs and tags."""
     if isinstance(value, jb.HVector):
         return [(list(h.items()), h.cutoff) for h in value]
+    if isinstance(value, FracSeries):
+        return list(value.items()), value.cutoff
     return list(value.items()), value.qcut, value.ywindow, value.annulus
 
 

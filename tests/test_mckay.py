@@ -24,6 +24,20 @@ def test_weight2_eta_equalities():
     assert mk.weight2(2, "4A", "F", 14) == eta_quotient([(2, 8), (4, -4)], 14).scale(-2)
 
 
+def test_weight2_forms_built_once(monkeypatch):
+    # _hat_H of a class and of its z-partner both read the forms of the pair
+    set_data_dir(None)
+    built = []
+    combination = mk._combination
+    monkeypatch.setattr(mk, "_combination",
+                        lambda terms, cutoff: built.append(cutoff) or combination(terms, cutoff))
+    mk._hat_H(3, "5A", 20)
+    mk._hat_H(3, "10A", 20)
+    mk._hat_H(3, "10A", 12)
+    assert built == [20, 20]
+    assert mk.weight2(3, "5A", "F", 20) is mk.weight2(3, "5A", "F", F(40, 2))
+
+
 def test_weight2_fractional_argument():
     f = mk.weight2(5, "2B", "F2", 8)
     assert f.low() == F(1, 4)

@@ -8,9 +8,11 @@ variable, then the files shipped inside the package.
 is ``qcut`` keeps one value per leading arguments, built at the deepest cutoff
 asked so far: a shallower call gets it truncated (sound, as a value is exact
 below its cutoff), a call at that cutoff gets the stored object itself.  Other
-builders keep one value per argument tuple.  Both caches are keyed by the
-data directory as well, so setting MOONSHINE_DATA_DIR in a running process
-never serves tables of the old one.  ``set_data_dir`` empties both.
+builders keep one value per exact argument tuple, as ``mckay._twisted_H``, whose
+stored columns and lambency-4 bridge report cutoffs that truncating a deeper
+value would not reproduce.  Both caches are keyed by the data directory as
+well, so setting MOONSHINE_DATA_DIR in a running process never serves tables
+of the old one.  ``set_data_dir`` empties both.
 """
 from __future__ import annotations
 

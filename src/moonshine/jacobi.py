@@ -219,8 +219,8 @@ class WindowedSeries:
         if self.ywindow is not None and abs(ypow) > self.ywindow:
             raise WindowTooNarrow(f"row {ypow} outside window {self.ywindow}")
         y = ypow * self.ydenom
-        return FracSeries(self.denom, {k: row.get(y, 0) for k, row in self.rows.items()},
-                          self.qcut)
+        return FracSeries._of(self.denom, {k: row[y] for k, row in self.rows.items() if y in row},
+                              self.qcut)
 
 
 def windowed_mul(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
@@ -573,14 +573,15 @@ def extremal_space_dim(m: int) -> int:
     """Dimension of the space of extremal candidates at index m-1 (m in {9, 25}).
 
     Sets up the span of phi^(m)_1 and zeta^i phi^(m-6i)_j, imposes vanishing
-    of every massive-side coefficient q^n y^r with r^2 - 4mn >= 0 and
-    n <= max(4, (m-1)^2 // 4m) (and of all polar terms other than the r = 1
-    head), and returns the nullity.
+    of every massive-side coefficient q^n y^r with r^2 - 4mn >= 0 and n <=
+    n_bound = max(4, (m-1)^2 // 4m) (and of all polar terms but the r = 1 head),
+    and returns the nullity.  The forms are built to q^(n_bound + 1), the least
+    sound cutoff: H_r, read at n <= n_bound, is exact below it minus r^2/4m.
     """
     if m not in (9, 25):
         raise OutOfRange("supported candidates: m in {9, 25}")
     nbound = max(4, (m - 1) ** 2 // (4 * m))
-    qcut = nbound + 2
+    qcut = nbound + 1
     basis = [gritsenko(m, 1, qcut)]
     zpow = WindowedSeries.one(qcut)
     for i in range(1, (m - 1) // 6 + 1):

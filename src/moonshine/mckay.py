@@ -109,6 +109,7 @@ def _weight2(ell: int, label: str, variant: str, qcut) -> FracSeries:
 
 @dataclass
 class TwistedH:
+    """Immutable by convention: ``twisted_H`` shares one per (lambency, class, cutoff)."""
     lambency: int
     label: str
     components: list            # FracSeries for r = 1..l-1
@@ -191,17 +192,22 @@ def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
     components.  Components carry their exact cutoffs; the stored columns
     report their table's depth, whatever ``qcut`` asks.
     """
-    qcut = as_rat(qcut)
+    return _twisted_H(ell, label, as_rat(qcut))
+
+
+# Not by-cut: truncating a deeper value misreports stored columns' and bridge cutoffs
+@memo
+def _twisted_H(ell: int, label: str, cut: Fraction) -> TwistedH:
     if ell not in LAMBENCIES:
         raise UnknownClass(f"lambency {ell}")
     if ell in (7, 13) and label not in ("1A", "2A"):
         return _finish(ell, label, _stored_components(ell, label))
-    hat = {} if ell in (7, 13) else _hat_H(ell, label, qcut)
-    H = identity_H(ell, qcut)
+    hat = {} if ell in (7, 13) else _hat_H(ell, label, cut)
+    H = identity_H(ell, cut)
     comps = [H.component(r).scale(Fraction(chi_r(ell, label, r) * (ell - 1), 24)) + hat.get(r, 0)
              for r in range(1, ell)]
     if ell == 4:
-        comps[0], comps[2] = _l4_odd(label, qcut)
+        comps[0], comps[2] = _l4_odd(label, cut)
     return _finish(ell, label, comps)
 
 
@@ -272,34 +278,32 @@ def _l4_odd(label: str, qcut) -> tuple:
 # consistency checks
 
 def hat_components(tw: TwistedH, qcut=None) -> list:
-    """hat H_{g,r} = H_{g,r} - (chi_{g,r}/chi) H_r (vanishing-shadow parts)."""
+    """hat H_{g,r} = H_{g,r} - (chi_{g,r}/chi) H_r (vanishing-shadow parts), exact below
+    cutoff_r, or qcut - r^2/4l if less: H is built at max_r(cutoff_r + r^2/4l), capped at qcut."""
     ell = tw.lambency
-    chi = Fraction(24, ell - 1)
-    cut = min(c.cutoff for c in tw.components)
+    cut = max(c.cutoff + Fraction(r * r, 4 * ell) for r, c in enumerate(tw.components, 1))
     if qcut is not None:
         cut = min(cut, as_rat(qcut))
     H = identity_H(ell, cut)
-    out = []
-    for r in range(1, ell):
-        mult = Fraction(chi_r(ell, tw.label, r), 1) / chi
-        out.append((tw.component(r) - H.component(r).scale(mult)).truncate(
-            min(cut - Fraction(r * r, 4 * ell), tw.component(r).cutoff)))
-    return out
+    return [h - H.component(r).scale(Fraction(chi_r(ell, tw.label, r) * (ell - 1), 24))
+            for r, h in enumerate(tw.components, 1)]
 
 
 def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
-    """Check sum_r hat H_{g,r} S_r against the cataloged weight-2 form(s)."""
+    """Check sum_r hat H_{g,r} S_r against the cataloged weight-2 form(s) to ``qcut``.
+    Twisted series at c give hat_r exact below c - r^2/4l, and F2 pairs it with S_(l-r),
+    which starts (l-2)/4 below r^2/4l at r = l-1: so c = qcut + (l-2)/4 for F2 classes."""
     cat = _catalog(ell)
     report = {"lambency": ell, "class": label, "checked": [], "ok": True}
-    tw = twisted_H(ell, label, qcut + 1)
-    # F2 pairs hat_r with S_(l-r), which starts up to (l-2)/4 above r^2/4l
-    hats = hat_components(tw, as_rat(qcut) + Fraction(ell, 4))
+    qcut = as_rat(qcut)
+    cut = qcut + (Fraction(ell - 2, 4) if (label, "F2") in cat else 0)
+    hats = hat_components(twisted_H(ell, label, cut), cut)
     for variant in ("F", "F2"):
         if (label, variant) not in cat:
             continue
-        total = FracSeries.zero(as_rat(qcut))
+        total = FracSeries.zero(qcut)
         for r in range(1, ell):
-            s = unary_theta(ell, ell - r if variant == "F2" else r, as_rat(qcut) + 1)
+            s = unary_theta(ell, ell - r if variant == "F2" else r, qcut + 1)
             piece = hats[r - 1] * s
             if variant == "F2" and r % 2 == 0:
                 piece = piece.scale(-1)

@@ -141,6 +141,12 @@ class FracSeries:
         s.denom, s.coeffs, s.cutoff = denom, coeffs, cutoff
         return s
 
+    @classmethod
+    def _reduced(cls, denom, coeffs, cutoff):
+        """``_of`` on the coarsest lattice, denom / gcd(denom, keys), as ``from_terms``."""
+        g = gcd(denom, *coeffs)
+        return cls._of(denom // g, {k // g: v for k, v in coeffs.items()}, cutoff)
+
     # -- construction -------------------------------------------------
     @classmethod
     def from_terms(cls, terms, cutoff) -> "FracSeries":
@@ -215,7 +221,7 @@ class FracSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return FracSeries(self.denom, {k: -v for k, v in self.coeffs.items()}, self.cutoff)
+        return FracSeries._of(self.denom, {k: -v for k, v in self.coeffs.items()}, self.cutoff)
 
     def __sub__(self, other):
         return self + (-other)
@@ -289,18 +295,15 @@ class FracSeries:
         t = as_rat(t)
         if t <= 0:
             raise ValueError("rescale factor must be positive")
-        return FracSeries.from_terms(
-            ((Fraction(k, self.denom) * t, v) for k, v in self.coeffs.items()),
-            self.cutoff * t,
-        )
+        return FracSeries._reduced(self.denom * t.denominator,
+                                   {k * t.numerator: v for k, v in self.coeffs.items()},
+                                   self.cutoff * t)
 
     def shift(self, e) -> "FracSeries":
         """Multiply by q^e."""
-        e = as_rat(e)
-        return FracSeries.from_terms(
-            ((Fraction(k, self.denom) + e, v) for k, v in self.coeffs.items()),
-            self.cutoff + e,
-        )
+        e, d = as_rat(e), self.denom
+        return FracSeries._reduced(d * e.denominator, {k * e.denominator + e.numerator * d: v
+                                   for k, v in self.coeffs.items()}, self.cutoff + e)
 
     def split(self, residue) -> "FracSeries":
         """Keep only exponents congruent to ``residue`` modulo 1."""

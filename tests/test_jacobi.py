@@ -399,6 +399,29 @@ def test_extremal_space_dims():
     assert jb.extremal_space_dim(9) == 0
 
 
+def test_extremal_cutoff_is_the_least_sound(monkeypatch):
+    # H_r is read at n <= n_bound: one order less than n_bound + 1 underflows
+    assert jb.extremal_space_dim(25) == 0
+    extract = jb.extract_from_form
+    monkeypatch.setattr(jb, "extract_from_form",
+                        lambda phi, m, qcut: extract(phi, m, qcut - 1))
+    with pytest.raises(CutoffUnderflow, match="-29/100"):
+        jb.extremal_space_dim(25)
+
+
+def test_y_row_matches_canonicalizing_construction():
+    # absent rows, windowed series and a y-denominator of 2 included
+    z = jb.umbral_Z(5, 4)
+    psi = jb.psi_one_one(4, int(z.max_abs_y()) + 4, jb.LOWER)
+    for s in (z, psi, jb.windowed_mul(z, psi, qcut=4, ywindow=3), jb.jacobi_theta(1, 4)):
+        top = s.ywindow if s.ywindow is not None else int(s.max_abs_y()) + 2
+        for y in range(-top, top + 1):
+            got = s.y_row(y)
+            want = FracSeries(s.denom, {k: row.get(y * s.ydenom, 0) for k, row in s.rows.items()},
+                              s.qcut)
+            assert (got.denom, got.coeffs, got.cutoff) == (want.denom, want.coeffs, want.cutoff)
+
+
 def gauss_jordan_rank(matrix):
     rows, rank = [[F(x) for x in row] for row in matrix], 0
     for c in range(len(rows[0]) if rows else 0):

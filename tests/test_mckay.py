@@ -1,12 +1,15 @@
+import io
 import json
 import shutil
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
 from moonshine import mckay as mk
-from moonshine.data import data_dir, load_json, set_data_dir
+from moonshine.cli import main
+from moonshine.data import data_dir, load_json, memo, set_data_dir
 from moonshine.errors import DataCorrupt, UnknownClass
 from moonshine.groups import class_table
 from moonshine.qseries import eta_quotient, lambda_n, mock_theta, unary_theta
@@ -160,6 +163,41 @@ def test_f_consistency_samples():
                      (5, "3A"), (7, "4A"), (7, "6AB"), (13, "4AB")]:
         rep = mk.verify_F_consistency(ell, lab, qcut=10)
         assert rep["ok"], rep
+
+
+def test_f_consistency_reaches_the_order_asked():
+    # hat H_r is exact below c - r^2/4l once; F2 pairs it with S_(l-r), so the
+    # F2 classes need c = qcut + (l-2)/4 for every check to reach qcut
+    for ell in (2, 3, 5, 7, 13):
+        for lab in mk.weight2_classes(ell, "F"):
+            rep = mk.verify_F_consistency(ell, lab, qcut=10)
+            assert rep["ok"], rep
+            assert [c["order"] for c in rep["checked"]] == ["10"] * len(rep["checked"]), rep
+
+
+def test_twisted_series_built_once(monkeypatch):
+    # identities that share a class, and the lambency-4 bridge, share one build
+    assert mk.twisted_H(3, "2B", 21) is mk.twisted_H(3, "2B", F(21)) is mk.twisted_H(3, "2B", "21")
+    built = []
+    build = mk._twisted_H.__wrapped__
+    monkeypatch.setattr(mk, "_twisted_H", memo(
+        lambda ell, label, cut: built.append((ell, label, cut)) or build(ell, label, cut)))
+    for name in mk.MOCK_IDENTITIES:
+        assert mk.mock_identity_check(name)["ok"]
+    assert len(built) == len(set(built)) == 11
+
+
+def test_verify_identities_builds_each_vector_once(monkeypatch):
+    # the F loop asks identity_H at one cutoff per class, hat parts included
+    set_data_dir(None)
+    built = []
+    extract = mk.jacobi.extract_H
+    monkeypatch.setattr(mk.jacobi, "extract_H",
+                        lambda ell, qcut: built.append(ell) or extract(ell, qcut))
+    monkeypatch.setattr(mk, "MOCK_IDENTITIES", {})
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify-identities"]) == 0
+    assert sorted(built) == [2, 3, 5, 7, 13]
 
 
 def test_identity_class_F_vanishes():

@@ -109,6 +109,29 @@ def test_rescale_halves_exponents():
     assert s.coefficient(F(1, 16) + F(1, 2)) == -3
 
 
+def _by_terms(s, exponent, cutoff):
+    return FracSeries.from_terms(((exponent(e), c) for e, c in s.items()), cutoff)
+
+
+def _same(a, b):
+    assert (a.denom, list(a.items()), a.cutoff) == (b.denom, list(b.items()), b.cutoff)
+
+
+def test_shift_and_rescale_on_the_lattice():
+    # the integer-lattice ops give what from_terms gives, minimal denom included
+    mixed = FracSeries.from_terms([(F(-1, 6), 2), (F(1, 4), F(-1, 3)), (F(5, 2), 7)], 4)
+    series = [mixed, eta(5), unary_theta(5, 2, 6), FracSeries.zero(F(7, 3)),
+              FracSeries(12, {6: 1, 18: F(1, 2)}, 3)]  # denom 12 on the lattice 1/2
+    for s in series:
+        for e in (F(-1, 8), F(-7, 3), F(1, 6), -2, 0, F(5, 12)):
+            _same(s.shift(e), _by_terms(s, lambda x: x + e, s.cutoff + e))
+        for t in (F(1, 2), 2, F(3, 4), F(6, 5)):
+            _same(s.rescale(t), _by_terms(s, lambda x: x * t, s.cutoff * t))
+        _same(-s, FracSeries(s.denom, {k: -v for k, v in s.coeffs.items()}, s.cutoff))
+    assert FracSeries(12, {6: 1, 18: 1}, 3).shift(F(1, 2)).denom == 1
+    assert FracSeries.zero(5).rescale(F(1, 2)).denom == 1
+
+
 def test_split_partitions(rng):
     terms = [(F(rng.randint(-40, 40), 8), rng.randint(-5, 5)) for _ in range(30)]
     s = FracSeries.from_terms(terms, 10)

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import groups, jacobi, mckay, reps, siegel
-from .data import LAMBENCIES, load_json, set_data_dir
+from .data import LAMBENCIES, set_data_dir
 from .errors import DataExhausted, MoonshineError, UnknownClass
 
 
@@ -46,8 +46,10 @@ def _parser() -> argparse.ArgumentParser:
                                           "weight-0 form"), order=40)
     common(sub.add_parser("twist", help="twisted series for one class"),
            cls="req", r=True, order=40)
-    common(sub.add_parser("verify-tables", help="recompute stored coefficient "
-                                                "tables"), order=None)
+    common(sub.add_parser("verify-tables", help="compare stored coefficient tables "
+                          "with the twisted series (recomputed, except the source "
+                          "columns at lambencies 7 and 13, which are read back)"),
+           order=None)
     sub.add_parser("verify-identities", help="mock theta and weight-2 checks")
     common(sub.add_parser("verify-group", help="group regeneration checks"))
     common(sub.add_parser("decompose", help="decompose one table row"),
@@ -126,21 +128,19 @@ def cmd_twist(args):
 
 def cmd_verify_tables(args):
     ell = args.lambency
-    tabs = {r: load_json(f"mt_{ell}_{r}.json") for r in range(1, ell)}
-    qcut = Fraction(max(int(k) for r in tabs for k in tabs[r]["rows"]) + 4 * ell,
-                    4 * ell) + 1
-    classes = tabs[1]["classes"]
+    rows = reps.stored_rows(ell)
+    qcut = Fraction(max(k for _, k in rows) + 4 * ell, 4 * ell) + 1
+    classes = list(next(iter(rows.values())))
 
     def check(lab):
         """(class, r, row, computed, stored) for every stored cell; a cell at
         or past its component's cutoff is computed as "past cutoff c"."""
         tw = mckay.twisted_H(ell, lab, qcut)
-        for r in range(1, ell):
+        for r, k in rows:
             comp = tw.component(r)
-            for key in tabs[r]["rows"]:
-                e = Fraction(int(key), 4 * ell)
-                got = comp.coefficient(e) if e < comp.cutoff else f"past cutoff {comp.cutoff}"
-                yield lab, r, int(key), str(got), reps.coefficient_row(ell, r, int(key))[lab]
+            e = Fraction(k, 4 * ell)
+            got = comp.coefficient(e) if e < comp.cutoff else f"past cutoff {comp.cutoff}"
+            yield lab, r, k, str(got), reps.coefficient_row(ell, r, k)[lab]
 
     cells = [cell for lab in classes for cell in check(lab)]
     bad = [cell for cell in cells if cell[3] != str(cell[4])]

@@ -434,12 +434,14 @@ def psi_one_one(qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
     return appell_mu(1, 0, qcut, ywindow, annulus)
 
 
+@memo
 def appell_mu(m: int, j2: int, qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
     """The averaged pole block mu^(m)_j with 2j = j2 in {0, ..., m-1}.
 
     Each k-summand q^(m k^2) y^(2mk) (sum_t (y q^k)^t) / (1 - y q^k) is
     expanded per the annulus: the k = 0 pole factor as a one-sided geometric
-    series in y, the k != 0 factors in powers of (y q^|k|)^(+-1).
+    series in y, the k != 0 factors in powers of (y q^|k|)^(+-1).  Built once
+    per argument tuple (``data.memo``), ``psi_one_one`` included.
     """
     if not 0 <= j2 <= m - 1:
         raise OutOfRange(f"2j = {j2} outside 0..{m - 1}")

@@ -26,7 +26,7 @@ from .errors import (CutoffUnderflow, DataCorrupt, DataExhausted,
 from .groups import class_table
 from .qseries import (FracSeries, eta_quotient, lambda_n, mock_theta, newform,
                       unary_theta)
-from .reps import row_component
+from .reps import row_component, stored_rows
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +164,13 @@ def pairing(ell: int, label: str):
 
 
 def _stored_components(ell: int, label: str) -> list:
-    comps = []
-    for r in range(1, ell):
-        tab = load_json(f"mt_{ell}_{r}.json")
-        if label not in tab["classes"]:
+    cols = {r: {} for r in range(1, ell)}
+    for (r, k), row in stored_rows(ell).items():
+        if label not in row:
             raise UnknownClass(f"no stored column {label} in table {ell},{r}")
-        j = tab["classes"].index(label)
-        rows = {int(k): v[j] for k, v in tab["rows"].items()}
-        top = max(rows)
-        cut = Fraction(top + 4 * ell, 4 * ell)
-        comps.append(FracSeries.from_terms(
-            ((Fraction(k, 4 * ell), v) for k, v in rows.items()), cut))
-    return comps
+        cols[r][Fraction(k, 4 * ell)] = row[label]
+    # the table ends one row past its last: exact below the last exponent + 1
+    return [FracSeries.from_terms(col.items(), max(col) + 1) for col in cols.values()]
 
 
 def _finish(ell, label, comps) -> TwistedH:

@@ -35,6 +35,7 @@ from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
 
 from .algebra import _canonical, as_rat
+from .data import memo
 from .errors import CutoffUnderflow, NotInvertible, NotUnimodular, OutOfRange
 
 
@@ -559,11 +560,13 @@ _MOCK_THETA = {
 }
 
 
+@memo
 def mock_theta(label: str, cutoff) -> FracSeries:
     """Classical mock theta function by label.
 
     Labels: order 3: f, phi, chi, omega, rho; order 2/8: mu2, U0, U1,
-    S0, S1, T0, T1; order 10: phi10, psi10, X, chi10.
+    S0, S1, T0, T1; order 10: phi10, psi10, X, chi10.  Built once per
+    (label, cutoff) (``data.memo``).
     """
     try:
         row = _MOCK_THETA[label]

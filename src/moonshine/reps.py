@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .algebra import QuadValue, _canonical, squarefree_part
@@ -186,18 +186,37 @@ DEC_ERRATA = {
 }
 
 
+@memo
+def stored_rows(ell: int) -> dict:
+    """The stored coefficient tables of one lambency, as printed, keyed by
+    (r, 4l*d): {merged label: value}, in table order.  The one reader of the
+    ``mt_<l>_<r>.json`` layout (a class list, and rows keyed by str(4l*d)).
+    Every caller shares the result; ``coefficient_row`` hands out copies."""
+    rows = {}
+    for r in range(1, ell):
+        tab = load_json(f"mt_{ell}_{r}.json")
+        rows.update(((r, int(key)), dict(zip(tab["classes"], vals)))
+                    for key, vals in tab["rows"].items())
+    return rows
+
+
 def coefficient_row(ell: int, r: int, fourld: int, corrected: bool = True) -> dict:
     """Row of the stored coefficient table as {merged label: integer}."""
-    tab = load_json(f"mt_{ell}_{r}.json")
-    key = str(fourld)
-    if key not in tab["rows"]:
+    row = stored_rows(ell).get((r, fourld))
+    if row is None:
         raise UnknownClass(f"row {fourld} not stored for ({ell},{r})")
-    row = dict(zip(tab["classes"], tab["rows"][key]))
+    row = dict(row)
     if corrected:
         for (l2, r2, k2, lab), v in MT_ERRATA.items():
             if (l2, r2, k2) == (ell, r, fourld):
                 row[lab] = v
     return row
+
+
+@memo
+def stored_decompositions(ell: int) -> dict:
+    """``decompose`` of every stored row, errata applied, keyed as ``stored_rows``."""
+    return {(r, k): decompose(ell, r, k, coefficient_row(ell, r, k)) for r, k in stored_rows(ell)}
 
 
 def row_component(ell: int, fourld: int) -> int:
@@ -210,46 +229,36 @@ def row_component(ell: int, fourld: int) -> int:
 def verify_decomposition_tables(ell: int) -> dict:
     """Reproduce every stored decomposition row from the coefficient tables."""
     report = {"lambency": ell, "rows": 0, "failures": [], "ok": True}
+    decs = stored_decompositions(ell)
     for r in range(1, ell):
         try:
             dec = load_json(f"dec_{ell}_{r}.json")
         except FileNotFoundError:
             continue
         for key, mults in dec["rows"].items():
-            coeffs = coefficient_row(ell, r, int(key))
-            got = decompose(ell, r, int(key), coeffs)
             expected = {chi: m for chi, m in zip(dec["chis"], mults) if m}
             if (ell, r, int(key)) in DEC_ERRATA:
                 expected = DEC_ERRATA[(ell, r, int(key))]
                 report.setdefault("errata_applied", []).append((r, key))
-            full = {i + 1: c for i, c in enumerate(got.counts) if c != 0}
+            got = decs.get((r, int(key)))
+            full = {i + 1: c for i, c in enumerate(got.counts) if c != 0} if got else "not stored"
             report["rows"] += 1
-            if not got.integral or full != expected:
+            if full != expected or not got.integral:
                 report["failures"].append((r, key, full, expected))
     report["ok"] = not report["failures"]
     return report
 
 
 def parity_split_ok(ell: int) -> bool:
-    """Odd r rows use only z-trivial irreducibles, even r only faithful ones (first 10 rows)."""
+    """Odd r rows use only z-trivial irreducibles, even r only faithful ones (every stored row)."""
     if ell == 2:
         return True
     t = character_table(ell)
     zcol = t.classes.index("2A")
-    faithful = [i for i in range(t.nchars)
-                if t.values[i][zcol].rat == -t.degree(i)]
-    for r in range(1, ell):
-        tab = load_json(f"mt_{ell}_{r}.json")
-        for key in sorted(tab["rows"], key=int)[:10]:
-            if int(key) < 0:
-                continue
-            got = decompose(ell, r, int(key), coefficient_row(ell, r, int(key)))
-            for i, c in enumerate(got.counts):
-                if c == 0:
-                    continue
-                if (i in faithful) == (r % 2 == 1):
-                    return False
-    return True
+    faithful = {i for i in range(t.nchars) if t.values[i][zcol].rat == -t.degree(i)}
+    return all((i in faithful) != (r % 2 == 1)
+               for (r, _), got in stored_decompositions(ell).items()
+               for i, c in enumerate(got.counts) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +267,14 @@ def parity_split_ok(ell: int) -> bool:
 def h_discriminants(ell: int) -> set:
     """Positive integers -D with q^(-D/4l) present in the stored identity
     columns (D < 0 a discriminant of the untwisted vector)."""
-    out = set()
-    for r in range(1, ell):
-        tab = load_json(f"mt_{ell}_{r}.json")
-        col = tab["classes"].index("1A")
-        for key, vals in tab["rows"].items():
-            if int(key) > 0 and vals[col] != 0:
-                out.add(int(key))
-    return out
+    return {k for (_, k), row in stored_rows(ell).items() if k > 0 and row["1A"] != 0}
+
+
+def _lambda_of(n: int, fourld: int) -> int:
+    """The lambda >= 1 with fourld = n lambda^2, or 0 if there is none."""
+    q, rem = divmod(fourld, n)
+    lam = isqrt(max(q, 0))
+    return lam if not rem and lam * lam == q else 0
 
 
 @memo
@@ -283,14 +292,8 @@ def type_n_inventory(ell: int) -> dict:
             if c.order % d == 0:
                 orders.add(d)
     discs = h_discriminants(ell)
-    ns = set()
-    for n in sorted(orders):
-        lam = 1
-        while n * lam * lam <= max(discs):
-            if n * lam * lam in discs and gcd(lam, n) == 1:
-                ns.add(n)
-                break
-            lam += 1
+    ns = {n for n in orders for k in discs
+          if (lam := _lambda_of(n, k)) and gcd(lam, n) == 1}
     by_field = {}
     for i, d in enumerate(_int_view(ell)[6]):  # the row discriminants
         if d:
@@ -302,52 +305,37 @@ def type_n_inventory(ell: int) -> dict:
 def minimal_lambda_rows(ell: int) -> dict:
     """For each type n: the smallest lambda with -D = -n lambda^2 a
     discriminant, and the decomposition at that row."""
-    inv = type_n_inventory(ell)
     discs = h_discriminants(ell)
     out = {}
-    for n in sorted(inv["types"]):
-        lam = 1
-        while n * lam * lam not in discs:
-            lam += 1
-        fourld = n * lam * lam
+    for n in sorted(type_n_inventory(ell)["types"]):
+        fourld = min(k for k in discs if _lambda_of(n, k))
         r = row_component(ell, fourld)
-        got = decompose(ell, r, fourld, coefficient_row(ell, r, fourld))
+        got = stored_decompositions(ell)[r, fourld]
         nonzero = {i + 1: c for i, c in enumerate(got.counts) if c != 0}
-        out[n] = {"lambda": lam, "fourld": fourld, "r": r, "counts": nonzero}
+        out[n] = {"lambda": _lambda_of(n, fourld), "fourld": fourld, "r": r, "counts": nonzero}
     return out
 
 
 def is_representable(ell: int, fourld: int, types) -> bool:
-    for n in types:
-        lam = 1
-        while n * lam * lam <= fourld:
-            if n * lam * lam == fourld:
-                return True
-            lam += 1
-    return False
+    return any(_lambda_of(n, fourld) for n in types)
 
 
 def doublet_check(ell: int) -> dict:
     """Doublet <=> -D not of the form -n lambda^2, over the stored rows."""
-    inv = type_n_inventory(ell)
-    types = inv["types"]
+    types = type_n_inventory(ell)["types"]
     report = {"lambency": ell, "rows": 0, "failures": [], "ok": True}
-    for r in range(1, ell):
-        tab = load_json(f"mt_{ell}_{r}.json")
-        for key in tab["rows"]:
-            fourld = int(key)
-            if fourld <= 0:
-                continue
-            got = decompose(ell, r, fourld, coefficient_row(ell, r, fourld))
-            if not got.integral:
-                report["failures"].append((r, fourld, "non-integral"))
-                continue
-            doublet = _is_doubled(got.counts)
-            rep = is_representable(ell, fourld, types)
-            report["rows"] += 1
-            if doublet == rep:
-                report["failures"].append((r, fourld, "doublet" if doublet else "single",
-                                           "representable" if rep else "not"))
+    for (r, fourld), got in stored_decompositions(ell).items():
+        if fourld <= 0:
+            continue
+        if not got.integral:
+            report["failures"].append((r, fourld, "non-integral"))
+            continue
+        doublet = _is_doubled(got.counts)
+        rep = is_representable(ell, fourld, types)
+        report["rows"] += 1
+        if doublet == rep:
+            report["failures"].append((r, fourld, "doublet" if doublet else "single",
+                                       "representable" if rep else "not"))
     report["ok"] = not report["failures"]
     return report
 

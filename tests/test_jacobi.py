@@ -6,7 +6,7 @@ import pytest
 
 from moonshine import jacobi as jb
 from moonshine import mckay
-from moonshine.data import LAMBENCIES, set_data_dir
+from moonshine.data import LAMBENCIES, memo, set_data_dir
 from moonshine.errors import CutoffUnderflow, OutOfRange, UnboundedSupport, WindowTooNarrow
 from moonshine.qseries import FracSeries, eta, eta_quotient, unary_theta
 
@@ -407,6 +407,16 @@ def test_extremal_cutoff_is_the_least_sound(monkeypatch):
                         lambda phi, m, qcut: extract(phi, m, qcut - 1))
     with pytest.raises(CutoffUnderflow, match="-29/100"):
         jb.extremal_space_dim(25)
+
+
+def test_pole_blocks_built_once(monkeypatch):
+    # extract_from_form asks the same Psi_{1,1} and mu^(m)_0 for many forms
+    assert jb.psi_one_one(5, 4) is jb.appell_mu(1, 0, 5, 4, jb.LOWER)
+    built = []
+    build = jb.appell_mu.__wrapped__
+    monkeypatch.setattr(jb, "appell_mu", memo(lambda *args: built.append(args) or build(*args)))
+    assert jb.extremal_space_dim(25) == 0
+    assert len(built) == len(set(built)) == 9
 
 
 def test_y_row_matches_canonicalizing_construction():

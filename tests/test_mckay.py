@@ -187,6 +187,20 @@ def test_twisted_series_built_once(monkeypatch):
     assert len(built) == len(set(built)) == 11
 
 
+def test_mock_theta_functions_built_once(monkeypatch):
+    # identities that share a function at one argument share one build
+    from moonshine import qseries
+    set_data_dir(None)
+    built = []
+    eulerian = qseries._eulerian
+    monkeypatch.setattr(qseries, "_eulerian",
+                        lambda cutoff, *row: built.append(cutoff) or eulerian(cutoff, *row))
+    for name in mk.MOCK_IDENTITIES:
+        assert mk.mock_identity_check(name)["ok"]
+    assert len(built) == 20
+    assert mock_theta("U0", 21) is mock_theta("U0", F(21))
+
+
 def test_verify_identities_builds_each_vector_once(monkeypatch):
     # the F loop asks identity_H at one cutoff per class, hat parts included
     set_data_dir(None)

@@ -206,6 +206,43 @@ def test_parity_split():
         assert reps.parity_split_ok(ell)
 
 
+def test_every_stored_row_decomposed_once(monkeypatch):
+    # the table checks and the discriminant suite read one map of decompositions
+    set_data_dir(None)
+    calls = []
+    decompose = reps.decompose
+    monkeypatch.setattr(reps, "decompose", lambda *args: calls.append(args[:3]) or decompose(*args))
+    for ell in LAMBENCIES:
+        assert reps.verify_decomposition_tables(ell)["ok"]
+        assert reps.parity_split_ok(ell)
+        assert reps.discriminant_report(ell)["ok"]
+    assert len(calls) == len(set(calls)) == 1032
+
+
+def test_parity_checked_past_the_tenth_row(tmp_path):
+    # row 623 is the 13th of mt_13_1 (r odd): 2A = -1A puts faithful irreducibles in it
+    def flip(t):
+        assert sorted(t["rows"], key=int).index("623") == 12
+        t["rows"]["623"][1] = -t["rows"]["623"][0]
+    alt = _edited_copy(tmp_path, {"mt_13_1.json": flip})
+    try:
+        set_data_dir(alt)
+        assert reps.parity_split_ok(13) is False
+    finally:
+        set_data_dir(None)
+    assert reps.parity_split_ok(13) is True
+
+
+def test_decomposition_row_without_coefficients_fails(tmp_path):
+    alt = _edited_copy(tmp_path, {"mt_13_1.json": lambda t: t["rows"].pop("103")})
+    try:
+        set_data_dir(alt)
+        rep = reps.verify_decomposition_tables(13)
+        assert rep["failures"] == [(1, "103", "not stored", {2: 2})] and not rep["ok"]
+    finally:
+        set_data_dir(None)
+
+
 def test_type_inventory_matches_tables():
     for ell, want in EXPECTED_TYPES.items():
         inv = reps.type_n_inventory(ell)

@@ -4,15 +4,14 @@ Resolution order for the data directory: an explicit ``set_data_dir`` call
 (the CLI wires its --data-dir flag here), the MOONSHINE_DATA_DIR environment
 variable, then the files shipped inside the package.
 
-``memo`` is the one cache of built values.  A builder whose last parameter
-is ``qcut`` keeps one value per leading arguments, built at the deepest cutoff
-asked so far: a shallower call gets it truncated (sound, as a value is exact
-below its cutoff), a call at that cutoff gets the stored object itself.  Other
-builders keep one value per exact argument tuple, as ``mckay._twisted_H``, whose
-stored columns and lambency-4 bridge report cutoffs that truncating a deeper
-value would not reproduce.  Both caches are keyed by the data directory as
-well, so setting MOONSHINE_DATA_DIR in a running process never serves tables
-of the old one.  ``set_data_dir`` empties both.
+``memo`` is the one cache of built values, under one policy.  A call is bound
+to the builder's signature, so keywords and defaults land on one key.  A builder
+with a ``qcut`` parameter keeps one value per other arguments, built at the
+deepest cutoff asked so far: a shallower call gets it truncated (sound, as a
+value is exact below its cutoff), a call at that cutoff the stored object.  Any
+other builder keeps one value per argument tuple.  Keys hold the data directory
+too, so a changed MOONSHINE_DATA_DIR never serves tables of the old one.
+``set_data_dir`` empties the memo.
 """
 from __future__ import annotations
 
@@ -33,15 +32,25 @@ _registry: dict = {}
 
 def memo(build):
     """Memoize ``build`` under the policy of the module docstring."""
-    by_cut = list(inspect.signature(build).parameters)[-1] == "qcut"
+    sig = inspect.signature(build)
+    names = list(sig.parameters)
+    at = names.index("qcut") if "qcut" in names else None
 
     @wraps(build)
-    def cached(*args):
-        head, qcut = (args[:-1], as_rat(args[-1])) if by_cut else (args, None)
+    def cached(*args, **kwargs):
+        if kwargs or len(args) < len(names):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        if at is None:
+            qcut, head = None, args
+        else:
+            qcut, head = as_rat(args[at]), args[:at] + args[at + 1:]
+            args = (*head[:at], qcut, *head[at:])
         key = (data_dir(), build, *head)
         built = _registry.get(key)
-        if built is None or by_cut and built[0] < qcut:
-            built = _registry[key] = (qcut, build(*head, qcut) if by_cut else build(*args))
+        if built is None or qcut is not None and built[0] < qcut:
+            built = _registry[key] = (qcut, build(*args))
         return built[1] if built[0] == qcut else built[1].truncate(qcut)
     return cached
 

@@ -22,7 +22,7 @@ Coefficients are stored as in ``qseries``: an ``int`` when integral, else a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
@@ -440,8 +440,8 @@ def appell_mu(m: int, j2: int, qcut, ywindow: int, annulus: str = LOWER) -> Wind
 
     Each k-summand q^(m k^2) y^(2mk) (sum_t (y q^k)^t) / (1 - y q^k) is
     expanded per the annulus: the k = 0 pole factor as a one-sided geometric
-    series in y, the k != 0 factors in powers of (y q^|k|)^(+-1).  Built once
-    per argument tuple (``data.memo``), ``psi_one_one`` included.
+    series in y, the k != 0 factors in powers of (y q^|k|)^(+-1).  Built at the
+    deepest cutoff asked (``data.memo``), ``psi_one_one`` included.
     """
     if not 0 <= j2 <= m - 1:
         raise OutOfRange(f"2j = {j2} outside 0..{m - 1}")
@@ -502,11 +502,14 @@ class HVector:
     def __iter__(self):
         return iter(self.components)
 
+    def _offset(self, r: int) -> Fraction:
+        """How far component r ends below the vector's cutoff: r^2/4l."""
+        return Fraction(r * r, 4 * self.lambency)
+
     def truncate(self, qcut) -> "HVector":
-        """Component r cut at qcut - r^2/4l, as ``extract_from_form`` cuts it."""
-        m = self.lambency
-        return HVector(m, [h.truncate(qcut - Fraction(r * r, 4 * m))
-                           for r, h in enumerate(self.components, 1)])
+        """Component r cut at min(its cutoff, qcut - ``_offset(r)``)."""
+        return replace(self, components=[h.truncate(min(h.cutoff, qcut - self._offset(r)))
+                                         for r, h in enumerate(self.components, 1)])
 
 
 def extract_from_form(phi: WindowedSeries, m: int, qcut, annulus: str = LOWER) -> HVector:

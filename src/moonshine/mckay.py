@@ -88,19 +88,15 @@ def quarter_twist(f: FracSeries) -> FracSeries:
     return FracSeries.from_terms(terms, f.cutoff)
 
 
-def weight2(ell: int, label: str, variant: str = "F", cutoff=30) -> FracSeries:
+@memo
+def weight2(ell: int, label: str, variant: str = "F", qcut=30) -> FracSeries:
     """Evaluate the cataloged weight-2 combination for (lambency, class);
     each form is built once, at the deepest cutoff asked (``data.memo``)."""
-    return _weight2(ell, label, variant, cutoff)
-
-
-@memo
-def _weight2(ell: int, label: str, variant: str, qcut) -> FracSeries:
     rec = _catalog(ell).get((label, variant))
     if rec is None:
         raise UnknownClass(f"no weight-2 form for ({ell}, {label}, {variant})")
     if "twist_of" in rec:
-        return quarter_twist(_weight2(ell, rec["twist_of"], variant, qcut))
+        return quarter_twist(weight2(ell, rec["twist_of"], variant, qcut))
     return _combination(rec["terms"], qcut)
 
 
@@ -108,24 +104,20 @@ def _weight2(ell: int, label: str, variant: str, qcut) -> FracSeries:
 # twisted series
 
 @dataclass
-class TwistedH:
-    """Immutable by convention: ``twisted_H`` shares one per (lambency, class, cutoff)."""
-    lambency: int
+class TwistedH(jacobi.HVector):
+    """Immutable by convention: ``twisted_H`` shares one per (lambency, class)."""
     label: str
-    components: list            # FracSeries for r = 1..l-1
     chi: int
     chibar: int
     symbol: tuple               # (n_g, h_g)
 
-    def component(self, r: int) -> FracSeries:
-        return self.components[r - 1]
+    def _offset(self, r: int) -> Fraction:
+        # the lambency-4 bridge gives the odd components exact to the cutoff itself
+        return 0 if self.lambency == 4 and r % 2 else super()._offset(r)
 
     def coefficient(self, fourld: int):
-        """Coefficient at q^(d/4l) given the integer 4l*d (table row key).
-
-        Past the exact cutoff of a component (the stored columns end at
-        their table's depth) this raises DataExhausted.
-        """
+        """Coefficient at q^(d/4l) given the integer 4l*d (table row key); past
+        its component's cutoff this raises DataExhausted."""
         e = Fraction(fourld, 4 * self.lambency)
         r = row_component(self.lambency, fourld)
         try:
@@ -163,47 +155,41 @@ def pairing(ell: int, label: str):
     return zlab, [1 if r % 2 else -1 for r in range(1, ell)]
 
 
-def _stored_components(ell: int, label: str) -> list:
+def _stored_components(ell: int, label: str, qcut) -> list:
     cols = {r: {} for r in range(1, ell)}
     for (r, k), row in stored_rows(ell).items():
         if label not in row:
             raise UnknownClass(f"no stored column {label} in table {ell},{r}")
         cols[r][Fraction(k, 4 * ell)] = row[label]
     # the table ends one row past its last: exact below the last exponent + 1
-    return [FracSeries.from_terms(col.items(), max(col) + 1) for col in cols.values()]
+    table = [FracSeries.from_terms(col.items(), max(col) + 1) for col in cols.values()]
+    return jacobi.HVector(ell, table).truncate(qcut).components
 
 
-def _finish(ell, label, comps) -> TwistedH:
-    c, _ = _class_info(ell, label)
-    return TwistedH(ell, label, comps, c.chi, c.chibar, c.gamma)
-
-
+@memo
 def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
     """The vector-valued twisted series for a conjugacy class.
 
     Component r is (chi_{g,r}/chi) H_r + hat H_{g,r} with chi = 24/(l-1),
     hat H from ``_hat_H``; the lambency-4 bridge (odd r) and the stored
     columns (lambencies 7 and 13, classes other than 1A and 2A) replace whole
-    components.  Components carry their exact cutoffs; the stored columns
-    report their table's depth, whatever ``qcut`` asks.
+    components.  Component r is exact below qcut - ``TwistedH._offset(r)``, or
+    below a stored column's table depth where that is shallower, so a deeper
+    value truncated (``data.memo``) equals a fresh build.
     """
-    return _twisted_H(ell, label, as_rat(qcut))
-
-
-# Not by-cut: truncating a deeper value misreports stored columns' and bridge cutoffs
-@memo
-def _twisted_H(ell: int, label: str, cut: Fraction) -> TwistedH:
     if ell not in LAMBENCIES:
         raise UnknownClass(f"lambency {ell}")
+    c, _ = _class_info(ell, label)
     if ell in (7, 13) and label not in ("1A", "2A"):
-        return _finish(ell, label, _stored_components(ell, label))
-    hat = {} if ell in (7, 13) else _hat_H(ell, label, cut)
-    H = identity_H(ell, cut)
-    comps = [H.component(r).scale(Fraction(chi_r(ell, label, r) * (ell - 1), 24)) + hat.get(r, 0)
-             for r in range(1, ell)]
-    if ell == 4:
-        comps[0], comps[2] = _l4_odd(label, cut)
-    return _finish(ell, label, comps)
+        comps = _stored_components(ell, label, qcut)
+    else:
+        hat = {} if ell in (7, 13) else _hat_H(ell, label, qcut)
+        H = identity_H(ell, qcut)
+        comps = [H.component(r).scale(Fraction(chi_r(ell, label, r) * (ell - 1), 24))
+                 + hat.get(r, 0) for r in range(1, ell)]
+        if ell == 4:
+            comps[0], comps[2] = _l4_odd(label, qcut)
+    return TwistedH(ell, comps, label, c.chi, c.chibar, c.gamma)
 
 
 def _hat_H(ell: int, label: str, qcut) -> dict:

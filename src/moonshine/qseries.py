@@ -561,18 +561,18 @@ _MOCK_THETA = {
 
 
 @memo
-def mock_theta(label: str, cutoff) -> FracSeries:
-    """Classical mock theta function by label.
+def mock_theta(label: str, qcut) -> FracSeries:
+    """Classical mock theta function by label, exact below ``qcut``.
 
     Labels: order 3: f, phi, chi, omega, rho; order 2/8: mu2, U0, U1,
     S0, S1, T0, T1; order 10: phi10, psi10, X, chi10.  Built once per
-    (label, cutoff) (``data.memo``).
+    label, at the deepest cutoff asked (``data.memo``).
     """
     try:
         row = _MOCK_THETA[label]
     except KeyError:
         raise KeyError(f"unknown mock theta {label!r}") from None
-    return _eulerian(cutoff, *row)
+    return _eulerian(qcut, *row)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,16 @@ def test_coeffs_layout_matches_table_column():
                     (47, "4"), (59, "0")]
 
 
+def test_coeffs_order_cuts_stored_columns():
+    # a stored column is cut at the order asked, as a computed one is
+    counts = []
+    for cls in ("1A", "3AB"):
+        code, out = run(["coeffs", "--lambency", "7", "--class", cls, "--r", "1", "--order", "2"])
+        assert code == 0
+        counts.append(sum("\t" in line for line in out.splitlines()))
+    assert counts == [3, 3]
+
+
 def test_coeffs_json_deterministic():
     args = ["coeffs", "--json", "--lambency", "13", "--class", "4AB", "--order", "5"]
     code1, out1 = run(args)

@@ -1,12 +1,12 @@
 """A cutoff oracle over the catalog.
 
 Each builder B below is asked for a cutoff c and for a deeper one c + delta.
-B(c) must report at most the cutoff its rule allows, and exactly that cutoff
-where the rule is a promise.  The deeper build must agree with it below that
-cutoff: B(c + delta).truncate(B(c).cutoff) == B(c), cutoff included.  So an
-optimistic cutoff anywhere inside a builder (a product, an inverse, a shift)
-shows up as a coefficient that the deeper build contradicts.  The memo is
-emptied before every build, so neither value is a truncated copy of the other.
+B(c) must report exactly the cutoff its rule states, and the deeper build must
+agree with it below that cutoff: B(c + delta).truncate(B(c).cutoff) == B(c),
+cutoff included.  So an optimistic cutoff anywhere inside a builder (a product,
+an inverse, a shift) shows up as a coefficient that the deeper build
+contradicts.  The memo is emptied before every build, so neither value is a
+truncated copy of the other.
 """
 from fractions import Fraction as F
 
@@ -24,11 +24,7 @@ DELTAS = [F(1, 8), 1]
 
 def exactly(cut=lambda c: c):
     """The rule of a builder whose cutoff is cut(c), as its docstring says."""
-    return lambda c: (cut(c), True)
-
-
-def at_most(bound=lambda c: c):
-    return lambda c: (bound(c), False)
+    return cut
 
 
 def catalog_eta_specs():
@@ -51,8 +47,11 @@ def catalog_eta_specs():
 
 
 def shifted(tw):
-    """The components of a twisted series, component r times q^(r^2/4l)."""
-    return [s.shift(F(r * r, 4 * tw.lambency)) for r, s in enumerate(tw.components, 1)]
+    """The components of a twisted series, component r times q^(r^2/4l); the
+    odd components at lambency 4 come from the bridge, exact below c itself."""
+    ell = tw.lambency
+    return [s.shift(0 if ell == 4 and r % 2 else F(r * r, 4 * ell))
+            for r, s in enumerate(tw.components, 1)]
 
 
 def spec_id(spec):
@@ -92,12 +91,11 @@ BUILDERS = [
        exactly()) for ell, label in ((2, "3A"), (3, "2B"), (3, "22AB"), (5, "2B"))],
     ("twisted_H(4,3A).component(2)",
      lambda c: shifted(mckay.twisted_H(4, "3A", c))[1], exactly()),
-    ("twisted_H(4,4A)", lambda c: mckay.twisted_H(4, "4A", c).components, at_most()),
     # the lambency-4 bridge reads the lambency-2 series at 2c + 1/8 at half argument
-    *[(f"twisted_H(4,{label})", lambda c, lb=label: mckay.twisted_H(4, lb, c).components,
-       at_most()) for label in ("2A", "3A")],
-    # stored columns are exact to the table's depth, whatever c asks
-    ("twisted_H(7,3AB)", lambda c: mckay.twisted_H(7, "3AB", c).components, None),
+    *[(f"twisted_H(4,{label})", lambda c, lb=label: shifted(mckay.twisted_H(4, lb, c)),
+       exactly()) for label in ("2A", "3A", "4A")],
+    # stored columns are cut as computed ones, where the table reaches that deep
+    ("twisted_H(7,3AB)", lambda c: shifted(mckay.twisted_H(7, "3AB", c)), exactly()),
     # the structural operations and their cutoff rules
     ("shift", lambda c: qs.mock_theta("f", c).shift(F(-1, 24)),
      exactly(lambda c: c - F(1, 24))),
@@ -133,9 +131,5 @@ def test_cutoff_is_sound_and_as_stated(make, rule):
         for delta in DELTAS:
             for s, d in zip(shallow, build(make, c + delta), strict=True):
                 assert reported(d.truncate(cutoff(s))) == reported(s), (c, delta)
-                if rule is None:  # data-limited: the cutoff does not follow c
-                    assert cutoff(d) == cutoff(s), (c, delta)
-        if rule is not None:
-            bound, promised = rule(c)
-            for s in shallow:
-                assert cutoff(s) == bound if promised else cutoff(s) <= bound, c
+        for s in shallow:
+            assert cutoff(s) == rule(c), c

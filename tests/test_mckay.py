@@ -179,16 +179,44 @@ def test_twisted_series_built_once(monkeypatch):
     # identities that share a class, and the lambency-4 bridge, share one build
     assert mk.twisted_H(3, "2B", 21) is mk.twisted_H(3, "2B", F(21)) is mk.twisted_H(3, "2B", "21")
     built = []
-    build = mk._twisted_H.__wrapped__
-    monkeypatch.setattr(mk, "_twisted_H", memo(
-        lambda ell, label, cut: built.append((ell, label, cut)) or build(ell, label, cut)))
+    build = mk.twisted_H.__wrapped__
+    monkeypatch.setattr(mk, "twisted_H", memo(
+        lambda ell, label, qcut: built.append((ell, label, qcut)) or build(ell, label, qcut)))
     for name in mk.MOCK_IDENTITIES:
         assert mk.mock_identity_check(name)["ok"]
     assert len(built) == len(set(built)) == 11
 
 
+def test_memo_binds_keywords_and_defaults():
+    # a call is bound to the builder's signature: keywords and defaults share one key
+    from moonshine import jacobi, siegel
+    set_data_dir(None)
+    assert jacobi.gritsenko(2, 1, qcut=3) is jacobi.gritsenko(2, 1, 3)
+    assert mock_theta("f", qcut=3) is mock_theta("f", 3)
+    assert jacobi.appell_mu(1, 0, 3, 4, annulus="upper").annulus == "upper"
+    assert siegel.exponential_lift(2) is siegel.exponential_lift(2, pmax=3, nmax=3)
+    tw = mk.twisted_H(3, "2B")
+    assert tw is mk.twisted_H(3, "2B", 31) is mk.twisted_H(3, label="2B", qcut=F(31))
+    assert [s.cutoff for s in tw.components] == [31 - F(r * r, 12) for r in (1, 2)]
+
+
+def test_served_twisted_series_equal_fresh_builds():
+    # a deeper value truncated by the memo reports what a build at the shallower
+    # cutoff reports: stored columns, the lambency-4 bridge and computed routes
+    def reported(tw):
+        return [(list(s.items()), s.cutoff) for s in tw.components]
+
+    labels = [(ell, c.label) for ell in (2, 3, 4, 5, 7, 13) for c in class_table(ell).classes]
+    set_data_dir(None)
+    for ell, label in labels:
+        mk.twisted_H(ell, label, F(113, 16) + 1)
+    served = [reported(mk.twisted_H(ell, label, 7)) for ell, label in labels]
+    set_data_dir(None)
+    assert served == [reported(mk.twisted_H(ell, label, 7)) for ell, label in labels]
+
+
 def test_mock_theta_functions_built_once(monkeypatch):
-    # identities that share a function at one argument share one build
+    # identities that share a function share one build, at the deepest cutoff asked
     from moonshine import qseries
     set_data_dir(None)
     built = []
@@ -197,7 +225,7 @@ def test_mock_theta_functions_built_once(monkeypatch):
                         lambda cutoff, *row: built.append(cutoff) or eulerian(cutoff, *row))
     for name in mk.MOCK_IDENTITIES:
         assert mk.mock_identity_check(name)["ok"]
-    assert len(built) == 20
+    assert len(built) == 16
     assert mock_theta("U0", 21) is mock_theta("U0", F(21))
 
 

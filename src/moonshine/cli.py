@@ -144,11 +144,14 @@ def cmd_verify_tables(args):
 
     cells = [cell for lab in classes for cell in check(lab)]
     bad = [cell for cell in cells if cell[3] != str(cell[4])]
+    # a class built from its stored columns compares them with themselves
+    read_back = sum(mckay.from_stored_column(ell, cell[0]) for cell in cells)
     payload = {"lambency": ell, "classes": len(classes), "cells": len(cells),
-               "mismatches": bad}
+               "read_back": read_back, "mismatches": bad}
     _emit(args, payload, lambda p: print(
         f"lambency {p['lambency']}: {p['classes']} classes, {p['cells']} cells, "
-        f"{len(p['mismatches'])} mismatches"
+        f"{len(p['mismatches'])} mismatches; {p['read_back']} cells read back "
+        "from their source table"
         + (f"; first {p['mismatches'][0]}" if p["mismatches"] else "")))
     return 0 if not bad else 1
 

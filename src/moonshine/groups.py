@@ -4,8 +4,8 @@ The five groups at lambency 3, 4, 5, 7, 13 are generated by explicit signed
 permutations and never listed: the group order comes from a stabilizer chain
 (Schreier-Sims), a lazy breadth-first walk starts the conjugation orbits until
 they hold the whole group, and the orbit of z g (z the central sign flip) is
-z times that of g.  The classes are labelled by matching their Frame shapes
-against the bundled class data.
+z times that of g, counted but not stored.  The classes are labelled by
+matching their Frame shapes against the bundled class data.
 The degree 24 group at lambency 2 is far too large to enumerate and is
 served from stored class data throughout.
 """
@@ -478,22 +478,27 @@ def conjugacy_orbits(elements, gens: list, order: int) -> list:
     elements generated by ``gens``, z among them: one starts at each element of
     the walk ``elements`` that no orbit holds, until they hold ``order`` (the
     class equation).  As z is central, orbit(zp) = z orbit(p) comes with
-    orbit(p), represented by zp, when zp is not in orbit(p)."""
-    steps, held, orbits = _conjugations(gens), set(), []
+    orbit(p), represented by zp, when zp is not in orbit(p); it is counted,
+    not stored, so p lies in a found orbit when p or zp is held.  Once
+    orbit(p) is held, zp is held exactly when it is in orbit(p): zp in an
+    earlier orbit O would put p in z O, which the walk skips."""
+    steps, held, orbits, total = _conjugations(gens), set(), [], 0
     for p in elements:
-        if p in held:
-            continue
-        orbit = list(_orbit(p, steps))
-        held.update(orbit)
-        orbits.append((SignedPerm._of(p), len(orbit)))
         zp = p.translate(_FLIP)
-        if zp not in held:  # held is closed under z, so zp is not in orbit(p)
-            held.update(x.translate(_FLIP) for x in orbit)
-            orbits.append((SignedPerm._of(zp), len(orbit)))
-        if len(held) >= order:
+        if p in held or zp in held:
+            continue
+        before = len(held)
+        held.update(_orbit(p, steps))
+        size = len(held) - before
+        orbits.append((SignedPerm._of(p), size))
+        total += size
+        if zp not in held:
+            orbits.append((SignedPerm._of(zp), size))
+            total += size
+        if total >= order:
             break
-    if len(held) != order:
-        raise ClosureOverflow(f"class equation broken: {len(held)} != {order}")
+    if total != order:
+        raise ClosureOverflow(f"class equation broken: {total} != {order}")
     return orbits
 
 

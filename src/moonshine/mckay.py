@@ -155,6 +155,12 @@ def pairing(ell: int, label: str):
     return zlab, [1 if r % 2 else -1 for r in range(1, ell)]
 
 
+def from_stored_column(ell: int, label: str) -> bool:
+    """Whether the twisted series of ``label`` is read from its stored table
+    columns (lambencies 7 and 13, classes other than 1A and 2A)."""
+    return ell in (7, 13) and label not in ("1A", "2A")
+
+
 def _stored_components(ell: int, label: str, qcut) -> list:
     cols = {r: {} for r in range(1, ell)}
     for (r, k), row in stored_rows(ell).items():
@@ -172,15 +178,15 @@ def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
 
     Component r is (chi_{g,r}/chi) H_r + hat H_{g,r} with chi = 24/(l-1),
     hat H from ``_hat_H``; the lambency-4 bridge (odd r) and the stored
-    columns (lambencies 7 and 13, classes other than 1A and 2A) replace whole
-    components.  Component r is exact below qcut - ``TwistedH._offset(r)``, or
-    below a stored column's table depth where that is shallower, so a deeper
-    value truncated (``data.memo``) equals a fresh build.
+    columns (``from_stored_column``) replace whole components.  Component r
+    is exact below qcut - ``TwistedH._offset(r)``, or below a stored column's
+    table depth where that is shallower, so a deeper value truncated
+    (``data.memo``) equals a fresh build.
     """
     if ell not in LAMBENCIES:
         raise UnknownClass(f"lambency {ell}")
     c, _ = _class_info(ell, label)
-    if ell in (7, 13) and label not in ("1A", "2A"):
+    if from_stored_column(ell, label):
         comps = _stored_components(ell, label, qcut)
     else:
         hat = {} if ell in (7, 13) else _hat_H(ell, label, qcut)

@@ -73,6 +73,15 @@ def test_verify_tables_small():
     assert code == 0 and "3 classes, 1341 cells, 0 mismatches" in out, out
 
 
+def test_verify_tables_counts_cells_read_back():
+    # the classes built from their stored columns compare them with themselves
+    for ell, want in {2: 0, 3: 0, 4: 0, 5: 0, 7: 678, 13: 447}.items():
+        code, out = run(["verify-tables", "--json", "--lambency", str(ell)])
+        assert code == 0 and json.loads(out)["read_back"] == want, ell
+    code, out = run(["verify-tables", "--lambency", "7"])
+    assert "1130 cells, 0 mismatches; 678 cells read back from their source table" in out
+
+
 def test_verify_tables_fails_a_row_past_the_cutoff(monkeypatch):
     # a stored row the computed series does not reach is a failure, not a skip
     from dataclasses import replace

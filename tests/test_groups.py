@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -191,6 +192,47 @@ def test_half_order_misses_classes(monkeypatch, ell):
     _plant_order(monkeypatch, 0.5)
     with pytest.raises(UnknownClass, match="found 0 orbits"):
         gr.generate(ell)
+
+
+def reference_conjugacy_orbits(elements, gens, order):
+    """The conjugation orbits of ``gr.conjugacy_orbits``, from a walk that
+    stores every orbit, z-partners included, so it holds the whole group."""
+    steps, held, orbits = gr._conjugations(gens), set(), []
+    for p in elements:
+        if p in held:
+            continue
+        orbit = list(gr._orbit(p, steps))
+        held.update(orbit)
+        orbits.append((gr.SignedPerm._of(p), len(orbit)))
+        zp = p.translate(gr._FLIP)
+        if zp not in held:  # held is closed under z, so zp is not in orbit(p)
+            held.update(x.translate(gr._FLIP) for x in orbit)
+            orbits.append((gr.SignedPerm._of(zp), len(orbit)))
+        if len(held) >= order:
+            break
+    if len(held) != order:
+        raise ClosureOverflow(f"class equation broken: {len(held)} != {order}")
+    return orbits
+
+
+def test_orbits_match_reference_holding_every_element():
+    for ell, order in EXPECTED_ORDERS.items():
+        gens = gr.generators(ell)
+        got, want = ([(rep.perm, size) for rep, size in orbits(gr._walk(gens), gens, order)]
+                     for orbits in (gr.conjugacy_orbits, reference_conjugacy_orbits))
+        assert got == want, ell
+
+
+def test_generate_does_not_hold_the_group():
+    # generate, not the memoized umbral_group, so the walk runs under the trace;
+    # holding all 190,080 elements in a set takes about 100 bytes each
+    tracemalloc.start()
+    try:
+        gd = gr.generate(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gd.order * 80, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_central_flip_checked(monkeypatch):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import groups, jacobi, mckay, reps, siegel
 from .data import LAMBENCIES, set_data_dir
-from .errors import DataExhausted, MoonshineError, UnknownClass
+from .errors import DataExhausted, MoonshineError, OutOfRange, UnknownClass
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -50,7 +50,9 @@ def _parser() -> argparse.ArgumentParser:
                           "with the twisted series (recomputed, except the source "
                           "columns at lambencies 7 and 13, which are read back)"),
            order=None)
-    sub.add_parser("verify-identities", help="mock theta and weight-2 checks")
+    sub.add_parser("verify-identities", help="mock theta identities, and each "
+                   "cataloged weight-2 form against the form rebuilt from the "
+                   "stored tables")
     common(sub.add_parser("verify-group", help="group regeneration checks"))
     common(sub.add_parser("decompose", help="decompose one table row"),
            r=True).add_argument("--row", type=int, required=True,
@@ -90,7 +92,7 @@ def cmd_coeffs(args):
     ell = args.lambency
     qcut = Fraction(args.order + 1, 1)
     tw = mckay.twisted_H(ell, args.cls, qcut)
-    rs = [args.r] if args.r else list(range(1, ell))
+    rs = list(range(1, ell)) if args.r is None else [args.r]
     payload = {"lambency": ell, "class": args.cls, "components": {}}
     for r in rs:
         payload["components"][r] = _series_rows(tw.component(r), ell, r)
@@ -116,7 +118,7 @@ def cmd_extract(args):
 def cmd_twist(args):
     ell = args.lambency
     tw = mckay.twisted_H(ell, args.cls, Fraction(args.order + 1, 1))
-    rs = [args.r] if args.r else list(range(1, ell))
+    rs = list(range(1, ell)) if args.r is None else [args.r]
     payload = {"lambency": ell, "class": args.cls,
                "chi": tw.chi, "chibar": tw.chibar,
                "symbol": f"{tw.symbol[0]}|{tw.symbol[1]}",
@@ -284,6 +286,9 @@ def main(argv=None) -> int:
         set_data_dir(args.data_dir)
     try:
         return _DISPATCH[args.verb](args)
+    except OutOfRange as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (DataExhausted, UnknownClass, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

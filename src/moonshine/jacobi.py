@@ -82,7 +82,7 @@ class WindowedSeries:
     def coefficient(self, qe, ypow) -> Fraction:
         qe, ypow = as_rat(qe), as_rat(ypow)
         if qe >= self.qcut:
-            raise OutOfRange(f"q-exponent {qe} >= qcut {self.qcut}")
+            raise CutoffUnderflow(f"q-exponent {qe} >= qcut {self.qcut}")
         if self.ywindow is not None and abs(ypow) > self.ywindow:
             raise WindowTooNarrow(f"y-power {ypow} outside window {self.ywindow}")
         if self.denom % qe.denominator or self.ydenom % ypow.denominator:
@@ -497,6 +497,8 @@ class HVector:
     components: list  # FracSeries, index r-1 for r = 1..l-1
 
     def component(self, r: int) -> FracSeries:
+        if not 0 < r < self.lambency:
+            raise OutOfRange(f"component r = {r} outside 1..{self.lambency - 1}")
         return self.components[r - 1]
 
     def __iter__(self):

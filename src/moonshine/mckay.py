@@ -8,8 +8,9 @@ of r at a time; at lambency 4 the even block reads the stored form W_g, and at
 7 and 13 hat H vanishes for 1A and 2A.  Two sources replace whole components:
 the lambency-4 bridge (odd r: H_{g,1} - H_{g,3} is the lambency-2 series of the
 bridge partner at half argument, or an eta quotient, split by exponent residue)
-and the stored coefficient tables of every other class at 7 and 13, which the
-cataloged weight-2 forms check.
+and the stored coefficient tables of every other class at 7 and 13.  The
+weight-2 check reads no computed series: it compares each cataloged form with
+the form rebuilt from the stored tables, for every class.
 """
 from __future__ import annotations
 
@@ -264,44 +265,29 @@ def _l4_odd(label: str, qcut) -> tuple:
 # ---------------------------------------------------------------------------
 # consistency checks
 
-def hat_components(tw: TwistedH, qcut=None) -> list:
-    """hat H_{g,r} = H_{g,r} - (chi_{g,r}/chi) H_r (vanishing-shadow parts), exact below
-    cutoff_r, or qcut - r^2/4l if less: H is built at max_r(cutoff_r + r^2/4l), capped at qcut."""
-    ell = tw.lambency
-    cut = max(c.cutoff + Fraction(r * r, 4 * ell) for r, c in enumerate(tw.components, 1))
-    if qcut is not None:
-        cut = min(cut, as_rat(qcut))
-    H = identity_H(ell, cut)
-    return [h - H.component(r).scale(Fraction(chi_r(ell, tw.label, r) * (ell - 1), 24))
-            for r, h in enumerate(tw.components, 1)]
-
-
 def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
-    """Check sum_r hat H_{g,r} S_r against the cataloged weight-2 form(s) to ``qcut``.
-    Twisted series at c give hat_r exact below c - r^2/4l, and F2 pairs it with S_(l-r),
-    which starts (l-2)/4 below r^2/4l at r = l-1: so c = qcut + (l-2)/4 for F2 classes."""
+    """Check the form rebuilt from the stored tables against the cataloged weight-2
+    form(s) to ``qcut``, or to the depth the tables reach if that is less: F^tab =
+    sum_r hat_r S_r with hat_r = H^tab_{g,r} - (chi_{g,r}/chi) H^tab_{1A,r}.  Columns
+    cut at c give hat_r exact below c - r^2/4l, and F2 pairs it with S_(l-r), which
+    starts (l-2)/4 below r^2/4l at r = l-1: so c = qcut + (l-2)/4 for F2 classes."""
     cat = _catalog(ell)
-    report = {"lambency": ell, "class": label, "checked": [], "ok": True}
     qcut = as_rat(qcut)
     cut = qcut + (Fraction(ell - 2, 4) if (label, "F2") in cat else 0)
-    hats = hat_components(twisted_H(ell, label, cut), cut)
-    for variant in ("F", "F2"):
-        if (label, variant) not in cat:
-            continue
+    one = _stored_components(ell, "1A", cut)
+    hats = [h - one[r - 1].scale(Fraction(chi_r(ell, label, r) * (ell - 1), 24))
+            for r, h in enumerate(_stored_components(ell, label, cut), 1)]
+    checked = []
+    for variant in [v for v in ("F", "F2") if (label, v) in cat]:
         total = FracSeries.zero(qcut)
-        for r in range(1, ell):
-            s = unary_theta(ell, ell - r if variant == "F2" else r, qcut + 1)
-            piece = hats[r - 1] * s
-            if variant == "F2" and r % 2 == 0:
-                piece = piece.scale(-1)
-            total = total + piece
+        for r, h in enumerate(hats, 1):
+            piece = h * unary_theta(ell, ell - r if variant == "F2" else r, qcut + 1)
+            total = total - piece if variant == "F2" and r % 2 == 0 else total + piece
         diff = total - weight2(ell, label, variant, total.cutoff)
-        first_bad = next((e for e, cc in diff.items() if cc != 0), None)
-        entry = {"variant": variant, "order": str(total.cutoff), "first_mismatch": first_bad}
-        report["checked"].append(entry)
-        if first_bad is not None:
-            report["ok"] = False
-    return report
+        checked.append({"variant": variant, "order": str(total.cutoff),
+                        "first_mismatch": next((e for e, c in diff.items() if c != 0), None)})
+    return {"lambency": ell, "class": label, "checked": checked,
+            "ok": all(c["first_mismatch"] is None for c in checked)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@ from fractions import Fraction as F
 import pytest
 
 from moonshine import groups, jacobi, mckay, reps, siegel
-from moonshine.data import load_json
+from moonshine.data import LAMBENCIES, load_json
 from moonshine.qseries import FracSeries, unary_theta
-
-LAMBENCIES = (2, 3, 4, 5, 7, 13)
 
 
 def _table_qcut(ell):

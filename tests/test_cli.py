@@ -24,6 +24,16 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
+def test_component_outside_1_to_l_minus_1_is_a_usage_error(capsys):
+    # r = -1 once printed component 1 under that label, r = 5 an IndexError
+    for verb in ("coeffs", "twist"):
+        for r in ("-1", "0", "3", "5"):
+            code, out = run([verb, "--lambency", "3", "--class", "2B", "--r", r,
+                             "--order", "3"])
+            assert (code, out) == (2, ""), (verb, r)
+            assert capsys.readouterr().err.startswith("usage error: component r")
+
+
 def test_data_error_exit_3():
     code, _ = run(["coeffs", "--lambency", "3", "--class", "99Z", "--order", "3"])
     assert code == 3

@@ -181,7 +181,7 @@ def test_phi5_integral():
 
 
 def test_umbral_Z_constants():
-    for ell in (2, 3, 4, 5, 7, 13):
+    for ell in LAMBENCIES:
         z0 = jb.umbral_Z(ell, 4).specialize_z0()
         assert z0.coefficient(0) == F(24, ell - 1)
         assert all(c == 0 for e, c in z0.items() if e != 0)
@@ -366,7 +366,7 @@ def test_extraction_heads():
 
 
 def test_extract_verify_extremal_all():
-    for ell in (2, 3, 4, 5, 7, 13):
+    for ell in LAMBENCIES:
         assert jb.verify_extremal(ell)["ok"]
 
 
@@ -501,6 +501,22 @@ def test_truncate_refuses_a_deeper_cutoff():
         assert s.truncate(3) == type(s).one(3)
         with pytest.raises(CutoffUnderflow):
             s.truncate(6)
+
+
+def test_coefficient_past_the_cutoff_is_an_underflow():
+    # both classes raise the typed cutoff error, not the bad-parameter one
+    with pytest.raises(CutoffUnderflow):
+        FracSeries.one(5).coefficient(5)
+    with pytest.raises(CutoffUnderflow):
+        jb.WindowedSeries.one(5).coefficient(5, 0)
+
+
+def test_vector_component_outside_1_to_l_minus_1():
+    H = jb.HVector(3, [FracSeries.one(2), FracSeries.one(2)])
+    assert H.component(2) is H.components[1]
+    for r in (-1, 0, 3, 5):
+        with pytest.raises(OutOfRange, match=f"r = {r} outside 1..2"):
+            H.component(r)
 
 
 def test_scalar_row_scaling():

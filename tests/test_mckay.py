@@ -9,7 +9,7 @@ import pytest
 
 from moonshine import mckay as mk
 from moonshine.cli import main
-from moonshine.data import data_dir, load_json, memo, set_data_dir
+from moonshine.data import LAMBENCIES, data_dir, load_json, memo, set_data_dir
 from moonshine.errors import DataCorrupt, UnknownClass
 from moonshine.groups import class_table
 from moonshine.qseries import eta_quotient, lambda_n, mock_theta, unary_theta
@@ -62,7 +62,7 @@ def test_quarter_twist_rejects_off_lattice():
 
 
 def test_twisted_identity_columns_match_extraction():
-    for ell in (2, 3, 4, 5, 7, 13):
+    for ell in LAMBENCIES:
         tw = mk.twisted_H(ell, "1A", 6)
         H = mk.identity_H(ell, 6)
         for r in range(1, ell):
@@ -206,7 +206,7 @@ def test_served_twisted_series_equal_fresh_builds():
     def reported(tw):
         return [(list(s.items()), s.cutoff) for s in tw.components]
 
-    labels = [(ell, c.label) for ell in (2, 3, 4, 5, 7, 13) for c in class_table(ell).classes]
+    labels = [(ell, c.label) for ell in LAMBENCIES for c in class_table(ell).classes]
     set_data_dir(None)
     for ell, label in labels:
         mk.twisted_H(ell, label, F(113, 16) + 1)
@@ -229,8 +229,9 @@ def test_mock_theta_functions_built_once(monkeypatch):
     assert mock_theta("U0", 21) is mock_theta("U0", F(21))
 
 
-def test_verify_identities_builds_each_vector_once(monkeypatch):
-    # the F loop asks identity_H at one cutoff per class, hat parts included
+def test_verify_identities_builds_no_identity_vector(monkeypatch):
+    # the weight-2 checks read the stored tables: without the mock identities
+    # no identity vector is extracted
     set_data_dir(None)
     built = []
     extract = mk.jacobi.extract_H
@@ -239,13 +240,43 @@ def test_verify_identities_builds_each_vector_once(monkeypatch):
     monkeypatch.setattr(mk, "MOCK_IDENTITIES", {})
     with redirect_stdout(io.StringIO()):
         assert main(["verify-identities"]) == 0
-    assert sorted(built) == [2, 3, 5, 7, 13]
+    assert built == []
 
 
 def test_identity_class_F_vanishes():
+    # F_1A = 0: the twisted series of 1A is the identity vector, cutoffs included
     for ell in (2, 3, 5, 7, 13):
-        hats = mk.hat_components(mk.twisted_H(ell, "1A", 8))
-        assert all(h.is_zero() for h in hats)
+        tw, H = mk.twisted_H(ell, "1A", 8), mk.identity_H(ell, 8)
+        for r in range(1, ell):
+            got, want = tw.component(r), H.component(r)
+            assert (list(got.items()), got.cutoff) == (list(want.items()), want.cutoff), (ell, r)
+
+
+def test_weight2_check_fires_on_a_wrong_catalog_form(tmp_path):
+    # 5A's Lambda_5 coefficient at lambency 3 changed from -2 to 3
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    path = alt / "weight2_3.json"
+    table = json.loads(path.read_text())
+    rec = next(r for r in table["records"] if (r["class"], r["variant"]) == ("5A", "F"))
+    assert rec["terms"][0]["coeff"] == "-2"
+    rec["terms"][0]["coeff"] = "3"
+    path.write_text(json.dumps(table))
+    try:
+        set_data_dir(alt)
+        rep = mk.verify_F_consistency(3, "5A")
+        assert not rep["ok"] and rep["checked"][0]["first_mismatch"] == 0, rep
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify-identities", "--data-dir", str(alt)]) == 1
+    finally:
+        set_data_dir(None)
+
+
+def test_weight2_check_reports_the_depth_the_tables_reach():
+    # the lambency-3 tables end at q^(359/12) (r = 1) and q^(356/12) (r = 2):
+    # hat_r S_r is exact below 31 for both, short of the 40 asked
+    rep = mk.verify_F_consistency(3, "2B", 40)
+    assert rep["ok"] and [c["order"] for c in rep["checked"]] == ["31"], rep
 
 
 def test_f44_class_reports_the_cutoff_asked():
@@ -324,7 +355,7 @@ def _rho_by_matrices(ell, n, h, gamma):
 
 def test_multiplier_rho_matches_matrix_product():
     checked = 0
-    for ell in (2, 3, 4, 5, 7, 13):
+    for ell in LAMBENCIES:
         for n in (1, 2, 3, 4, 6, 8, 12):
             for c in range(0, 6 * n, n):
                 for d in range(-7, 8):
@@ -359,11 +390,12 @@ def test_vanishing_shadow_classes_are_modular():
     for ell, lab in [(3, "4A"), (3, "8AB"), (4, "4B"), (5, "4AB")]:
         c = class_table(ell).by_label[lab]
         assert c.chi == 0 and c.chibar == 0
-        tw = mk.twisted_H(ell, lab, 8)
-        hats = mk.hat_components(tw)
+        tw, H = mk.twisted_H(ell, lab, 8), mk.identity_H(ell, 8)
         for r in range(1, ell):
-            cut = min(tw.component(r).cutoff, hats[r - 1].cutoff)
-            assert tw.component(r).truncate(cut) == hats[r - 1].truncate(cut)
+            shadow = H.component(r).scale(F(mk.chi_r(ell, lab, r) * (ell - 1), 24))
+            hat = tw.component(r) - shadow
+            cut = min(tw.component(r).cutoff, hat.cutoff)
+            assert tw.component(r).truncate(cut) == hat.truncate(cut)
 
 
 def test_l5_solve_stays_on_lattice():

@@ -33,7 +33,7 @@ DOUBLET_SAMPLES = {
 
 
 def test_orthogonality_all_tables():
-    for ell in (2, 3, 4, 5, 7, 13):
+    for ell in LAMBENCIES:
         rep = reps.validate_table(ell)
         assert rep["ok"]
 
@@ -160,7 +160,7 @@ def test_polar_row_decomposes_to_trivial():
 
 
 def test_verify_decomposition_tables_all():
-    for ell in (2, 3, 4, 5, 7, 13):
+    for ell in LAMBENCIES:
         rep = reps.verify_decomposition_tables(ell)
         assert rep["ok"], rep["failures"][:2]
     assert reps.verify_decomposition_tables(3).get("errata_applied") == [(1, "95")]
@@ -256,7 +256,7 @@ def test_type_inventory_built_once():
 
 
 def test_fs_zero_iff_typed():
-    for ell in (2, 3, 4, 5, 7, 13):
+    for ell in LAMBENCIES:
         assert reps.fs_zero_matches_types(ell)
 
 
@@ -283,7 +283,7 @@ def test_doublet_conjecture_and_samples():
 
 
 def test_discriminant_report_all():
-    for ell in (2, 3, 4, 5, 7, 13):
+    for ell in LAMBENCIES:
         rep = reps.discriminant_report(ell)
         assert rep["ok"], rep
 

@@ -23,9 +23,10 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="moonshine",
                                 description="exact computations around the six "
                                             "distinguished mock modular vectors")
+    # no prefix matching: decompose takes no --r, which would pass as --row
     sub = p.add_subparsers(dest="verb", required=True,
                            parser_class=lambda **kw: argparse.ArgumentParser(
-                               parents=[shared], **kw))
+                               parents=[shared], allow_abbrev=False, **kw))
 
     def common(sp, lambency=True, cls=False, r=False, order=None):
         if lambency:
@@ -54,16 +55,16 @@ def _parser() -> argparse.ArgumentParser:
                    "cataloged weight-2 form against the form rebuilt from the "
                    "stored tables")
     common(sub.add_parser("verify-group", help="group regeneration checks"))
-    common(sub.add_parser("decompose", help="decompose one table row"),
-           r=True).add_argument("--row", type=int, required=True,
-                                help="row key 4l*d")
+    common(sub.add_parser("decompose", help="decompose one table row")).add_argument(
+        "--row", type=int, required=True, help="row key 4l*d, which fixes the component r")
     common(sub.add_parser("discriminants", help="discriminant property suite"))
     ed = sub.add_parser("extremal-dim", help="extremal candidate space dimension")
     ed.add_argument("--m", type=int, required=True, choices=(9, 25))
     sg = common(sub.add_parser("siegel", help="lift coefficients"), lambency=True)
     sg.add_argument("--pmax", type=int, default=3)
     sg.add_argument("--nmax", type=int, default=3)
-    sg.add_argument("--ywindow", type=int, default=6)
+    sg.add_argument("--ywindow", type=int, default=6,
+                    help="y-window of the additive vs product comparison (lambency 2 only)")
     common(sub.add_parser("group-info", help="conjugacy class inventory"))
     return p
 
@@ -195,7 +196,7 @@ def cmd_verify_group(args):
 
 def cmd_decompose(args):
     ell = args.lambency
-    r = args.r or reps.row_component(ell, args.row)
+    r = reps.row_component(ell, args.row)
     got = reps.decompose(ell, r, args.row, reps.coefficient_row(ell, r, args.row))
     payload = {"lambency": ell, "r": r, "row": args.row,
                "multiplicities": {i + 1: str(c) for i, c in enumerate(got.counts) if c},

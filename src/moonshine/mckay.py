@@ -1,22 +1,22 @@
 """Twisted series for every conjugacy class, from the weight-2 form catalogs.
 
 Every computed component follows one formula, H_{g,r} = (chi_{g,r}/chi) H_r +
-hat H_{g,r} with chi = 24/(l-1) and H the extracted identity vector.  The
-shadow-free part hat H_g solves F_g = sum_r hat H_{g,r} S_r against the unary
-thetas (and F2_g = sum_r +-hat H_{g,r} S_(l-r) at lambency 5), one parity block
-of r at a time; at lambency 4 the even block reads the stored form W_g, and at
-7 and 13 hat H vanishes for 1A and 2A.  Two sources replace whole components:
-the lambency-4 bridge (odd r: H_{g,1} - H_{g,3} is the lambency-2 series of the
-bridge partner at half argument, or an eta quotient, split by exponent residue)
-and the stored coefficient tables of every other class at 7 and 13.  The
-weight-2 check reads no computed series: it compares each cataloged form with
-the form rebuilt from the stored tables, for every class.
+hat H_{g,r}, with H the extracted identity vector and ``_shadow`` the one
+coefficient chi_{g,r}/chi, chi = 24/(l-1).  hat H_g solves the weight-2
+relations of ``_relation``, the one table of (r, j, sign) with F_g = sum sign
+hat H_{g,r} S_j (F2 pairs r with l-r), one block of r of one ``_parity`` at a
+time; at 7 and 13 hat H vanishes for 1A and 2A.  ``_lambency_4`` is the one
+route through the stored lambency-4 data: the even block's side W_g, and
+H_{g,1} and H_{g,3} whole (split from their difference, the bridge partner's
+lambency-2 series at half argument or an eta quotient).  Every other class at
+7 and 13 reads ``stored_columns``, the one column view of the stored tables.
+So does the weight-2 check: it sums the same relation table over the tables'
+hat H and compares with each cataloged form, for every class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 from . import jacobi
@@ -42,31 +42,21 @@ def weight2_classes(ell: int, variant: str = "F") -> list:
     return [c for (c, v) in _catalog(ell) if v == variant]
 
 
-def _terms(terms):
-    """Read catalog terms as (coeff, scale, build): a term is coeff times the
-    block series build(cutoff/scale) at q -> q^scale."""
+def _combination(terms, cutoff) -> FracSeries:
+    """sum coeff * block(scale*tau) over catalog terms, exact below ``cutoff``;
+    a block is a lambda, an eta quotient or a newform."""
+    total = FracSeries.zero(cutoff)
     for term in terms:
-        scale = as_rat(term.get("scale", "1"))
-        blk = term["block"]
+        blk, scale = term["block"], as_rat(term.get("scale", "1"))
         if blk["type"] == "lambda":
-            build = partial(lambda_n, blk["n"])
+            s = lambda_n(blk["n"], cutoff / scale)
         elif blk["type"] == "eta":
-            build = partial(eta_quotient, [(as_rat(k), m) for k, m in blk["spec"]])
+            s = eta_quotient([(as_rat(k), m) for k, m in blk["spec"]], cutoff / scale)
         elif blk["type"] == "newform":
-            build = partial(newform, blk["label"])
+            s = newform(blk["label"], cutoff / scale)
         else:
             raise UnknownClass(f"unknown block {blk['type']}")
-        yield as_rat(term["coeff"]), scale, build
-
-
-def _combination(terms, cutoff) -> FracSeries:
-    """sum coeff * block(scale*tau) over catalog terms, exact below ``cutoff``."""
-    total = FracSeries.zero(cutoff)
-    for coeff, scale, build in _terms(terms):
-        s = build(cutoff / scale)
-        if scale != 1:
-            s = s.rescale(scale)
-        total = total + s.scale(coeff)
+        total = total + (s.rescale(scale) if scale != 1 else s).scale(as_rat(term["coeff"]))
     return total
 
 
@@ -139,21 +129,34 @@ def _class_info(ell: int, label: str):
     return gd.by_label[label], gd.pairing[label]
 
 
+def _parity(r: int) -> int:
+    """z acts on component r by +1 for odd r (non-faithful side), -1 for even r."""
+    return 1 if r % 2 else -1
+
+
 def chi_r(ell: int, label: str, r: int) -> int:
     """Shadow multiplicity: the unsigned character for odd r, signed for even."""
     c, _ = _class_info(ell, label)
-    return c.chibar if r % 2 else c.chi
+    return c.chibar if _parity(r) == 1 else c.chi
+
+
+def _shadow(ell: int, label: str, r: int) -> Fraction:
+    """chi_{g,r}/chi with chi = 24/(l-1): the multiple of H_r in H_{g,r}."""
+    return Fraction(chi_r(ell, label, r) * (ell - 1), 24)
 
 
 def pairing(ell: int, label: str):
-    """The paired class [zg] and the component sign rule it satisfies.
-
-    Returns (partner_label, signs) with signs[r-1] the factor relating
-    component r of the partner to component r of ``label``: +1 for odd r
-    (non-faithful side), -1 for even r (faithful side).
-    """
+    """The paired class [zg] and the component sign rule it satisfies:
+    (partner_label, signs) with signs[r-1] = ``_parity(r)`` the factor relating
+    component r of the partner to component r of ``label``."""
     _, zlab = _class_info(ell, label)
-    return zlab, [1 if r % 2 else -1 for r in range(1, ell)]
+    return zlab, [_parity(r) for r in range(1, ell)]
+
+
+def _relation(ell: int, variant: str) -> list:
+    """(r, j, sign) with F_variant = sum sign * hat H_r * S_j: F pairs r with r,
+    F2 pairs r with l - r, signed by the parity of r."""
+    return [(r, r, 1) if variant == "F" else (r, ell - r, _parity(r)) for r in range(1, ell)]
 
 
 def from_stored_column(ell: int, label: str) -> bool:
@@ -162,70 +165,65 @@ def from_stored_column(ell: int, label: str) -> bool:
     return ell in (7, 13) and label not in ("1A", "2A")
 
 
-def _stored_components(ell: int, label: str, qcut) -> list:
-    cols = {r: {} for r in range(1, ell)}
+@memo
+def stored_columns(ell: int) -> dict:
+    """The stored tables of a lambency as one HVector of columns per class, at table
+    depth: a table ends one row past its last, so exact below its last exponent + 1."""
+    cols = {c.label: [{} for _ in range(1, ell)] for c in class_table(ell).classes}
     for (r, k), row in stored_rows(ell).items():
-        if label not in row:
-            raise UnknownClass(f"no stored column {label} in table {ell},{r}")
-        cols[r][Fraction(k, 4 * ell)] = row[label]
-    # the table ends one row past its last: exact below the last exponent + 1
-    table = [FracSeries.from_terms(col.items(), max(col) + 1) for col in cols.values()]
-    return jacobi.HVector(ell, table).truncate(qcut).components
+        for label, col in cols.items():
+            if label not in row:
+                raise UnknownClass(f"no stored column {label} in table {ell},{r}")
+            col[r - 1][Fraction(k, 4 * ell)] = row[label]
+    return {label: jacobi.HVector(ell, [FracSeries.from_terms(c.items(), max(c) + 1) for c in col])
+            for label, col in cols.items()}
 
 
 @memo
 def twisted_H(ell: int, label: str, qcut=31) -> TwistedH:
     """The vector-valued twisted series for a conjugacy class.
 
-    Component r is (chi_{g,r}/chi) H_r + hat H_{g,r} with chi = 24/(l-1),
-    hat H from ``_hat_H``; the lambency-4 bridge (odd r) and the stored
-    columns (``from_stored_column``) replace whole components.  Component r
-    is exact below qcut - ``TwistedH._offset(r)``, or below a stored column's
-    table depth where that is shallower, so a deeper value truncated
-    (``data.memo``) equals a fresh build.
+    Component r is (chi_{g,r}/chi) H_r + hat H_{g,r} (``_hat_H``) unless the
+    lambency-4 route (odd r) or the stored columns give it whole.  It is exact
+    below qcut - ``TwistedH._offset(r)``, or a stored column's shallower depth,
+    so a deeper value truncated (``data.memo``) equals a fresh build.
     """
     if ell not in LAMBENCIES:
         raise UnknownClass(f"lambency {ell}")
     c, _ = _class_info(ell, label)
     if from_stored_column(ell, label):
-        comps = _stored_components(ell, label, qcut)
+        comps = stored_columns(ell)[label].truncate(qcut).components
     else:
-        hat = {} if ell in (7, 13) else _hat_H(ell, label, qcut)
-        H = identity_H(ell, qcut)
-        comps = [H.component(r).scale(Fraction(chi_r(ell, label, r) * (ell - 1), 24))
+        whole, sides = _lambency_4(label, qcut) if ell == 4 else ({}, _sides(ell, label, qcut))
+        hat, H = _hat_H(ell, sides, qcut), identity_H(ell, qcut)
+        comps = [whole[r] if r in whole else H.component(r).scale(_shadow(ell, label, r))
                  + hat.get(r, 0) for r in range(1, ell)]
-        if ell == 4:
-            comps[0], comps[2] = _l4_odd(label, qcut)
     return TwistedH(ell, comps, label, c.chi, c.chibar, c.gamma)
 
 
-def _hat_H(ell: int, label: str, qcut) -> dict:
-    """hat H_{g,r} keyed by r, from the weight-2 relations; an absent r is zero.
+def _sides(ell: int, label: str, qcut) -> dict:
+    """{e: {variant: (F_g + e F_zg)/2}}, the relation summed over the r of parity
+    e; none at 7 and 13, where hat H vanishes for 1A and 2A."""
+    if ell in (7, 13):
+        return {}
+    zlab, _ = pairing(ell, label)
+    variants = ["F"] + (["F2"] if (label, "F2") in _catalog(ell) else [])
+    return {e: {v: (weight2(ell, label, v, qcut) + weight2(ell, zlab, v, qcut).scale(e)) / 2
+                for v in variants} for e in (1, -1)}
 
-    The r of one pairing sign e form a block, solved by Cramer's rule over
-    the series ring: (F_g + e F_zg)/2 = sum_r hat_r S_r and, where the F2
-    catalog has the class, e (F2_g + e F2_zg)/2 = sum_r hat_r S_(l-r).  At
-    lambency 4 only the even block is solved, from W_g = hat_2 S_2.
-    """
-    zlab, signs = pairing(ell, label)
-    if ell == 4:
-        terms = load_json("l4_reconstruction.json")["h2_hat"].get(label)
-        sides = {-1: [_combination(terms, qcut)]} if terms else {}
-    else:
-        variants = ["F"] + (["F2"] if (label, "F2") in _catalog(ell) else [])
-        form = {(lab, v): weight2(ell, lab, v, qcut) for lab in {label, zlab} for v in variants}
-        sides = {e: [(form[label, v] + form[zlab, v].scale(e)).scale(
-                     Fraction(e if v == "F2" else 1, 2)) for v in variants] for e in (1, -1)}
-    # S_r is built 1/3 past qcut: inverting a 1x1 block loses low(S_r) =
-    # r^2/4l <= 1/3 when the weight-2 side has no negative powers, and the
-    # 2x2 blocks at lambency 5 need 1/5
-    S = {r: unary_theta(ell, r, qcut + Fraction(1, 3)) for r in range(1, ell)}
+
+def _hat_H(ell: int, sides: dict, qcut) -> dict:
+    """hat H_{g,r} keyed by r (absent is zero), block e of ``sides`` solved by
+    Cramer's rule with one row per variant: its ``_relation`` on the r of parity e."""
+    # S_j is built 1/3 past qcut: inverting a 1x1 block loses low(S_j) = j^2/4l
+    # <= 1/3 when the weight-2 side has no negative powers, a 2x2 block 1/5
+    S = {j: unary_theta(ell, j, qcut + Fraction(1, 3)) for j in range(1, ell)}
     hat = {}
     for e, rhs in sides.items():
-        rs = [r for r in range(1, ell) if signs[r - 1] == e]
+        rs = [r for r in range(1, ell) if _parity(r) == e]
         if rs:  # lambency 2 has no even r
-            rows = [[S[r] for r in rs], [S[ell - r] for r in rs]][:len(rhs)]
-            hat.update(zip(rs, _cramer(rows, rhs)))
+            rows = [[S[j].scale(sign) for r, j, sign in _relation(ell, v) if r in rs] for v in rhs]
+            hat.update(zip(rs, _cramer(rows, list(rhs.values()))))
     return hat
 
 
@@ -248,10 +246,10 @@ def _cramer(m: list, rhs: list) -> list:
             for j in range(len(m))]
 
 
-def _l4_odd(label: str, qcut) -> tuple:
-    """H_{g,1} and H_{g,3} at lambency 4, split by exponent residue from their
-    difference: the bridge partner's lambency-2 series at half argument, or an
-    eta quotient for the classes without one."""
+def _lambency_4(label: str, qcut) -> tuple:
+    """The one route through the stored lambency-4 data: H_{g,1} and H_{g,3} whole,
+    split by residue from their difference (the bridge partner's lambency-2 series at
+    half argument, or an eta quotient), and the even block's side W_g, if stored."""
     l4 = load_json("l4_reconstruction.json")
     if label in l4["bridge"]:
         # component 1 at lambency 2 reports 2c + 1/8 - 1/8 = 2c, that is c at half argument
@@ -259,7 +257,9 @@ def _l4_odd(label: str, qcut) -> tuple:
         star = star.rescale(Fraction(1, 2))
     else:
         star = _combination(l4["star_eta"][label], qcut)
-    return star.split(Fraction(-1, 16)), star.split(Fraction(7, 16)).scale(-1)
+    terms = l4["h2_hat"].get(label)
+    return ({1: star.split(Fraction(-1, 16)), 3: star.split(Fraction(7, 16)).scale(-1)},
+            {-1: {"F": _combination(terms, qcut)}} if terms else {})
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +267,21 @@ def _l4_odd(label: str, qcut) -> tuple:
 
 def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
     """Check the form rebuilt from the stored tables against the cataloged weight-2
-    form(s) to ``qcut``, or to the depth the tables reach if that is less: F^tab =
-    sum_r hat_r S_r with hat_r = H^tab_{g,r} - (chi_{g,r}/chi) H^tab_{1A,r}.  Columns
-    cut at c give hat_r exact below c - r^2/4l, and F2 pairs it with S_(l-r), which
-    starts (l-2)/4 below r^2/4l at r = l-1: so c = qcut + (l-2)/4 for F2 classes."""
+    form(s) to ``qcut``, or to the depth the tables reach if that is less: F^tab = sum
+    sign hat_r S_j over ``_relation``, hat_r = H^tab_{g,r} - (chi_{g,r}/chi) H^tab_{1A,r}.
+    Columns cut at c give hat_r exact below c - r^2/4l, and F2 pairs it with S_(l-r),
+    which starts (l-2)/4 below r^2/4l at r = l-1: so c = qcut + (l-2)/4 for F2."""
     cat = _catalog(ell)
     qcut = as_rat(qcut)
     cut = qcut + (Fraction(ell - 2, 4) if (label, "F2") in cat else 0)
-    one = _stored_components(ell, "1A", cut)
-    hats = [h - one[r - 1].scale(Fraction(chi_r(ell, label, r) * (ell - 1), 24))
-            for r, h in enumerate(_stored_components(ell, label, cut), 1)]
+    shadows = [_shadow(ell, label, r) for r in range(1, ell)]  # an unknown class raises
+    one, own = (stored_columns(ell)[lab].truncate(cut) for lab in ("1A", label))
+    hats = [h - h1.scale(s) for h, h1, s in zip(own, one, shadows)]
     checked = []
     for variant in [v for v in ("F", "F2") if (label, v) in cat]:
         total = FracSeries.zero(qcut)
-        for r, h in enumerate(hats, 1):
-            piece = h * unary_theta(ell, ell - r if variant == "F2" else r, qcut + 1)
-            total = total - piece if variant == "F2" and r % 2 == 0 else total + piece
+        for r, j, sign in _relation(ell, variant):
+            total = total + (hats[r - 1] * unary_theta(ell, j, qcut + 1)).scale(sign)
         diff = total - weight2(ell, label, variant, total.cutoff)
         checked.append({"variant": variant, "order": str(total.cutoff),
                         "first_mismatch": next((e for e, c in diff.items() if c != 0), None)})

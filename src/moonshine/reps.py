@@ -23,7 +23,7 @@ from operator import mul
 
 from .algebra import QuadValue, _canonical, squarefree_part
 from .data import load_json, memo
-from .errors import DataCorrupt, MixedDiscriminant, UnknownClass
+from .errors import DataCorrupt, MixedDiscriminant, OutOfRange, UnknownClass
 from .groups import class_table, merged_members
 
 
@@ -223,18 +223,16 @@ def row_component(ell: int, fourld: int) -> int:
     for r in range(1, ell):
         if (fourld + r * r) % (4 * ell) == 0:
             return r
-    raise UnknownClass(f"row {fourld} off the lambency-{ell} lattice")
+    raise OutOfRange(f"row {fourld} off the lambency-{ell} lattice")
 
 
 def verify_decomposition_tables(ell: int) -> dict:
-    """Reproduce every stored decomposition row from the coefficient tables."""
+    """Reproduce every stored decomposition row from the coefficient tables; a
+    missing ``dec_<l>_<r>.json`` raises FileNotFoundError."""
     report = {"lambency": ell, "rows": 0, "failures": [], "ok": True}
     decs = stored_decompositions(ell)
     for r in range(1, ell):
-        try:
-            dec = load_json(f"dec_{ell}_{r}.json")
-        except FileNotFoundError:
-            continue
+        dec = load_json(f"dec_{ell}_{r}.json")
         for key, mults in dec["rows"].items():
             expected = {chi: m for chi, m in zip(dec["chis"], mults) if m}
             if (ell, r, int(key)) in DEC_ERRATA:

@@ -113,6 +113,16 @@ def test_decompose_verb():
     assert code == 0 and out.strip() == "1*chi_3 + 1*chi_4"
 
 
+def test_decompose_row_fixes_r(capsys):
+    # the row key fixes r, so there is no --r; a row off the lattice is a usage error
+    code, out = run(["decompose", "--lambency", "2", "--row", "31"])
+    assert code == 0 and out.strip() == "2*chi_20"
+    assert run(["decompose", "--lambency", "2", "--row", "31", "--r", "1"]) == (2, "")
+    assert "unrecognized arguments: --r" in capsys.readouterr().err
+    assert run(["decompose", "--lambency", "2", "--row", "32"]) == (2, "")
+    assert capsys.readouterr().err == "usage error: row 32 off the lambency-2 lattice\n"
+
+
 def test_discriminants_verb():
     code, out = run(["discriminants", "--lambency", "13"])
     assert code == 0 and "ok" in out
@@ -121,6 +131,24 @@ def test_discriminants_verb():
 def test_siegel_verb():
     code, out = run(["siegel", "--lambency", "2", "--pmax", "2", "--nmax", "2"])
     assert code == 0 and "equal" in out
+
+
+def test_siegel_verb_json_at_lambency_2():
+    code, out = run(["siegel", "--json", "--lambency", "2", "--pmax", "2", "--nmax", "2"])
+    payload = json.loads(out)
+    assert code == 0 and payload["compare"]["ok"] and payload["coefficients"]
+
+
+def test_siegel_verb_past_lambency_2():
+    # the product lift alone; --ywindow is read at lambency 2 only
+    code, out = run(["siegel", "--lambency", "3"])
+    assert code == 0 and out == "prefactor exponents ['1/2', '1', '1']; 166 coefficients\n"
+    assert run(["siegel", "--lambency", "3", "--ywindow", "99"]) == (code, out)
+    code, out = run(["siegel", "--json", "--lambency", "3"])
+    payload = json.loads(out)
+    assert code == 0 and payload["lambency"] == 3 and payload["prefactor"] == ["1/2", "1", "1"]
+    assert len(payload["coefficients"]) == 166
+    assert payload["coefficients"][0] == {"m": 0, "n": 0, "r": -2, "c": "1/1"}
 
 
 def test_siegel_negative_pmax_is_a_usage_error():

@@ -370,6 +370,22 @@ def test_extract_verify_extremal_all():
         assert jb.verify_extremal(ell)["ok"]
 
 
+def test_verify_extremal_reports_a_stray_polar_term(monkeypatch):
+    # a polar term q^(-1/12) added to H_1 at lambency 3: -1 beside the head -2
+    extract = jb.extract_H
+
+    def planted(ell, qcut):
+        H = extract(ell, qcut)
+        h = H.component(1) + FracSeries.from_terms([(F(-1, 12), 1)], H.component(1).cutoff)
+        return jb.HVector(ell, [h] + H.components[1:])
+
+    monkeypatch.setattr(jb, "extract_H", planted)
+    rep = jb.verify_extremal(3)
+    assert rep["polar_ok"] is False and rep["ok"] is False
+    assert rep["failures"] == [(1, F(-1, 12), -1)]
+
+
+
 def test_annulus_independence():
     lo = jb.extract_H(2, 7, annulus=jb.LOWER)
     up = jb.extract_H(2, 7, annulus=jb.UPPER)

@@ -13,6 +13,7 @@ from moonshine.data import LAMBENCIES, data_dir, load_json, memo, set_data_dir
 from moonshine.errors import DataCorrupt, UnknownClass
 from moonshine.groups import class_table
 from moonshine.qseries import eta_quotient, lambda_n, mock_theta, unary_theta
+from moonshine.reps import coefficient_row
 
 
 def test_weight2_lambda_combination():
@@ -28,15 +29,15 @@ def test_weight2_eta_equalities():
 
 
 def test_weight2_forms_built_once(monkeypatch):
-    # _hat_H of a class and of its z-partner both read the forms of the pair
+    # the weight-2 sides of a class and of its z-partner both read the forms of the pair
     set_data_dir(None)
     built = []
     combination = mk._combination
     monkeypatch.setattr(mk, "_combination",
                         lambda terms, cutoff: built.append(cutoff) or combination(terms, cutoff))
-    mk._hat_H(3, "5A", 20)
-    mk._hat_H(3, "10A", 20)
-    mk._hat_H(3, "10A", 12)
+    mk._sides(3, "5A", 20)
+    mk._sides(3, "10A", 20)
+    mk._sides(3, "10A", 12)
     assert built == [20, 20]
     assert mk.weight2(3, "5A", "F", 20) is mk.weight2(3, "5A", "F", F(40, 2))
 
@@ -451,3 +452,56 @@ def test_unknown_block_type_in_l4_data_raises(tmp_path):
             mk.twisted_H(4, "7AB", 11)
     finally:
         set_data_dir(None)
+
+
+def test_stored_columns_pivoted_once_per_lambency(monkeypatch):
+    # verify-identities reads the stored tables of five lambencies, each pivoted once
+    set_data_dir(None)
+    built = []
+    build = mk.stored_columns.__wrapped__
+    monkeypatch.setattr(mk, "stored_columns", memo(lambda ell: built.append(ell) or build(ell)))
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify-identities"]) == 0
+    assert sorted(built) == [2, 3, 5, 7, 13]
+
+
+def test_solver_and_check_share_one_relation_table(monkeypatch):
+    # the F2 sign of r = 2 flipped in the one table: the check fires, and the
+    # solved series leave the stored table
+    relation = mk._relation
+    monkeypatch.setattr(mk, "_relation", lambda ell, variant: [
+        (r, j, -sign if (variant, r) == ("F2", 2) else sign) for r, j, sign in relation(ell, variant)])
+    set_data_dir(None)
+    try:
+        rep = mk.verify_F_consistency(5, "2B", 12)
+        assert [c["first_mismatch"] for c in rep["checked"]] == [None, F(5, 4)], rep
+        tw = mk.twisted_H(5, "2B", 12)
+        assert tw.coefficient(36) != coefficient_row(5, 2, 36)["2B"]
+    finally:
+        monkeypatch.undo()
+        set_data_dir(None)
+    assert mk.twisted_H(5, "2B", 12).coefficient(36) == coefficient_row(5, 2, 36)["2B"]
+
+
+def test_singular_block_raises_determinant_not_unit(monkeypatch, capsys):
+    # with F2 pairing r with r as F does, each 2x2 block at lambency 5 is singular
+    from moonshine.errors import DeterminantNotUnit
+    relation = mk._relation
+    monkeypatch.setattr(mk, "_relation", lambda ell, variant: relation(ell, "F"))
+    set_data_dir(None)
+    try:
+        with pytest.raises(DeterminantNotUnit, match="zero series"):
+            mk.twisted_H(5, "2B", 6)
+        assert main(["twist", "--lambency", "5", "--class", "2B", "--order", "5"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot invert the zero series")
+    finally:
+        set_data_dir(None)
+
+
+def test_verify_identities_reports_a_failing_mock_identity(monkeypatch):
+    # 4B at lambency 2 is -2 q^(-1/8) mu; the sign flipped, the identity fails at once
+    monkeypatch.setitem(mk.MOCK_IDENTITIES, "2:4B=+mu", ((2, "4B", 1), [(2, "mu2", "q", "-1/8")]))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["verify-identities"]) == 1
+    assert buf.getvalue() == "failures: [('mock', '2:4B=+mu', Fraction(-1, 8))]\n"

@@ -1,10 +1,12 @@
 import json
 import shutil
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
 from moonshine import reps
+from moonshine.cli import main
 from moonshine.algebra import QuadValue
 from moonshine.data import LAMBENCIES, data_dir, load_json, set_data_dir
 from moonshine.errors import DataCorrupt, MixedDiscriminant, UnknownClass
@@ -418,3 +420,84 @@ def test_signed_shape_with_an_extra_cycle_length_is_corrupt(tmp_path, capsys):
     finally:
         set_data_dir(None)
     assert class_table(2).by_label["1A"].pi == {1: 24}
+
+
+def test_missing_decomposition_table_raises(tmp_path):
+    # a missing dec_<l>_<r>.json must not pass the check on fewer rows
+    alt = _edited_copy(tmp_path, {})
+    (alt / "dec_3_2.json").unlink()
+    try:
+        set_data_dir(alt)
+        with pytest.raises(FileNotFoundError, match="dec_3_2.json"):
+            reps.verify_decomposition_tables(3)
+    finally:
+        set_data_dir(None)
+
+
+def _doubled(key):
+    def edit(table):
+        table["rows"][key] = [2 * v for v in table["rows"][key]]
+    return edit
+
+
+def test_doublet_check_fires(tmp_path, capsys):
+    # row 63 = 7 * 3^2 doubled is a doublet at a representable -D; row 31 with
+    # its 2A value moved by one has non-integral multiplicities
+    def edit(table):
+        _doubled("63")(table)
+        table["rows"]["31"][1] += 1
+    alt = _edited_copy(tmp_path, {"mt_2_1.json": edit})
+    try:
+        set_data_dir(alt)
+        rep = reps.doublet_check(2)
+        assert rep["failures"] == [(1, 31, "non-integral"), (1, 63, "doublet", "representable")]
+        assert not rep["ok"] and not reps.discriminant_report(2)["ok"]
+        assert main(["discriminants", "--lambency", "2", "--data-dir", str(alt)]) == 1
+        assert "doublets FAIL" in capsys.readouterr().out
+    finally:
+        set_data_dir(None)
+
+
+def test_minimal_row_check_fires(tmp_path, capsys):
+    # row 7, the minimal discriminant of type 7, doubled: 2 chi_3 + 2 chi_4
+    alt = _edited_copy(tmp_path, {"mt_2_1.json": _doubled("7")})
+    try:
+        set_data_dir(alt)
+        rep = reps.discriminant_report(2)
+        assert rep["minimal_rows"][7]["counts"] == {3: 2, 4: 2}
+        assert rep["minimal_ok"] is False and rep["fs_matches"] and not rep["ok"]
+        assert main(["discriminants", "--lambency", "2", "--data-dir", str(alt)]) == 1
+        assert "minimal rows FAIL" in capsys.readouterr().out
+    finally:
+        set_data_dir(None)
+
+
+def test_fs_zero_check_fires_on_a_rational_character(tmp_path, capsys):
+    # the trivial character stored with Frobenius-Schur indicator 0
+    alt = _edited_copy(tmp_path, {"chartab_2.json": lambda t: t["fs"].__setitem__(0, 0)})
+    try:
+        set_data_dir(alt)
+        assert reps.fs_zero_matches_types(2) is False
+        assert main(["discriminants", "--lambency", "2", "--data-dir", str(alt)]) == 1
+        assert "fs FAIL" in capsys.readouterr().out
+    finally:
+        set_data_dir(None)
+
+
+def test_fs_zero_check_fires_on_an_untyped_irrational_character(tmp_path, capsys):
+    # 1A zeroed on every row -D = -4 lambda^2 (lambda odd) at lambency 13: type 4
+    # is gone, and chi_3, chi_4 (irrational, indicator 0) belong to no type
+    def untype(table):
+        for key, vals in table["rows"].items():
+            k, lam = int(key), isqrt(max(int(key), 0) // 4)
+            if k > 0 and k == 4 * lam * lam and lam % 2:
+                vals[0] = 0
+    alt = _edited_copy(tmp_path, {f"mt_13_{r}.json": untype for r in range(1, 13)})
+    try:
+        set_data_dir(alt)
+        assert reps.type_n_inventory(13)["types"] == set()
+        assert reps.fs_zero_matches_types(13) is False
+        assert main(["discriminants", "--lambency", "13", "--data-dir", str(alt)]) == 1
+        assert "fs FAIL" in capsys.readouterr().out
+    finally:
+        set_data_dir(None)

@@ -89,10 +89,16 @@ def _series_rows(comp, ell, r):
     return rows
 
 
+def _qcut(args) -> Fraction:
+    """The q-cutoff one past ``--order``."""
+    if args.order < 0:
+        raise OutOfRange(f"--order must be >= 0, got {args.order}")
+    return Fraction(args.order + 1, 1)
+
+
 def cmd_coeffs(args):
     ell = args.lambency
-    qcut = Fraction(args.order + 1, 1)
-    tw = mckay.twisted_H(ell, args.cls, qcut)
+    tw = mckay.twisted_H(ell, args.cls, _qcut(args))
     rs = list(range(1, ell)) if args.r is None else [args.r]
     payload = {"lambency": ell, "class": args.cls, "components": {}}
     for r in rs:
@@ -108,7 +114,7 @@ def cmd_coeffs(args):
 
 def cmd_extract(args):
     ell = args.lambency
-    H = jacobi.extract_H(ell, Fraction(args.order + 1, 1))
+    H = jacobi.extract_H(ell, _qcut(args))
     payload = {"lambency": ell,
                "components": {r: H.component(r).render(16) for r in range(1, ell)}}
     _emit(args, payload, lambda p: [print(f"H_{r} = {s}")
@@ -118,7 +124,7 @@ def cmd_extract(args):
 
 def cmd_twist(args):
     ell = args.lambency
-    tw = mckay.twisted_H(ell, args.cls, Fraction(args.order + 1, 1))
+    tw = mckay.twisted_H(ell, args.cls, _qcut(args))
     rs = list(range(1, ell)) if args.r is None else [args.r]
     payload = {"lambency": ell, "class": args.cls,
                "chi": tw.chi, "chibar": tw.chibar,
@@ -180,6 +186,10 @@ def cmd_verify_identities(args):
 
 def cmd_verify_group(args):
     ell = args.lambency
+    if ell == 2:
+        print("usage error: the lambency-2 group is stored, not generated; "
+              "there is nothing to verify it against", file=sys.stderr)
+        return 2
     gd = groups.generate(ell)
     stored = groups.class_table(ell)
     ok = (gd.order == stored.order

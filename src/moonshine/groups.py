@@ -1,4 +1,5 @@
-"""Signed permutation groups: generation, conjugacy data, Frame shapes.
+"""Signed permutation groups: generation, conjugacy data, Frame shapes,
+class tables and character tables.
 
 The five groups at lambency 3, 4, 5, 7, 13 are generated by explicit signed
 permutations and never listed: the group order comes from a stabilizer chain
@@ -8,15 +9,21 @@ z times that of g, counted but not stored.  The classes are labelled by
 matching their Frame shapes against the bundled class data.
 The degree 24 group at lambency 2 is far too large to enumerate and is
 served from stored class data throughout.
+
+``class_table`` derives every class invariant from the class's two stored
+Frame shapes, checking the stored columns against them; ``character_table``
+is the one reader of the stored character tables.
 """
 from __future__ import annotations
 
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import islice
 from math import lcm, prod
 
+from .algebra import QuadValue
 from .data import load_json, memo
 from .errors import ClosureOverflow, DataCorrupt, OutOfRange, UnknownClass
 
@@ -227,37 +234,8 @@ def sign_counts(pi: dict, pibar: dict) -> dict:
     return out
 
 
-def z_partner_frame(pi: dict, pibar: dict) -> dict:
-    """Signed Frame shape of z*g given that of g (z the central sign flip,
-    under which the odd cycles change sign)."""
-    counts = {k: (minus, plus) if k % 2 else (plus, minus)
-              for k, (plus, minus) in sign_counts(pi, pibar).items()}
-    return _frames(counts)[0]
-
-
-def order_from_frames(pi: dict, pibar: dict) -> int:
-    return _order(sign_counts(pi, pibar))
-
-
-def gamma_symbol_from_frames(ell: int, pi: dict, pibar: dict) -> tuple:
-    """(n_g, h_g): n = order of the unsigned image, N = shortest*longest cycle
-    of the total shape, h = N/n, halved at lambency 4 for non-split classes."""
-    counts = sign_counts(pi, pibar)
-    cyc = sorted(_frames(counts)[2])
-    N = cyc[0] * cyc[-1]
-    n = lcm(*pibar)
-    non_split = _order(counts) == 2 * n
-    h = N // (2 * n) if (ell == 4 and non_split) else N // n
-    return n, h
-
-
-def gamma_symbol(g: SignedPerm, ell: int) -> tuple:
-    pi, pibar, _ = frame_shapes(g)
-    return gamma_symbol_from_frames(ell, pi, pibar)
-
-
 # ---------------------------------------------------------------------------
-# class-level data (stored tables + derived pairing)
+# class-level data: character tables, and class invariants from Frame shapes
 
 @dataclass
 class ClassData:
@@ -267,11 +245,11 @@ class ClassData:
     chibar: int
     pi: dict
     pibar: dict
-    order: int = 0
-    size: int = 0           # total size over merged orbits
-    merged: int = 1         # number of character-table columns the label covers
+    order: int
+    size: int               # total size over merged orbits
+    merged: int             # number of character-table columns the label covers
+    power_map: dict         # prime p -> label of [g^p]
     rep: SignedPerm | None = None
-    power_map: dict | None = None   # prime p -> label of [g^p]
 
 
 @dataclass
@@ -311,49 +289,81 @@ def merged_members(label: str) -> list:
     return [f"{m.group(1)}{c}" for c in m.group(2)]
 
 
+@dataclass
+class CharacterTable:
+    lambency: int
+    order: int
+    classes: list           # unmerged labels, character-table column order
+    centralizers: list      # |C(g)| per column
+    power_maps: dict        # str(p) -> [labels]
+    fs: list                # Frobenius-Schur indicators per irreducible
+    values: list            # values[i][k]: QuadValue of chi_{i+1} at column k
+
+    def degree(self, i: int) -> int:
+        return int(self.values[i][0].rat)
+
+    @property
+    def nchars(self) -> int:
+        return len(self.values)
+
+
+@memo
+def character_table(ell: int) -> CharacterTable:
+    """The stored character table; no other function reads its file."""
+    d = load_json(f"chartab_{ell}.json")
+    values = [[QuadValue(Fraction(v["rat"]), Fraction(v["irr"]), v["disc"])
+               for v in row] for row in d["values"]]
+    return CharacterTable(ell, d["order"], d["classes"], d["centralizers"],
+                          d["power_maps"], d["fs"], values)
+
+
 @memo
 def class_table(ell: int) -> GroupData:
-    """Class-level data from the stored tables, pairing derived from shapes."""
-    d = load_json(f"euler_{ell}.json")
+    """Class-level data, each invariant read off a class's two stored Frame
+    shapes through its signed cycle type: the element order, chi and chibar
+    (the exponents of 1 in Pi and Pibar), the symbol n|h (n the order of the
+    unsigned image, h = N/n for N the shortest times the longest cycle of the
+    total shape, halved at lambency 4 for the non-split classes, of order 2n)
+    and the z-partner (z flips the sign of every odd cycle; at lambency 2 each
+    class is its own).  The stored chi, chibar and Gamma columns are checked
+    against them.  Group order, class sizes and power maps come from the
+    character table."""
+    d, t = load_json(f"euler_{ell}.json"), character_table(ell)
+    centralizer = dict(zip(t.classes, t.centralizers))
     classes = []
     for i, lab in enumerate(d["classes"]):
-        n, _, h = d["gamma"][i].partition("|")
         pi, pibar = parse_frame(d["pi"][i]), parse_frame(d["pibar"][i])
-        classes.append(ClassData(
-            label=lab, gamma=(int(n), int(h) if h else 1),
-            chi=d["chi"][i], chibar=d["chibar"][i],
-            pi=pi, pibar=pibar, order=order_from_frames(pi, pibar),
-            merged=len(merged_members(lab)),
-        ))
-    pairing = {}
-    by_key = {_class_key(c.pi, c.pibar): c for c in classes}
+        counts = sign_counts(pi, pibar)
+        order, cyc, n = _order(counts), sorted(_frames(counts)[2]), lcm(*pibar)
+        h = cyc[0] * cyc[-1] // (2 * n if ell == 4 and order == 2 * n else n)
+        derived = {"chi": pi.get(1, 0), "chibar": pibar.get(1, 0),
+                   "gamma": f"{n}|{h}" if h != 1 else str(n)}
+        for col, value in derived.items():
+            if d[col][i] != value:
+                raise DataCorrupt(f"lambency {ell}, class {lab}: stored {col} "
+                                  f"{d[col][i]}, its Frame shapes give {value}")
+        members = merged_members(lab)
+        classes.append(ClassData(lab, (n, h), derived["chi"], derived["chibar"], pi, pibar,
+                                 order, sum(t.order // centralizer[m] for m in members),
+                                 len(members), {}))
+    gd = GroupData(ell, t.order, classes, {})
     for c in classes:
-        if ell == 2:
-            pairing[c.label] = c.label
-            continue
-        c2 = by_key.get(_class_key(z_partner_frame(c.pi, c.pibar), c.pibar))
-        if c2 is None or (c2.chi, c2.chibar) != (-c.chi, c.chibar):
-            raise UnknownClass(f"no z-partner for {c.label} at lambency {ell}")
-        pairing[c.label] = c2.label
-    ctab = load_json(f"chartab_{ell}.json")
-    order = ctab["order"]
-    # class sizes from character-table centralizers, summed over merged columns
-    cols = {lab: ctab["centralizers"][k] for k, lab in enumerate(ctab["classes"])}
-    merged_of = {}
-    for c in classes:
-        c.size = sum(order // cols[m] for m in merged_members(c.label))
-        for m in merged_members(c.label):
-            merged_of[m] = c.label
-    # class-level power maps from the stored character-table rows
-    ix = {lab: k for k, lab in enumerate(ctab["classes"])}
-    for c in classes:
-        c.power_map = {}
-        for p, images in ctab["power_maps"].items():
-            targets = {merged_of[images[ix[m]]] for m in merged_members(c.label)}
+        z = {k: (minus, plus) if k % 2 else (plus, minus)
+             for k, (plus, minus) in sign_counts(c.pi, c.pibar).items()}
+        partner = c.label if ell == 2 else gd._by_key.get(_class_key(_frames(z)[0], c.pibar))
+        if partner is None:
+            raise DataCorrupt(f"lambency {ell}: no z-partner for {c.label}")
+        gd.pairing[c.label] = partner
+    merged_of = {m: c.label for c in classes for m in merged_members(c.label)}
+    for p, images in t.power_maps.items():
+        image = dict(zip(t.classes, images))
+        for c in classes:
+            targets = {merged_of[image[m]] for m in merged_members(c.label)}
             if len(targets) != 1:
-                raise UnknownClass(f"inconsistent merged power map at {c.label}^{p}")
+                raise DataCorrupt(f"lambency {ell}: inconsistent merged power map "
+                                  f"at {c.label}^{p}")
             c.power_map[int(p)] = targets.pop()
-    return GroupData(ell, order, classes, pairing)
+    return gd
 
 
 # ---------------------------------------------------------------------------

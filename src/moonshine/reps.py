@@ -1,8 +1,9 @@
-"""Character tables, module decompositions, and the discriminant checks.
+"""Character-table validation, module decompositions, and the discriminant checks.
 
-The six character tables are stored data validated by exact orthogonality;
-coefficient vectors (one integer per conjugacy class) are decomposed into
-irreducibles by character inversion over the quadratic fields involved.
+The six character tables, read by ``groups.character_table``, are validated
+here by exact orthogonality; coefficient vectors (one integer per conjugacy
+class) are decomposed into irreducibles by character inversion over the
+quadratic fields involved.
 
 ``CharacterTable.values`` holds ``QuadValue``s; the loops run on an integer
 view built on first use.  With e the common denominator of the entries and L
@@ -24,34 +25,7 @@ from operator import mul
 from .algebra import QuadValue, _canonical, squarefree_part
 from .data import load_json, memo
 from .errors import DataCorrupt, MixedDiscriminant, OutOfRange, UnknownClass
-from .groups import class_table, merged_members
-
-
-@dataclass
-class CharacterTable:
-    lambency: int
-    order: int
-    classes: list           # unmerged labels, character-table column order
-    centralizers: list      # |C(g)| per column
-    power_maps: dict        # str(p) -> [labels]
-    fs: list                # Frobenius-Schur indicators per irreducible
-    values: list            # values[i][k]: QuadValue of chi_{i+1} at column k
-
-    def degree(self, i: int) -> int:
-        return int(self.values[i][0].rat)
-
-    @property
-    def nchars(self) -> int:
-        return len(self.values)
-
-
-@memo
-def character_table(ell: int) -> CharacterTable:
-    d = load_json(f"chartab_{ell}.json")
-    values = [[QuadValue(Fraction(v["rat"]), Fraction(v["irr"]), v["disc"])
-               for v in row] for row in d["values"]]
-    return CharacterTable(ell, d["order"], d["classes"], d["centralizers"],
-                          d["power_maps"], d["fs"], values)
+from .groups import CharacterTable, character_table, class_table, merged_members
 
 
 def _one_disc(values, where: str) -> int:

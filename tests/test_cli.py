@@ -78,6 +78,26 @@ def test_verify_group():
     assert code == 0 and "ok" in out
 
 
+def test_verify_group_rejects_the_stored_lambency_2_group(capsys):
+    # generate(2) returns the stored table, which would be compared with itself
+    assert run(["verify-group", "--lambency", "2"]) == (2, "")
+    assert "stored, not generated" in capsys.readouterr().err
+
+
+def test_negative_order_is_a_usage_error(capsys):
+    # 2B at lambency 2 is computed, 3AB at lambency 7 read from its stored column
+    for argv in (["coeffs", "--lambency", "2", "--class", "2B"],
+                 ["twist", "--lambency", "5", "--class", "2B"],
+                 ["extract", "--lambency", "13"],
+                 ["coeffs", "--lambency", "7", "--class", "3AB"]):
+        assert run(argv + ["--order", "-1"]) == (2, ""), argv
+        assert capsys.readouterr().err == "usage error: --order must be >= 0, got -1\n"
+    for argv in (["coeffs", "--lambency", "2", "--class", "2B", "--r", "1"],
+                 ["coeffs", "--lambency", "7", "--class", "3AB", "--r", "1"]):
+        code, out = run(argv + ["--order", "0"])
+        assert code == 0 and out.splitlines()[1] == "-1\t-2", argv
+
+
 def test_verify_tables_small():
     code, out = run(["verify-tables", "--lambency", "13"])
     assert code == 0 and "3 classes, 1341 cells, 0 mismatches" in out, out

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from fractions import Fraction as F
 from math import isqrt
@@ -302,23 +303,26 @@ def _edited_copy(tmp_path, edits):
 
 
 def test_set_data_dir_rebuilds_tables(tmp_path):
+    labels = ["1A", "2A", "4AB"]
     assert reps.character_table(13).order == 4
-    assert umbral_group(13).by_label["4AB"].gamma == (2, 8)
-    assert class_table(13).by_label["4AB"].gamma == (2, 8)
+    assert [c.label for c in umbral_group(13).classes] == labels
+    assert [c.size for c in class_table(13).classes] == [1, 1, 2]
     alt = _edited_copy(tmp_path, {
         "chartab_13.json": lambda t: t.update(order=8),
-        "euler_13.json": lambda t: t["gamma"].__setitem__(2, "2|4"),
+        # the class rows listed last to first
+        "euler_13.json": lambda t: t.update(
+            {k: v[::-1] for k, v in t.items() if isinstance(v, list)}),
     })
     try:
         set_data_dir(alt)
         assert reps.character_table(13).order == 8
-        assert umbral_group(13).by_label["4AB"].gamma == (2, 4)
-        assert class_table(13).by_label["4AB"].gamma == (2, 4)
+        assert [c.label for c in umbral_group(13).classes] == labels[::-1]
+        assert [c.size for c in class_table(13).classes] == [4, 2, 2]
     finally:
         set_data_dir(None)
     assert reps.character_table(13).order == 4
-    assert umbral_group(13).by_label["4AB"].gamma == (2, 8)
-    assert class_table(13).by_label["4AB"].gamma == (2, 8)
+    assert [c.label for c in umbral_group(13).classes] == labels
+    assert [c.size for c in class_table(13).classes] == [1, 1, 2]
 
 
 def test_data_dir_variable_followed_in_a_running_process(tmp_path, monkeypatch):
@@ -420,6 +424,60 @@ def test_signed_shape_with_an_extra_cycle_length_is_corrupt(tmp_path, capsys):
     finally:
         set_data_dir(None)
     assert class_table(2).by_label["1A"].pi == {1: 24}
+
+
+def _set_cell(column, label, value):
+    def edit(t):
+        t[column][t["classes"].index(label)] = value
+    return edit
+
+
+@pytest.mark.parametrize("column, label, stored, derived", [
+    ("gamma", "4AB", "4|4", "2|8"),
+    ("chi", "2C", 3, 2),
+    ("chibar", "5A", 2, 1),
+])
+def test_stored_class_columns_checked_against_frame_shapes(
+        tmp_path, capsys, column, label, stored, derived):
+    alt = _edited_copy(tmp_path, {"euler_5.json": _set_cell(column, label, stored)})
+    message = (f"lambency 5, class {label}: stored {column} {stored}, "
+               f"its Frame shapes give {derived}")
+    try:
+        set_data_dir(alt)
+        with pytest.raises(DataCorrupt, match=re.escape(message)):
+            class_table(5)
+        assert main(["group-info", "--lambency", "5", "--data-dir", str(alt)]) == 1
+        assert message in capsys.readouterr().err
+    finally:
+        set_data_dir(None)
+    assert class_table(5).by_label["4AB"].gamma == (2, 8)
+
+
+def _drop_class(index):
+    def edit(t):
+        for column in ("classes", "gamma", "chi", "chibar", "pi", "pibar"):
+            del t[column][index]
+    return edit
+
+
+@pytest.mark.parametrize("edits, message", [
+    # without 2A, the class 1A has no z-partner
+    ({"euler_13.json": _drop_class(1)}, "lambency 13: no z-partner for 1A"),
+    # 4A squares into 2A but 4B into 1A, so the merged class 4AB has no square
+    ({"chartab_13.json": lambda t: t["power_maps"]["2"].__setitem__(3, "1A")},
+     "lambency 13: inconsistent merged power map at 4AB^2"),
+], ids=["no-z-partner", "merged-power-map"])
+def test_class_table_consistency_checks_fire(tmp_path, capsys, edits, message):
+    alt = _edited_copy(tmp_path, edits)
+    try:
+        set_data_dir(alt)
+        with pytest.raises(DataCorrupt, match=re.escape(message)):
+            class_table(13)
+        assert main(["group-info", "--lambency", "13", "--data-dir", str(alt)]) == 1
+        assert message in capsys.readouterr().err
+    finally:
+        set_data_dir(None)
+    assert class_table(13).pairing == {"1A": "2A", "2A": "1A", "4AB": "4AB"}
 
 
 def test_missing_decomposition_table_raises(tmp_path):

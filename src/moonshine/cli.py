@@ -192,10 +192,10 @@ def cmd_verify_group(args):
         return 2
     gd = groups.generate(ell)
     stored = groups.class_table(ell)
-    ok = (gd.order == stored.order
-          and [c.label for c in gd.classes] == [c.label for c in stored.classes]
-          and gd.pairing == stored.pairing
-          and all(a.size == b.size for a, b in zip(gd.classes, stored.classes)))
+    # generate takes its labels and pairing from the stored table, so only
+    # the order and the class sizes are the generated group's own
+    ok = gd.order == stored.order and all(
+        a.size == b.size for a, b in zip(gd.classes, stored.classes))
     payload = {"lambency": ell, "order": gd.order,
                "classes": len(gd.classes), "ok": ok}
     _emit(args, payload, lambda p: print(

@@ -326,9 +326,16 @@ def class_table(ell: int) -> GroupData:
     total shape, halved at lambency 4 for the non-split classes, of order 2n)
     and the z-partner (z flips the sign of every odd cycle; at lambency 2 each
     class is its own).  The stored chi, chibar and Gamma columns are checked
-    against them.  Group order, class sizes and power maps come from the
-    character table."""
+    against them, and the merged labels must list each character-table column
+    once.  Group order, class sizes and power maps come from the character
+    table."""
     d, t = load_json(f"euler_{ell}.json"), character_table(ell)
+    columns = Counter(t.classes)
+    listed = Counter(m for lab in d["classes"] for m in merged_members(lab))
+    if listed != columns:
+        raise DataCorrupt(f"lambency {ell}: euler_{ell}.json does not list each character-table "
+                          f"column once: missing {sorted(columns - listed)}, "
+                          f"unknown or repeated {sorted(listed - columns)}")
     centralizer = dict(zip(t.classes, t.centralizers))
     classes = []
     for i, lab in enumerate(d["classes"]):
@@ -539,7 +546,7 @@ def generate(ell: int, bound: int = 400000) -> GroupData:
     for c in table.classes:
         orbs = found.get(c.label, [])
         if len(orbs) != c.merged:
-            raise UnknownClass(
+            raise DataCorrupt(
                 f"class {c.label}: found {len(orbs)} orbits, expected {c.merged}")
         classes.append(replace(c, size=sum(s for _, s in orbs), rep=orbs[0][0]))
     gd = GroupData(ell, order, classes, dict(table.pairing))
@@ -547,7 +554,7 @@ def generate(ell: int, bound: int = 400000) -> GroupData:
     for c in classes:
         zlab = gd.class_of(c.rep.negate())
         if zlab != gd.pairing[c.label]:
-            raise UnknownClass(f"pairing mismatch at {c.label}: {zlab}")
+            raise DataCorrupt(f"pairing mismatch at {c.label}: {zlab}")
     return gd
 
 

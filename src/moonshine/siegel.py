@@ -8,49 +8,47 @@ exponential (Borcherds) lift of a weight-0 form Z, the product of
 (1 - p^m q^n y^r)^c(mn, r) over (m, n, r) > 0, is head * exp(-sum p^m Z|V_m)
 with V_m at weight 0 and head = prod_{r < 0} (1 - y^r)^c(0, r).  At lambency
 2 both give Igusa's chi_10, which ``compare_igusa`` checks coefficientwise.
+Each lift is held as its p-slices, so a coefficient outside the box raises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import as_rat
 from .data import LAMBENCIES, memo
-from .errors import OutOfRange
-from .jacobi import WindowedSeries, jacobi_theta, umbral_Z
+from .errors import CutoffUnderflow, OutOfRange
+from .jacobi import ENTIRE, WindowedSeries, _clip, jacobi_theta, umbral_Z
 from .qseries import eta
 
 
 @dataclass
 class TripleSeries:
-    """Exact coefficients c(m, n, r) of sum c p^m q^n y^r inside a box.
-
-    ``prefactor`` holds fractional (p, q, y) exponents pulled out in front,
-    so lifts with non-integral leading powers still live on integer keys.
+    """Exact coefficients c(m, n, r) of sum c p^m q^n y^r inside a box, held
+    as p-slices: ``slices[m]``, the coefficient of p^m, is a ``WindowedSeries``
+    on integer q- and y-exponents, and a read past the box raises as it does
+    (``CutoffUnderflow`` also past the last slice).  ``prefactor`` holds
+    fractional (p, q, y) exponents pulled out in front, so lifts with
+    non-integral leading powers still live on integer keys.
     """
 
-    coeffs: dict = field(default_factory=dict)  # (m, n, r) -> int or Fraction
+    slices: list
     prefactor: tuple = (Fraction(0), Fraction(0), Fraction(0))
 
-    def set(self, m, n, r, c):
-        if c:
-            self.coeffs[(m, n, r)] = c
-        else:
-            self.coeffs.pop((m, n, r), None)
+    def _slice(self, m: int) -> WindowedSeries:
+        if m >= len(self.slices):
+            raise CutoffUnderflow(f"p-exponent {m} >= pcut {len(self.slices)}")
+        return self.slices[m] if m >= 0 else self.slices[0].scale(0)  # no p^(-k)
 
     def get(self, m, n, r) -> Fraction:
-        return as_rat(self.coeffs.get((m, n, r), 0))
+        return self._slice(m).coefficient(n, r)
 
     def slice(self, m: int) -> dict:
-        return {(n, r): as_rat(c) for (mm, n, r), c in self.coeffs.items() if mm == m}
+        return {(int(n), int(r)): c for n, r, c in self._slice(m).items()}
 
     def dump(self) -> list:
-        out = []
-        for (m, n, r) in sorted(self.coeffs):
-            c = as_rat(self.coeffs[(m, n, r)])
-            out.append({"m": m, "n": n, "r": r, "c": f"{c.numerator}/{c.denominator}"})
-        return out
+        return [{"m": m, "n": int(n), "r": int(r), "c": f"{c.numerator}/{c.denominator}"}
+                for m, s in enumerate(self.slices) for n, r, c in s.items()]
 
 
 def _coeffs(s: WindowedSeries) -> dict:
@@ -85,18 +83,14 @@ def _phi_10_1(qcut) -> WindowedSeries:
 
 
 def additive_lift(pmax=3, nmax=3, ywindow=6) -> TripleSeries:
-    """The slices phi|V_m, 1 <= m <= pmax, of the weight 10 index 1 form,
-    for n <= nmax and |r| <= ywindow."""
+    """The p-slices phi|V_m, 1 <= m <= pmax (slice 0 is zero), of the weight 10
+    index 1 form, for n <= nmax and |r| <= ywindow."""
     if min(pmax, nmax, ywindow) < 0:
         raise OutOfRange(f"negative box size in {(pmax, nmax, ywindow)}")
     c = _coeffs(_phi_10_1(pmax * nmax + 1))
-    out = TripleSeries()
-    for m in range(1, pmax + 1):
-        for n, row in _hecke(c, m, 10, nmax).rows.items():
-            for r, v in row.items():
-                if abs(r) <= ywindow:
-                    out.set(m, n, r, v)
-    return out
+    slices = [_hecke(c, m, 10, nmax) if m else WindowedSeries(1, {}, nmax + 1)
+              for m in range(pmax + 1)]
+    return TripleSeries([_clip(s, ywindow, ENTIRE) for s in slices])
 
 
 @memo
@@ -134,12 +128,7 @@ def exponential_lift(ell: int, pmax=3, nmax=3) -> TripleSeries:
     for r, e in row0.items():
         if r < 0:
             head = head * WindowedSeries(1, {0: {0: 1, r: -1}}, qcut) ** int(e)
-    out = TripleSeries(prefactor=prefactor)
-    for m, s in enumerate(total):
-        for n, row in (head * s).rows.items():
-            for r, v in row.items():
-                out.set(m, n, r, v)
-    return out
+    return TripleSeries([head * s for s in total], prefactor)
 
 
 def compare_igusa(pmax=3, nmax=3, ywindow=6) -> dict:
@@ -160,10 +149,7 @@ def compare_igusa(pmax=3, nmax=3, ywindow=6) -> dict:
     for m in range(1, pmax + 2):
         for n in range(0, nmax + 2):
             for r in range(-ywindow, ywindow + 1):
-                a = add.get(m, n, r)
-                e = exp.get(m - 1, n - 1, r - 1) if (n >= 1) else Fraction(0)
+                a, e = add.get(m, n, r), exp.get(m - 1, n - 1, r - 1)
                 if a != e:
-                    report["first_mismatch"] = (m, n, r, str(a), str(e))
-                    report["ok"] = False
-                    return report
+                    return {**report, "first_mismatch": (m, n, r, str(a), str(e)), "ok": False}
     return report

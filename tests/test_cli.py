@@ -84,6 +84,16 @@ def test_verify_group_rejects_the_stored_lambency_2_group(capsys):
     assert "stored, not generated" in capsys.readouterr().err
 
 
+def test_verify_group_exits_1_on_a_planted_pairing(monkeypatch, capsys):
+    # the generated group's central element sends 1A to 2A, not to 1A
+    from moonshine import groups
+    t = groups.class_table(5)
+    planted = groups.GroupData(5, t.order, list(t.classes), {**t.pairing, "1A": "1A"})
+    monkeypatch.setattr(groups, "class_table", lambda _: planted)
+    assert run(["verify-group", "--lambency", "5"]) == (1, "")
+    assert capsys.readouterr().err == "error: pairing mismatch at 1A: 2A\n"
+
+
 def test_negative_order_is_a_usage_error(capsys):
     # 2B at lambency 2 is computed, 3AB at lambency 7 read from its stored column
     for argv in (["coeffs", "--lambency", "2", "--class", "2B"],
@@ -216,6 +226,28 @@ def test_data_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv("MOONSHINE_DATA_DIR", str(alt))
     assert data_dir() == alt
     monkeypatch.delenv("MOONSHINE_DATA_DIR")
+
+
+def test_class_table_missing_a_column_exits_1(tmp_path, capsys):
+    # 23AB, the last class, dropped from every column of euler_2.json
+    import shutil
+    from moonshine.data import data_dir, set_data_dir
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    path = alt / "euler_2.json"
+    table = json.loads(path.read_text())
+    assert table["classes"][-1] == "23AB"
+    for column in ("classes", "gamma", "chi", "chibar", "pi", "pibar"):
+        del table[column][-1]
+    path.write_text(json.dumps(table))
+    try:
+        code, out = run(["group-info", "--lambency", "2", "--data-dir", str(alt)])
+    finally:
+        set_data_dir(None)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: lambency 2: euler_2.json does not list each character-table column once: "
+        "missing ['23A', '23B'], unknown or repeated []\n")
 
 
 def test_off_lattice_quarter_twist_in_data_exits_1(tmp_path, capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from moonshine import groups as gr
-from moonshine.errors import ClosureOverflow, OutOfRange, UnknownClass
+from moonshine.errors import ClosureOverflow, DataCorrupt, OutOfRange, UnknownClass
 
 EXPECTED_ORDERS = {3: 190080, 4: 2688, 5: 240, 7: 24, 13: 4}
 
@@ -189,7 +189,7 @@ def test_half_order_misses_classes(monkeypatch, ell):
     # here the first orbits hold exactly half the group, so the walk stops
     # with classes unmet, which the orbit count reports
     _plant_order(monkeypatch, 0.5)
-    with pytest.raises(UnknownClass, match="found 0 orbits"):
+    with pytest.raises(DataCorrupt, match="found 0 orbits"):
         gr.generate(ell)
 
 
@@ -253,14 +253,14 @@ def _planted_table(monkeypatch, ell, label, **change):
 @pytest.mark.parametrize("merged", [1, 3])
 def test_orbit_count_checked(monkeypatch, merged):
     _planted_table(monkeypatch, 5, "4AB", merged=merged)
-    with pytest.raises(UnknownClass, match=f"class 4AB: found 2 orbits, expected {merged}"):
+    with pytest.raises(DataCorrupt, match=f"class 4AB: found 2 orbits, expected {merged}"):
         gr.generate(5)
 
 
 def test_pairing_checked(monkeypatch):
     planted = _planted_table(monkeypatch, 5, "1A")
     planted.pairing["1A"] = "1A"
-    with pytest.raises(UnknownClass, match="pairing mismatch at 1A: 2A"):
+    with pytest.raises(DataCorrupt, match="pairing mismatch at 1A: 2A"):
         gr.generate(5)
 
 

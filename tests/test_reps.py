@@ -460,9 +460,39 @@ def _drop_class(index):
     return edit
 
 
+def _as_class(label, source):
+    """Give class ``label`` every stored column of class ``source`` but its label."""
+    def edit(t):
+        i, j = t["classes"].index(label), t["classes"].index(source)
+        for column in ("gamma", "chi", "chibar", "pi", "pibar"):
+            t[column][i] = t[column][j]
+    return edit
+
+
+@pytest.mark.parametrize("ell, edit, message", [
+    # 23AB, the last of the 21 classes, dropped from every column
+    (2, _drop_class(20), "missing ['23A', '23B'], unknown or repeated []"),
+    (13, _drop_class(1), "missing ['2A'], unknown or repeated []"),
+    # the character table has no column 4C
+    (13, _set_cell("classes", "4AB", "4ABC"), "missing [], unknown or repeated ['4C']"),
+    (13, _set_cell("classes", "2A", "1A"), "missing ['2A'], unknown or repeated ['1A']"),
+], ids=["no-23AB", "no-2A", "unknown-4C", "repeated-1A"])
+def test_stored_classes_list_each_character_table_column_once(tmp_path, ell, edit, message):
+    alt = _edited_copy(tmp_path, {f"euler_{ell}.json": edit})
+    message = (f"lambency {ell}: euler_{ell}.json does not list each character-table "
+               f"column once: {message}")
+    try:
+        set_data_dir(alt)
+        with pytest.raises(DataCorrupt, match=re.escape(message)):
+            class_table(ell)
+    finally:
+        set_data_dir(None)
+    assert len(class_table(ell).classes) == {2: 21, 13: 3}[ell]
+
+
 @pytest.mark.parametrize("edits, message", [
-    # without 2A, the class 1A has no z-partner
-    ({"euler_13.json": _drop_class(1)}, "lambency 13: no z-partner for 1A"),
+    # 2A with the Frame shapes of 1A: no class has the z-flipped shapes of 1A
+    ({"euler_13.json": _as_class("2A", "1A")}, "lambency 13: no z-partner for 1A"),
     # 4A squares into 2A but 4B into 1A, so the merged class 4AB has no square
     ({"chartab_13.json": lambda t: t["power_maps"]["2"].__setitem__(3, "1A")},
      "lambency 13: inconsistent merged power map at 4AB^2"),

@@ -4,8 +4,8 @@ import pytest
 
 from moonshine import siegel
 from moonshine.data import LAMBENCIES
-from moonshine.errors import OutOfRange
-from moonshine.jacobi import umbral_Z
+from moonshine.errors import CutoffUnderflow, OutOfRange, WindowTooNarrow
+from moonshine.jacobi import WindowedSeries, umbral_Z
 
 
 def reference_product(ell, pmax, nmax):
@@ -140,8 +140,9 @@ def test_igusa_cross_check_box():
 def test_igusa_reads_the_corner_of_the_product_lift(monkeypatch):
     # the product side's (pmax, nmax) corner is compared, not just built
     lift = siegel.exponential_lift(2, 3, 3)
-    bad = siegel.TripleSeries(dict(lift.coeffs), lift.prefactor)
-    bad.set(3, 3, 0, bad.get(3, 3, 0) + 1)
+    slices = list(lift.slices)
+    slices[3] = slices[3] + WindowedSeries(1, {3: {0: 1}}, 4)
+    bad = siegel.TripleSeries(slices, lift.prefactor)
     monkeypatch.setattr(siegel, "exponential_lift", lambda *args: bad)
     rep = siegel.compare_igusa(3, 3, 6)
     assert not rep["ok"] and rep["first_mismatch"][:3] == (4, 4, 1), rep
@@ -163,11 +164,13 @@ def test_r_reflection_consistency():
     # y-exponent of its prefactor
     add = siegel.additive_lift(2, 2, 5)
     exp = siegel.exponential_lift(2, 2, 2)
-    for (m, n, r), c in list(add.coeffs.items()):
-        assert add.get(m, n, -r) == c
-    for (m, n, r), c in list(exp.coeffs.items()):
-        if abs(-2 - r) <= 8:
-            assert exp.get(m, n, -2 - r) == c
+    for m, s in enumerate(add.slices):
+        for n, r, c in s.items():
+            assert add.get(m, n, -r) == c
+    for m, s in enumerate(exp.slices):
+        for n, r, c in s.items():
+            if abs(-2 - r) <= 8:
+                assert exp.get(m, n, -2 - r) == c
 
 
 def test_log_exp_internal_consistency():
@@ -222,8 +225,23 @@ def test_log_exp_internal_consistency():
         if not power:
             break
     acc = {k: v for k, v in acc.items() if v and abs(k[2]) <= 6}
-    want = {k: v for k, v in lift.coeffs.items() if abs(k[2]) <= 6}
+    want = {(m, n, r): v for m, s in enumerate(lift.slices)
+            for n, r, v in s.items() if abs(r) <= 6}
     assert acc == want
+
+
+@pytest.mark.parametrize("read, error", [
+    # the true values, read from larger boxes, are -6816, -6816, 240 and -272
+    (lambda: siegel.exponential_lift(2, 2, 2).get(3, 1, 0), CutoffUnderflow),
+    (lambda: siegel.exponential_lift(2, 2, 2).get(1, 3, 0), CutoffUnderflow),
+    (lambda: siegel.additive_lift(2, 2, 1).get(2, 2, 2), WindowTooNarrow),
+    (lambda: siegel.additive_lift(2, 2, 1).get(3, 1, 0), CutoffUnderflow),
+    (lambda: siegel.exponential_lift(2, 2, 2).slice(3), CutoffUnderflow),
+], ids=["past-last-slice", "past-qcut", "past-ywindow", "additive-past-last-slice",
+        "slice-past-last"])
+def test_read_past_the_box_raises(read, error):
+    with pytest.raises(error):
+        read()
 
 
 def test_dump_schema():

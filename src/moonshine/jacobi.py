@@ -206,14 +206,6 @@ class WindowedSeries:
         return FracSeries(self.denom, {k: sum(row.values()) for k, row in self.rows.items()},
                           self.qcut)
 
-    def dz_at_z0(self) -> FracSeries:
-        """(1/2 pi i) d/dz at z = 0: weight each coefficient by its y-power."""
-        if not self.is_complete():
-            raise UnboundedSupport("derivative needs a y-polynomial series")
-        out = {k: sum(Fraction(y, self.ydenom) * c for y, c in row.items())
-               for k, row in self.rows.items()}
-        return FracSeries(self.denom, out, self.qcut)
-
     def y_row(self, ypow: int) -> FracSeries:
         """The coefficient of y^ypow as a one-variable series."""
         if self.ywindow is not None and abs(ypow) > self.ywindow:
@@ -322,27 +314,33 @@ def hat_theta(m: int, r: int, qcut) -> WindowedSeries:
 def _theta_ratio_sq(i: int, qcut) -> WindowedSeries:
     """f_i^2 = (theta_i(tau,z)/theta_i(tau,0))^2 for i in {2,3,4}.
 
-    theta_2(tau,0) starts at q^(1/8), so inverting its square costs 1/8 of
-    the cutoff; the thetas are built that much deeper.
+    Only theta_2 needs a pad: theta_2(tau,0) starts at q^(1/8), so inverting
+    its square costs 1/8 of the cutoff; theta_3 and theta_4 start with 1.
     """
-    th = jacobi_theta(i, qcut + Fraction(1, 8))
+    th = jacobi_theta(i, qcut + (Fraction(1, 8) if i == 2 else 0))
     num = th * th
     den = th.specialize_z0()
     return (num * WindowedSeries.from_fracseries((den * den).invert())).truncate(qcut)
 
 
 def _phi_seed(m: int, qcut) -> WindowedSeries:
-    # theta_2(tau,0)^2 leads with 4: g2 = 4 f2, f3 and f4 are integral
+    """phi^(m)_1, m in {2, 3, 4}: 4 e_1, 2 e_2, 4 e_3 of (f2^2, f3^2, f4^2), f3^2 unbuilt.
+
+    theta_4(tau,z) = theta_3(tau+1,z) gives f3^2 + f4^2 = 2E, E the integral
+    rows of f4^2; theta_3 theta_4(tau,z) = theta_4(2tau,2z) theta_4(2tau,0)
+    gives f3^2 f4^2 = D = f4^2(2tau,2z), read off f4^2 below qcut/2 by doubling
+    both exponents.  g2 = 4 f2^2 (theta_2(tau,0)^2 leads with 4) is integral.
+    """
     g2 = _theta_ratio_sq(2, qcut).scale(4)
-    f3 = _theta_ratio_sq(3, qcut)
     f4 = _theta_ratio_sq(4, qcut)
+    E = WindowedSeries._of(f4.denom, {k: r for k, r in f4.rows.items() if k % f4.denom == 0},
+                           f4.qcut, ydenom=f4.ydenom)
     if m == 2:
-        return g2 + (f3 + f4).scale(4)
-    if m == 3:
-        return (g2 * (f3 + f4)).scale(Fraction(1, 2)) + (f3 * f4).scale(2)
-    if m == 4:
-        return (g2 * f3) * f4
-    raise OutOfRange(m)
+        return g2 + E.scale(8)
+    h = f4.truncate(f4.qcut / 2)
+    D = WindowedSeries._of(h.denom, {2 * k: {2 * y: c for y, c in r.items()}
+                                     for k, r in h.rows.items()}, 2 * h.qcut, ydenom=h.ydenom)
+    return g2 * E + D.scale(2) if m == 3 else g2 * D
 
 
 # Gritsenko's recursion for phi^(m)_1, m >= 6 outside _PRODUCT_ROWS (V. Gritsenko,
@@ -361,9 +359,10 @@ _PRODUCT_ROWS = {5: (4, {(4, 2): 1, (3, 3): -1}), 7: (1, {(3, 5): 1, (4, 4): -1}
 def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
     """The weight 0, index m-1 basis form phi^(m)_n (2 <= m <= 25, 1 <= n < m).
 
-    Built from the three theta-quotient generators by the standard recursion
-    scheme.  One form per (m, n) is kept, at the deepest cutoff asked; a
-    shallower call gets it truncated (``data.memo``).
+    The seeds phi^(2..4)_1 come from f2^2 and f4^2 alone (``_phi_seed``); the
+    rest of phi^(m)_1 follows Gritsenko's product recursion and n >= 2 the
+    standard products of lower forms.  One form per (m, n) is kept, at the
+    deepest cutoff asked; a shallower call gets it truncated (``data.memo``).
     """
     if not (2 <= m <= 25 and 1 <= n <= m - 1):
         raise OutOfRange(f"no basis form phi^({m})_{n}")

@@ -106,11 +106,17 @@ def test_index_theta_r0_specialization():
     assert [th.coefficient(k) for k in range(9)] == [1, 0, 2, 0, 0, 0, 0, 0, 2]
 
 
+def dz_at_z0(s):
+    """(1/2 pi i) d/dz at z = 0 of a complete series: each coefficient weighted by its y-power."""
+    return FracSeries(s.denom, {k: sum(F(y, s.ydenom) * c for y, c in row.items())
+                                for k, row in s.rows.items()}, s.qcut)
+
+
 def test_dz_gives_unary_theta():
     for c in (F(1, 8), 1, F(113, 16), 8):
         for m in range(1, 7):
             for r in range(-3 * m, 3 * m + 1):
-                assert jb.index_theta(m, r, c).dz_at_z0() == unary_theta(m, r, c), (m, r, c)
+                assert dz_at_z0(jb.index_theta(m, r, c)) == unary_theta(m, r, c), (m, r, c)
 
 
 def test_theta_series_depend_on_r_mod_2m():
@@ -237,6 +243,55 @@ def test_gritsenko_recursion_table_matches_case_analysis(m):
     got = jb.gritsenko(m, 1, 3)
     want = _phi1_by_cases(m, 3)
     assert (list(got.items()), got.qcut) == (list(want.items()), want.qcut)
+
+
+def reference_seed(m, c):
+    """phi^(m)_1 for m in {2, 3, 4} as 4 e_1, 2 e_2 and 4 e_3 of (f2^2, f3^2, f4^2),
+    every product formed on the q^(1/2) lattice, f3^2 included."""
+    g2 = jb._theta_ratio_sq(2, c).scale(4)
+    f3 = jb._theta_ratio_sq(3, c)
+    f4 = jb._theta_ratio_sq(4, c)
+    if m == 2:
+        return g2 + (f3 + f4).scale(4)
+    if m == 3:
+        return (g2 * (f3 + f4)).scale(F(1, 2)) + (f3 * f4).scale(2)
+    return (g2 * f3) * f4
+
+
+SEED_CUTOFFS = [7, F(113, 16), F(41, 3), 30]
+
+
+@pytest.mark.parametrize("c", SEED_CUTOFFS)
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_seeds_match_the_symmetric_functions(m, c):
+    set_data_dir(None)  # empties the memo, so the seed is built at c
+    got = jb.gritsenko(m, 1, c)
+    want = reference_seed(m, c)
+    assert (list(got.items()), got.qcut) == (list(want.items()), want.qcut)
+
+
+def _terms_series(terms, qcut):
+    """A complete series on the q^(1/8) and y^(1/2) lattices from its terms."""
+    rows = {}
+    for qe, yp, c in terms:
+        assert (8 * qe).denominator == (2 * yp).denominator == 1
+        rows.setdefault(int(8 * qe), {})[int(2 * yp)] = c
+    return jb.WindowedSeries(8, rows, qcut, ydenom=2)
+
+
+@pytest.mark.parametrize("c", SEED_CUTOFFS)
+def test_theta_relations_behind_the_seeds(c):
+    c = F(c)
+    f3, f4 = jb._theta_ratio_sq(3, c), jb._theta_ratio_sq(4, c)
+    # theta_4(tau, z) = theta_3(tau + 1, z): f3^2 + f4^2 = 2 (integral rows of f4^2)
+    E = _terms_series([t for t in f4.items() if t[0].denominator == 1], c)
+    total = f3 + f4
+    assert (list(total.items()), total.qcut) == (list(E.scale(2).items()), c)
+    # theta_3 theta_4(tau, z) = theta_4(2 tau, 2z) theta_4(2 tau, 0): f3^2 f4^2 = f4^2(2 tau, 2z)
+    D = _terms_series([(2 * qe, 2 * yp, v) for qe, yp, v in f4.truncate(c / 2).items()], c)
+    prod = f3 * f4
+    assert (list(prod.items()), prod.qcut) == (list(D.items()), c)
+    assert any(qe.denominator > 1 for qe, _, _ in f4.items())  # E drops rows
 
 
 def test_zeta_in_cusp_ideal():
@@ -595,7 +650,7 @@ def test_no_series_stores_a_float_or_an_integral_fraction():
 
 # -- cutoffs of the Gritsenko tower and the memo -------------------------------
 
-@pytest.mark.parametrize("ell", [2, 5])
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
 def test_extracted_vector_exact_below_its_cutoff(ell):
     # the theta_2 normalisation used to cost the tower 1/8 of its cutoff
     # while the extraction still certified the rows in that gap

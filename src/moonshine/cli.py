@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import groups, jacobi, mckay, reps, siegel
 from .data import LAMBENCIES, set_data_dir
-from .errors import DataExhausted, MoonshineError, OutOfRange, UnknownClass
+from .errors import MoonshineError, OutOfRange, UnknownClass
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -28,9 +28,8 @@ def _parser() -> argparse.ArgumentParser:
                            parser_class=lambda **kw: argparse.ArgumentParser(
                                parents=[shared], allow_abbrev=False, **kw))
 
-    def common(sp, lambency=True, cls=False, r=False, order=None):
-        if lambency:
-            sp.add_argument("--lambency", type=int, required=True, choices=LAMBENCIES)
+    def common(sp, cls=False, r=False, order=None):
+        sp.add_argument("--lambency", type=int, required=True, choices=LAMBENCIES)
         if cls:
             sp.add_argument("--class", dest="cls", required=cls == "req")
         if r:
@@ -60,7 +59,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("discriminants", help="discriminant property suite"))
     ed = sub.add_parser("extremal-dim", help="extremal candidate space dimension")
     ed.add_argument("--m", type=int, required=True, choices=(9, 25))
-    sg = common(sub.add_parser("siegel", help="lift coefficients"), lambency=True)
+    sg = common(sub.add_parser("siegel", help="lift coefficients"))
     sg.add_argument("--pmax", type=int, default=3)
     sg.add_argument("--nmax", type=int, default=3)
     sg.add_argument("--ywindow", type=int, default=6,
@@ -300,7 +299,7 @@ def main(argv=None) -> int:
     except OutOfRange as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataExhausted, UnknownClass, FileNotFoundError) as exc:
+    except (UnknownClass, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except MoonshineError as exc:

@@ -21,10 +21,6 @@ class NotUnimodular(MoonshineError):
     """Matrix is not in SL_2(Z)."""
 
 
-class DataExhausted(MoonshineError):
-    """Stored data does not extend far enough for the request."""
-
-
 class OutOfRange(MoonshineError):
     """Parameter outside the supported range."""
 

@@ -406,11 +406,9 @@ def umbral_Z(ell: int, qcut) -> WindowedSeries:
 
 @memo
 def zeta_form(qcut) -> WindowedSeries:
-    """The weight 0 index 6 generator theta_1^12 / eta^12 of the cusp ideal."""
-    t1 = jacobi_theta(1, qcut + Fraction(3, 2))
-    t2 = t1 * t1
-    t4 = t2 * t2
-    t12 = (t4 * t4) * t4
+    """The weight 0 index 6 generator theta_1^12 / eta^12 of the cusp ideal,
+    theta_1^12 taken as one power (four products by repeated squaring)."""
+    t12 = jacobi_theta(1, qcut + Fraction(3, 2)) ** 12
     e12 = (eta(qcut + Fraction(3, 2)) ** 12).invert()
     return (t12 * WindowedSeries.from_fracseries(e12)).truncate(qcut)
 
@@ -437,10 +435,13 @@ def psi_one_one(qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
 def appell_mu(m: int, j2: int, qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
     """The averaged pole block mu^(m)_j with 2j = j2 in {0, ..., m-1}.
 
-    Each k-summand q^(m k^2) y^(2mk) (sum_t (y q^k)^t) / (1 - y q^k) is
-    expanded per the annulus: the k = 0 pole factor as a one-sided geometric
-    series in y, the k != 0 factors in powers of (y q^|k|)^(+-1).  Built at the
-    deepest cutoff asked (``data.memo``), ``psi_one_one`` included.
+    Each k-summand q^(m k^2) y^(2mk) (sum_t (y q^k)^t) / (1 - y q^k) has its
+    pole factor expanded by one rule, in powers of (y q^k)^d with d = +1 where
+    |y q^k| < 1 (k > 0, or k = 0 in the lower annulus) and d = -1 otherwise:
+    terms (m k^2 + k t, 2mk + t) + i (|k|, d), i >= 0 for d = +1 and i >= 1 for
+    d = -1, coefficient d (-1)^(1+2j), below qcut while d * y-power <= ywindow.
+    k runs over -K..K, K the largest |k| with m k^2 - (j2+1)|k| < qcut.
+    Built at the deepest cutoff asked (``data.memo``), ``psi_one_one`` included.
     """
     if not 0 <= j2 <= m - 1:
         raise OutOfRange(f"2j = {j2} outside 0..{m - 1}")
@@ -448,40 +449,21 @@ def appell_mu(m: int, j2: int, qcut, ywindow: int, annulus: str = LOWER) -> Wind
         raise ValueError(annulus)
     qcut = as_rat(qcut)
     sign = -1 if j2 % 2 == 0 else 1  # (-1)^(1+2j)
+    K = 0  # first |k| past the range
+    while m * K * K - (j2 + 1) * K < qcut:
+        K += 1
     rows = {}
-
-    def put(qe, yp, c):
-        if qe < qcut and abs(yp) <= ywindow:
-            dst = rows.setdefault(qe, {})
-            dst[yp] = dst.get(yp, 0) + c
-
-    k = 0
-    while m * k * k - (j2 + 1) * abs(k) < qcut:
-        base_q = m * k * k
-        base_y = 2 * m * k
+    for k in range(1 - K, K):
+        d = 1 if k > 0 or k == 0 and annulus == LOWER else -1
         for t in range(-j2, j2 + 2):
-            cq, cy = base_q + k * t, base_y + t
-            if k == 0:
-                if annulus == LOWER:
-                    for i in range(0, ywindow + abs(cy) + 1):
-                        put(cq, cy + i, sign)
-                else:
-                    for i in range(1, ywindow + abs(cy) + 2):
-                        put(cq, cy - i, -sign)
-            elif k > 0:
-                i = 0
-                while cq + k * i < qcut:
-                    put(cq + k * i, cy + i, sign)
-                    i += 1
-            else:
-                i = 1
-                while cq - k * i < qcut:
-                    put(cq - k * i, cy - i, -sign)
-                    i += 1
-        if k > 0:
-            k = -k
-        else:
-            k = -k + 1
+            qe, yp = m * k * k + k * t, 2 * m * k + t
+            if d < 0:
+                qe, yp = qe - k, yp - 1
+            while qe < qcut and d * yp <= ywindow:
+                if abs(yp) <= ywindow:
+                    row = rows.setdefault(qe, {})
+                    row[yp] = row.get(yp, 0) + d * sign
+                qe, yp = qe + abs(k), yp + d
     return WindowedSeries(1, rows, qcut, ywindow=ywindow, annulus=annulus)
 
 

@@ -22,12 +22,12 @@ from math import gcd
 from . import jacobi
 from .algebra import as_rat
 from .data import LAMBENCIES, load_json, memo
-from .errors import (CutoffUnderflow, DataCorrupt, DataExhausted,
-                     DeterminantNotUnit, NotInGroup, NotInvertible, UnknownClass)
+from .errors import (DataCorrupt, DeterminantNotUnit, NotInGroup, NotInvertible,
+                     UnknownClass)
 from .groups import class_table
 from .qseries import (FracSeries, eta_quotient, lambda_n, mock_theta, newform,
                       unary_theta)
-from .reps import row_component, stored_rows
+from .reps import stored_rows
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +105,6 @@ class TwistedH(jacobi.HVector):
     def _offset(self, r: int) -> Fraction:
         # the lambency-4 bridge gives the odd components exact to the cutoff itself
         return 0 if self.lambency == 4 and r % 2 else super()._offset(r)
-
-    def coefficient(self, fourld: int):
-        """Coefficient at q^(d/4l) given the integer 4l*d (table row key); past
-        its component's cutoff this raises DataExhausted."""
-        e = Fraction(fourld, 4 * self.lambency)
-        r = row_component(self.lambency, fourld)
-        try:
-            return self.component(r).coefficient(e)
-        except CutoffUnderflow as exc:
-            raise DataExhausted(str(exc)) from exc
 
 
 @memo

@@ -28,8 +28,10 @@ class TripleSeries:
     as p-slices: ``slices[m]``, the coefficient of p^m, is a ``WindowedSeries``
     on integer q- and y-exponents, and a read past the box raises as it does
     (``CutoffUnderflow`` also past the last slice).  ``prefactor`` holds
-    fractional (p, q, y) exponents pulled out in front, so lifts with
-    non-integral leading powers still live on integer keys.
+    fractional exponents pulled out in front, so lifts with non-integral
+    leading powers still live on integer keys: ``exponential_lift`` stores
+    its (A, B, C), the exponents of (q, y, s) with p = s^(l-1), so (1/4, 1, 1)
+    at lambency 5 is q^(1/4) y p^(1/4).
     """
 
     slices: list

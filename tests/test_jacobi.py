@@ -346,6 +346,61 @@ def test_mu_annulus_row():
     assert row(mu, 0) == {0: -1, 1: -2, 2: -2, 3: -2, 4: -2, 5: -2, 6: -2}
 
 
+def reference_mu(m, j2, qcut, ywindow, annulus):
+    """mu^(m)_j with its pole factors expanded in three branches, k = 0 per
+    annulus, k > 0 and k < 0, k zig-zagging 0, 1, -1, 2, -2, ..."""
+    qcut = F(qcut)
+    sign = -1 if j2 % 2 == 0 else 1
+    rows = {}
+
+    def put(qe, yp, c):
+        if qe < qcut and abs(yp) <= ywindow:
+            dst = rows.setdefault(qe, {})
+            dst[yp] = dst.get(yp, 0) + c
+
+    k = 0
+    while m * k * k - (j2 + 1) * abs(k) < qcut:
+        base_q = m * k * k
+        base_y = 2 * m * k
+        for t in range(-j2, j2 + 2):
+            cq, cy = base_q + k * t, base_y + t
+            if k == 0:
+                if annulus == jb.LOWER:
+                    for i in range(0, ywindow + abs(cy) + 1):
+                        put(cq, cy + i, sign)
+                else:
+                    for i in range(1, ywindow + abs(cy) + 2):
+                        put(cq, cy - i, -sign)
+            elif k > 0:
+                i = 0
+                while cq + k * i < qcut:
+                    put(cq + k * i, cy + i, sign)
+                    i += 1
+            else:
+                i = 1
+                while cq - k * i < qcut:
+                    put(cq - k * i, cy - i, -sign)
+                    i += 1
+        if k > 0:
+            k = -k
+        else:
+            k = -k + 1
+    return jb.WindowedSeries(1, rows, qcut, ywindow=ywindow, annulus=annulus)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 13, 25])
+def test_mu_one_rule_matches_the_three_branches(m):
+    build = jb.appell_mu.__wrapped__  # the rule itself, at every cutoff asked
+    for j2 in range(m):
+        for qcut in (0, F(1, 8), 1, F(9, 4), 7, F(113, 16), 31):
+            for w in (0, 1, 3, 6, 14, 27):
+                for annulus in (jb.LOWER, jb.UPPER):
+                    got = build(m, j2, qcut, w, annulus)
+                    want = reference_mu(m, j2, qcut, w, annulus)
+                    assert (list(got.items()), got.qcut, got.ywindow, got.annulus) \
+                        == (list(want.items()), want.qcut, w, annulus), (j2, qcut, w, annulus)
+
+
 def test_mu_hat_theta_relation():
     # mu_{(r-2)/2} + 2 mu_{(r-1)/2} + mu_{r/2} = (-1)^(r+1) q^(-r^2/4m) that-hat_r
     for m in range(2, 14):

@@ -287,12 +287,12 @@ def test_f44_class_reports_the_cutoff_asked():
 
 
 def test_stored_class_depth():
-    from moonshine.errors import DataExhausted
-    tw = mk.twisted_H(7, "4A", 60)
-    assert tw.component(1).cutoff == F(1035 + 28, 28)
-    assert tw.coefficient(1035) == 172
-    with pytest.raises(DataExhausted):
-        tw.coefficient(1035 + 28)
+    from moonshine.errors import CutoffUnderflow
+    h1 = mk.twisted_H(7, "4A", 60).component(1)
+    assert h1.cutoff == F(1035 + 28, 28)
+    assert h1.coefficient(F(1035, 28)) == 172
+    with pytest.raises(CutoffUnderflow):
+        h1.coefficient(F(1035 + 28, 28))
 
 
 def test_pairing_examples():
@@ -476,11 +476,12 @@ def test_solver_and_check_share_one_relation_table(monkeypatch):
         rep = mk.verify_F_consistency(5, "2B", 12)
         assert [c["first_mismatch"] for c in rep["checked"]] == [None, F(5, 4)], rep
         tw = mk.twisted_H(5, "2B", 12)
-        assert tw.coefficient(36) != coefficient_row(5, 2, 36)["2B"]
+        assert tw.component(2).coefficient(F(36, 20)) != coefficient_row(5, 2, 36)["2B"]
     finally:
         monkeypatch.undo()
         set_data_dir(None)
-    assert mk.twisted_H(5, "2B", 12).coefficient(36) == coefficient_row(5, 2, 36)["2B"]
+    assert mk.twisted_H(5, "2B", 12).component(2).coefficient(F(36, 20)) \
+        == coefficient_row(5, 2, 36)["2B"]
 
 
 def test_singular_block_raises_determinant_not_unit(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Two-variable exact series: Jacobi theta functions, the weight-0 basis of
-weak Jacobi forms, meromorphic blocks expanded in a fixed annulus, and the
+weak Jacobi forms (four of its generators as quotients of theta(tau, az), found
+by exact row division), meromorphic blocks expanded in a fixed annulus, and the
 extraction of the vector-valued mock modular forms attached to the six
 distinguished weight-0 forms.
 
@@ -18,7 +19,8 @@ Entire series combine with anything; two tagged series combine only when the
 tags agree.
 
 Coefficients are stored as in ``qseries``: an ``int`` when integral, else a
-``Fraction``, never a ``float``; the Gritsenko tower runs on ints.
+``Fraction``, never a ``float``; the theta quotients and the Gritsenko tower
+run on ints.
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ from math import ceil, gcd, lcm
 
 from .algebra import _canonical, as_rat
 from .data import LAMBENCIES, memo
-from .errors import CutoffUnderflow, OutOfRange, UnboundedSupport, WindowTooNarrow
+from .errors import (CutoffUnderflow, NotInvertible, OutOfRange, UnboundedSupport,
+                     WindowTooNarrow)
 from .qseries import FracSeries, _convolve, _power, _theta_lattice, eta
 
 ENTIRE = "entire"
@@ -324,7 +327,7 @@ def _theta_ratio_sq(i: int, qcut) -> WindowedSeries:
 
 
 def _phi_seed(m: int, qcut) -> WindowedSeries:
-    """phi^(m)_1, m in {2, 3, 4}: 4 e_1, 2 e_2, 4 e_3 of (f2^2, f3^2, f4^2), f3^2 unbuilt.
+    """phi^(m)_1, m in {2, 3}: 4 e_1 and 2 e_2 of (f2^2, f3^2, f4^2), f3^2 unbuilt.
 
     theta_4(tau,z) = theta_3(tau+1,z) gives f3^2 + f4^2 = 2E, E the integral
     rows of f4^2; theta_3 theta_4(tau,z) = theta_4(2tau,2z) theta_4(2tau,0)
@@ -340,34 +343,104 @@ def _phi_seed(m: int, qcut) -> WindowedSeries:
     h = f4.truncate(f4.qcut / 2)
     D = WindowedSeries._of(h.denom, {2 * k: {2 * y: c for y, c in r.items()}
                                      for k, r in h.rows.items()}, 2 * h.qcut, ydenom=h.ydenom)
-    return g2 * E + D.scale(2) if m == 3 else g2 * D
+    return g2 * E + D.scale(2)
 
 
-# Gritsenko's recursion for phi^(m)_1, m >= 6 outside _PRODUCT_ROWS (V. Gritsenko,
-# "Elliptic genus of Calabi-Yau manifolds and Jacobi and Siegel modular forms", 1999):
+# phi^(m)_1 = prod theta(tau, a z) / prod theta(tau, b z), theta = theta_1, as
+# m: (a's, b's); dividing in the order listed, every partial quotient is holomorphic,
+# so every division is exact.
+_THETA_QUOTIENTS = {4: ((2, 2), (1, 1)), 5: ((3,), (1,)), 7: ((4,), (2,)),
+                    13: ((1, 6), (2, 3))}
+# Gritsenko's recursion (1999) for phi^(m)_1 at every other m >= 6:
 # c phi^(m)_1 = sum_j a_j gcd(12, m-j) phi^(m-j+1)_1 phi^(j)_1, where c = gcd(12, m-1)
 # and the row {j: a_j} depends on c only.
 _RECURSION = {1: {5: 1, 3: 1, 4: -2}, 2: {5: 1, 3: 1, 4: -2}, 4: {13: 1, 5: 1, 9: -1},
               3: {4: 2, 7: 1, 5: -3}, 6: {4: 2, 7: 1, 5: -3}, 12: {4: 2, 7: 1, 5: -3}}
-# m = 5, 7, 9 and 13 take one product row instead, m: (c, {(a, b): k}) for
+# m = 9 takes one product row instead, m: (c, {(a, b): k}) for
 # c phi^(m)_1 = sum k phi^(a)_1 phi^(b)_1.
-_PRODUCT_ROWS = {5: (4, {(4, 2): 1, (3, 3): -1}), 7: (1, {(3, 5): 1, (4, 4): -1}),
-                 9: (1, {(3, 7): 1, (5, 5): -1}), 13: (1, {(5, 9): 1, (7, 7): -2})}
+_PRODUCT_ROWS = {9: (1, {(3, 7): 1, (5, 5): -1})}
+
+
+def _theta_rows(a: int, kcut: int) -> dict:
+    """theta(tau, a z)/q^(1/8) on its integral q-rows k < kcut, y-powers doubled.
+
+    ``jacobi_theta(1, .)`` stores q^(j^2/8) y^(j/2) at (j^2, j), j odd, and
+    j^2/8 < kcut iff (j^2 - 1)/8 < kcut.
+    """
+    th = jacobi_theta(1, kcut)
+    return {(k - 1) // 8: {a * y: c for y, c in row.items()} for k, row in th.rows.items()}
+
+
+def _theta_divide(num: dict, b: int, kcut: int) -> dict:
+    """The rows Q below kcut with Q * theta(tau, b z)/q^(1/8) = num, y-powers doubled.
+
+    Row k of Q is num_k minus the earlier rows of Q times the divisor's rows,
+    divided exactly by the leading row y^(b/2) - y^(-b/2) from the top y-power
+    down: Q[t] = R[t + b] + Q[t + 2b].  A row with a remainder raises.
+    """
+    den = [(i, f, s) for i, row in sorted(_theta_rows(b, kcut).items()) if i
+           for f, s in row.items() if f > 0]  # row i is s (y^(f/2) - y^(-f/2))
+    quo = {}
+    for k in range(kcut):
+        rest = dict(num.get(k, {}))
+        for i, f, s in den:
+            if i > k:
+                break
+            for e, c in quo.get(k - i, {}).items():
+                c *= s
+                rest[e + f] = rest.get(e + f, 0) - c
+                rest[e - f] = rest.get(e - f, 0) + c
+        keys = [e for e, c in rest.items() if c]
+        if not keys:
+            continue
+        lo, q = min(keys), {}
+        for t in range(max(keys) - b, lo - b - 1, -1):
+            v = rest.get(t + b, 0) + q.get(t + 2 * b, 0)
+            if v and t < lo + b:
+                raise NotInvertible(f"theta(tau, {b}z) does not divide row q^{k}")
+            if v:
+                q[t] = v
+        quo[k] = q
+    return quo
+
+
+def _theta_quotient(m: int, qcut) -> WindowedSeries:
+    """phi^(m)_1 from ``_THETA_QUOTIENTS``: the numerator thetas multiplied, then
+    divided by each denominator theta in turn.  Numerator and denominator have
+    as many factors, so the q^(1/8) cancel; quotient row k reads only rows <= k
+    of both sides, so the integral rows below qcut need no pad."""
+    nums, dens = _THETA_QUOTIENTS[m]
+    kcut = ceil(qcut)
+    rows = _theta_rows(nums[0], kcut)
+    for a in nums[1:]:
+        rows = _convolve(rows, _theta_rows(a, kcut), kcut)
+    for b in dens:
+        rows = _theta_divide(rows, b, kcut)
+    return WindowedSeries._of(1, rows, qcut, ydenom=2)
 
 
 @memo
 def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
     """The weight 0, index m-1 basis form phi^(m)_n (2 <= m <= 25, 1 <= n < m).
 
-    The seeds phi^(2..4)_1 come from f2^2 and f4^2 alone (``_phi_seed``); the
-    rest of phi^(m)_1 follows Gritsenko's product recursion and n >= 2 the
-    standard products of lower forms.  One form per (m, n) is kept, at the
-    deepest cutoff asked; a shallower call gets it truncated (``data.memo``).
+    phi^(m)_1 at m = 4, 5, 7 and 13 is a quotient of theta(tau, az) =
+    theta_1(tau, az), found by exact row division (``_THETA_QUOTIENTS``):
+    (theta(2z)/theta(z))^2, theta(3z)/theta(z), theta(4z)/theta(2z) and
+    theta(z) theta(6z)/(theta(2z) theta(3z)), Gritsenko's phi_{0,3/2} and
+    phi_{0,4} quotients (V. Gritsenko, "Elliptic genus of Calabi-Yau manifolds
+    and Jacobi and Siegel modular forms", 1999; V. Gritsenko, N.-P. Skoruppa
+    and D. Zagier, "Theta blocks", arXiv:1907.00188).  The seeds phi^(2,3)_1
+    come from f2^2 and f4^2 alone (``_phi_seed``), every other phi^(m)_1 from
+    Gritsenko's product recursion, and n >= 2 from the standard products of
+    lower forms.  One form per (m, n) is kept, at the deepest cutoff asked; a
+    shallower call gets it truncated (``data.memo``).
     """
     if not (2 <= m <= 25 and 1 <= n <= m - 1):
         raise OutOfRange(f"no basis form phi^({m})_{n}")
     p1 = lambda mm: gritsenko(mm, 1, qcut)
-    if n == 1 and m <= 4:
+    if n == 1 and m in _THETA_QUOTIENTS:
+        out = _theta_quotient(m, qcut)
+    elif n == 1 and m <= 3:
         out = _phi_seed(m, qcut)
     elif n == 1:
         if m in _PRODUCT_ROWS:

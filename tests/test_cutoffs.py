@@ -77,6 +77,9 @@ BUILDERS = [
       for label in qs._MOCK_THETA],
     *[(f"jacobi_theta({i})", lambda c, i=i: jb.jacobi_theta(i, c), exactly())
       for i in (1, 2, 3, 4)],
+    # the theta quotients read only the rows below c of both sides
+    *[(f"gritsenko({m},1)", lambda c, m=m: jb.gritsenko(m, 1, c), exactly())
+      for m in (4, 5, 7, 13)],
     *[(f"appell_mu({m},{j2},{ann})",
        lambda c, m=m, j2=j2, ann=ann: jb.appell_mu(m, j2, c, 6, ann), exactly())
       for m, j2, ann in ((1, 0, jb.LOWER), (1, 0, jb.UPPER), (3, 1, jb.UPPER))],

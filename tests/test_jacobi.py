@@ -7,7 +7,8 @@ import pytest
 from moonshine import jacobi as jb
 from moonshine import mckay
 from moonshine.data import LAMBENCIES, memo, set_data_dir
-from moonshine.errors import CutoffUnderflow, OutOfRange, UnboundedSupport, WindowTooNarrow
+from moonshine.errors import (CutoffUnderflow, NotInvertible, OutOfRange, UnboundedSupport,
+                              WindowTooNarrow)
 from moonshine.qseries import FracSeries, eta, eta_quotient, unary_theta
 
 
@@ -202,14 +203,8 @@ def _phi1_by_cases(m, qcut):
     """phi^(m)_1 by the case analysis on c = gcd(12, m-1), one branch per c."""
     p1 = lambda mm: jb.gritsenko(mm, 1, qcut)
     g = gcd
-    if m == 5:
-        return (p1(4) * p1(2) - p1(3) * p1(3)).scale(F(1, 4))
-    if m == 7:
-        return p1(3) * p1(5) - p1(4) * p1(4)
     if m == 9:
         return p1(3) * p1(7) - p1(5) * p1(5)
-    if m == 13:
-        return p1(5) * p1(9) - (p1(7) * p1(7)).scale(2)
     c = g(12, m - 1)
     if c == 1:
         return (p1(m - 4) * p1(5)).scale(g(12, m - 5)) \
@@ -237,8 +232,8 @@ def _phi1_by_cases(m, qcut):
         + (p1(m - 6) * p1(7)).scale(F(g(12, m - 7), 12))
 
 
-# one m per gcd(12, m - 1) in {1, 2, 3, 4, 6, 12} and the four product rows
-@pytest.mark.parametrize("m", [6, 11, 16, 17, 19, 25, 5, 7, 9, 13])
+# one m per gcd(12, m - 1) in {1, 2, 3, 4, 6, 12} and the product row
+@pytest.mark.parametrize("m", [6, 11, 16, 17, 19, 25, 9])
 def test_gritsenko_recursion_table_matches_case_analysis(m):
     got = jb.gritsenko(m, 1, 3)
     want = _phi1_by_cases(m, 3)
@@ -261,6 +256,7 @@ def reference_seed(m, c):
 SEED_CUTOFFS = [7, F(113, 16), F(41, 3), 30]
 
 
+# at m = 4 this checks the theta quotient (theta(2z)/theta(z))^2
 @pytest.mark.parametrize("c", SEED_CUTOFFS)
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_seeds_match_the_symmetric_functions(m, c):
@@ -268,6 +264,55 @@ def test_seeds_match_the_symmetric_functions(m, c):
     got = jb.gritsenko(m, 1, c)
     want = reference_seed(m, c)
     assert (list(got.items()), got.qcut) == (list(want.items()), want.qcut)
+
+
+# c phi^(m)_1 = sum k phi^(a)_1 phi^(b)_1, m: (c, {(a, b): k}): the product rows that
+# built phi^(5,7,13)_1 before the theta quotients, and row 9 that they read
+REFERENCE_ROWS = {5: (4, {(4, 2): 1, (3, 3): -1}), 7: (1, {(3, 5): 1, (4, 4): -1}),
+                  9: (1, {(3, 7): 1, (5, 5): -1}), 13: (1, {(5, 9): 1, (7, 7): -2})}
+
+
+def reference_tower(m, c, built):
+    """phi^(m)_1 for m in {2, 3, 4, 5, 7, 9, 13} from reference_seed and
+    REFERENCE_ROWS alone, so no value of it reads the theta divider."""
+    if m not in built:
+        if m <= 4:
+            built[m] = reference_seed(m, c)
+        else:
+            den, terms = REFERENCE_ROWS[m]
+            prods = [(reference_tower(a, c, built) * reference_tower(b, c, built)).scale(k)
+                     for (a, b), k in terms.items()]
+            built[m] = sum(prods[1:], prods[0]).scale(F(1, den))
+    return built[m]
+
+
+@pytest.mark.parametrize("c", SEED_CUTOFFS)
+@pytest.mark.parametrize("m", [5, 7, 13])
+def test_theta_quotients_match_the_product_rows(m, c):
+    set_data_dir(None)  # empties the memo, so the quotient is built at c
+    got = jb.gritsenko(m, 1, c)
+    want = reference_tower(m, c, {})
+    assert (list(got.items()), got.qcut) == (list(want.items()), want.qcut)
+
+
+# theta(4z)/theta(3z) and theta(5z)/theta(3z) have poles at z = 1/3, and
+# theta(z) theta(6z)/(theta(4z) theta(3z)) at z = 1/4
+@pytest.mark.parametrize("m, row", [(7, ((4,), (3,))), (7, ((5,), (3,))),
+                                    (13, ((1, 6), (4, 3)))])
+def test_a_wrong_theta_quotient_raises(monkeypatch, m, row):
+    monkeypatch.setitem(jb._THETA_QUOTIENTS, m, row)
+    set_data_dir(None)
+    with pytest.raises(NotInvertible, match="does not divide"):
+        jb.gritsenko(m, 1, 30)
+
+
+def test_theta_divide_checks_every_residue_class():
+    # in doubled y-powers: (y^(1/2) - y^(-1/2)) (y^2 + 3) divides; y^(1/2) - y^(3/2) + y^2
+    # (1 at y = 1) does not, and as its part y^(1/2) - y^(3/2) divides, only the
+    # residue class of y^2 leaves a remainder
+    assert jb._theta_divide({0: {5: 1, 3: -1, 1: 3, -1: -3}}, 1, 1) == {0: {4: 1, 0: 3}}
+    with pytest.raises(NotInvertible):
+        jb._theta_divide({0: {1: 1, 3: -1, 4: 1}}, 1, 1)
 
 
 def _terms_series(terms, qcut):

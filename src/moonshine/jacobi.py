@@ -2,7 +2,8 @@
 weak Jacobi forms (four of its generators as quotients of theta(tau, az), found
 by exact row division), meromorphic blocks expanded in a fixed annulus, and the
 extraction of the vector-valued mock modular forms attached to the six
-distinguished weight-0 forms.
+distinguished weight-0 forms from the rows y^1..y^(m-1) of Psi_{1,1} * phi alone
+(``_y_rows``); the N = 4 identity check forms the whole product (``windowed_mul``).
 
 A :class:`WindowedSeries` stores, for each q-exponent below ``qcut``, a finite
 Laurent row in y.  Two flavours exist:
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, gcd, lcm
+from operator import add
 
 from .algebra import _canonical, as_rat
 from .data import LAMBENCIES, memo
@@ -259,6 +261,37 @@ def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
     out = _convolve(ra, rb, ceil(cut * d))
     prod = WindowedSeries._of(d, out, cut, annulus=a._combine_annulus(b), ydenom=yd)
     return prod if target is None else _clip(prod, target, prod.annulus)
+
+
+def _y_rows(a: WindowedSeries, b: WindowedSeries, m: int, qcut) -> list:
+    """Rows y = 1..m-1 of ``windowed_mul(a, b, qcut, ywindow=m-1)`` as FracSeries,
+    a complete and b windowed: each summed over the pairs of q-rows below the
+    product's cutoff, with ``_product``'s lifted denominators, cutoff and window
+    check, where ``_product`` forms every y-slot of every row.
+    """
+    reach = a.max_abs_y()
+    if b.ywindow < (m - 1) + reach:
+        raise WindowTooNarrow(
+            f"need window {m - 1}+{reach} on windowed factor, have {b.ywindow}")
+    cut = min(a.qcut + b.low_q(), b.qcut + a.low_q(), as_rat(qcut))
+    d, yd, ra, rb = a._aligned(b)
+    kcut = ceil(cut * d)
+    targets = range(yd, m * yd, yd)
+    arows = sorted(ra.items())
+    sums = {}
+    for kb, brow in rb.items():
+        bterms = brow.items()
+        for ka, arow in arows:
+            n = ka + kb
+            if n >= kcut:
+                break
+            get = arow.get
+            s = [sum(get(t - yb, 0) * cb for yb, cb in bterms) for t in targets]
+            old = sums.get(n)
+            sums[n] = s if old is None else list(map(add, old, s))
+    keys = sorted(sums)
+    return [FracSeries._of(d, {n: _canonical(v) for n in keys if (v := sums[n][i])}, cut)
+            for i in range(m - 1)]
 
 
 def _clip(s: WindowedSeries, ywindow, annulus: str) -> WindowedSeries:
@@ -573,18 +606,18 @@ def extract_from_form(phi: WindowedSeries, m: int, qcut, annulus: str = LOWER) -
 
     ``phi`` is a weak Jacobi form of weight 0 and index m-1 (complete);
     H_r = -q^(-r^2/4m) [y^r](Psi*phi - chi*mu^(m)_0), both blocks expanded in
-    the same annulus.  Coefficients are exact below ``phi.qcut`` only, so
-    the cutoff is capped there.
+    the same annulus.  Only the rows y^r, 0 < r < m, of Psi*phi are summed
+    (``_y_rows``), not the whole product.  Coefficients are exact below
+    ``phi.qcut`` only, so the cutoff is capped there.
     """
     qcut = min(as_rat(qcut), phi.qcut)
     chi = phi.specialize_z0().coefficient(0)
     reach = int(phi.max_abs_y())
     psi = psi_one_one(qcut, (m - 1) + reach + 1, annulus)
     mu0 = appell_mu(m, 0, qcut, m + 1, annulus)
-    prod = windowed_mul(phi, psi, qcut=qcut, ywindow=m - 1)
     comps = []
-    for r in range(1, m):
-        row = prod.y_row(r) - mu0.y_row(r).scale(chi)
+    for r, row in enumerate(_y_rows(phi, psi, m, qcut), 1):
+        row = row - mu0.y_row(r).scale(chi)
         comps.append((-row).shift(Fraction(-r * r, 4 * m)))
     return HVector(m, comps)
 
@@ -687,7 +720,11 @@ def _rank(matrix: list) -> int:
 
 
 def verify_n4_identity(ell: int, qcut=10, ywindow=12) -> dict:
-    """Residual of Psi*Z - chi*mu_0 - sum_r H_r theta-hat_r inside a box."""
+    """Residual of Psi*Z - chi*mu_0 - sum_r H_r theta-hat_r inside a box.
+
+    Psi*Z is the whole product by ``windowed_mul``, not extraction's row sums
+    (``_y_rows``), so the check stays independent of the code it checks.
+    """
     qcut = as_rat(qcut)
     Z = umbral_Z(ell, qcut)
     H = extract_H(ell, qcut)

@@ -553,6 +553,83 @@ def test_n4_identity_small():
         assert rep["ok"], rep["residual_terms"][:4]
 
 
+@pytest.mark.parametrize("ell", LAMBENCIES)
+def test_n4_identity_at_q30(ell):
+    rep = jb.verify_n4_identity(ell, 30, ywindow=ell + 1)
+    assert rep["ok"], rep["residual_terms"][:4]
+
+
+def test_n4_identity_fires_on_a_dropped_row_term(monkeypatch):
+    # the identity forms Psi * Z by windowed_mul, apart from extraction's row
+    # sums, so one term missing from the top row y^(l-1) must leave a residual
+    rows, dropped = jb._y_rows, []
+
+    def drop_last(*args):
+        out = rows(*args)
+        top = out[-1]
+        k = max(top.coeffs)
+        dropped.append((F(k, top.denom), top.coeffs[k]))
+        out[-1] = FracSeries._of(top.denom, {j: v for j, v in top.coeffs.items() if j != k},
+                                 top.cutoff)
+        return out
+
+    monkeypatch.setattr(jb, "_y_rows", drop_last)
+    for ell in LAMBENCIES:
+        rep = jb.verify_n4_identity(ell, 30, ywindow=ell + 1)
+        qe, c = dropped[-1]
+        assert not rep["ok"] and (qe, ell - 1, c) in rep["residual_terms"], ell
+
+
+def _rows_agree(phi, m, qcut, annulus=jb.LOWER):
+    """``_y_rows`` against the y-rows of the whole product, with the Psi_{1,1}
+    that ``extract_from_form`` asks for."""
+    psi = jb.psi_one_one(qcut, (m - 1) + int(phi.max_abs_y()) + 1, annulus)
+    full = jb.windowed_mul(phi, psi, qcut, ywindow=m - 1)
+    rows = jb._y_rows(phi, psi, m, qcut)
+    assert len(rows) == m - 1
+    for r, got in enumerate(rows, 1):
+        want = full.y_row(r)
+        assert (got.denom, got.cutoff) == (want.denom, want.cutoff)
+        assert list(got.items()) == list(want.items())
+        assert [type(v) for v in got.coeffs.values()] == [type(v) for v in want.coeffs.values()]
+
+
+@pytest.mark.parametrize("annulus", [jb.LOWER, jb.UPPER])
+@pytest.mark.parametrize("qcut", [F(113, 16), 30], ids=str)
+@pytest.mark.parametrize("ell", LAMBENCIES)
+def test_y_rows_match_the_whole_product(ell, qcut, annulus):
+    _rows_agree(jb.umbral_Z(ell, qcut), ell, qcut, annulus)
+
+
+@pytest.mark.parametrize("ell", LAMBENCIES)
+def test_y_rows_match_the_whole_product_with_fractions(ell):
+    _rows_agree(jb.umbral_Z(ell, 12).scale(F(1, 3)), ell, 12)
+
+
+def test_y_rows_match_the_whole_product_on_the_extremal_basis(monkeypatch):
+    # the 37 forms of index 24 that extremal_space_dim(25) extracts, at q^6
+    forms, extract = [], jb.extract_from_form
+    monkeypatch.setattr(jb, "extract_from_form",
+                        lambda phi, m, qcut: forms.append((phi, m, qcut)) or extract(phi, m, qcut))
+    assert jb.extremal_space_dim(25) == 0
+    assert len(forms) == 37
+    for phi, m, qcut in forms:
+        _rows_agree(phi, m, qcut)
+
+
+@pytest.mark.parametrize("ell", [2, 5, 13])
+def test_extraction_refuses_a_pole_block_one_power_short(monkeypatch, ell):
+    # extract_from_form asks Psi_{1,1} exact to |y| <= (l-1) + reach + 1; the
+    # rows need (l-1) + reach, and one y-power less must raise in _y_rows
+    psi, want = jb.psi_one_one, jb.extract_H(ell, 10)
+    monkeypatch.setattr(jb, "psi_one_one", lambda c, w, ann: psi(c, w - 1, ann))
+    assert [h.coeffs for h in jb.extract_H(ell, 10)] == [h.coeffs for h in want]
+    monkeypatch.setattr(jb, "psi_one_one", lambda c, w, ann: psi(c, w - 2, ann))
+    with pytest.raises(WindowTooNarrow) as err:
+        jb.extract_H(ell, 10)
+    assert err.traceback[-1].name == "_y_rows"
+
+
 def test_round_trip_extraction():
     ell = 3
     H = jb.extract_H(ell, 6)

@@ -158,15 +158,20 @@ def from_stored_column(ell: int, label: str) -> bool:
 @memo
 def stored_columns(ell: int) -> dict:
     """The stored tables of a lambency as one HVector of columns per class, at table
-    depth: a table ends one row past its last, so exact below its last exponent + 1."""
+    depth: a table ends one row past its last, so exact below its last exponent + 1.
+    Each cell is keyed by its integer 4l*d, so a column is built on the lattice
+    q^(1/4l) and then reduced to its coarsest one, as ``from_terms`` would."""
     cols = {c.label: [{} for _ in range(1, ell)] for c in class_table(ell).classes}
     for (r, k), row in stored_rows(ell).items():
         for label, col in cols.items():
             if label not in row:
                 raise UnknownClass(f"no stored column {label} in table {ell},{r}")
-            col[r - 1][Fraction(k, 4 * ell)] = row[label]
-    return {label: jacobi.HVector(ell, [FracSeries.from_terms(c.items(), max(c) + 1) for c in col])
-            for label, col in cols.items()}
+            col[r - 1][k] = row[label]
+
+    def column(cells):
+        s = FracSeries(4 * ell, cells, Fraction(max(cells), 4 * ell) + 1)
+        return FracSeries._reduced(s.denom, s.coeffs, s.cutoff)
+    return {label: jacobi.HVector(ell, [column(c) for c in col]) for label, col in cols.items()}
 
 
 @memo

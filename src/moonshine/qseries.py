@@ -27,16 +27,22 @@ Eisenstein combinations Lambda_N, the level 11/14/15/20/23/44 newforms, the
 unary theta functions S^(m)_r, and the classical mock theta functions of
 orders 2, 3, 8 and 10.  Eta, S^(m)_r and the index-m theta functions of
 ``jacobi`` are sums over one lattice, the j = r (mod 2m) with j^2/4m below
-the cutoff, enumerated by ``_theta_lattice``.
+the cutoff, enumerated by ``_theta_lattice``.  The catalog builders do not
+multiply series: eta quotients follow an integer recurrence, Lambda_N a
+divisor sieve and each mock theta term one int list multiplied and divided
+in place by its factors, so each is exact below the cutoff asked.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, gcd, isqrt, lcm
+from operator import mul
 
 from .algebra import _canonical, as_rat
 from .data import memo
-from .errors import CutoffUnderflow, NotInvertible, NotUnimodular, OutOfRange
+from .errors import (CutoffUnderflow, NotInvertible, NotUnimodular, OutOfRange,
+                     UnknownClass)
 
 
 def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
@@ -381,57 +387,62 @@ def eta(cutoff) -> FracSeries:
                                   for j in _theta_lattice(6, r, cutoff)), cutoff)
 
 
+def _sigma(n: int) -> list:
+    """sigma(k), the sum of the divisors of k, for 0 <= k < n (sigma(0) = 0), by
+    one divisor sieve."""
+    sig = [0] * max(n, 1)
+    for d in range(1, n):
+        sig[d::d] = [s + d for s in sig[d::d]]
+    return sig
+
+
 def eta_quotient(spec, cutoff) -> FracSeries:
     """prod_k eta(k*tau)^(m_k) for spec a sequence of (scale, exponent).
 
-    Scales may be rationals (used for arguments like tau/2); exponents any
-    integers, negative entries handled by exact series inversion.  The result
-    is exact below ``cutoff`` and reports it.  It starts at q^L, L = sum k*m/24,
-    so is zero there if cutoff <= L; else each factor takes eta exact below
-    (cutoff - L)/k + 1/24 and so (a power loses (m-1)*low, an inverse power
-    (|m|+1)*low) is exact below cutoff - L + k*m/24, as the product rule needs.
+    Scales are positive rationals (tau/2 is scale 1/2), exponents any integers.
+    With D the lcm of the scales' denominators and x = q^(1/D), the quotient
+    is q^L prod_e (1 - x^e)^(c_e), L = sum k*m/24 and c_e the sum of the m
+    whose k*D divides e.  Its coefficients a_j at x^j follow from the
+    logarithmic derivative, j*a_j = -sum_(i=1..j) b_i a_(j-i) with a_0 = 1 and
+    b_i = sum_(e | i) e*c_e = sum m*k*D*sigma(i/(k*D)) over the k*D dividing i.
+    Each ``//`` by j is exact: the product has integer coefficients, a_j
+    among them.  No series is multiplied or inverted, so the result is exact
+    below ``cutoff`` itself and reports it; it is zero there if cutoff <= L.
     """
     cutoff = as_rat(cutoff)
     spec = [(as_rat(k), m) for k, m in spec if m]
     if any(k <= 0 for k, _ in spec):
         raise ValueError("eta scale must be positive")
-    if not spec:
-        return FracSeries.one(cutoff)
-    low = sum(k * m for k, m in spec) / 24
+    low = sum((k * m for k, m in spec), Fraction(0)) / 24
     if cutoff <= low:
         return FracSeries.zero(cutoff)
-    result = None
+    d = lcm(*(k.denominator for k, _ in spec))
+    n = ceil((cutoff - low) * d)  # the x^j with L + j/D < cutoff
+    sig, b = _sigma(n), [0] * n
     for k, m in spec:
-        factor = eta((cutoff - low) / k + Fraction(1, 24)).rescale(k) ** m
-        result = factor if result is None else result * factor
-    return result
-
-
-def divisor_sigma(k: int) -> int:
-    s = 0
-    for d in range(1, isqrt(k) + 1):
-        if k % d == 0:
-            s += d
-            if d != k // d:
-                s += k // d
-    return s
+        step = k.numerator * (d // k.denominator)
+        for t, i in enumerate(range(step, n, step), 1):
+            b[i] += m * step * sig[t]
+    a = [1] + [0] * (n - 1)
+    for j in range(1, n):
+        a[j] = -sum(map(mul, b[1:j + 1], reversed(a[:j]))) // j
+    return FracSeries._of(d, {j: c for j, c in enumerate(a) if c}, cutoff - low).shift(low)
 
 
 def lambda_n(n: int, cutoff) -> FracSeries:
-    """Weight-2 Eisenstein form Lambda_N on Gamma_0(N), N >= 2."""
+    """Weight-2 Eisenstein form Lambda_N on Gamma_0(N), N >= 2:
+    N(N-1)/24 + N sum_k sigma(k) q^k - N^2 sum_k sigma(k) q^(Nk), in ints
+    below ``cutoff``, sigma from one divisor sieve."""
     if n < 2:
         raise ValueError("lambda_n needs N >= 2")
     cutoff = as_rat(cutoff)
-    pref = Fraction(n * (n - 1), 24)
-    coeffs = {0: pref}
-    k = 1
-    while k < cutoff:
-        c = pref * Fraction(24, n - 1) * divisor_sigma(k)
-        coeffs[k] = coeffs.get(k, 0) + c
-        if n * k < cutoff:
-            coeffs[n * k] = coeffs.get(n * k, 0) - n * c
-        k += 1
-    return FracSeries(1, coeffs, cutoff)
+    top = max(ceil(cutoff), 0)  # the q^k with k < cutoff
+    sig = _sigma(top)
+    coeffs = [n * s for s in sig]
+    for k in range(1, (top - 1) // n + 1):
+        coeffs[n * k] -= n * n * sig[k]
+    coeffs[0] = Fraction(n * (n - 1), 24)
+    return FracSeries(1, dict(enumerate(coeffs)), cutoff)
 
 
 def _curve_newform(a2: int, a4: int, a6: int, level: int, cutoff) -> FracSeries:
@@ -480,7 +491,7 @@ def newform(label: str, cutoff) -> FracSeries:
         return out
     if label == "f44":  # Cremona's curve 44a1
         return _curve_newform(1, 3, -1, 44, cutoff)
-    raise KeyError(f"unknown newform {label!r}")
+    raise UnknownClass(f"unknown newform {label!r}")
 
 
 def unary_theta(m: int, r: int, cutoff) -> FracSeries:
@@ -492,29 +503,32 @@ def unary_theta(m: int, r: int, cutoff) -> FracSeries:
 # ---------------------------------------------------------------------------
 # mock theta functions
 
-def _poch(signs_exps, cutoff):
-    """prod (1 + sign*q^e) below cutoff; every factor has low 0, so keeps it."""
-    out = FracSeries.one(cutoff)
-    for sign, e in signs_exps:
-        out = out * FracSeries(1, {0: 1, e: sign}, cutoff)
-    return out
-
-
 def _eulerian(cutoff, valuation, numerator, denominator, sign=None):
-    """Sum over n of sign(n) * q^valuation(n) * numerator(n)/denominator(n)."""
+    """Sum over n of sign(n) * q^valuation(n) * numerator(n)/denominator(n),
+    exact below ``cutoff``.
+
+    Term n is built on one int list t, t[j] its coefficient at q^(v + j) with
+    v = valuation(n), starting from t = [+-1].  Multiplying by a factor
+    (1 + s*q^e) adds s*t[j - e] to every t[j] at once; dividing by it runs
+    t[j] -= s*t[j - e] upwards along each residue class mod e, so each step
+    reads a quotient coefficient already final.  Every factor starts with 1,
+    so the division never divides a coefficient: it is exact, in ints.
+    """
     cutoff = as_rat(cutoff)
-    total = FracSeries.zero(cutoff)
+    top = ceil(cutoff)
+    total = [0] * max(top, 0)
     n = 0
-    while valuation(n) < cutoff:
-        rel = cutoff - valuation(n)
-        num = _poch(numerator(n), rel)
-        den = _poch(denominator(n), rel)
-        term = (num * den.invert()).shift(valuation(n))
-        if sign is not None and sign(n):
-            term = -term
-        total = total + term
+    while (v := valuation(n)) < cutoff:
+        t = [0] * (top - v)
+        t[0] = -1 if sign is not None and sign(n) else 1
+        for s, e in numerator(n):
+            t[e:] = [x + s * y for x, y in zip(t[e:], t)]
+        for s, e in denominator(n):
+            for r in range(min(e, len(t) - e)):  # the classes with two terms or more
+                t[r::e] = accumulate(t[r::e], lambda done, x: x - s * done)
+        total[v:] = [x + y for x, y in zip(total[v:], t)]
         n += 1
-    return total
+    return FracSeries(1, dict(enumerate(total)), cutoff)
 
 
 # label: (valuation, numerator, denominator, sign) as functions of the
@@ -571,7 +585,7 @@ def mock_theta(label: str, qcut) -> FracSeries:
     try:
         row = _MOCK_THETA[label]
     except KeyError:
-        raise KeyError(f"unknown mock theta {label!r}") from None
+        raise UnknownClass(f"unknown mock theta {label!r}") from None
     return _eulerian(qcut, *row)
 
 

@@ -270,3 +270,22 @@ def test_off_lattice_quarter_twist_in_data_exits_1(tmp_path, capsys):
         set_data_dir(None)
     assert code == 1
     assert capsys.readouterr().err.startswith("error: quarter twist off-lattice exponent")
+
+
+def test_unknown_newform_in_data_exits_3(tmp_path, capsys):
+    # f20 renamed f99 in the lambency-3 catalog: a data error naming the label,
+    # not a KeyError traceback
+    import shutil
+    from moonshine.data import data_dir, set_data_dir
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    path = alt / "weight2_3.json"
+    text = path.read_text()
+    assert text.count('"f20"') == 1
+    path.write_text(text.replace('"f20"', '"f99"'))
+    try:
+        code, out = run(["verify-identities", "--data-dir", str(alt)])
+    finally:
+        set_data_dir(None)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "data error: unknown newform 'f99'\n"

@@ -12,8 +12,8 @@ from moonshine.cli import main
 from moonshine.data import LAMBENCIES, data_dir, load_json, memo, set_data_dir
 from moonshine.errors import DataCorrupt, UnknownClass
 from moonshine.groups import class_table
-from moonshine.qseries import eta_quotient, lambda_n, mock_theta, unary_theta
-from moonshine.reps import coefficient_row
+from moonshine.qseries import FracSeries, eta_quotient, lambda_n, mock_theta, unary_theta
+from moonshine.reps import coefficient_row, stored_rows
 
 
 def test_weight2_lambda_combination():
@@ -452,6 +452,20 @@ def test_unknown_block_type_in_l4_data_raises(tmp_path):
             mk.twisted_H(4, "7AB", 11)
     finally:
         set_data_dir(None)
+
+
+def test_stored_columns_match_the_from_terms_build():
+    # the columns keyed by 4l*d equal the Fraction-keyed from_terms build
+    set_data_dir(None)
+    for ell in LAMBENCIES:
+        built = mk.stored_columns(ell)
+        for label, hv in built.items():
+            col = [{} for _ in range(1, ell)]
+            for (r, k), row in stored_rows(ell).items():
+                col[r - 1][F(k, 4 * ell)] = row[label]
+            want = [FracSeries.from_terms(c.items(), max(c) + 1) for c in col]
+            assert ([(list(s.items()), s.cutoff) for s in hv.components]
+                    == [(list(s.items()), s.cutoff) for s in want]), (ell, label)
 
 
 def test_stored_columns_pivoted_once_per_lambency(monkeypatch):

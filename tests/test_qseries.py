@@ -1,11 +1,12 @@
 from fractions import Fraction as F
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 
-from moonshine.errors import CutoffUnderflow, NotInvertible, NotUnimodular
-from moonshine.qseries import (FracSeries, dedekind_epsilon, eta, eta_quotient,
-                               lambda_n, mock_theta, newform, unary_theta)
+from moonshine.errors import CutoffUnderflow, NotInvertible, NotUnimodular, UnknownClass
+from moonshine.qseries import (_NEWFORM_SPECS, FracSeries, dedekind_epsilon, eta,
+                               eta_quotient, lambda_n, mock_theta, newform, unary_theta)
+from test_cutoffs import TWISTED_3_INVERSES, catalog_eta_specs
 
 
 def heads(series, n):
@@ -49,12 +50,28 @@ def test_lambda_small():
     assert lambda_n(3, 1).coefficient(0) == F(1, 4)
 
 
+def divisor_sigma(k):
+    """The sum of the divisors of k, by trial division."""
+    return sum(d for d in range(1, k + 1) if k % d == 0)
+
+
 def test_lambda_low_coefficients_are_n_sigma():
-    from moonshine.qseries import divisor_sigma
     for n in (2, 3, 5, 7, 11):
         ln = lambda_n(n, n)
         for k in range(1, n):
             assert ln.coefficient(k) == n * divisor_sigma(k)
+
+
+@pytest.mark.parametrize("cut", [F(1, 2), 7, F(113, 16), 21, F(337, 8)], ids=str)
+def test_lambda_n_matches_its_formula(cut):
+    # N(N-1)/24 + N sum sigma(k) q^k - N^2 sum sigma(k) q^(Nk): the q^(Nk) half
+    # starts at q^N, which the low-coefficient test above never reads
+    for n in (2, 3, 5, 7, 11, 23, 44):
+        terms = [(0, F(n * (n - 1), 24))]
+        for k in range(1, ceil(cut)):
+            terms += [(k, n * divisor_sigma(k)), (n * k, -n * n * divisor_sigma(k))]
+        want, got = FracSeries.from_terms(terms, cut), lambda_n(n, cut)
+        assert (list(got.items()), got.cutoff) == (list(want.items()), want.cutoff), n
 
 
 def test_newforms():
@@ -91,6 +108,43 @@ def test_f44_hecke_relations_and_hasse_bound():
         for n in range(m + 1, 200 // m + 1):
             if m * n < 200 and gcd(m, n) == 1:
                 assert a[m * n] == a[m] * a[n], (m, n)
+
+
+def test_unknown_newform_and_mock_theta_are_data_errors():
+    with pytest.raises(UnknownClass, match="f99"):
+        newform("f99", 5)
+    with pytest.raises(UnknownClass, match="nu"):
+        mock_theta("nu", 5)
+
+
+def reference_eta_quotient(spec, cutoff):
+    """The product of ``eta(...).rescale(k) ** m``, as eta_quotient was built
+    before its recurrence: each factor's eta exact below (cutoff - L)/k + 1/24."""
+    cutoff = F(cutoff)
+    spec = [(F(k), m) for k, m in spec if m]
+    if not spec:
+        return FracSeries.one(cutoff)
+    low = sum(k * m for k, m in spec) / 24
+    if cutoff <= low:
+        return FracSeries.zero(cutoff)
+    result = None
+    for k, m in spec:
+        factor = eta((cutoff - low) / k + F(1, 24)).rescale(k) ** m
+        result = factor if result is None else result * factor
+    return result
+
+
+F23A_QUOTIENTS = [((1, 3), (23, 3), (2, -1), (46, -1)), ((1, 2), (23, 2)),
+                  ((1, 1), (2, 1), (23, 1), (46, 1)), ((2, 2), (46, 2))]
+
+
+@pytest.mark.parametrize("cut", [F(1, 3), 7, F(113, 16), F(21, 2), 21, F(337, 8), 60], ids=str)
+def test_eta_quotient_matches_the_product_of_etas(cut):
+    specs = (catalog_eta_specs() + TWISTED_3_INVERSES + list(_NEWFORM_SPECS.values())
+             + F23A_QUOTIENTS)
+    for spec in specs:
+        got, want = eta_quotient(spec, cut), reference_eta_quotient(spec, cut)
+        assert (list(got.items()), got.cutoff) == (list(want.items()), want.cutoff), spec
 
 
 def test_invert_geometric():

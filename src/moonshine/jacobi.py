@@ -1,6 +1,5 @@
 """Two-variable exact series: Jacobi theta functions, the weight-0 basis of
-weak Jacobi forms (four of its generators as quotients of theta(tau, az), found
-by exact row division), meromorphic blocks expanded in a fixed annulus, and the
+weak Jacobi forms, meromorphic blocks expanded in a fixed annulus, and the
 extraction of the vector-valued mock modular forms attached to the six
 distinguished weight-0 forms from the rows y^1..y^(m-1) of Psi_{1,1} * phi alone
 (``_y_rows``); the N = 4 identity check forms the whole product (``windowed_mul``).
@@ -19,22 +18,28 @@ block: ``lower`` means |q| < |y| < 1, ``upper`` means 1 < |y| < 1/|q|.
 Entire series combine with anything; two tagged series combine only when the
 tags agree.
 
+One builder on integral rows makes every theta block (``_theta_block``): four
+basis generators, the zeta form and phi_{-2,1}, whose heat-operator images give
+the two seeds of index 1 and 2 (``_phi_seed``).  No series is inverted here.
+
 Coefficients are stored as in ``qseries``: an ``int`` when integral, else a
-``Fraction``, never a ``float``; the theta quotients and the Gritsenko tower
-run on ints.
+``Fraction``, never a ``float``; the theta blocks and the Gritsenko tower run
+on ints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, gcd, lcm
-from operator import add
+from functools import reduce
+from math import ceil, gcd, isqrt, lcm
+from operator import add, mul
 
 from .algebra import _canonical, as_rat
 from .data import LAMBENCIES, memo
 from .errors import (CutoffUnderflow, NotInvertible, OutOfRange, UnboundedSupport,
                      WindowTooNarrow)
-from .qseries import FracSeries, _convolve, _power, _theta_lattice, eta
+# eta is not called here; it stays importable, as perfbench's tracer test rebinds jacobi.eta
+from .qseries import FracSeries, _convolve, _sigma, _theta_lattice, eta, eta_quotient
 
 ENTIRE = "entire"
 LOWER = "lower"   # |q| < |y| < 1
@@ -199,11 +204,6 @@ class WindowedSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not supported on bi-series")
-        return _power(self, n) if n else WindowedSeries.one(self.qcut)
-
     def specialize_z0(self) -> FracSeries:
         """Set z = 0, i.e. sum each q-row over y.  Complete series only."""
         if not self.is_complete():
@@ -346,39 +346,6 @@ def hat_theta(m: int, r: int, qcut) -> WindowedSeries:
 # ---------------------------------------------------------------------------
 # the weight-0 basis
 
-@memo
-def _theta_ratio_sq(i: int, qcut) -> WindowedSeries:
-    """f_i^2 = (theta_i(tau,z)/theta_i(tau,0))^2 for i in {2,3,4}.
-
-    Only theta_2 needs a pad: theta_2(tau,0) starts at q^(1/8), so inverting
-    its square costs 1/8 of the cutoff; theta_3 and theta_4 start with 1.
-    """
-    th = jacobi_theta(i, qcut + (Fraction(1, 8) if i == 2 else 0))
-    num = th * th
-    den = th.specialize_z0()
-    return (num * WindowedSeries.from_fracseries((den * den).invert())).truncate(qcut)
-
-
-def _phi_seed(m: int, qcut) -> WindowedSeries:
-    """phi^(m)_1, m in {2, 3}: 4 e_1 and 2 e_2 of (f2^2, f3^2, f4^2), f3^2 unbuilt.
-
-    theta_4(tau,z) = theta_3(tau+1,z) gives f3^2 + f4^2 = 2E, E the integral
-    rows of f4^2; theta_3 theta_4(tau,z) = theta_4(2tau,2z) theta_4(2tau,0)
-    gives f3^2 f4^2 = D = f4^2(2tau,2z), read off f4^2 below qcut/2 by doubling
-    both exponents.  g2 = 4 f2^2 (theta_2(tau,0)^2 leads with 4) is integral.
-    """
-    g2 = _theta_ratio_sq(2, qcut).scale(4)
-    f4 = _theta_ratio_sq(4, qcut)
-    E = WindowedSeries._of(f4.denom, {k: r for k, r in f4.rows.items() if k % f4.denom == 0},
-                           f4.qcut, ydenom=f4.ydenom)
-    if m == 2:
-        return g2 + E.scale(8)
-    h = f4.truncate(f4.qcut / 2)
-    D = WindowedSeries._of(h.denom, {2 * k: {2 * y: c for y, c in r.items()}
-                                     for k, r in h.rows.items()}, 2 * h.qcut, ydenom=h.ydenom)
-    return g2 * E + D.scale(2)
-
-
 # phi^(m)_1 = prod theta(tau, a z) / prod theta(tau, b z), theta = theta_1, as
 # m: (a's, b's); dividing in the order listed, every partial quotient is holomorphic,
 # so every division is exact.
@@ -395,13 +362,10 @@ _PRODUCT_ROWS = {9: (1, {(3, 7): 1, (5, 5): -1})}
 
 
 def _theta_rows(a: int, kcut: int) -> dict:
-    """theta(tau, a z)/q^(1/8) on its integral q-rows k < kcut, y-powers doubled.
-
-    ``jacobi_theta(1, .)`` stores q^(j^2/8) y^(j/2) at (j^2, j), j odd, and
-    j^2/8 < kcut iff (j^2 - 1)/8 < kcut.
-    """
-    th = jacobi_theta(1, kcut)
-    return {(k - 1) // 8: {a * y: c for y, c in row.items()} for k, row in th.rows.items()}
+    """theta(tau, a z)/q^(1/8) = sum (-1)^n q^(n(n+1)/2) y^(a(2n+1)/2) (``jacobi_theta``)
+    on its integral q-rows k < kcut, y-powers doubled; n and -1-n share a row."""
+    return {n * (n + 1) // 2: {a * (2 * n + 1): (-1) ** n, -a * (2 * n + 1): (-1) ** (n + 1)}
+            for n in range(kcut) if n * (n + 1) // 2 < kcut}
 
 
 def _theta_divide(num: dict, b: int, kcut: int) -> dict:
@@ -437,42 +401,82 @@ def _theta_divide(num: dict, b: int, kcut: int) -> dict:
     return quo
 
 
-def _theta_quotient(m: int, qcut) -> WindowedSeries:
-    """phi^(m)_1 from ``_THETA_QUOTIENTS``: the numerator thetas multiplied, then
-    divided by each denominator theta in turn.  Numerator and denominator have
-    as many factors, so the q^(1/8) cancel; quotient row k reads only rows <= k
-    of both sides, so the integral rows below qcut need no pad."""
-    nums, dens = _THETA_QUOTIENTS[m]
-    kcut = ceil(qcut)
-    rows = _theta_rows(nums[0], kcut)
-    for a in nums[1:]:
-        rows = _convolve(rows, _theta_rows(a, kcut), kcut)
+def _theta_block(nums, dens, k: int, qcut) -> WindowedSeries:
+    """The theta block prod theta(tau, az) / prod theta(tau, bz) * eta^k, a in ``nums``,
+    b in ``dens`` (Gritsenko, Skoruppa and Zagier, "Theta blocks", arXiv:1907.00188).
+
+    On integral q-rows, q^s pulled out, s = (#nums - #dens)/8 + k/24: the numerator
+    thetas multiplied (``*``), then eta^k from ``eta_quotient``, then each denominator
+    theta divided out.  Row n reads rows <= n only, so the rows below qcut - s need no pad.
+    """
+    s = Fraction(len(nums) - len(dens), 8) + Fraction(k, 24)
+    kcut = ceil(qcut - s)
+    prod = reduce(mul, [WindowedSeries._of(1, _theta_rows(a, kcut), Fraction(kcut), ydenom=2)
+                        for a in nums])
+    if k:
+        prod = prod * eta_quotient([(1, k)], kcut + Fraction(k, 24)).shift(Fraction(-k, 24))
+    rows = prod.rows
     for b in dens:
         rows = _theta_divide(rows, b, kcut)
-    return WindowedSeries._of(1, rows, qcut, ydenom=2)
+    return WindowedSeries._of(1, rows, qcut - s, ydenom=2).qshift(s)
+
+
+def _phi_seed(m: int, qcut) -> WindowedSeries:
+    """phi^(m)_1, m in {2, 3}, of index j = m - 1, from A = phi_{-2,1} = theta^2/eta^6,
+    E_2 = 1 - 24 sum sigma(n) q^n, E_4 = eta^16/eta(2tau)^8 + 256 eta(2tau)^16/eta^8
+    and the heat operator L, c(n, r) -> (4jn - r^2) c(n, r) (Eichler and Zagier,
+    *The Theory of Jacobi Forms*, 1985, sections 2 and 9): phi^(2)_1 = -6 L A - 5 E_2 A
+    and 12 phi^(3)_1 = 3 L^2 A^2 + 14 E_2 L A^2 + (21 E_2^2 - 13 E_4) A^2.  Only the
+    rows y^0..y^j are formed, each a one-variable series (the row of theta^(2j) times
+    eta^(-6j)); the rest follow from c(n, r) = C_(r mod 2j)(4jn - r^2), C_r = C_(-r).
+    """
+    j, qcut = m - 1, as_rat(qcut)
+    e2 = FracSeries(1, dict(enumerate([1] + [-24 * s for s in _sigma(ceil(qcut))[1:]])), qcut)
+    if m == 2:
+        weights, den = [e2.scale(-5), -6], 1
+    else:
+        e4 = eta_quotient([(1, 16), (2, -8)], qcut) + eta_quotient([(2, 16), (1, -8)], qcut) * 256
+        weights, den = [(e2 * e2).scale(21) - e4.scale(13), e2.scale(14), 3], 12
+    theta = _theta_block((1,) * (2 * j), (), 0, qcut + Fraction(j, 4))
+    inv = eta_quotient([(1, -6 * j)], qcut)
+    cols = []
+    for rho in range(j + 1):
+        a, terms = theta.y_row(rho) * inv, []
+        for w in weights:
+            terms.append(a * w)
+            a = FracSeries(a.denom, {k: (4 * j * k // a.denom - rho * rho) * v
+                                     for k, v in a.coeffs.items()}, a.cutoff)  # L a
+        c = sum(terms[1:], terms[0]).scale(Fraction(1, den))
+        cols.append({k // c.denom: v for k, v in c.coeffs.items()})
+    rows = {n: {} for n in range(ceil(qcut))}
+    for n, row in rows.items():
+        for r in range(-isqrt(4 * j * n + j * j), isqrt(4 * j * n + j * j) + 1):
+            rho = min(r % (2 * j), -r % (2 * j))
+            row[r] = cols[rho].get(n - (r * r - rho * rho) // (4 * j), 0)
+    return WindowedSeries(1, rows, qcut)
 
 
 @memo
 def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
     """The weight 0, index m-1 basis form phi^(m)_n (2 <= m <= 25, 1 <= n < m).
 
-    phi^(m)_1 at m = 4, 5, 7 and 13 is a quotient of theta(tau, az) =
-    theta_1(tau, az), found by exact row division (``_THETA_QUOTIENTS``):
+    phi^(m)_1 at m = 4, 5, 7 and 13 is a theta block, a quotient of theta(tau, az)
+    = theta_1(tau, az) found by exact row division (``_THETA_QUOTIENTS``):
     (theta(2z)/theta(z))^2, theta(3z)/theta(z), theta(4z)/theta(2z) and
     theta(z) theta(6z)/(theta(2z) theta(3z)), Gritsenko's phi_{0,3/2} and
     phi_{0,4} quotients (V. Gritsenko, "Elliptic genus of Calabi-Yau manifolds
     and Jacobi and Siegel modular forms", 1999; V. Gritsenko, N.-P. Skoruppa
     and D. Zagier, "Theta blocks", arXiv:1907.00188).  The seeds phi^(2,3)_1
-    come from f2^2 and f4^2 alone (``_phi_seed``), every other phi^(m)_1 from
-    Gritsenko's product recursion, and n >= 2 from the standard products of
-    lower forms.  One form per (m, n) is kept, at the deepest cutoff asked; a
-    shallower call gets it truncated (``data.memo``).
+    come from the theta block phi_{-2,1} by the heat operator (``_phi_seed``),
+    every other phi^(m)_1 from Gritsenko's product recursion, and n >= 2 from
+    the standard products of lower forms.  One form per (m, n) is kept, at the
+    deepest cutoff asked; a shallower call gets it truncated (``data.memo``).
     """
     if not (2 <= m <= 25 and 1 <= n <= m - 1):
         raise OutOfRange(f"no basis form phi^({m})_{n}")
     p1 = lambda mm: gritsenko(mm, 1, qcut)
     if n == 1 and m in _THETA_QUOTIENTS:
-        out = _theta_quotient(m, qcut)
+        out = _theta_block(*_THETA_QUOTIENTS[m], 0, qcut)
     elif n == 1 and m <= 3:
         out = _phi_seed(m, qcut)
     elif n == 1:
@@ -494,10 +498,10 @@ def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
             out = (p1(m - 3) * p1(4)).scale(gcd(12, m - 4)) \
                 - (p1(m - 4) * p1(5)).scale(gcd(12, m - 5)) \
                 - p1(m).scale(gcd(12, m - 1))
-    elif n == m - 1:
-        out = p1(2) ** (m - 1)
-    elif n == m - 2:
-        out = (p1(2) ** (m - 3)) * gritsenko(3, 1, qcut)
+    elif n == m - 1:  # p1(2)^(m-1), m >= 4
+        out = p1(2) * (gritsenko(m - 1, n - 1, qcut) if m > 4 else p1(2) * p1(2))
+    elif n == m - 2:  # p1(2)^(m-3) p1(3), m >= 5
+        out = p1(3) * (gritsenko(m - 2, n - 1, qcut) if m > 5 else p1(2) * p1(2))
     else:  # 3 <= n <= m - 3
         out = gritsenko(m - 3, n - 1, qcut) * gritsenko(4, 1, qcut)
     return out.truncate(qcut)
@@ -512,11 +516,8 @@ def umbral_Z(ell: int, qcut) -> WindowedSeries:
 
 @memo
 def zeta_form(qcut) -> WindowedSeries:
-    """The weight 0 index 6 generator theta_1^12 / eta^12 of the cusp ideal,
-    theta_1^12 taken as one power (four products by repeated squaring)."""
-    t12 = jacobi_theta(1, qcut + Fraction(3, 2)) ** 12
-    e12 = (eta(qcut + Fraction(3, 2)) ** 12).invert()
-    return (t12 * WindowedSeries.from_fracseries(e12)).truncate(qcut)
+    """The weight 0 index 6 generator theta^12/eta^12 of the cusp ideal, a theta block."""
+    return _theta_block((1,) * 12, (), -12, qcut)
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +608,16 @@ def extract_from_form(phi: WindowedSeries, m: int, qcut, annulus: str = LOWER) -
     ``phi`` is a weak Jacobi form of weight 0 and index m-1 (complete);
     H_r = -q^(-r^2/4m) [y^r](Psi*phi - chi*mu^(m)_0), both blocks expanded in
     the same annulus.  Only the rows y^r, 0 < r < m, of Psi*phi are summed
-    (``_y_rows``), not the whole product.  Coefficients are exact below
-    ``phi.qcut`` only, so the cutoff is capped there.
+    (``_y_rows``), not the whole product: Psi_{1,1} is built exact to |y| <= (m-1) +
+    reach, reach phi's largest |y|-power, and mu^(m)_0 to |y| <= m-1, as wide as the
+    rows read.  Coefficients are exact below ``phi.qcut`` only, so the cutoff is
+    capped there.
     """
     qcut = min(as_rat(qcut), phi.qcut)
     chi = phi.specialize_z0().coefficient(0)
     reach = int(phi.max_abs_y())
-    psi = psi_one_one(qcut, (m - 1) + reach + 1, annulus)
-    mu0 = appell_mu(m, 0, qcut, m + 1, annulus)
+    psi = psi_one_one(qcut, (m - 1) + reach, annulus)
+    mu0 = appell_mu(m, 0, qcut, m - 1, annulus)
     comps = []
     for r, row in enumerate(_y_rows(phi, psi, m, qcut), 1):
         row = row - mu0.y_row(r).scale(chi)

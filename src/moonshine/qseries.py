@@ -114,18 +114,6 @@ def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
     return out
 
 
-def _power(x, n: int):
-    """x**n (n >= 1) by repeated squaring from x itself; both series classes use it."""
-    out = None
-    while True:
-        if n & 1:
-            out = x if out is None else out * x
-        n >>= 1
-        if not n:
-            return out
-        x = x * x
-
-
 class FracSeries:
     """Laurent series in q^(1/denom), exact below ``cutoff``.
 
@@ -251,9 +239,17 @@ class FracSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            return _power(self.invert(), -n)
-        return _power(self, n) if n else FracSeries.one(self.cutoff)
+        """self**n by repeated squaring from self itself; a negative n inverts first."""
+        if n <= 0:
+            return self.invert() ** -n if n else FracSeries.one(self.cutoff)
+        out, x = None, self
+        while n:
+            if n & 1:
+                out = x if out is None else out * x
+            n >>= 1
+            if n:
+                x = x * x
+        return out
 
     def invert(self) -> "FracSeries":
         """Multiplicative inverse; requires a nonzero lowest-order coefficient.
@@ -494,10 +490,12 @@ def newform(label: str, cutoff) -> FracSeries:
     raise UnknownClass(f"unknown newform {label!r}")
 
 
-def unary_theta(m: int, r: int, cutoff) -> FracSeries:
-    """S^(m)_r = sum over j = r (mod 2m) of j q^(j^2/4m)."""
+@memo
+def unary_theta(m: int, r: int, qcut) -> FracSeries:
+    """S^(m)_r = sum over j = r (mod 2m) of j q^(j^2/4m), built at the deepest
+    cutoff asked (``data.memo``)."""
     return FracSeries.from_terms(((Fraction(j * j, 4 * m), j)
-                                  for j in _theta_lattice(m, r, cutoff)), cutoff)
+                                  for j in _theta_lattice(m, r, qcut)), qcut)
 
 
 # ---------------------------------------------------------------------------

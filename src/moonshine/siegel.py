@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .data import LAMBENCIES, memo
 from .errors import CutoffUnderflow, OutOfRange
-from .jacobi import ENTIRE, WindowedSeries, _clip, jacobi_theta, umbral_Z
-from .qseries import eta
+from .jacobi import ENTIRE, WindowedSeries, _clip, _theta_block, umbral_Z
 
 
 @dataclass
@@ -79,9 +78,8 @@ def _hecke(c: dict, m: int, weight: int, nmax: int) -> WindowedSeries:
 
 
 def _phi_10_1(qcut) -> WindowedSeries:
-    """The weight 10 index 1 cusp form eta^18 * (theta_1 / -i)^2."""
-    t1 = jacobi_theta(1, qcut)
-    return (t1 * t1) * WindowedSeries.from_fracseries(eta(qcut) ** 18)
+    """The weight 10 index 1 cusp form theta^2 eta^18, theta = theta_1 / -i, a theta block."""
+    return _theta_block((1, 1), (), 18, qcut)
 
 
 def additive_lift(pmax=3, nmax=3, ywindow=6) -> TripleSeries:
@@ -128,8 +126,9 @@ def exponential_lift(ell: int, pmax=3, nmax=3) -> TripleSeries:
         total = [s + t for s, t in zip(total, term)]
     head = WindowedSeries.one(qcut)
     for r, e in row0.items():
-        if r < 0:
-            head = head * WindowedSeries(1, {0: {0: 1, r: -1}}, qcut) ** int(e)
+        if r < 0:  # (1 - y^r)^e, e = c(0, r) >= 0, by the binomial theorem
+            head = head * WindowedSeries(1, {0: {r * i: (-1) ** i * comb(int(e), i)
+                                                 for i in range(int(e) + 1)}}, qcut)
     return TripleSeries([head * s for s in total], prefactor)
 
 

@@ -240,12 +240,21 @@ def test_gritsenko_recursion_table_matches_case_analysis(m):
     assert (list(got.items()), got.qcut) == (list(want.items()), want.qcut)
 
 
+def reference_ratio_sq(i, c):
+    """f_i^2 = (theta_i(tau,z)/theta_i(tau,0))^2 for i in {2,3,4}, by one series
+    inversion.  Only theta_2 needs a pad: theta_2(tau,0) starts at q^(1/8), so
+    inverting its square costs 1/8 of the cutoff; theta_3 and theta_4 start with 1."""
+    th = jb.jacobi_theta(i, c + (F(1, 8) if i == 2 else 0))
+    den = th.specialize_z0()
+    return (th * th * jb.WindowedSeries.from_fracseries((den * den).invert())).truncate(c)
+
+
 def reference_seed(m, c):
     """phi^(m)_1 for m in {2, 3, 4} as 4 e_1, 2 e_2 and 4 e_3 of (f2^2, f3^2, f4^2),
     every product formed on the q^(1/2) lattice, f3^2 included."""
-    g2 = jb._theta_ratio_sq(2, c).scale(4)
-    f3 = jb._theta_ratio_sq(3, c)
-    f4 = jb._theta_ratio_sq(4, c)
+    g2 = reference_ratio_sq(2, c).scale(4)
+    f3 = reference_ratio_sq(3, c)
+    f4 = reference_ratio_sq(4, c)
     if m == 2:
         return g2 + (f3 + f4).scale(4)
     if m == 3:
@@ -256,7 +265,8 @@ def reference_seed(m, c):
 SEED_CUTOFFS = [7, F(113, 16), F(41, 3), 30]
 
 
-# at m = 4 this checks the theta quotient (theta(2z)/theta(z))^2
+# at m = 2 and 3 this checks the heat-operator route from phi_{-2,1}, at m = 4 the
+# theta quotient (theta(2z)/theta(z))^2
 @pytest.mark.parametrize("c", SEED_CUTOFFS)
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_seeds_match_the_symmetric_functions(m, c):
@@ -324,10 +334,11 @@ def _terms_series(terms, qcut):
     return jb.WindowedSeries(8, rows, qcut, ydenom=2)
 
 
+# the relations that once built the seeds from f2^2 and f4^2, held by the reference
 @pytest.mark.parametrize("c", SEED_CUTOFFS)
 def test_theta_relations_behind_the_seeds(c):
     c = F(c)
-    f3, f4 = jb._theta_ratio_sq(3, c), jb._theta_ratio_sq(4, c)
+    f3, f4 = reference_ratio_sq(3, c), reference_ratio_sq(4, c)
     # theta_4(tau, z) = theta_3(tau + 1, z): f3^2 + f4^2 = 2 (integral rows of f4^2)
     E = _terms_series([t for t in f4.items() if t[0].denominator == 1], c)
     total = f3 + f4
@@ -337,6 +348,21 @@ def test_theta_relations_behind_the_seeds(c):
     prod = f3 * f4
     assert (list(prod.items()), prod.qcut) == (list(D.items()), c)
     assert any(qe.denominator > 1 for qe, _, _ in f4.items())  # E drops rows
+
+
+@pytest.mark.parametrize("c", [1, F(3, 2), F(113, 16), 12], ids=str)
+def test_zeta_form_is_the_product_formula(c):
+    # theta^12 by products and eta^12 inverted, both 3/2 past the cutoff, as
+    # zeta_form was built before it became a theta block
+    set_data_dir(None)
+    t1 = jb.jacobi_theta(1, c + F(3, 2))
+    t12 = t1
+    for _ in range(11):
+        t12 = t12 * t1
+    e12 = jb.WindowedSeries.from_fracseries((eta(c + F(3, 2)) ** 12).invert())
+    want = (t12 * e12).truncate(c)
+    got = jb.zeta_form(c)
+    assert (list(got.items()), got.qcut) == (list(want.items()), c)
 
 
 def test_zeta_in_cusp_ideal():
@@ -619,15 +645,25 @@ def test_y_rows_match_the_whole_product_on_the_extremal_basis(monkeypatch):
 
 @pytest.mark.parametrize("ell", [2, 5, 13])
 def test_extraction_refuses_a_pole_block_one_power_short(monkeypatch, ell):
-    # extract_from_form asks Psi_{1,1} exact to |y| <= (l-1) + reach + 1; the
-    # rows need (l-1) + reach, and one y-power less must raise in _y_rows
-    psi, want = jb.psi_one_one, jb.extract_H(ell, 10)
-    monkeypatch.setattr(jb, "psi_one_one", lambda c, w, ann: psi(c, w - 1, ann))
+    # extract_from_form asks Psi_{1,1} exact to |y| <= (l-1) + reach and mu^(l)_0 to
+    # |y| <= l-1, what the rows read: wider blocks give the same vector, and one
+    # y-power less must raise, in _y_rows for Psi and in y_row for mu
+    mu, want = jb.appell_mu, jb.extract_H(ell, 10)
+
+    def widen(dpsi, dmu):  # Psi_{1,1} is mu^(1)_0
+        monkeypatch.setattr(jb, "appell_mu", lambda m, j2, c, w, ann:
+                            mu(m, j2, c, w + (dpsi if m == 1 else dmu), ann))
+
+    widen(1, 1)
     assert [h.coeffs for h in jb.extract_H(ell, 10)] == [h.coeffs for h in want]
-    monkeypatch.setattr(jb, "psi_one_one", lambda c, w, ann: psi(c, w - 2, ann))
+    widen(-1, 0)
     with pytest.raises(WindowTooNarrow) as err:
         jb.extract_H(ell, 10)
     assert err.traceback[-1].name == "_y_rows"
+    widen(0, -1)
+    with pytest.raises(WindowTooNarrow) as err:
+        jb.extract_H(ell, 10)
+    assert err.traceback[-1].name == "y_row"
 
 
 def test_round_trip_extraction():
@@ -807,7 +843,7 @@ def test_tower_and_vectors_store_ints():
 
 
 def test_no_series_stores_a_float_or_an_integral_fraction():
-    built = [jb._theta_ratio_sq(2, 5), jb.psi_one_one(5, 4), jb.appell_mu(3, 0, 5, 4),
+    built = [jb.gritsenko(3, 1, 5), jb.psi_one_one(5, 4), jb.appell_mu(3, 0, 5, 4),
              jb.zeta_form(4), mckay.twisted_H(3, "2B", 6).component(1),
              eta_quotient([(1, 1), (2, -2)], 8), unary_theta(5, 2, 9)]
     for series in built:
@@ -843,7 +879,6 @@ def test_extracted_vector_exact_below_its_cutoff(ell):
 
 
 MEMOIZED_SERIES = [
-    *[(f"theta_ratio_sq({i})", lambda c, i=i: jb._theta_ratio_sq(i, c)) for i in (2, 3, 4)],
     *[(f"gritsenko({m},1)", lambda c, m=m: jb.gritsenko(m, 1, c))
       for m in sorted({*LAMBENCIES, 9})],
     ("gritsenko(5,3)", lambda c: jb.gritsenko(5, 3, c)),

@@ -230,6 +230,22 @@ def test_mock_theta_functions_built_once(monkeypatch):
     assert mock_theta("U0", 21) is mock_theta("U0", F(21))
 
 
+def test_unary_thetas_built_once(monkeypatch):
+    # a cold verify-identities asks S^(l)_j 301 times at 36 (l, j, cutoff): each is
+    # built once per (l, j), and again only at a deeper cutoff (``data.memo``)
+    from moonshine import qseries
+    set_data_dir(None)
+    built = []
+    lattice = qseries._theta_lattice
+    monkeypatch.setattr(qseries, "_theta_lattice",
+                        lambda m, r, cutoff: built.append((m, r, cutoff)) or lattice(m, r, cutoff))
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify-identities"]) == 0
+    assert len(built) == len(set(built)) == 29
+    set_data_dir(None)
+    assert unary_theta(5, 2, 9) is unary_theta(5, 2, F(18, 2))
+
+
 def test_verify_identities_builds_no_identity_vector(monkeypatch):
     # the weight-2 checks read the stored tables: without the mock identities
     # no identity vector is extracted

@@ -5,7 +5,8 @@ import pytest
 from moonshine import siegel
 from moonshine.data import LAMBENCIES
 from moonshine.errors import CutoffUnderflow, OutOfRange, WindowTooNarrow
-from moonshine.jacobi import WindowedSeries, umbral_Z
+from moonshine.jacobi import WindowedSeries, jacobi_theta, umbral_Z
+from moonshine.qseries import eta
 
 
 def reference_product(ell, pmax, nmax):
@@ -52,6 +53,17 @@ def reference_product(ell, pmax, nmax):
             for r in sorted(r for (nn, r) in table if nn == m * n):
                 mul_factor(m, n, r, int(table[(m * n, r)]))
     return acc, prefactor
+
+
+@pytest.mark.parametrize("c", [1, 4, F(113, 16), 10], ids=str)
+def test_phi_10_1_is_the_product_formula(c):
+    # theta_1^2 times eta^18, as the form was built before it became a theta block;
+    # that product is exact 7/8 past c, the theta block to c itself
+    t1 = jacobi_theta(1, c)
+    want = (t1 * t1) * WindowedSeries.from_fracseries(eta(c) ** 18)
+    assert want.qcut == c + F(7, 8)
+    got = siegel._phi_10_1(c)
+    assert (list(got.items()), got.qcut) == (list(want.truncate(c).items()), c)
 
 
 def test_additive_m1_slice_is_the_form():

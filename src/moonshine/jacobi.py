@@ -1,8 +1,9 @@
 """Two-variable exact series: Jacobi theta functions, the weight-0 basis of
 weak Jacobi forms, meromorphic blocks expanded in a fixed annulus, and the
 extraction of the vector-valued mock modular forms attached to the six
-distinguished weight-0 forms from the rows y^1..y^(m-1) of Psi_{1,1} * phi alone
-(``_y_rows``); the N = 4 identity check forms the whole product (``windowed_mul``).
+distinguished weight-0 forms from the rows y^1..y^(m-1) of Psi_{1,1} * phi alone,
+each summed along Psi's pole-factor rays (``_psi_rows``); the N = 4 identity check
+forms the whole product with an expanded Psi (``windowed_mul``).
 
 A :class:`WindowedSeries` stores, for each q-exponent below ``qcut``, a finite
 Laurent row in y.  Two flavours exist:
@@ -32,7 +33,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import ceil, gcd, isqrt, lcm
-from operator import add, mul
+from itertools import accumulate, groupby, repeat
+from operator import add, itemgetter, mul, sub
 
 from .algebra import _canonical, as_rat
 from .data import LAMBENCIES, memo
@@ -263,37 +265,6 @@ def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
     return prod if target is None else _clip(prod, target, prod.annulus)
 
 
-def _y_rows(a: WindowedSeries, b: WindowedSeries, m: int, qcut) -> list:
-    """Rows y = 1..m-1 of ``windowed_mul(a, b, qcut, ywindow=m-1)`` as FracSeries,
-    a complete and b windowed: each summed over the pairs of q-rows below the
-    product's cutoff, with ``_product``'s lifted denominators, cutoff and window
-    check, where ``_product`` forms every y-slot of every row.
-    """
-    reach = a.max_abs_y()
-    if b.ywindow < (m - 1) + reach:
-        raise WindowTooNarrow(
-            f"need window {m - 1}+{reach} on windowed factor, have {b.ywindow}")
-    cut = min(a.qcut + b.low_q(), b.qcut + a.low_q(), as_rat(qcut))
-    d, yd, ra, rb = a._aligned(b)
-    kcut = ceil(cut * d)
-    targets = range(yd, m * yd, yd)
-    arows = sorted(ra.items())
-    sums = {}
-    for kb, brow in rb.items():
-        bterms = brow.items()
-        for ka, arow in arows:
-            n = ka + kb
-            if n >= kcut:
-                break
-            get = arow.get
-            s = [sum(get(t - yb, 0) * cb for yb, cb in bterms) for t in targets]
-            old = sums.get(n)
-            sums[n] = s if old is None else list(map(add, old, s))
-    keys = sorted(sums)
-    return [FracSeries._of(d, {n: _canonical(v) for n in keys if (v := sums[n][i])}, cut)
-            for i in range(m - 1)]
-
-
 def _clip(s: WindowedSeries, ywindow, annulus: str) -> WindowedSeries:
     """The terms of ``s`` with |y-power| <= ywindow, as a windowed series."""
     ymax = ywindow * s.ydenom
@@ -406,16 +377,18 @@ def _theta_block(nums, dens, k: int, qcut) -> WindowedSeries:
     b in ``dens`` (Gritsenko, Skoruppa and Zagier, "Theta blocks", arXiv:1907.00188).
 
     On integral q-rows, q^s pulled out, s = (#nums - #dens)/8 + k/24: the numerator
-    thetas multiplied (``*``), then eta^k from ``eta_quotient``, then each denominator
-    theta divided out.  Row n reads rows <= n only, so the rows below qcut - s need no pad.
+    thetas multiplied pairwise in a balanced tree (``*``), then eta^k from ``eta_quotient``,
+    then each denominator theta divided out.  Row n reads rows <= n only, so the rows
+    below qcut - s need no pad.
     """
     s = Fraction(len(nums) - len(dens), 8) + Fraction(k, 24)
     kcut = ceil(qcut - s)
-    prod = reduce(mul, [WindowedSeries._of(1, _theta_rows(a, kcut), Fraction(kcut), ydenom=2)
-                        for a in nums])
+    prod = [WindowedSeries._of(1, _theta_rows(a, kcut), Fraction(kcut), ydenom=2) for a in nums]
+    while len(prod) > 1:
+        prod = [reduce(mul, prod[i:i + 2]) for i in range(0, len(prod), 2)]
     if k:
-        prod = prod * eta_quotient([(1, k)], kcut + Fraction(k, 24)).shift(Fraction(-k, 24))
-    rows = prod.rows
+        prod[0] = prod[0] * eta_quotient([(1, k)], kcut + Fraction(k, 24)).shift(Fraction(-k, 24))
+    rows = prod[0].rows
     for b in dens:
         rows = _theta_divide(rows, b, kcut)
     return WindowedSeries._of(1, rows, qcut - s, ydenom=2).qshift(s)
@@ -538,39 +511,41 @@ def psi_one_one(qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
     return appell_mu(1, 0, qcut, ywindow, annulus)
 
 
-@memo
-def appell_mu(m: int, j2: int, qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
-    """The averaged pole block mu^(m)_j with 2j = j2 in {0, ..., m-1}.
-
-    Each k-summand q^(m k^2) y^(2mk) (sum_t (y q^k)^t) / (1 - y q^k) has its
-    pole factor expanded by one rule, in powers of (y q^k)^d with d = +1 where
-    |y q^k| < 1 (k > 0, or k = 0 in the lower annulus) and d = -1 otherwise:
-    terms (m k^2 + k t, 2mk + t) + i (|k|, d), i >= 0 for d = +1 and i >= 1 for
-    d = -1, coefficient d (-1)^(1+2j), below qcut while d * y-power <= ywindow.
-    k runs over -K..K, K the largest |k| with m k^2 - (j2+1)|k| < qcut.
-    Built at the deepest cutoff asked (``data.memo``), ``psi_one_one`` included.
-    """
-    if not 0 <= j2 <= m - 1:
-        raise OutOfRange(f"2j = {j2} outside 0..{m - 1}")
+def _rays(m: int, j2: int, qcut, annulus: str):
+    """The pole-factor rays (k, qe, yp, d, c) of mu^(m)_j, 2j = j2, listed by k: each
+    k-summand q^(m k^2) y^(2mk) (sum_t (y q^k)^t) / (1 - y q^k) expands its pole factor
+    in powers of (y q^k)^d, d = +1 where |y q^k| < 1 (k > 0, or k = 0 in the lower
+    annulus) and d = -1 otherwise, so the ray of t starts at (m k^2 + k t, 2mk + t), one
+    step on for d = -1, steps by (|k|, d) and has coefficient c = d (-1)^(1+2j).
+    k runs over -K..K, K the largest |k| with m k^2 - (j2+1)|k| < qcut."""
     if annulus not in (LOWER, UPPER):
         raise ValueError(annulus)
-    qcut = as_rat(qcut)
     sign = -1 if j2 % 2 == 0 else 1  # (-1)^(1+2j)
     K = 0  # first |k| past the range
     while m * K * K - (j2 + 1) * K < qcut:
         K += 1
-    rows = {}
     for k in range(1 - K, K):
         d = 1 if k > 0 or k == 0 and annulus == LOWER else -1
         for t in range(-j2, j2 + 2):
             qe, yp = m * k * k + k * t, 2 * m * k + t
-            if d < 0:
-                qe, yp = qe - k, yp - 1
-            while qe < qcut and d * yp <= ywindow:
-                if abs(yp) <= ywindow:
-                    row = rows.setdefault(qe, {})
-                    row[yp] = row.get(yp, 0) + d * sign
-                qe, yp = qe + abs(k), yp + d
+            yield (k, qe, yp, d, d * sign) if d > 0 else (k, qe - k, yp - 1, d, d * sign)
+
+
+@memo
+def appell_mu(m: int, j2: int, qcut, ywindow: int, annulus: str = LOWER) -> WindowedSeries:
+    """The averaged pole block mu^(m)_j, 2j = j2 in {0, ..., m-1}: every ray of ``_rays``
+    walked below qcut while d * y-power <= ywindow.  Built at the deepest cutoff asked
+    (``data.memo``), ``psi_one_one`` included."""
+    if not 0 <= j2 <= m - 1:
+        raise OutOfRange(f"2j = {j2} outside 0..{m - 1}")
+    qcut = as_rat(qcut)
+    rows = {}
+    for k, qe, yp, d, c in _rays(m, j2, qcut, annulus):
+        while qe < qcut and d * yp <= ywindow:
+            if abs(yp) <= ywindow:
+                row = rows.setdefault(qe, {})
+                row[yp] = row.get(yp, 0) + c
+            qe, yp = qe + abs(k), yp + d
     return WindowedSeries(1, rows, qcut, ywindow=ywindow, annulus=annulus)
 
 
@@ -602,24 +577,67 @@ class HVector:
                                          for r, h in enumerate(self.components, 1)])
 
 
+def _psi_rows(phi: WindowedSeries, m: int, qcut, annulus: str) -> list:
+    """Rows y^1..y^(m-1) of Psi_{1,1} * phi as FracSeries, phi complete from q^0 on,
+    summed along the rays of Psi_{1,1} = mu^(1)_0 (``_rays``) without expanding Psi.
+
+    Ray (k, q0, y0, d, c) adds c R_k[n - q0][r - y0] to row y^r at q^n, where
+    R_k[n][y] = phi[n][y] + R_k[n - |k|][y - d]: for k != 0 one list per residue of n
+    mod |k|, indexed by y less d per step taken and spanning only the y that reach a row
+    y^r below the cutoff; at k = 0 a prefix sum along y, upward for d = +1 (lower
+    annulus), downward for d = -1.  Exact below min(phi.qcut, qcut + phi.low_q(), qcut)."""
+    qcut = as_rat(qcut)
+    cut = min(phi.qcut, qcut + phi.low_q(), qcut)
+    D, Y = phi.denom, phi.ydenom
+    kcut = ceil(cut * D)
+    dense = {}  # n: (lowest integral y-power, the row's coefficients from there on)
+    for n, row in phi.rows.items():
+        lo = -(-min(row) // Y)
+        dense[n] = (lo, list(map(row.get, range(lo * Y, max(row) + 1, Y), repeat(0))))
+    sums = [[0] * (m - 1) for _ in range(kcut)]
+    for k, rays in groupby(_rays(1, 0, cut, annulus), itemgetter(0)):
+        rays = [(q0 * D, y0, d, c) for _, q0, y0, d, c in rays]
+        d, y0s, step, accs = rays[0][2], [r[1] for r in rays], abs(k) * D, {}
+        nmax = kcut - min(r[0] for r in rays)  # no row y^r below the cutoff reads n >= nmax
+        jmax = (nmax - 1) // step if k else 0
+        base = 1 - max(y0s) - (jmax if d > 0 else 0)  # acc[x] holds y - d j = base + x
+        size = m - 1 + max(y0s) - min(y0s) + jmax
+        for n in range(nmax):
+            j = n // step if k else 0
+            lo, vals = dense.get(n, (0, []))
+            i = lo - d * j - base  # vals[t] belongs at acc[i + t]
+            if k:
+                acc = accs.setdefault(n % step, [0] * size)
+                a, b = max(i, 0), min(i + len(vals), size)
+                if a < b:
+                    acc[a:b] = map(add, acc[a:b], vals[a - i:b - i])
+            else:  # acc[x]: the row summed up to y = base + x, or down to it for d = -1
+                pre = list(accumulate(vals, initial=0))  # pre[t]: the first t terms summed
+                acc = [pre[min(max(x - i + (d > 0), 0), len(vals))] for x in range(size)]
+                acc = acc if d > 0 else [pre[-1] - v for v in acc]
+            for q0, y0, _, c in rays:  # c = +-1
+                if n + q0 < kcut:
+                    x = 1 - y0 - d * j - base
+                    sums[n + q0] = list(map(add if c > 0 else sub, sums[n + q0], acc[x:x + m - 1]))
+    return [FracSeries._of(D, {n: _canonical(col[i]) for n, col in enumerate(sums) if col[i]}, cut)
+            for i in range(m - 1)]
+
+
 def extract_from_form(phi: WindowedSeries, m: int, qcut, annulus: str = LOWER) -> HVector:
     """Theta-coefficients H_r of the finite part of (Psi_{1,1} * phi).
 
     ``phi`` is a weak Jacobi form of weight 0 and index m-1 (complete);
     H_r = -q^(-r^2/4m) [y^r](Psi*phi - chi*mu^(m)_0), both blocks expanded in
-    the same annulus.  Only the rows y^r, 0 < r < m, of Psi*phi are summed
-    (``_y_rows``), not the whole product: Psi_{1,1} is built exact to |y| <= (m-1) +
-    reach, reach phi's largest |y|-power, and mu^(m)_0 to |y| <= m-1, as wide as the
-    rows read.  Coefficients are exact below ``phi.qcut`` only, so the cutoff is
-    capped there.
+    the same annulus.  Only the rows y^r, 0 < r < m, of Psi*phi are formed, each
+    summed along Psi's pole-factor rays (``_psi_rows``), so Psi needs no window;
+    mu^(m)_0 is built to |y| <= m-1, as wide as the rows read.  Coefficients are
+    exact below ``phi.qcut`` only, so the cutoff is capped there.
     """
     qcut = min(as_rat(qcut), phi.qcut)
     chi = phi.specialize_z0().coefficient(0)
-    reach = int(phi.max_abs_y())
-    psi = psi_one_one(qcut, (m - 1) + reach, annulus)
     mu0 = appell_mu(m, 0, qcut, m - 1, annulus)
     comps = []
-    for r, row in enumerate(_y_rows(phi, psi, m, qcut), 1):
+    for r, row in enumerate(_psi_rows(phi, m, qcut, annulus), 1):
         row = row - mu0.y_row(r).scale(chi)
         comps.append((-row).shift(Fraction(-r * r, 4 * m)))
     return HVector(m, comps)
@@ -725,8 +743,8 @@ def _rank(matrix: list) -> int:
 def verify_n4_identity(ell: int, qcut=10, ywindow=12) -> dict:
     """Residual of Psi*Z - chi*mu_0 - sum_r H_r theta-hat_r inside a box.
 
-    Psi*Z is the whole product by ``windowed_mul``, not extraction's row sums
-    (``_y_rows``), so the check stays independent of the code it checks.
+    Psi*Z is Z times Psi_{1,1} expanded, by ``windowed_mul``, not extraction's ray sums
+    (``_psi_rows``), so the check shares no code with the row sums it checks.
     """
     qcut = as_rat(qcut)
     Z = umbral_Z(ell, qcut)

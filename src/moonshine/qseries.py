@@ -225,6 +225,8 @@ class FracSeries:
         return (-self) + other
 
     def scale(self, c) -> "FracSeries":
+        if c == 1 or c == -1:  # the series itself, or -self: its coefficients stay canonical
+            return self if c == 1 else -self
         return FracSeries(self.denom, {k: c * v for k, v in self.coeffs.items()}, self.cutoff)
 
     def __mul__(self, other):

@@ -586,9 +586,9 @@ def test_n4_identity_at_q30(ell):
 
 
 def test_n4_identity_fires_on_a_dropped_row_term(monkeypatch):
-    # the identity forms Psi * Z by windowed_mul, apart from extraction's row
+    # the identity forms Psi * Z by windowed_mul, apart from extraction's ray
     # sums, so one term missing from the top row y^(l-1) must leave a residual
-    rows, dropped = jb._y_rows, []
+    rows, dropped = jb._psi_rows, []
 
     def drop_last(*args):
         out = rows(*args)
@@ -599,7 +599,7 @@ def test_n4_identity_fires_on_a_dropped_row_term(monkeypatch):
                                  top.cutoff)
         return out
 
-    monkeypatch.setattr(jb, "_y_rows", drop_last)
+    monkeypatch.setattr(jb, "_psi_rows", drop_last)
     for ell in LAMBENCIES:
         rep = jb.verify_n4_identity(ell, 30, ywindow=ell + 1)
         qe, c = dropped[-1]
@@ -607,11 +607,11 @@ def test_n4_identity_fires_on_a_dropped_row_term(monkeypatch):
 
 
 def _rows_agree(phi, m, qcut, annulus=jb.LOWER):
-    """``_y_rows`` against the y-rows of the whole product, with the Psi_{1,1}
-    that ``extract_from_form`` asks for."""
+    """``_psi_rows`` against the y-rows of the whole product with Psi_{1,1} expanded
+    wide enough, denominators, cutoffs and coefficient types included."""
     psi = jb.psi_one_one(qcut, (m - 1) + int(phi.max_abs_y()) + 1, annulus)
     full = jb.windowed_mul(phi, psi, qcut, ywindow=m - 1)
-    rows = jb._y_rows(phi, psi, m, qcut)
+    rows = jb._psi_rows(phi, m, qcut, annulus)
     assert len(rows) == m - 1
     for r, got in enumerate(rows, 1):
         want = full.y_row(r)
@@ -645,22 +645,16 @@ def test_y_rows_match_the_whole_product_on_the_extremal_basis(monkeypatch):
 
 @pytest.mark.parametrize("ell", [2, 5, 13])
 def test_extraction_refuses_a_pole_block_one_power_short(monkeypatch, ell):
-    # extract_from_form asks Psi_{1,1} exact to |y| <= (l-1) + reach and mu^(l)_0 to
-    # |y| <= l-1, what the rows read: wider blocks give the same vector, and one
-    # y-power less must raise, in _y_rows for Psi and in y_row for mu
+    # extract_from_form asks mu^(l)_0 to |y| <= l-1, what the rows read: a wider block
+    # gives the same vector, and one y-power less must raise in y_row
     mu, want = jb.appell_mu, jb.extract_H(ell, 10)
 
-    def widen(dpsi, dmu):  # Psi_{1,1} is mu^(1)_0
-        monkeypatch.setattr(jb, "appell_mu", lambda m, j2, c, w, ann:
-                            mu(m, j2, c, w + (dpsi if m == 1 else dmu), ann))
+    def widen(dmu):
+        monkeypatch.setattr(jb, "appell_mu", lambda m, j2, c, w, ann: mu(m, j2, c, w + dmu, ann))
 
-    widen(1, 1)
+    widen(1)
     assert [h.coeffs for h in jb.extract_H(ell, 10)] == [h.coeffs for h in want]
-    widen(-1, 0)
-    with pytest.raises(WindowTooNarrow) as err:
-        jb.extract_H(ell, 10)
-    assert err.traceback[-1].name == "_y_rows"
-    widen(0, -1)
+    widen(-1)
     with pytest.raises(WindowTooNarrow) as err:
         jb.extract_H(ell, 10)
     assert err.traceback[-1].name == "y_row"
@@ -694,13 +688,13 @@ def test_extremal_cutoff_is_the_least_sound(monkeypatch):
 
 
 def test_pole_blocks_built_once(monkeypatch):
-    # extract_from_form asks the same Psi_{1,1} and mu^(m)_0 for many forms
+    # extract_from_form asks the same mu^(m)_0 for all 37 forms and never expands Psi_{1,1}
     assert jb.psi_one_one(5, 4) is jb.appell_mu(1, 0, 5, 4, jb.LOWER)
     built = []
     build = jb.appell_mu.__wrapped__
     monkeypatch.setattr(jb, "appell_mu", memo(lambda *args: built.append(args) or build(*args)))
     assert jb.extremal_space_dim(25) == 0
-    assert len(built) == len(set(built)) == 9
+    assert built == [(25, 0, 6, 24, jb.LOWER)]
 
 
 def test_y_row_matches_canonicalizing_construction():

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import shutil
@@ -89,17 +90,27 @@ def test_decompose_recompose_roundtrip(rng):
     assert got.counts == mults
 
 
-def _reference_multiplicities(ell, coefficients):
-    """m_i = sum_K conj(chi_i(K)) c_K / |C(K)| in plain QuadValue arithmetic."""
+@functools.cache
+def _class_weights(ell, directory):
+    """The classes, and for each character i its weights conj(chi_i(K)) / |C(K)| as
+    QuadValues with the one discriminant they share, once per lambency and data directory."""
     t = reps.character_table(ell)
-    by_col = {m: F(c) for lab, c in coefficients.items() for m in merged_members(lab)}
     out = []
-    for i in range(t.nchars):
-        s = QuadValue.of(0)
-        for k, lab in enumerate(t.classes):
-            s = s + t.values[i][k].conj() * QuadValue.of(by_col[lab] / t.centralizers[k])
-        out.append(s)
-    return out
+    for row in t.values:
+        w = [v.conj() * QuadValue.of(F(1, n)) for v, n in zip(row, t.centralizers)]
+        (disc,) = {v.disc for v in w if v.irr} or {0}
+        out.append((w, disc))
+    return t.classes, out
+
+
+def _reference_multiplicities(ell, coefficients):
+    """m_i = sum_K conj(chi_i(K)) c_K / |C(K)| in QuadValue components: the rational
+    and the sqrt(disc) parts summed apart over the classes."""
+    classes, weights = _class_weights(ell, data_dir())
+    by_col = {m: F(c) for lab, c in coefficients.items() for m in merged_members(lab)}
+    cs = [by_col[lab] for lab in classes]
+    return [QuadValue(sum(v.rat * c for v, c in zip(w, cs)), sum(v.irr * c for v, c in zip(w, cs)),
+                      disc) for w, disc in weights]
 
 
 def test_decompose_matches_reference_on_every_stored_row():

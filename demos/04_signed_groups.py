@@ -1,8 +1,8 @@
 """The five generated signed permutation groups and their class data.
 
 Each group comes from a two-generator signed permutation presentation; the
-library finds its order from a stabilizer chain, computes conjugacy classes
-along a lazy walk of the group (without listing it), Frame shapes and twisted
+library finds its order from a stabilizer chain, its conjugacy classes from
+centralizer orders (without listing the group), Frame shapes and twisted
 Euler characters, and labels everything against the bundled class tables.
 The degree-24 group at lambency 2 is stored data (order ~2.4e8).
 """

@@ -3,10 +3,15 @@ class tables and character tables.
 
 The five groups at lambency 3, 4, 5, 7, 13 are generated by explicit signed
 permutations and never listed: the group order comes from a stabilizer chain
-(Schreier-Sims), a lazy breadth-first walk starts the conjugation orbits until
-they hold the whole group, and the orbit of z g (z the central sign flip) is
-z times that of g, counted but not stored.  The classes are labelled by
-matching their Frame shapes against the bundled class data.
+(Schreier-Sims).  A lazy breadth-first walk and the powers of its elements
+supply candidate class representatives, each labelled by its two Frame shapes
+against the bundled class data; a backtrack search over a chain whose base
+follows the candidate's cycles decides conjugacy to the representatives
+found under its label and counts its centralizer, so a class of g has
+|G|/|C(g)| elements.  z g (z the central sign flip) and the powers g^k with
+k prime to the order of g share that centralizer and chain.  The search
+stops when the labels hold their stored class counts; the class sizes must
+then sum to the order (the class equation).
 The degree 24 group at lambency 2 is far too large to enumerate and is
 served from stored class data throughout.
 
@@ -21,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .algebra import QuadValue
 from .data import load_json, memo
@@ -259,11 +264,11 @@ class GroupData:
     classes: list          # [ClassData]
     pairing: dict          # label -> label of [z g]
     by_label: dict = field(default_factory=dict)
-    _by_key: dict = field(default_factory=dict)
+    _by_type: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.by_label = {c.label: c for c in self.classes}
-        self._by_key = {_class_key(c.pi, c.pibar): c.label for c in self.classes}
+        self._by_type = {_type_key(sign_counts(c.pi, c.pibar)): c.label for c in self.classes}
 
     @property
     def orbit_count(self) -> int:
@@ -271,16 +276,19 @@ class GroupData:
         return sum(c.merged for c in self.classes)
 
     def class_of(self, g: SignedPerm) -> str:
-        key = _class_key(*frame_shapes(g)[:2])
+        counts = g._cycle_type()
         try:
-            return self._by_key[key]
+            return self._by_type[_type_key(counts)]
         except KeyError:
-            raise UnknownClass(f"no class with invariants {key}") from None
+            pi, pibar, _ = _frames(counts)
+            raise UnknownClass(f"no class with invariants {(frame_str(pi), frame_str(pibar))}") \
+                from None
 
 
-def _class_key(pi: dict, pibar: dict) -> tuple:
-    """A class is known by its two Frame shapes; they fix the element order."""
-    return frame_str(pi), frame_str(pibar)
+def _type_key(counts: dict) -> tuple:
+    """A class is known by its two Frame shapes, that is by the signed cycle type
+    they encode (``sign_counts`` inverts ``_frames``); it fixes the element order."""
+    return tuple(sorted(counts.items()))
 
 
 def merged_members(label: str) -> list:
@@ -357,7 +365,7 @@ def class_table(ell: int) -> GroupData:
     for c in classes:
         z = {k: (minus, plus) if k % 2 else (plus, minus)
              for k, (plus, minus) in sign_counts(c.pi, c.pibar).items()}
-        partner = c.label if ell == 2 else gd._by_key.get(_class_key(_frames(z)[0], c.pibar))
+        partner = c.label if ell == 2 else gd._by_type.get(_type_key(z))
         if partner is None:
             raise DataCorrupt(f"lambency {ell}: no z-partner for {c.label}")
         gd.pairing[c.label] = partner
@@ -374,7 +382,7 @@ def class_table(ell: int) -> GroupData:
 
 
 # ---------------------------------------------------------------------------
-# generation: stabilizer chain, lazy walk, conjugation orbits
+# generation: stabilizer chains, lazy walk, centralizers by backtrack
 
 # lambency: (degree, generators in cycle notation on inf, 0, ..., 9, X = e_1, ..., e_12).
 # In cycle (a b c), e_a -> e_b etc.; a prime marks a bar, which negates the image
@@ -444,35 +452,39 @@ def enumerate_group(gens: list, bound: int = 400000) -> set:
 
 def _sift(levels: list, g: bytes, first: int = 0) -> tuple:
     """(residue, dropout level) of g sifted through the chain from level ``first``."""
-    for i, (base, _, tv) in enumerate(levels[first:], first):
-        if g[base] not in tv:
+    for i, (base, _, _, inverses) in enumerate(levels[first:], first):
+        if g[base] not in inverses:
             return g, i
-        g = g.translate(_inverse(tv[g[base]]))
+        g = g.translate(inverses[g[base]])
     return g, len(levels)
 
 
-def _chain(gens: list) -> tuple:
+def _chain(gens: list, points=None) -> tuple:
     """(stabilizer chain, order) of the group ``gens`` generate, by
     deterministic Schreier-Sims (Holt, Eick and O'Brien 2005, section 4.4.2).
-    A level is [base point, strong generators, transversal]; the transversal
-    maps each orbit point b to a u taking the base point to b, where u then s
-    is u.translate(_table(s)).  Down from the last level, each Schreier
+    A level is [base point, strong generators, transversal, inverses]; the
+    transversal maps each orbit point b to a u taking the base point to b,
+    where u then s is u.translate(_table(s)), and ``inverses`` maps b to the
+    translate table of u^-1.  Down from the last level, each Schreier
     generator u s u'^-1 sifts to 1 through the levels below it, or its residue
-    joins their strong generators."""
+    joins their strong generators.  A new level's base point is the first
+    point, in the order ``points`` (by default 0, 1, 2, ...), that the new
+    strong generator moves."""
     one, levels = _IDENTITY[:len(gens[0].perm)], []
+    points = range(len(one)) if points is None else points
 
     def add(h, first, last):
         if last == len(levels):
-            levels.append([next(p for p, q in enumerate(h) if p != q), [], None])
+            levels.append([next(p for p in points if h[p] != p), [], None, None])
         for level in levels[first:last + 1]:
             level[1].append(h)
-            tv, queue = {level[0]: one}, [level[0]]
+            tv, queue, tables = {level[0]: one}, [level[0]], [_table(s) for s in level[1]]
             for b in queue:
-                for s in level[1]:
+                for s, ts in zip(level[1], tables):
                     if s[b] not in tv:
-                        tv[s[b]] = tv[b].translate(_table(s))
+                        tv[s[b]] = tv[b].translate(ts)
                         queue.append(s[b])
-            level[2] = tv
+            level[2], level[3] = tv, {b: _inverse(u) for b, u in tv.items()}
 
     for g in gens:
         h, j = _sift(levels, g.perm)
@@ -480,54 +492,193 @@ def _chain(gens: list) -> tuple:
             add(h, 0, j)
     i = len(levels) - 1
     while i >= 0:
-        _, strong, tv = levels[i]
-        residues = (_sift(levels, u.translate(_table(s)).translate(_inverse(tv[s[b]])), i + 1)
-                    for b, u in tv.items() for s in strong)
+        _, strong, tv, inverses = levels[i]
+        residues = (_sift(levels, us.translate(inverses[s[b]]), i + 1)
+                    for s, ts in [(s, _table(s)) for s in strong] for b, u in tv.items()
+                    if (us := u.translate(ts)) != tv[s[b]])
         h, j = next((r for r in residues if r[0] != one), (one, i - 1))
         if h != one:
             add(h, i + 1, j)
         i = j
-    return levels, prod(len(tv) for *_, tv in levels)
+    return levels, prod(len(tv) for _, _, tv, _ in levels)
 
 
-def conjugacy_orbits(elements, gens: list, order: int) -> list:
-    """Conjugation orbits [(representative, size)] of the group of ``order``
-    elements generated by ``gens``, z among them: one starts at each element of
-    the walk ``elements`` that no orbit holds, until they hold ``order`` (the
-    class equation).  As z is central, orbit(zp) = z orbit(p) comes with
-    orbit(p), represented by zp, when zp is not in orbit(p); it is counted,
-    not stored, so p lies in a found orbit when p or zp is held.  Once
-    orbit(p) is held, zp is held exactly when it is in orbit(p): zp in an
-    earlier orbit O would put p in z O, which the walk skips."""
-    steps, held, orbits, total = _conjugations(gens), set(), [], 0
-    for p in elements:
-        zp = p.translate(_FLIP)
-        if p in held or zp in held:
-            continue
-        before = len(held)
-        held.update(_orbit(p, steps))
-        size = len(held) - before
-        orbits.append((SignedPerm._of(p), size))
-        total += size
-        if zp not in held:
-            orbits.append((SignedPerm._of(zp), size))
-            total += size
-        if total >= order:
-            break
-    if total != order:
-        raise ClosureOverflow(f"class equation broken: {total} != {order}")
-    return orbits
+def _cycle_points(g: bytes) -> list:
+    """The points +e_i along the cycles of g, longest cycle first: a base order
+    adapted to g.  z g and each g^k with k prime to the order of g move the
+    same sets {+-e_i}, so the order suits them too."""
+    seen, cycles = bytearray(len(g) >> 1), []
+    for i in range(len(seen)):
+        cycle, p = [], 2 * i
+        while not seen[p >> 1]:
+            seen[p >> 1] = 1
+            cycle.append(p & ~1)
+            p = g[p]
+        if cycle:
+            cycles.append(cycle)
+    cycles.sort(key=len, reverse=True)
+    return [p for cycle in cycles for p in cycle]
+
+
+def _conjugators(levels: list, g: bytes, h: bytes, first: bool) -> int:
+    """How many x in the group of the chain ``levels`` have x(g(p)) = h(x(p))
+    for every point p, that is x g x^-1 = h; with ``first``, 1 at the first
+    such x and 0 if there is none.  A backtrack search (Holt, Eick and O'Brien
+    2005, section 4.6; Leon 1991): x is the product u_0 ... u_m of one
+    transversal element per level, so x maps base point b_i to the partial
+    product u_0 ... u_(i-1) of a point of level i's orbit.  Choosing that image
+    q fixes x along g's cycle through b_i and its negative, x(g^j b_i) =
+    h^j q; a clash with the images fixed so far (h's cycle through q of
+    another length among them) prunes the branch, and a later base point
+    already fixed has one choice.  Only the base points' images are chosen,
+    so each leaf x is checked on every point.  The search is fastest on a
+    base adapted to g (``_cycle_points``), where one choice fixes a whole
+    long cycle."""
+    th, image, used = _table(h), [-1] * len(g), [False] * len(g)
+
+    def fix(b, q):
+        """Fix x along g's cycle through b, from x(b) = q; the points fixed, or
+        None on a clash (with nothing fixed)."""
+        fixed, p, v = [], b, q
+        while True:
+            for pp, vv in ((p, v), (p ^ 1, v ^ 1)):
+                if image[pp] < 0 and not used[vv]:
+                    image[pp], used[vv] = vv, True
+                    fixed.append(pp)
+                elif image[pp] != vv:
+                    release(fixed)
+                    return None
+            p, v = g[p], h[v]
+            if p == b:
+                break
+        if v != q:
+            release(fixed)
+            return None
+        return fixed
+
+    def release(fixed):
+        for p in fixed:
+            used[image[p]], image[p] = False, -1
+
+    def search(i, x):
+        tx = _table(x)
+        if i == len(levels):
+            return int(g.translate(tx) == x.translate(th))
+        b, _, tv, _ = levels[i]
+        if image[b] >= 0:
+            u = tv.get(x.index(image[b]))
+            return 0 if u is None else search(i + 1, u.translate(tx))
+        count = 0
+        for c, u in tv.items():
+            q = x[c]
+            if used[q]:
+                continue
+            fixed = fix(b, q)
+            if fixed is None:
+                continue
+            count += search(i + 1, u.translate(tx))
+            release(fixed)
+            if count and first:
+                break
+        return count
+
+    return search(0, _IDENTITY[:len(g)])
+
+
+def _power(perm: bytes, k: int) -> bytes:
+    """The k-th power of a point permutation, k >= 1."""
+    out, table = perm, _table(perm)
+    for _ in range(k - 1):
+        out = out.translate(table)
+    return out
+
+
+def _class_reps(gens: list, order: int, table: GroupData) -> dict:
+    """{label: [(representative, size)]}, one pair per conjugacy class found,
+    of the group of ``order`` elements that ``gens`` generate.
+
+    A candidate from the walk starts a new class only when its label has
+    fewer classes than the table's ``merged`` count and ``_conjugators`` finds
+    it conjugate to none of them.  The class of g then has order / |C(g)|
+    elements, or 1 when g commutes with every generator.  z g and each g^k
+    with k prime to the order of g share that centralizer and g's adapted
+    chain, so the new class's whole family is labelled and tested at once.
+    The walk stops when every label holds its count or the sizes reach the
+    order."""
+    gen_tables = [(a.perm, _table(a.perm)) for a in gens]
+    found = {c.label: [] for c in table.classes}    # label -> [(rep, levels, size)]
+    wanted = {c.label: c.merged for c in table.classes}
+    sought, total = sum(wanted.values()), 0
+
+    def meets(label, g):
+        """Whether g is conjugate to a representative found under ``label``."""
+        return any(g == r if levels is None else _conjugators(levels, r, g, True)
+                   for r, levels, _ in found[label])
+
+    def add(label, g, levels, size):
+        nonlocal sought, total
+        found[label].append((g, levels, size))
+        sought, total = sought - 1, total + size
+
+    def family(label, g):
+        """Add g, conjugate to no representative found, and then each member of
+        its family z^e g^k that starts a class."""
+        tg = _table(g)
+        if all(g.translate(ta) == a.translate(tg) for a, ta in gen_tables):
+            levels, size = None, 1
+        else:
+            levels = _chain(gens, _cycle_points(g))[0]
+            centralizer = _conjugators(levels, g, g, False)
+            if order % centralizer:
+                raise ClosureOverflow(f"class equation broken: a centralizer of order "
+                                      f"{centralizer} does not divide {order}")
+            size = order // centralizer
+        add(label, g, levels, size)
+        powers = [g]
+        while powers[-1] != _IDENTITY[:len(g)]:
+            powers.append(powers[-1].translate(tg))
+        members = dict.fromkeys(m for k, p in enumerate(powers, 1) if gcd(k, len(powers)) == 1
+                                for m in (p, p.translate(_FLIP)))
+        for m in list(members)[1:]:
+            label = table.class_of(SignedPerm._of(m))
+            if len(found[label]) < wanted[label] and not meets(label, m):
+                add(label, m, levels, size)
+
+    def candidates():
+        """The walk's elements w and their powers w^d, d a proper divisor of the
+        order (smallest powers first), each with its label.  The signed cycle
+        type of w fixes those of its powers, so the labels are found once per
+        type."""
+        powers = {}
+        for w in _walk(gens):
+            counts = SignedPerm._of(w)._cycle_type()
+            key = _type_key(counts)
+            if key not in powers:
+                n = _order(counts)
+                powers[key] = [(d, table.class_of(SignedPerm._of(_power(w, d))))
+                               for d in [d for d in range(n - 1, 0, -1) if n % d == 0] or [1]]
+            for d, label in powers[key]:
+                yield w, d, label
+
+    for w, d, label in candidates():
+        if len(found[label]) < wanted[label]:
+            g = _power(w, d)
+            if not meets(label, g):
+                family(label, g)
+                if not sought or total >= order:
+                    break
+    return {label: [(r, size) for r, _, size in reps] for label, reps in found.items()}
 
 
 def generate(ell: int, bound: int = 400000) -> GroupData:
     """Generate the lambency-l umbral group and label its conjugacy classes.
 
     The order comes from a stabilizer chain, checked against ``bound``; the
-    chain proves z a member before ``conjugacy_orbits`` walks the group.  A
-    class is represented by its first orbit's representative (zp for a class
-    met as the z-partner orbit of p), which lies in that orbit.
-    For lambency 2 the stored class inventory is returned (the degree 24
-    group is never enumerated).
+    chain proves z a member before ``_class_reps`` looks for the classes.
+    Their sizes must sum to the order (the class equation) and each label
+    must cover as many classes as the table's ``merged`` count; a class is
+    represented by the first element found in it.  For lambency 2 the stored
+    class inventory is returned (the degree 24 group is never enumerated).
     """
     if ell == 2:
         return class_table(2)
@@ -539,16 +690,17 @@ def generate(ell: int, bound: int = 400000) -> GroupData:
     if _sift(levels, z)[0] != _IDENTITY[:len(z)]:
         raise UnknownClass("central sign flip not in group")
     table = class_table(ell)
-    found = {}
-    for rep, size in conjugacy_orbits(_walk(gens), gens, order):
-        found.setdefault(table.class_of(rep), []).append((rep, size))
+    found = _class_reps(gens, order, table)
+    total = sum(size for reps in found.values() for _, size in reps)
+    if total != order:
+        raise ClosureOverflow(f"class equation broken: {total} != {order}")
     classes = []
     for c in table.classes:
-        orbs = found.get(c.label, [])
-        if len(orbs) != c.merged:
+        reps = found[c.label]
+        if len(reps) != c.merged:
             raise DataCorrupt(
-                f"class {c.label}: found {len(orbs)} orbits, expected {c.merged}")
-        classes.append(replace(c, size=sum(s for _, s in orbs), rep=orbs[0][0]))
+                f"class {c.label}: found {len(reps)} orbits, expected {c.merged}")
+        classes.append(replace(c, size=sum(s for _, s in reps), rep=SignedPerm._of(reps[0][0])))
     gd = GroupData(ell, order, classes, dict(table.pairing))
     # verify the derived pairing against the actual central element
     for c in classes:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from moonshine import groups as gr
+from moonshine.data import load_json
 from moonshine.errors import ClosureOverflow, DataCorrupt, OutOfRange, UnknownClass
 
 EXPECTED_ORDERS = {3: 190080, 4: 2688, 5: 240, 7: 24, 13: 4}
@@ -140,6 +141,24 @@ def test_ell4_to_ell2_bridge():
     assert [e[0] for e in rep["excluded"]] == ["4B"]
 
 
+def _bridge_mismatches(bridge):
+    """Entries of a lambency-4 bridge map that are not the doubled-Frame-shape
+    partner (``check_ell4_to_ell2``) of their class or, for a class it skips
+    (a signed shape with negative exponents), of the class's z-partner."""
+    checked = dict(gr.check_ell4_to_ell2()["checked"])
+    pairing = gr.class_table(4).pairing
+    return [(lab, partner) for lab, partner in bridge.items()
+            if partner != checked.get(lab, checked.get(pairing[lab]))]
+
+
+def test_l4_bridge_map_is_the_doubled_partner():
+    bridge = load_json("l4_reconstruction.json")["bridge"]
+    assert len(bridge) == 10 and _bridge_mismatches(bridge) == []
+    # 2A, 6A and 14AB map as their z-partners 1A, 3A and 7AB do
+    assert [bridge[lab] for lab in ("2A", "6A", "14AB")] == ["2A", "6A", "14AB"]
+    assert _bridge_mismatches({**bridge, "2B": "4B"}) == [("2B", "4B")]
+
+
 def test_m24_class_table():
     gd = gr.class_table(2)
     assert gd.order == 244823040
@@ -169,8 +188,8 @@ def _plant_order(monkeypatch, factor):
     """Make the stabilizer chain report ``factor`` times the group order."""
     chain = gr._chain
 
-    def planted(gens):
-        levels, order = chain(gens)
+    def planted(gens, points=None):
+        levels, order = chain(gens, points)
         return levels, int(order * factor)
     monkeypatch.setattr(gr, "_chain", planted)
 
@@ -184,18 +203,22 @@ def test_class_equation_checked(monkeypatch, ell, factor):
         gr.generate(ell)
 
 
-@pytest.mark.parametrize("ell", [3, 13])
-def test_half_order_misses_classes(monkeypatch, ell):
-    # here the first orbits hold exactly half the group, so the walk stops
-    # with classes unmet, which the orbit count reports
+@pytest.mark.parametrize("ell, error, message", [
+    # a centralizer order of 2.M12 (384, at 2B) does not divide half the order
+    (3, ClosureOverflow, "class equation broken: a centralizer of order 384 does not divide 95040"),
+    # every class is central, so the sizes (1 each) reach the half order with 4AB unmet
+    (13, DataCorrupt, "class 4AB: found 0 orbits, expected 2")], ids=["3", "13"])
+def test_half_order_misses_classes(monkeypatch, ell, error, message):
     _plant_order(monkeypatch, 0.5)
-    with pytest.raises(DataCorrupt, match="found 0 orbits"):
+    with pytest.raises(error, match=message):
         gr.generate(ell)
 
 
 def reference_conjugacy_orbits(elements, gens, order):
-    """The conjugation orbits of ``gr.conjugacy_orbits``, from a walk that
-    stores every orbit, z-partners included, so it holds the whole group."""
+    """The conjugation orbits [(representative, size)] of the group, from a
+    walk that stores every orbit, z-partners included, so it holds the whole
+    group: the reference for the classes ``gr.generate`` finds by
+    centralizer orders."""
     steps, held, orbits = gr._conjugations(gens), set(), []
     for p in elements:
         if p in held:
@@ -214,24 +237,93 @@ def reference_conjugacy_orbits(elements, gens, order):
     return orbits
 
 
-def test_orbits_match_reference_holding_every_element():
+def test_orbits_match_reference_holding_every_element(generated):
+    # per label, the classes found by centralizer orders have the sizes of the
+    # conjugation orbits of a walk that holds the whole group
+    for ell, order in EXPECTED_ORDERS.items():
+        gens, gd = gr.generators(ell), generated[ell]
+        want = {}
+        for rep, size in reference_conjugacy_orbits(gr._walk(gens), gens, order):
+            want.setdefault(gd.class_of(rep), []).append(size)
+        found = gr._class_reps(gens, order, gr.class_table(ell))
+        assert {lab: sorted(s for _, s in reps) for lab, reps in found.items()} == \
+            {lab: sorted(sizes) for lab, sizes in want.items()}, ell
+        assert {c.label: (c.merged, c.size) for c in gd.classes} == \
+            {lab: (len(sizes), sum(sizes)) for lab, sizes in want.items()}, ell
+
+
+def _centralizer_order(ell, g):
+    gens = gr.generators(ell)
+    levels = gr._chain(gens, gr._cycle_points(g.perm))[0]
+    return gr._conjugators(levels, g.perm, g.perm, False)
+
+
+def test_centralizer_times_class_is_the_order(generated):
+    # |C(g)| by backtrack against the conjugation orbit of g, walked whole; a
+    # central g, whose search would list the group, commutes with the generators
     for ell, order in EXPECTED_ORDERS.items():
         gens = gr.generators(ell)
-        got, want = ([(rep.perm, size) for rep, size in orbits(gr._walk(gens), gens, order)]
-                     for orbits in (gr.conjugacy_orbits, reference_conjugacy_orbits))
-        assert got == want, ell
+        for c in generated[ell].classes:
+            orbit = len(gr.conjugation_orbit(ell, c.rep))
+            if all(a * c.rep == c.rep * a for a in gens):
+                assert orbit == 1, (ell, c.label)
+            else:
+                assert _centralizer_order(ell, c.rep) * orbit == order, (ell, c.label)
+
+
+def test_eleven_a_is_not_conjugate_to_its_inverse(generated):
+    # 11A and 11B = 11A^-1 share their Frame shapes (label 11AB); g^3, a square
+    # mod 11, stays in 11A
+    g = generated[3].by_label["11AB"].rep
+    levels = gr._chain(gr.generators(3), gr._cycle_points(g.perm))[0]
+    g3 = g * g * g
+    assert gr._conjugators(levels, g.perm, g.inverse().perm, True) == 0
+    assert gr._conjugators(levels, g.perm, g3.perm, True) == 1
+    assert gr._conjugators(levels, g.perm, g3.perm, False) == _centralizer_order(3, g) == 22
+
+
+def test_backtracks_run_on_chains_adapted_to_their_source(monkeypatch):
+    # each search in generate runs on a base that follows the cycles of the
+    # element it starts from, longest cycle first
+    conjugators, seen = gr._conjugators, []
+
+    def checked(levels, g, h, first):
+        rank = _cycles_longest_first(g)
+        ranks = [rank[b >> 1] for b, *_ in levels]
+        seen.append(ranks == sorted(ranks))
+        return conjugators(levels, g, h, first)
+    monkeypatch.setattr(gr, "_conjugators", checked)
+    for ell in EXPECTED_ORDERS:
+        gr.generate(ell)
+    assert seen and all(seen)
+
+
+def _cycles_longest_first(g):
+    """Index -> rank of its cycle of g, cycles sorted longest first and then by
+    their least index."""
+    cycles, seen = [], set()
+    for i in range(len(g) >> 1):
+        cycle, p = set(), 2 * i
+        while p >> 1 not in seen:
+            seen.add(p >> 1)
+            cycle.add(p >> 1)
+            p = g[p]
+        if cycle:
+            cycles.append(cycle)
+    cycles.sort(key=lambda c: (-len(c), min(c)))
+    return [r for _, r in sorted((i, r) for r, c in enumerate(cycles) for i in c)]
 
 
 def test_generate_does_not_hold_the_group():
-    # generate, not the memoized umbral_group, so the walk runs under the trace;
-    # holding all 190,080 elements in a set takes about 100 bytes each
+    # generate, not the memoized umbral_group, so the search runs under the
+    # trace; holding the 190,080 elements of 2.M12 in a set takes about 19 MiB
     tracemalloc.start()
     try:
-        gd = gr.generate(3)
+        gr.generate(3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < gd.order * 80, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_central_flip_checked(monkeypatch):
@@ -250,10 +342,13 @@ def _planted_table(monkeypatch, ell, label, **change):
     return planted
 
 
-@pytest.mark.parametrize("merged", [1, 3])
-def test_orbit_count_checked(monkeypatch, merged):
+@pytest.mark.parametrize("merged, error, message", [
+    # the search stops at the stored count, so 4B (10 elements) is never sought
+    (1, ClosureOverflow, "class equation broken: 230 != 240"),
+    (3, DataCorrupt, "class 4AB: found 2 orbits, expected 3")], ids=["1", "3"])
+def test_orbit_count_checked(monkeypatch, merged, error, message):
     _planted_table(monkeypatch, 5, "4AB", merged=merged)
-    with pytest.raises(DataCorrupt, match=f"class 4AB: found 2 orbits, expected {merged}"):
+    with pytest.raises(error, match=message):
         gr.generate(5)
 
 

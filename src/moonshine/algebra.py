@@ -25,7 +25,7 @@ def as_rat(x) -> Fraction:
 
 
 def _canonical(x):
-    """A series coefficient as stored: an int if integral, else a Fraction, never a float."""
+    """A table coefficient as ``reps.decompose`` sums it: an int if integral, else a Fraction."""
     if type(x) is not int:
         x = as_rat(x)
     return x.numerator if x.denominator == 1 else x

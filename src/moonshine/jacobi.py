@@ -23,9 +23,10 @@ One builder on integral rows makes every theta block (``_theta_block``): four
 basis generators, the zeta form and phi_{-2,1}, whose heat-operator images give
 the two seeds of index 1 and 2 (``_phi_seed``).  No series is inverted here.
 
-Coefficients are stored as in ``qseries``: an ``int`` when integral, else a
-``Fraction``, never a ``float``; the theta blocks and the Gritsenko tower run
-on ints.
+Coefficients are stored as in ``qseries``: int numerators over one positive
+int denominator ``cden`` per series, reduced; ``coefficient``, ``items`` and
+``dump`` hand out Fractions.  The theta blocks and the Gritsenko tower run on
+ints.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from math import ceil, gcd, isqrt, lcm
 from itertools import accumulate, groupby, repeat
 from operator import add, itemgetter, mul, sub
 
-from .algebra import _canonical, as_rat
+from .algebra import as_rat
 from .data import LAMBENCIES, memo
 from .errors import (CutoffUnderflow, NotInvertible, OutOfRange, UnboundedSupport,
                      WindowTooNarrow)
@@ -51,29 +52,29 @@ UPPER = "upper"   # 1 < |y| < 1/|q|
 class WindowedSeries:
     """q/y bi-series with exact windowing; see module docstring."""
 
-    __slots__ = ("denom", "ydenom", "qcut", "rows", "ywindow", "annulus")
+    __slots__ = ("denom", "ydenom", "qcut", "rows", "ywindow", "annulus", "cden")
 
     def __init__(self, denom, rows, qcut, ywindow=None, annulus=ENTIRE, ydenom=1):
         self.denom = denom
         self.ydenom = ydenom
         self.qcut = as_rat(qcut)
         kcut = ceil(self.qcut * denom)
-        clean = {}
-        for k, row in rows.items():
-            if k >= kcut:
-                continue
-            r = {y: _canonical(c) for y, c in row.items() if c}
-            if r:
-                clean[k] = r
-        self.rows = clean
+        rows = {k: r for k, row in rows.items() if k < kcut
+                if (r := {y: c if type(c) is int else as_rat(c) for y, c in row.items() if c})}
+        self.cden = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+        self.rows = {k: {y: c.numerator * (self.cden // c.denominator) for y, c in row.items()}
+                     for k, row in rows.items()}
         self.ywindow = ywindow
         self.annulus = annulus
 
     @classmethod
-    def _of(cls, denom, rows, qcut, ywindow=None, annulus=ENTIRE, ydenom=1):
-        """Wrap rows that are already canonical, nonzero and below ``qcut``."""
+    def _of(cls, denom, rows, qcut, ywindow=None, annulus=ENTIRE, ydenom=1, cden=1):
+        """Wrap nonempty rows of nonzero int numerators below ``qcut`` over ``cden`` > 0,
+        their common factor with ``cden`` divided out."""
+        if cden != 1 and (g := gcd(cden, *(c for r in rows.values() for c in r.values()))) != 1:
+            rows, cden = {k: {y: c // g for y, c in r.items()} for k, r in rows.items()}, cden // g
         s = object.__new__(cls)
-        s.denom, s.ydenom, s.qcut, s.rows = denom, ydenom, qcut, rows
+        s.denom, s.ydenom, s.qcut, s.rows, s.cden = denom, ydenom, qcut, rows, cden
         s.ywindow, s.annulus = ywindow, annulus
         return s
 
@@ -85,7 +86,7 @@ class WindowedSeries:
     @classmethod
     def from_fracseries(cls, f: FracSeries) -> "WindowedSeries":
         """Embed a one-variable series as a y-independent bi-series."""
-        return cls._of(f.denom, {k: {0: v} for k, v in f.coeffs.items()}, f.cutoff)
+        return cls._of(f.denom, {k: {0: v} for k, v in f.coeffs.items()}, f.cutoff, cden=f.cden)
 
     # -- basic inspection --------------------------------------------------
     def is_complete(self):
@@ -101,7 +102,7 @@ class WindowedSeries:
             return Fraction(0)
         k = qe.numerator * (self.denom // qe.denominator)
         y = ypow.numerator * (self.ydenom // ypow.denominator)
-        return as_rat(self.rows.get(k, {}).get(y, 0))
+        return Fraction(self.rows.get(k, {}).get(y, 0), self.cden)
 
     def max_abs_y(self) -> Fraction:
         m = 0
@@ -113,9 +114,10 @@ class WindowedSeries:
 
     def items(self):
         """Sorted (q-exponent, y-power, coefficient) triples, all Fractions."""
-        for k in sorted(self.rows):
-            for y in sorted(self.rows[k]):
-                yield Fraction(k, self.denom), Fraction(y, self.ydenom), as_rat(self.rows[k][y])
+        for k, row in sorted(self.rows.items()):
+            q = Fraction(k, self.denom)
+            for y in sorted(row):
+                yield q, Fraction(y, self.ydenom), Fraction(row[y], self.cden)
 
     def dump(self) -> str:
         """Line format '(q_num/q_den, y_pow) -> rational', sorted."""
@@ -132,27 +134,30 @@ class WindowedSeries:
             return self.annulus
         raise ValueError(f"incompatible annuli {self.annulus}/{other.annulus}")
 
-    def _aligned(self, other):
-        d = lcm(self.denom, other.denom)
-        yd = lcm(self.ydenom, other.ydenom)
-        def lift(s):
-            fq, fy = d // s.denom, yd // s.ydenom
-            return {k * fq: {y * fy: c for y, c in row.items()}
-                    for k, row in s.rows.items()}
-        return d, yd, lift(self), lift(other)
+    def _on(self, d: int, yd: int, f: int = 1) -> dict:
+        """The rows on the lattice q^(1/d), y^(1/yd), numerators times f; ``rows`` if unchanged."""
+        fq, fy = d // self.denom, yd // self.ydenom
+        if fq == fy == f == 1:
+            return self.rows
+        return {k * fq: {y * fy: c * f for y, c in row.items()} for k, row in self.rows.items()}
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = WindowedSeries(1, {0: {0: other}}, self.qcut)
-        d, yd, a, b = self._aligned(other)
-        for k, row in b.items():
-            dst = a.setdefault(k, {})
-            for y, c in row.items():
-                dst[y] = dst.get(y, 0) + c
+        d, yd = lcm(self.denom, other.denom), lcm(self.ydenom, other.ydenom)
+        cden, qcut = lcm(self.cden, other.cden), min(self.qcut, other.qcut)
+        kcut = ceil(qcut * d)
+        a = {k: dict(row) for k, row in self._on(d, yd, cden // self.cden).items() if k < kcut}
+        for k, row in other._on(d, yd, cden // other.cden).items():
+            if k < kcut:
+                dst = a.setdefault(k, {})
+                for y, c in row.items():
+                    dst[y] = dst.get(y, 0) + c
         wins = [w for w in (self.ywindow, other.ywindow) if w is not None]
-        return WindowedSeries(d, a, min(self.qcut, other.qcut),
-                              ywindow=min(wins) if wins else None,
-                              annulus=self._combine_annulus(other), ydenom=yd)
+        return WindowedSeries._of(d, {k: r for k, row in a.items()
+                                      if (r := {y: c for y, c in row.items() if c})}, qcut,
+                                  ywindow=min(wins) if wins else None,
+                                  annulus=self._combine_annulus(other), ydenom=yd, cden=cden)
 
     def __neg__(self):
         return self.scale(-1)
@@ -161,9 +166,12 @@ class WindowedSeries:
         return self + (-other)
 
     def scale(self, c):
-        rows = {k: {y: c * v for y, v in row.items()} for k, row in self.rows.items()}
-        return WindowedSeries(self.denom, rows, self.qcut, ywindow=self.ywindow,
-                              annulus=self.annulus, ydenom=self.ydenom)
+        c = as_rat(c)
+        p = c.numerator
+        rows = {k: {y: p * v for y, v in row.items()} for k, row in self.rows.items()} if p else {}
+        return WindowedSeries._of(self.denom, rows, self.qcut, ywindow=self.ywindow,
+                                  annulus=self.annulus, ydenom=self.ydenom,
+                                  cden=self.cden * c.denominator)
 
     def qshift(self, e):
         e = as_rat(e)
@@ -172,7 +180,7 @@ class WindowedSeries:
         off = e.numerator * (d // e.denominator)
         rows = {k * f + off: row for k, row in self.rows.items()}
         return WindowedSeries._of(d, rows, self.qcut + e, ywindow=self.ywindow,
-                                  annulus=self.annulus, ydenom=self.ydenom)
+                                  annulus=self.annulus, ydenom=self.ydenom, cden=self.cden)
 
     def truncate(self, qcut):
         qcut = as_rat(qcut)
@@ -181,7 +189,7 @@ class WindowedSeries:
         kcut = ceil(qcut * self.denom)
         return WindowedSeries._of(self.denom, {k: r for k, r in self.rows.items() if k < kcut},
                                   qcut, ywindow=self.ywindow, annulus=self.annulus,
-                                  ydenom=self.ydenom)
+                                  ydenom=self.ydenom, cden=self.cden)
 
     def __eq__(self, other):
         if not isinstance(other, WindowedSeries):
@@ -210,8 +218,8 @@ class WindowedSeries:
         """Set z = 0, i.e. sum each q-row over y.  Complete series only."""
         if not self.is_complete():
             raise UnboundedSupport("specialization needs a y-polynomial series")
-        return FracSeries(self.denom, {k: sum(row.values()) for k, row in self.rows.items()},
-                          self.qcut)
+        return FracSeries._of(self.denom, {k: v for k, row in self.rows.items()
+                                           if (v := sum(row.values()))}, self.qcut, self.cden)
 
     def y_row(self, ypow: int) -> FracSeries:
         """The coefficient of y^ypow as a one-variable series."""
@@ -219,7 +227,7 @@ class WindowedSeries:
             raise WindowTooNarrow(f"row {ypow} outside window {self.ywindow}")
         y = ypow * self.ydenom
         return FracSeries._of(self.denom, {k: row[y] for k, row in self.rows.items() if y in row},
-                              self.qcut)
+                              self.qcut, self.cden)
 
 
 def windowed_mul(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
@@ -235,14 +243,14 @@ def windowed_mul(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
 def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
     """The product behind ``*`` and ``windowed_mul``.
 
-    Both operands are lifted to common q- and y-denominators and multiplied
-    by ``qseries._convolve``: one big-integer product of the two operands
-    packed with one slot per (q, y) term, each slot bits(max|a|) +
-    bits(max|b|) + bits(min #terms) + 1 bits wide, so no product coefficient
-    spills into the next.  Complete times complete keeps every term.  With a
-    windowed factor the full product is clipped to the target window
-    afterwards.  ``*`` calls this directly, so profiles charge its time to
-    ``__mul__``.
+    Both operands' numerators are lifted to common q- and y-denominators and
+    multiplied by ``qseries._convolve``, over the product of their denominators:
+    one big-integer product of the two operands packed with one slot per (q, y)
+    term, each slot bits(max|a|) + bits(max|b|) + bits(min #terms) + 1 bits wide,
+    so no product coefficient spills into the next.  Complete times complete
+    keeps every term.  With a windowed factor the full product is clipped to the
+    target window afterwards.  ``*`` calls this directly, so profiles charge its
+    time to ``__mul__``.
     """
     target = None
     if not (a.is_complete() and b.is_complete()):
@@ -259,9 +267,10 @@ def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
     cut = min(a.qcut + b.low_q(), b.qcut + a.low_q())
     if qcut is not None:
         cut = min(cut, as_rat(qcut))
-    d, yd, ra, rb = a._aligned(b)
-    out = _convolve(ra, rb, ceil(cut * d))
-    prod = WindowedSeries._of(d, out, cut, annulus=a._combine_annulus(b), ydenom=yd)
+    d, yd = lcm(a.denom, b.denom), lcm(a.ydenom, b.ydenom)
+    out = _convolve(a._on(d, yd), b._on(d, yd), ceil(cut * d))
+    prod = WindowedSeries._of(d, out, cut, annulus=a._combine_annulus(b), ydenom=yd,
+                              cden=a.cden * b.cden)
     return prod if target is None else _clip(prod, target, prod.annulus)
 
 
@@ -271,7 +280,7 @@ def _clip(s: WindowedSeries, ywindow, annulus: str) -> WindowedSeries:
     rows = {k: r for k, row in s.rows.items()
             if (r := {y: c for y, c in row.items() if abs(y) <= ymax})}
     return WindowedSeries._of(s.denom, rows, s.qcut, ywindow=ywindow, annulus=annulus,
-                              ydenom=s.ydenom)
+                              ydenom=s.ydenom, cden=s.cden)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +307,7 @@ def jacobi_theta(i: int, qcut) -> WindowedSeries:
         raise OutOfRange(f"no theta function theta_{i}")
     r = 1 if i <= 2 else 0
     s = index_theta(2, r, qcut) + index_theta(2, r + 2, qcut).scale(-1 if i in (1, 4) else 1)
-    return WindowedSeries._of(s.denom, s.rows, s.qcut, ydenom=2)
+    return WindowedSeries._of(s.denom, s.rows, s.qcut, ydenom=2, cden=s.cden)
 
 
 def index_theta(m: int, r: int, qcut) -> WindowedSeries:
@@ -391,7 +400,7 @@ def _theta_block(nums, dens, k: int, qcut) -> WindowedSeries:
     rows = prod[0].rows
     for b in dens:
         rows = _theta_divide(rows, b, kcut)
-    return WindowedSeries._of(1, rows, qcut - s, ydenom=2).qshift(s)
+    return WindowedSeries._of(1, rows, qcut - s, ydenom=2, cden=prod[0].cden).qshift(s)
 
 
 def _phi_seed(m: int, qcut) -> WindowedSeries:
@@ -417,16 +426,18 @@ def _phi_seed(m: int, qcut) -> WindowedSeries:
         a, terms = theta.y_row(rho) * inv, []
         for w in weights:
             terms.append(a * w)
-            a = FracSeries(a.denom, {k: (4 * j * k // a.denom - rho * rho) * v
-                                     for k, v in a.coeffs.items()}, a.cutoff)  # L a
-        c = sum(terms[1:], terms[0]).scale(Fraction(1, den))
-        cols.append({k // c.denom: v for k, v in c.coeffs.items()})
+            a = FracSeries._of(a.denom, {k: w for k, v in a.coeffs.items()  # L a
+                                         if (w := (4 * j * k // a.denom - rho * rho) * v)},
+                               a.cutoff, a.cden)
+        cols.append(sum(terms[1:], terms[0]))
+    cden = lcm(*(c.cden for c in cols))
+    cols = [{k // c.denom: v * (cden // c.cden) for k, v in c.coeffs.items()} for c in cols]
     rows = {n: {} for n in range(ceil(qcut))}
     for n, row in rows.items():
         for r in range(-isqrt(4 * j * n + j * j), isqrt(4 * j * n + j * j) + 1):
             rho = min(r % (2 * j), -r % (2 * j))
             row[r] = cols[rho].get(n - (r * r - rho * rho) // (4 * j), 0)
-    return WindowedSeries(1, rows, qcut)
+    return WindowedSeries(1, rows, qcut).scale(Fraction(1, cden * den))
 
 
 @memo
@@ -619,7 +630,7 @@ def _psi_rows(phi: WindowedSeries, m: int, qcut, annulus: str) -> list:
                 if n + q0 < kcut:
                     x = 1 - y0 - d * j - base
                     sums[n + q0] = list(map(add if c > 0 else sub, sums[n + q0], acc[x:x + m - 1]))
-    return [FracSeries._of(D, {n: _canonical(col[i]) for n, col in enumerate(sums) if col[i]}, cut)
+    return [FracSeries._of(D, {n: col[i] for n, col in enumerate(sums) if col[i]}, cut, phi.cden)
             for i in range(m - 1)]
 
 

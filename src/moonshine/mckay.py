@@ -170,7 +170,7 @@ def stored_columns(ell: int) -> dict:
 
     def column(cells):
         s = FracSeries(4 * ell, cells, Fraction(max(cells), 4 * ell) + 1)
-        return FracSeries._reduced(s.denom, s.coeffs, s.cutoff)
+        return FracSeries._reduced(s.denom, s.coeffs, s.cutoff, s.cden)
     return {label: jacobi.HVector(ell, [column(c) for c in col]) for label, col in cols.items()}
 
 

@@ -9,18 +9,21 @@ and chosen by the caller, even for a known polynomial.  A product is exact
 below min(cut_a + low_b, cut_b + low_a), where ``low()`` of a series with no
 stored term is its cutoff, the lowest exponent that may be nonzero.
 
-Coefficients are stored as an ``int`` when integral, else a ``Fraction``,
-never a ``float`` (``coefficient`` and ``items`` hand out Fractions).  The
-public constructors canonicalize; operations whose terms are canonical
-already (products, ``truncate``) wrap them through the private ``_of``.
+Coefficients are stored as int numerators over one positive int denominator
+per series, ``cden``, kept reduced: the gcd of ``cden`` and every numerator is
+1, and ``cden`` is 1 for an integral series.  ``coefficient`` and ``items``
+hand out Fractions.  The public constructors take ints and Fractions and lift
+them over their lcm denominator; operations hand int numerators and a
+denominator to the private ``_of``, which divides out their common factor with
+one gcd.
 
-Both series classes multiply in ``_convolve`` by Kronecker substitution: each
-operand, scaled to integers by the lcm of its denominators, is packed into
-one Python int with a slot of B bytes per (q, y) term, the two ints are
-multiplied once, and the slots below the cutoff are read back.  A slot holds
-at most min(#terms) pairs, so bits(max|a|) + bits(max|b|) + bits(min #terms)
-bits and a sign bit make it wide enough for every product coefficient (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, ch. 8).
+Both series classes multiply in ``_convolve`` by Kronecker substitution: the
+int numerators of each operand are packed into one Python int with a slot of
+B bytes per (q, y) term, the two ints are multiplied once, and the slots below
+the cutoff are read back; the product's denominator is the product of the
+two.  A slot holds at most min(#terms) pairs, so bits(max|a|) + bits(max|b|)
++ bits(min #terms) bits and a sign bit make it wide enough for every product
+coefficient (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 8).
 
 The catalog covers the Dedekind eta function and eta quotients, the weight-2
 Eisenstein combinations Lambda_N, the level 11/14/15/20/23/44 newforms, the
@@ -35,112 +38,99 @@ in place by its factors, so each is exact below the cutoff asked.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import ceil, gcd, isqrt, lcm
 from operator import mul
 
-from .algebra import _canonical, as_rat
+from .algebra import as_rat
 from .data import memo
 from .errors import (CutoffUnderflow, NotInvertible, NotUnimodular, OutOfRange,
                      UnknownClass)
 
 
 def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
-    """Product of rows ``{k: {y: c}}`` at keys k < kcut, by Kronecker substitution.
+    """Product of int rows ``{k: {y: c}}`` at keys k < kcut, by Kronecker substitution.
 
-    Both series classes multiply here; a FracSeries passes one-entry rows.
-    Each operand is scaled to integers by the lcm of its denominators and
-    packed into one int: term (k, y) sits at slot ((k - k0)/ks)*W + (y - y0)/ys
-    of B bytes, with k0 and y0 the operand's lowest key and y-power, ks and ys
-    the gcd of both operands' key and y offsets, and W = wa + wb + 1 for y-spans
-    wa and wb in steps of ys, so no two product terms share a slot.  A product
-    slot sums at most min(#terms) pairs, so its absolute value is below
-    2^(bits(max|a|) + bits(max|b|) + bits(min #terms)); one sign bit more is
-    the slot width.  Positive and negative terms are packed apart and
-    subtracted; the one big-integer product, biased by 2^(8B-1) per slot below
-    kcut, reads back slot by slot and is divided by the two lcms once.  Rows
-    may hold zeros; the product holds only nonzero canonical values.
+    Both series classes multiply their numerators here; a FracSeries passes one-entry
+    rows, and rows may hold zeros.  Each term that reaches a key below kcut sits at
+    slot ((k - k0)/ks)*W + (y - y0)/ys of B bytes, with k0 and y0 the operand's lowest
+    key and y-power, ks and ys the gcd of both operands' key and y offsets, and
+    W = wa + wb + 1 for y-spans wa and wb in steps of ys, so no two product terms share
+    a slot.  A product slot sums at most min(#terms) pairs, so its absolute value is
+    below 2^(bits(max|a|) + bits(max|b|) + bits(min #terms)); one sign bit more is the
+    slot width.  An operand is one join of its slots, each biased by h = 2^(8B-1), less
+    h per slot; the one product, plus h per slot below kcut, is read back in one pass.
     """
     ta = [(k, y, c) for k, row in ra.items() for y, c in row.items() if c]
     tb = [(k, y, c) for k, row in rb.items() for y, c in row.items() if c]
-    if not ta or not tb:
+    if not ta or not tb or min(ta)[0] + min(tb)[0] >= kcut:
         return {}
-    ka, kb = min(t[0] for t in ta), min(t[0] for t in tb)
-    ya, yb = min(t[1] for t in ta), min(t[1] for t in tb)
-    ks = gcd(*(t[0] - ka for t in ta), *(t[0] - kb for t in tb)) or 1
-    ys = gcd(*(t[1] - ya for t in ta), *(t[1] - yb for t in tb)) or 1
+    ka, kb = min(ta)[0], min(tb)[0]
+    (Ka, Ya, Va), (Kb, Yb, Vb) = (zip(*(t for t in ts if t[0] < kcut - k0))
+                                  for ts, k0 in ((ta, kb), (tb, ka)))
+    ya, yb = min(Ya), min(Yb)
+    ks = gcd(*map(ka.__rsub__, Ka), *map(kb.__rsub__, Kb)) or 1
+    ys = gcd(*map(ya.__rsub__, Ya), *map(yb.__rsub__, Yb)) or 1
     nrows = -((ka + kb - kcut) // ks)  # product keys ka + kb + i*ks below kcut
-    if nrows <= 0:
-        return {}
-    ta = [t for t in ta if t[0] - ka < nrows * ks]
-    tb = [t for t in tb if t[0] - kb < nrows * ks]
-    width = (max(t[1] for t in ta) - ya + max(t[1] for t in tb) - yb) // ys + 1
-    da = lcm(*(c.denominator for _, _, c in ta))
-    db = lcm(*(c.denominator for _, _, c in tb))
-    va = [c.numerator * (da // c.denominator) for _, _, c in ta]
-    vb = [c.numerator * (db // c.denominator) for _, _, c in tb]
-    bits = (max(map(abs, va)).bit_length() + max(map(abs, vb)).bit_length()
-            + min(len(va), len(vb)).bit_length() + 1)
+    width = (max(Ya) - ya + max(Yb) - yb) // ys + 1
+    bits = (max(map(abs, Va)).bit_length() + max(map(abs, Vb)).bit_length()
+            + min(len(Va), len(Vb)).bit_length() + 1)
     nb = (bits + 7) // 8
-
-    def pack(terms, vals, k0, y0):
-        slots = [((k - k0) // ks * width + (y - y0) // ys) * nb for k, y, _ in terms]
-        pos, neg = bytearray(max(slots) + nb), bytearray(max(slots) + nb)
-        for o, v in zip(slots, vals):
-            if v > 0:
-                pos[o:o + nb] = v.to_bytes(nb, "little")
-            else:
-                neg[o:o + nb] = (-v).to_bytes(nb, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
     half = 1 << (8 * nb - 1)
     zero = half.to_bytes(nb, "little")
-    size = nrows * width * nb
-    bias = int.from_bytes(zero * (nrows * width), "little")
-    buf = ((pack(ta, va, ka, ya) * pack(tb, vb, kb, yb) + bias)
-           & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    den = da * db
+
+    def pack(K, Y, V, k0, y0):
+        at = [(k - k0) // ks * width + (y - y0) // ys for k, y in zip(K, Y)]
+        slots = [zero] * (max(at) + 1)
+        for i, v in zip(at, V):
+            slots[i] = (v + half).to_bytes(nb, "little")
+        return int.from_bytes(b"".join(slots), "little") - bias(len(slots))
+
+    n = nrows * width
+    bias = lambda count: int.from_bytes(zero * count, "little")  # h in each of count slots
+    buf = ((pack(Ka, Ya, Va, ka, ya) * pack(Kb, Yb, Vb, kb, yb) + bias(n))
+           & ((1 << (8 * nb * n)) - 1)).to_bytes(nb * n, "little")
     out = {}
-    zrow, step = zero * width, width * nb
-    for i, o in enumerate(range(0, size, step)):
-        if buf[o:o + step] == zrow:
-            continue
-        row = {}
-        for j, p in enumerate(range(o, o + step, nb)):
-            if buf[p:p + nb] != zero:
-                v = int.from_bytes(buf[p:p + nb], "little") - half
-                row[ya + yb + j * ys] = v // den if v % den == 0 else Fraction(v, den)
-        out[ka + kb + i * ks] = row
+    for i, v in enumerate([int.from_bytes(buf[p:p + nb], "little") - half
+                           for p in range(0, nb * n, nb)]):
+        if v:
+            out.setdefault(ka + kb + i // width * ks, {})[ya + yb + i % width * ys] = v
     return out
 
 
 class FracSeries:
     """Laurent series in q^(1/denom), exact below ``cutoff``.
 
-    ``coeffs`` maps integer k to the coefficient of q^(k/denom); zero
-    coefficients are never stored.  Instances are immutable by convention.
+    ``coeffs`` maps integer k to the int numerator of the coefficient of
+    q^(k/denom) over the series' denominator ``cden``; zero coefficients are
+    never stored.  Instances are immutable by convention.
     """
 
-    __slots__ = ("denom", "coeffs", "cutoff")
+    __slots__ = ("denom", "coeffs", "cutoff", "cden")
 
     def __init__(self, denom: int, coeffs: dict, cutoff: Fraction):
         self.denom = denom
         self.cutoff = as_rat(cutoff)
         kcut = ceil(self.cutoff * denom)
-        self.coeffs = {k: _canonical(v) for k, v in coeffs.items() if v and k < kcut}
+        vals = {k: v if type(v) is int else as_rat(v) for k, v in coeffs.items() if v and k < kcut}
+        self.cden = lcm(*(v.denominator for v in vals.values()))  # so the numerators are reduced
+        self.coeffs = {k: v.numerator * (self.cden // v.denominator) for k, v in vals.items()}
 
     @classmethod
-    def _of(cls, denom, coeffs, cutoff):
-        """Wrap coefficients that are already canonical, nonzero and below ``cutoff``."""
+    def _of(cls, denom, coeffs, cutoff, cden=1):
+        """Wrap nonzero int numerators below ``cutoff`` over ``cden`` > 0, their common
+        factor with ``cden`` divided out."""
+        if cden != 1 and (g := gcd(cden, *coeffs.values())) != 1:
+            coeffs, cden = {k: v // g for k, v in coeffs.items()}, cden // g
         s = object.__new__(cls)
-        s.denom, s.coeffs, s.cutoff = denom, coeffs, cutoff
+        s.denom, s.coeffs, s.cutoff, s.cden = denom, coeffs, cutoff, cden
         return s
 
     @classmethod
-    def _reduced(cls, denom, coeffs, cutoff):
+    def _reduced(cls, denom, coeffs, cutoff, cden=1):
         """``_of`` on the coarsest lattice, denom / gcd(denom, keys), as ``from_terms``."""
         g = gcd(denom, *coeffs)
-        return cls._of(denom // g, {k // g: v for k, v in coeffs.items()}, cutoff)
+        return cls._of(denom // g, {k // g: v for k, v in coeffs.items()}, cutoff, cden)
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -172,14 +162,15 @@ class FracSeries:
     def items(self):
         """Sorted (exponent, coefficient) pairs, both Fractions."""
         for k in sorted(self.coeffs):
-            yield Fraction(k, self.denom), as_rat(self.coeffs[k])
+            yield Fraction(k, self.denom), Fraction(self.coeffs[k], self.cden)
 
     def coefficient(self, e) -> Fraction:
         e = as_rat(e)
         if e >= self.cutoff:
             raise CutoffUnderflow(f"coefficient at {e} >= cutoff {self.cutoff}")
-        if e.denominator and self.denom % e.denominator == 0:
-            return as_rat(self.coeffs.get(e.numerator * (self.denom // e.denominator), 0))
+        if self.denom % e.denominator == 0:
+            return Fraction(self.coeffs.get(e.numerator * (self.denom // e.denominator), 0),
+                            self.cden)
         return Fraction(0)
 
     def low(self) -> Fraction:
@@ -198,25 +189,28 @@ class FracSeries:
         return list(self.truncate(cut).items()) == list(other.truncate(cut).items())
 
     # -- arithmetic ----------------------------------------------------
-    def _align(self, other: "FracSeries"):
-        d = lcm(self.denom, other.denom)
-        fa, fb = d // self.denom, d // other.denom
-        a = {k * fa: v for k, v in self.coeffs.items()}
-        b = {k * fb: v for k, v in other.coeffs.items()}
-        return d, a, b
+    def _on(self, d: int, f: int = 1) -> dict:
+        """The numerators on the lattice q^(1/d), times f; ``coeffs`` itself if unchanged."""
+        t = d // self.denom
+        if t == f == 1:
+            return self.coeffs
+        return {k * t: v * f for k, v in self.coeffs.items()}
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = FracSeries(1, {0: other}, self.cutoff)
-        d, a, b = self._align(other)
-        for k, v in b.items():
+        d, cden = lcm(self.denom, other.denom), lcm(self.cden, other.cden)
+        a = dict(self._on(d, cden // self.cden))
+        for k, v in other._on(d, cden // other.cden).items():
             a[k] = a.get(k, 0) + v
-        return FracSeries(d, a, min(self.cutoff, other.cutoff))
+        cut = min(self.cutoff, other.cutoff)
+        kcut = ceil(cut * d)
+        return FracSeries._of(d, {k: v for k, v in a.items() if v and k < kcut}, cut, cden)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FracSeries._of(self.denom, {k: -v for k, v in self.coeffs.items()}, self.cutoff)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -225,18 +219,22 @@ class FracSeries:
         return (-self) + other
 
     def scale(self, c) -> "FracSeries":
-        if c == 1 or c == -1:  # the series itself, or -self: its coefficients stay canonical
-            return self if c == 1 else -self
-        return FracSeries(self.denom, {k: c * v for k, v in self.coeffs.items()}, self.cutoff)
+        c = as_rat(c)
+        if c == 1:
+            return self
+        p = c.numerator
+        return FracSeries._of(self.denom, {k: p * v for k, v in self.coeffs.items()} if p else {},
+                              self.cutoff, self.cden * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        d, a, b = self._align(other)
+        d = lcm(self.denom, other.denom)
         cut = min(self.cutoff + other.low(), other.cutoff + self.low())
-        out = _convolve({k: {0: v} for k, v in a.items()},
-                        {k: {0: v} for k, v in b.items()}, ceil(cut * d))
-        return FracSeries._of(d, {k: row[0] for k, row in out.items()}, cut)
+        out = _convolve({k: {0: v} for k, v in self._on(d).items()},
+                        {k: {0: v} for k, v in other._on(d).items()}, ceil(cut * d))
+        return FracSeries._of(d, {k: row[0] for k, row in out.items()}, cut,
+                              self.cden * other.cden)
 
     __rmul__ = __mul__
 
@@ -256,26 +254,20 @@ class FracSeries:
     def invert(self) -> "FracSeries":
         """Multiplicative inverse; requires a nonzero lowest-order coefficient.
 
-        The result is exact below ``self.cutoff - 2*low``.
-        """
+        The result is exact below ``self.cutoff - 2*low``.  For numerators a_j at x^j
+        (x the sparsest sublattice from low on) it is cden x^-low sum_k I_k x^k / a_0^(k+1),
+        I_0 = 1 and I_k = -sum_j a_j a_0^(j-1) I_(k-j), all in ints."""
         if not self.coeffs:
             raise NotInvertible("cannot invert the zero series")
         low_k = min(self.coeffs)
-        lead = as_rat(self.coeffs[low_k])
-        low = Fraction(low_k, self.denom)
-        cut = self.cutoff - 2 * low
-        # reduce to monic 1 + u on the sparsest sublattice (ints if u is)
-        rel = {k - low_k: _canonical(v / lead) for k, v in self.coeffs.items()}
-        step = 0
-        for k in rel:
-            step = gcd(step, k)
-        step = step or 1
-        u = {k // step: v for k, v in rel.items() if k}
-        kmax_f = (self.cutoff - low) * self.denom / step  # exact bound on reduced lattice
-        kmax = int(kmax_f) + 1
-        inv = [0] * max(kmax, 1)
+        lead = self.coeffs[low_k]
+        cut = self.cutoff - 2 * Fraction(low_k, self.denom)
+        step = gcd(*(k - low_k for k in self.coeffs)) or 1
+        u = sorted(((k - low_k) // step, v) for k, v in self.coeffs.items() if k != low_k)
+        uk = [(j, v * lead ** (j - 1)) for j, v in u]
+        kmax_f = (self.cutoff * self.denom - low_k) / step  # exact bound on reduced lattice
+        inv = [0] * max(int(kmax_f) + 1, 1)
         inv[0] = 1
-        uk = sorted(u.items())
         for k in range(1, len(inv)):
             s = 0
             for j, uj in uk:
@@ -283,11 +275,14 @@ class FracSeries:
                     break
                 s += uj * inv[k - j]
             inv[k] = -s
-        coeffs = {}
-        for k, v in enumerate(inv):
-            if v:
-                coeffs[k * step - low_k] = v / lead
-        return FracSeries(self.denom, coeffs, cut)
+        top = len(inv) - 1  # over the one denominator a_0^(top+1), sign moved up
+        pows = list(accumulate(repeat(lead, top), mul, initial=1))
+        sign = -1 if lead < 0 and top % 2 == 0 else 1
+        kcut = ceil(cut * self.denom)
+        return FracSeries._of(self.denom, {k * step - low_k: sign * self.cden * v * pows[top - k]
+                                           for k, v in enumerate(inv)
+                                           if v and k * step - low_k < kcut},
+                              cut, abs(lead) ** (top + 1))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -302,33 +297,27 @@ class FracSeries:
             raise ValueError("rescale factor must be positive")
         return FracSeries._reduced(self.denom * t.denominator,
                                    {k * t.numerator: v for k, v in self.coeffs.items()},
-                                   self.cutoff * t)
+                                   self.cutoff * t, self.cden)
 
     def shift(self, e) -> "FracSeries":
         """Multiply by q^e."""
         e, d = as_rat(e), self.denom
         return FracSeries._reduced(d * e.denominator, {k * e.denominator + e.numerator * d: v
-                                   for k, v in self.coeffs.items()}, self.cutoff + e)
+                                   for k, v in self.coeffs.items()}, self.cutoff + e, self.cden)
 
     def split(self, residue) -> "FracSeries":
         """Keep only exponents congruent to ``residue`` modulo 1."""
-        residue = as_rat(residue) % 1
-        keep = {
-            k: v
-            for k, v in self.coeffs.items()
-            if Fraction(k, self.denom) % 1 == residue
-        }
-        return FracSeries(self.denom, keep, self.cutoff)
+        t = as_rat(residue) % 1 * self.denom  # k/denom = residue (mod 1) iff k = t (mod denom)
+        t = t.numerator if t.denominator == 1 else -1
+        return FracSeries._of(self.denom, {k: v for k, v in self.coeffs.items()
+                                           if k % self.denom == t}, self.cutoff, self.cden)
 
     def substitute_minus_q(self) -> "FracSeries":
         """q -> -q on an integer-exponent series."""
-        out = {}
-        for k, v in self.coeffs.items():
-            e = Fraction(k, self.denom)
-            if e.denominator != 1:
-                raise ValueError("q -> -q needs integer exponents")
-            out[k] = -v if e.numerator % 2 else v
-        return FracSeries(self.denom, out, self.cutoff)
+        if any(k % self.denom for k in self.coeffs):
+            raise ValueError("q -> -q needs integer exponents")
+        return FracSeries._of(self.denom, {k: -v if k // self.denom % 2 else v for k, v
+                                           in self.coeffs.items()}, self.cutoff, self.cden)
 
     def truncate(self, cutoff) -> "FracSeries":
         cutoff = as_rat(cutoff)
@@ -336,7 +325,7 @@ class FracSeries:
             raise CutoffUnderflow(f"cannot extend cutoff {self.cutoff} to {cutoff}")
         kcut = ceil(cutoff * self.denom)
         return FracSeries._of(self.denom, {k: v for k, v in self.coeffs.items() if k < kcut},
-                              cutoff)
+                              cutoff, self.cden)
 
     def render(self, max_terms: int = 12) -> str:
         """Canonical text form q^(a/b)*(c0 + c1*q^(s) + ...)."""

@@ -79,7 +79,7 @@ def test_psi_times_theta1_squared(c, annulus):
     # Psi_{1,1} theta_1(tau,z)^2 = theta_1(tau,2z) eta^3, with the units -i of
     # both thetas divided out; this pins psi_one_one = mu^(1)_0
     t1 = jb.jacobi_theta(1, c)
-    t1_2z = jb.WindowedSeries(t1.denom, {k: {2 * y: v for y, v in row.items()}
+    t1_2z = jb.WindowedSeries(t1.denom, {k: {2 * y: F(v, t1.cden) for y, v in row.items()}
                                          for k, row in t1.rows.items()},
                               t1.qcut, ydenom=t1.ydenom)
     sq = t1 * t1
@@ -109,7 +109,7 @@ def test_index_theta_r0_specialization():
 
 def dz_at_z0(s):
     """(1/2 pi i) d/dz at z = 0 of a complete series: each coefficient weighted by its y-power."""
-    return FracSeries(s.denom, {k: sum(F(y, s.ydenom) * c for y, c in row.items())
+    return FracSeries(s.denom, {k: sum(F(y * c, s.ydenom * s.cden) for y, c in row.items())
                                 for k, row in s.rows.items()}, s.qcut)
 
 
@@ -594,9 +594,9 @@ def test_n4_identity_fires_on_a_dropped_row_term(monkeypatch):
         out = rows(*args)
         top = out[-1]
         k = max(top.coeffs)
-        dropped.append((F(k, top.denom), top.coeffs[k]))
+        dropped.append((F(k, top.denom), F(top.coeffs[k], top.cden)))
         out[-1] = FracSeries._of(top.denom, {j: v for j, v in top.coeffs.items() if j != k},
-                                 top.cutoff)
+                                 top.cutoff, top.cden)
         return out
 
     monkeypatch.setattr(jb, "_psi_rows", drop_last)
@@ -608,7 +608,7 @@ def test_n4_identity_fires_on_a_dropped_row_term(monkeypatch):
 
 def _rows_agree(phi, m, qcut, annulus=jb.LOWER):
     """``_psi_rows`` against the y-rows of the whole product with Psi_{1,1} expanded
-    wide enough, denominators, cutoffs and coefficient types included."""
+    wide enough, denominators, cutoffs and stored numerators included."""
     psi = jb.psi_one_one(qcut, (m - 1) + int(phi.max_abs_y()) + 1, annulus)
     full = jb.windowed_mul(phi, psi, qcut, ywindow=m - 1)
     rows = jb._psi_rows(phi, m, qcut, annulus)
@@ -617,7 +617,7 @@ def _rows_agree(phi, m, qcut, annulus=jb.LOWER):
         want = full.y_row(r)
         assert (got.denom, got.cutoff) == (want.denom, want.cutoff)
         assert list(got.items()) == list(want.items())
-        assert [type(v) for v in got.coeffs.values()] == [type(v) for v in want.coeffs.values()]
+        assert (got.coeffs, got.cden) == (want.coeffs, want.cden)
 
 
 @pytest.mark.parametrize("annulus", [jb.LOWER, jb.UPPER])
@@ -653,7 +653,7 @@ def test_extraction_refuses_a_pole_block_one_power_short(monkeypatch, ell):
         monkeypatch.setattr(jb, "appell_mu", lambda m, j2, c, w, ann: mu(m, j2, c, w + dmu, ann))
 
     widen(1)
-    assert [h.coeffs for h in jb.extract_H(ell, 10)] == [h.coeffs for h in want]
+    assert [(h.coeffs, h.cden) for h in jb.extract_H(ell, 10)] == [(h.coeffs, h.cden) for h in want]
     widen(-1)
     with pytest.raises(WindowTooNarrow) as err:
         jb.extract_H(ell, 10)
@@ -698,16 +698,18 @@ def test_pole_blocks_built_once(monkeypatch):
 
 
 def test_y_row_matches_canonicalizing_construction():
-    # absent rows, windowed series and a y-denominator of 2 included
+    # absent rows, windowed series, a y-denominator of 2 and a denominator 3 included
     z = jb.umbral_Z(5, 4)
     psi = jb.psi_one_one(4, int(z.max_abs_y()) + 4, jb.LOWER)
-    for s in (z, psi, jb.windowed_mul(z, psi, qcut=4, ywindow=3), jb.jacobi_theta(1, 4)):
+    for s in (z, psi, jb.windowed_mul(z, psi, qcut=4, ywindow=3), jb.jacobi_theta(1, 4),
+              z.scale(F(2, 3))):
         top = s.ywindow if s.ywindow is not None else int(s.max_abs_y()) + 2
         for y in range(-top, top + 1):
             got = s.y_row(y)
-            want = FracSeries(s.denom, {k: row.get(y * s.ydenom, 0) for k, row in s.rows.items()},
-                              s.qcut)
-            assert (got.denom, got.coeffs, got.cutoff) == (want.denom, want.coeffs, want.cutoff)
+            want = FracSeries(s.denom, {k: F(row.get(y * s.ydenom, 0), s.cden)
+                                        for k, row in s.rows.items()}, s.qcut)
+            assert (got.denom, got.coeffs, got.cden, got.cutoff) == \
+                (want.denom, want.coeffs, want.cden, want.cutoff)
 
 
 def gauss_jordan_rank(matrix):
@@ -818,38 +820,58 @@ def test_dump_format():
     assert th.dump() == "(1/8, 1) -> 1\n(9/8, -3) -> 1"
 
 
-# -- canonical coefficients -----------------------------------------------------
+# -- stored numerators -----------------------------------------------------------
 
 def stored(series):
-    """Every coefficient a FracSeries or a WindowedSeries stores."""
+    """The numerators a FracSeries or a WindowedSeries stores, and their one denominator."""
     if isinstance(series, FracSeries):
-        return list(series.coeffs.values())
-    return [c for r in series.rows.values() for c in r.values()]
+        return list(series.coeffs.values()), series.cden
+    return [c for r in series.rows.values() for c in r.values()], series.cden
+
+
+def assert_reduced(series):
+    """Every stored numerator a nonzero int, the denominator a positive int, their gcd 1."""
+    nums, cden = stored(series)
+    assert all(type(c) is int and c for c in nums) and type(cden) is int and cden > 0, series
+    assert gcd(cden, *nums) == 1, series
 
 
 def test_tower_and_vectors_store_ints():
-    # the extremal forms and their mock modular vectors are integral, so the
-    # canonical form keeps every coefficient an int
+    # the extremal forms and their mock modular vectors are integral, so each
+    # stores its coefficients themselves, over the denominator 1
     for m in LAMBENCIES:
-        assert {type(c) for c in stored(jb.gritsenko(m, 1, 12))} == {int}, m
+        assert stored(jb.gritsenko(m, 1, 12))[1] == 1, m
+        assert_reduced(jb.gritsenko(m, 1, 12))
         for h in jb.extract_H(m, 12):
-            assert {type(c) for c in stored(h)} == {int}, m
+            assert stored(h)[1] == 1, m
+            assert_reduced(h)
 
 
 def test_no_series_stores_a_float_or_an_integral_fraction():
     built = [jb.gritsenko(3, 1, 5), jb.psi_one_one(5, 4), jb.appell_mu(3, 0, 5, 4),
              jb.zeta_form(4), mckay.twisted_H(3, "2B", 6).component(1),
              eta_quotient([(1, 1), (2, -2)], 8), unary_theta(5, 2, 9)]
+    # scaled, and cut down to the term whose denominator is 2
+    mixed = FracSeries(2, {0: F(1, 2), 1: F(1, 3)}, 9)
+    built += [s.scale(F(4, 6)) for s in built] + [
+        mixed.truncate(F(1, 2)), mixed.split(0),
+        jb.WindowedSeries.from_fracseries(mixed).truncate(F(1, 2)),
+        jb.WindowedSeries(1, {0: {0: F(1, 2), 1: F(1, 3)}}, 9).y_row(0)]
     for series in built:
-        for c in stored(series):
-            assert type(c) is int or type(c) is F and c.denominator != 1, series
+        assert_reduced(series)
+    # the check fires on a denominator 2 over even numerators, set past _of's reduction
+    for bad in (FracSeries._of(1, {0: 2, 1: -4}, 3), jb.WindowedSeries._of(1, {0: {0: 2, 1: 4}}, 3)):
+        bad.cden = 2
+        with pytest.raises(AssertionError):
+            assert_reduced(bad)
     for make in (lambda c: FracSeries(1, {0: c}, 3),
                  lambda c: jb.WindowedSeries(1, {0: {0: c}}, 3),
                  lambda c: FracSeries.from_terms([(0, c)], 3),
                  lambda c: FracSeries.one(3).scale(c)):
         with pytest.raises(TypeError):
             make(0.5)
-        assert type(stored(make(F(6, 3)))[0]) is int
+        assert stored(make(F(6, 3))) == ([2], 1)
+        assert stored(make(F(6, 4))) == ([3], 2)
     # the public accessors still hand out Fractions
     assert type(FracSeries(1, {0: 2}, 3).coefficient(0)) is F
     assert type(jb.WindowedSeries(1, {0: {0: 2}}, 3).coefficient(0, 0)) is F

@@ -3,15 +3,16 @@
 ``qseries._convolve`` (Kronecker substitution) and both ``*`` operators are
 compared with a schoolbook product written here on Fractions only, with
 exponents compared as Fractions against the cutoff.  The operands mix ints,
-Fractions, negative values and terms that cancel, and the cutoffs are
-fractional with products landing on both sides of the integer bound
-ceil(cut * d).  Targeted cases cover the packing: strided keys, negative keys
-and powers, coefficients that fill the slot width exactly, denominators,
+Fractions, negative values and terms that cancel; ``_convolve`` gets them as
+int numerators over one denominator per operand, as the series store them.
+The cutoffs are fractional with products landing on both sides of the integer
+bound ceil(cut * d).  Targeted cases cover the packing: strided keys, negative
+keys and powers, coefficients that fill the slot width exactly, denominators,
 empty operands and cutoffs below the lowest product key.
 """
 import random
 from fractions import Fraction as F
-from math import ceil
+from math import ceil, gcd, lcm
 
 from moonshine.jacobi import WindowedSeries
 from moonshine.qseries import FracSeries, _convolve
@@ -42,15 +43,32 @@ def flat(r):
     return [(k, y, c) for k, row in r.items() for y, c in row.items()]
 
 
+def numerators(r):
+    """Rows of ints and Fractions as int numerators over their lcm denominator."""
+    den = lcm(*(F(c).denominator for row in r.values() for c in row.values()))
+    return {k: {y: int(c * den) for y, c in row.items()} for k, row in r.items()}, den
+
+
 def assert_product(ra, rb, kcut):
-    """``_convolve`` equals the reference and holds only nonzero canonical values."""
-    out = _convolve(ra, rb, kcut)
-    got = {(F(k), F(y)): F(c) for k, row in out.items() for y, c in row.items()}
+    """``_convolve`` on the numerators, over the product of the two denominators,
+    equals the reference and holds only nonzero ints."""
+    (na, da), (nb, db) = numerators(ra), numerators(rb)
+    out = _convolve(na, nb, kcut)
+    got = {(F(k), F(y)): F(c, da * db) for k, row in out.items() for y, c in row.items()}
     assert got == reference(flat(ra), flat(rb), kcut)
     for row in out.values():
         assert row
-        assert all(type(c) is int or (type(c) is F and c.denominator > 1) for c in row.values())
+        assert all(type(c) is int and c for c in row.values())
     return out
+
+
+def assert_reduced(series):
+    """The storage of either series class: int numerators, a positive int
+    denominator, and no common factor of the two but 1."""
+    nums = (list(series.coeffs.values()) if isinstance(series, FracSeries)
+            else [c for row in series.rows.values() for c in row.values()])
+    assert all(type(c) is int and c for c in nums) and type(series.cden) is int
+    assert series.cden > 0 and gcd(series.cden, *nums) == 1
 
 
 def coefficient(rng):
@@ -113,22 +131,31 @@ def test_convolve_slot_width_is_tight():
     assert tight >= 12
 
 
-def test_convolve_rational_rows():
+def windowed_product(ra, rb, kcut):
+    """``*`` on the rows as WindowedSeries, cut at kcut, against the reference."""
+    prod = (WindowedSeries(1, ra, 20) * WindowedSeries(1, rb, 20)).truncate(kcut)
+    assert {(q, y): c for q, y, c in prod.items()} == reference(flat(ra), flat(rb), kcut)
+    assert_reduced(prod)
+    return prod
+
+
+def test_product_of_rational_rows():
     rng = random.Random(SEED + 5)
     for _ in range(60):
         ra = {k: {y: F(rng.randint(-9, 9), rng.choice([1, 3, 4])) for y in (0, 1, 3)}
               for k in rng.sample(range(8), 3)}
         rb = {k: {y: F(rng.randint(-9, 9), rng.choice([1, 5, 6])) for y in (-1, 0)}
               for k in rng.sample(range(8), 3)}
-        assert_product(ra, rb, rng.randint(1, 16))
+        windowed_product(ra, rb, rng.randint(1, 16))
 
 
-def test_convolve_integral_fractions_come_out_as_ints():
+def test_product_of_integral_fractions_stores_reduced_numerators():
     ra = {0: {0: F(4, 2), 1: F(3)}, 1: {0: F(1, 2)}}
     rb = {0: {0: F(6, 3)}, 2: {-1: F(2, 4)}}
-    out = assert_product(ra, rb, 3)
-    assert out == {0: {0: 4, 1: 6}, 1: {0: 1}, 2: {-1: 1, 0: F(3, 2)}}
-    assert [type(out[k][y]) for k, y in ((0, 0), (0, 1), (1, 0), (2, -1))] == [int] * 4
+    prod = windowed_product(ra, rb, 3)
+    assert {(int(q), int(y)): c for q, y, c in prod.items()} == \
+        {(0, 0): 4, (0, 1): 6, (1, 0): 1, (2, -1): 1, (2, 0): F(3, 2)}
+    assert (prod.rows, prod.cden) == ({0: {0: 8, 1: 12}, 1: {0: 2}, 2: {-1: 2, 0: 3}}, 2)
 
 
 def test_convolve_empty_operand():
@@ -170,7 +197,7 @@ def test_fracseries_product_matches_reference():
         want = reference([(e, 0, c) for e, c in a.items()],
                          [(e, 0, c) for e, c in b.items()], cut)
         assert {(e, F(0)): c for e, c in prod.items()} == want
-        assert all(type(c) in (int, F) for c in prod.coeffs.values())
+        assert_reduced(prod)
         sums = {ea + eb for ea, _ in a.items() for eb, _ in b.items()}
         d = prod.denom
         if F(ceil(cut * d) - 1, d) in sums and F(ceil(cut * d), d) in sums:
@@ -185,8 +212,8 @@ def test_fracseries_boundary_rounding():
     prod = a * b
     assert prod.cutoff == F(7, 3)
     assert dict(prod.items()) == {0: 2, F(1, 2): 1, 2: F(-16, 3)}
-    assert prod.coeffs == {0: 2, 1: 1, 4: F(-16, 3)}
-    assert [type(prod.coeffs[k]) for k in (0, 1, 4)] == [int, int, F]
+    assert (prod.coeffs, prod.cden) == ({0: 6, 1: 3, 4: -16}, 3)
+    assert_reduced(prod)
 
 
 def windowed(rng, denom, ydenom, cutoff, low):
@@ -209,7 +236,7 @@ def test_windowed_product_matches_reference():
         assert prod.qcut == cut
         want = reference(list(a.items()), list(b.items()), cut)
         assert {(q, y): c for q, y, c in prod.items()} == want
-        assert all(type(c) in (int, F) for row in prod.rows.values() for c in row.values())
+        assert_reduced(prod)
         sums = {qa + qb for qa, _, _ in a.items() for qb, _, _ in b.items()}
         d = prod.denom
         if F(ceil(cut * d) - 1, d) in sums and F(ceil(cut * d), d) in sums:

@@ -181,7 +181,7 @@ def test_shift_and_rescale_on_the_lattice():
             _same(s.shift(e), _by_terms(s, lambda x: x + e, s.cutoff + e))
         for t in (F(1, 2), 2, F(3, 4), F(6, 5)):
             _same(s.rescale(t), _by_terms(s, lambda x: x * t, s.cutoff * t))
-        _same(-s, FracSeries(s.denom, {k: -v for k, v in s.coeffs.items()}, s.cutoff))
+        _same(-s, FracSeries(s.denom, {k: F(-v, s.cden) for k, v in s.coeffs.items()}, s.cutoff))
     assert FracSeries(12, {6: 1, 18: 1}, 3).shift(F(1, 2)).denom == 1
     assert FracSeries.zero(5).rescale(F(1, 2)).denom == 1
 

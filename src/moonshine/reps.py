@@ -9,10 +9,11 @@ quadratic fields involved.
 view built on first use.  With e the common denominator of the entries and L
 the lcm of the centralizer orders, e*chi_i(K) = R[i][K] + X[i][K]*sqrt(d_i)
 and conj(chi_i(K))/|C(K)| = (A[i][K] - B[i][K]*sqrt(d_i))/(e*L), where A and
-B are R and X times the integer weights L/|C(K)|.  ``decompose`` checks on
-every call that sum_K B[i][K]*c_K = 0: a non-real multiplicity depends on the
-class function, not only on the table (at lambency 2, the function 1 on 7A
-and 0 elsewhere has a non-real chi_3 part).
+B are R and X times the integer weights L/|C(K)|.  ``decompose`` reads a row
+through the column map of its label tuple (the label read at each column) and
+checks sum_K B[i][K]*c_K = 0 on each chi_i with B[i] != 0: a non-real
+multiplicity depends on the class function, not only on the table (at
+lambency 2, the function 1 on 7A and 0 elsewhere has a non-real chi_3 part).
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ def _int_view(ell: int):
     e = lcm(*(x.denominator for row in t.values for v in row for x in (v.rat, v.irr)))
     big_l = lcm(*t.centralizers)
     w = [big_l // c for c in t.centralizers]
-    R = [[int(v.rat * e) for v in row] for row in t.values]
-    X = [[int(v.irr * e) for v in row] for row in t.values]
+    R = [[v.rat.numerator * (e // v.rat.denominator) for v in row] for row in t.values]
+    X = [[v.irr.numerator * (e // v.irr.denominator) for v in row] for row in t.values]
     rdisc = [_one_disc(row, f"chi_{i + 1}") for i, row in enumerate(t.values)]
     cdisc = [_one_disc(col, f"column {lab}") for lab, col in zip(t.classes, zip(*t.values))]
     return (e, big_l, R, X, [list(map(mul, row, w)) for row in R],
@@ -110,33 +111,42 @@ class Multiplicities:
     nonnegative: bool
 
 
-def decompose(ell: int, r: int, fourld: int, coefficients: dict) -> Multiplicities:
-    """Invert the character table on a class function.
-
-    ``coefficients`` maps merged class labels to exact values; merged labels
-    are expanded by duplication onto their character-table columns.
-    m_i = sum_K conj(chi_i(K)) c_K / |C(K)|.
-    """
+@memo
+def _column_map(ell: int, labels: tuple):
+    """(cols, e*L, A, irrational) for rows keyed by ``labels``: cols[K] is the
+    position of the label read at column K, irrational the (i, B[i]) with B[i] != 0."""
     t = character_table(ell)
-    by_col = {}
-    for lab, c in coefficients.items():
+    at = {}
+    for pos, lab in enumerate(labels):
         for member in merged_members(lab):
             if member not in t.classes:
                 raise UnknownClass(f"{member} not a class at lambency {ell}")
-            by_col[member] = c
-    if len(by_col) != len(t.classes):
-        missing = set(t.classes) - set(by_col)
+            at[member] = pos
+    if len(at) != len(t.classes):
+        missing = set(t.classes) - set(at)
         raise UnknownClass(f"coefficient vector incomplete: missing {sorted(missing)}")
     e, big_l, _, _, A, B, _, _ = _int_view(ell)
-    cs = [_canonical(by_col[lab]) for lab in t.classes]
-    counts = []
-    for i in range(t.nchars):
-        if sum(map(mul, B[i], cs)):
+    return [at[lab] for lab in t.classes], e * big_l, A, [(i, b) for i, b in enumerate(B) if any(b)]
+
+
+def decompose(ell: int, r: int, fourld: int, coefficients: dict) -> Multiplicities:
+    """Invert the character table on a class function.
+
+    ``coefficients`` maps merged class labels to exact values, read onto the
+    character-table columns through the column map of its label tuple.
+    m_i = sum_K conj(chi_i(K)) c_K / |C(K)|; the non-real check runs on the
+    characters with an irrational part only.
+    """
+    cols, scale, A, irrational = _column_map(ell, tuple(coefficients))
+    vals = [c if type(c) is int else _canonical(c) for c in coefficients.values()]
+    cs = [vals[k] for k in cols]
+    for i, b in irrational:
+        if sum(map(mul, b, cs)):
             raise DataCorrupt(f"non-real multiplicity for chi_{i + 1}")
-        counts.append(Fraction(sum(map(mul, A[i], cs)), e * big_l))
-    integral = all(c.denominator == 1 for c in counts)
-    nonneg = all(c >= 0 for c in counts)
-    return Multiplicities(ell, r, fourld, counts, integral, nonneg)
+    nums = [sum(map(mul, a, cs)) for a in A]
+    rems = [n % scale for n in nums]
+    counts = [Fraction(n, scale) if m else Fraction(n // scale) for n, m in zip(nums, rems)]
+    return Multiplicities(ell, r, fourld, counts, not any(rems), min(nums) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +323,7 @@ def doublet_check(ell: int) -> dict:
 
 
 def _is_doubled(counts) -> bool:
-    return all(c % 2 == 0 for c in counts)
+    return all(c.denominator == 1 and not c.numerator % 2 for c in counts)
 
 
 def fs_zero_matches_types(ell: int) -> bool:

@@ -168,6 +168,36 @@ def test_incomplete_vector_rejected():
         reps.decompose(13, 1, 51, {"1A": 2})
 
 
+def test_each_class_indicator_rejected_at_its_first_non_real_character():
+    # the indicator of a class is non-real first at the first character irrational there,
+    # which for some classes is not the first irrational character of the table
+    later = 0
+    for ell in LAMBENCIES:
+        t = reps.character_table(ell)
+        first_irrational = next(i for i, row in enumerate(t.values) if any(v.irr for v in row))
+        for lab in t.classes:
+            vec = {k: int(k == lab) for k in t.classes}
+            want = _reference_multiplicities(ell, vec)
+            first = next((i for i, m in enumerate(want) if not m.is_rational), None)
+            if first is None:
+                assert reps.decompose(ell, 1, 1, vec).counts == [m.rat for m in want]
+                continue
+            later += first > first_irrational
+            with pytest.raises(DataCorrupt, match=rf"non-real multiplicity for chi_{first + 1}$"):
+                reps.decompose(ell, 1, 1, vec)
+    assert later
+
+
+def test_bad_layout_rejected_after_a_valid_one_was_mapped():
+    # the column map is kept per label tuple; an unknown or a missing class still raises
+    assert reps.decompose(13, 1, 1, {"1A": 1, "2A": 1, "4AB": 1}).counts == [1, 0, 0, 0]
+    for _ in range(2):
+        with pytest.raises(UnknownClass, match="4C not a class at lambency 13"):
+            reps.decompose(13, 1, 1, {"1A": 1, "2A": 1, "4AC": 1})
+        with pytest.raises(UnknownClass, match=r"missing \['4B'\]"):
+            reps.decompose(13, 1, 1, {"1A": 1, "2A": 1, "4A": 1})
+
+
 def test_polar_row_decomposes_to_trivial():
     got = reps.decompose(2, 1, -1, reps.coefficient_row(2, 1, -1))
     assert got.counts[0] == -2 and all(c == 0 for c in got.counts[1:])
@@ -294,6 +324,12 @@ def test_doublet_conjecture_and_samples():
             got = reps.decompose(ell, r, fourld, reps.coefficient_row(ell, r, fourld))
             assert reps.is_representable(ell, fourld, inv["types"])
             assert not reps._is_doubled(got.counts), (ell, fourld)
+
+
+def test_is_doubled_needs_even_integers():
+    assert not reps._is_doubled([F(2, 3)])
+    assert reps._is_doubled([F(4), F(0), F(-2)])
+    assert not reps._is_doubled([F(3)])
 
 
 def test_discriminant_report_all():

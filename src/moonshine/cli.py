@@ -10,12 +10,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import groups, jacobi, mckay, reps, siegel
 from .data import LAMBENCIES, set_data_dir
 from .errors import MoonshineError, OutOfRange, UnknownClass
 
 
+@cache  # built once per process; parse_args keeps no state between calls
 def _parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--data-dir", help="override the bundled data directory")

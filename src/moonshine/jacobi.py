@@ -42,7 +42,8 @@ from .data import LAMBENCIES, memo
 from .errors import (CutoffUnderflow, NotInvertible, OutOfRange, UnboundedSupport,
                      WindowTooNarrow)
 # eta is not called here; it stays importable, as perfbench's tracer test rebinds jacobi.eta
-from .qseries import FracSeries, _convolve, _sigma, _theta_lattice, eta, eta_quotient
+from .qseries import (FracSeries, _convolve, _pack, _sigma, _theta_lattice, _unpack, eta,
+                      eta_quotient)
 
 ENTIRE = "entire"
 LOWER = "lower"   # |q| < |y| < 1
@@ -351,34 +352,66 @@ def _theta_rows(a: int, kcut: int) -> dict:
 def _theta_divide(num: dict, b: int, kcut: int) -> dict:
     """The rows Q below kcut with Q * theta(tau, b z)/q^(1/8) = num, y-powers doubled.
 
-    Row k of Q is num_k minus the earlier rows of Q times the divisor's rows,
-    divided exactly by the leading row y^(b/2) - y^(-b/2) from the top y-power
-    down: Q[t] = R[t + b] + Q[t + 2b].  A row with a remainder raises.
+    Row k of Q solves Q_k L = R_k, with R_k = num_k minus Q_(k-i) times the divisor's
+    row i >= 1, s (y^(f/2) - y^(-f/2)), and L = y^(b/2) - y^(-b/2) its row 0.  Each
+    row is packed as one int (``qseries._pack``), its coefficients in signed w-bit
+    slots, w = 8 nb, on the lattice of step g = gcd(2b, the y-offsets of num), slot 0
+    at its lowest y-power: R_k's y-powers lie on one class mod g, Q's on that class
+    less b.  Divisor row i adds two shifts of the stored Q_(k-i) to R_k.  With
+    R_k = y^(lo/2) P(Y), Y = y^(g/2), L divides R_k when Y^(2b/g) - 1 divides P, and
+    one ``divmod`` of P(2^w) by 2^(2bw/g) - 1 decides it: the quotient, less its zero
+    low slots, is Q_k from y^((lo + b)/2) up, read back once (``qseries._unpack``).
+
+    The slots are wide enough when w >= bits(B_k) + 2.  R_k's coefficients are at
+    most A_k = max|num_k| + 2 sum_i max|Q_(k-i)|.  The polynomial quotient of P by
+    Y^(2b/g) - 1 and its remainder are suffix sums along the stride 2b of R_k's span,
+    so their coefficients are at most B_k = (floor(span/2b) + 1) A_k < 2^(w-2).  So
+    the remainder at Y = 2^w has absolute value below 2^(2bw/g) - 1 and is 0 only
+    if it vanishes: the integer remainder is nonzero, and the row raises, exactly
+    when L does not divide R_k.  Otherwise the integer quotient is the polynomial one
+    at 2^w; its lowest set bit lies in its lowest nonzero slot and its bit length
+    over w, plus 1, counts its slots from there.  A row whose B_k outgrows w widens
+    it, at least doubled, and repacks the stored rows.
     """
+    es = [e for row in num.values() for e in row]
+    if not es:
+        return {}
+    g = gcd(2 * b, *(e - es[0] for e in es))
+    m = 2 * b // g  # slots of y^b
     den = [(i, f, s) for i, row in sorted(_theta_rows(b, kcut).items()) if i
            for f, s in row.items() if f > 0]  # row i is s (y^(f/2) - y^(-f/2))
-    quo = {}
+    nb, quo, packed, out = 1, {}, {}, {}  # quo[k]: Q_k's lowest, highest y-power, max |c|
     for k in range(kcut):
-        rest = dict(num.get(k, {}))
-        for i, f, s in den:
-            if i > k:
-                break
-            for e, c in quo.get(k - i, {}).items():
-                c *= s
-                rest[e + f] = rest.get(e + f, 0) - c
-                rest[e - f] = rest.get(e - f, 0) + c
-        keys = [e for e, c in rest.items() if c]
-        if not keys:
+        row = num.get(k, {})
+        terms = [(j, f, s) for i, f, s in den if i <= k and (j := k - i) in quo]
+        if not row and not terms:
             continue
-        lo, q = min(keys), {}
-        for t in range(max(keys) - b, lo - b - 1, -1):
-            v = rest.get(t + b, 0) + q.get(t + 2 * b, 0)
-            if v and t < lo + b:
-                raise NotInvertible(f"theta(tau, {b}z) does not divide row q^{k}")
-            if v:
-                q[t] = v
-        quo[k] = q
-    return quo
+        lo = min([*row, *(quo[j][0] - f for j, f, _ in terms)])
+        hi = max([*row, *(quo[j][1] + f for j, f, _ in terms)])
+        bound = ((hi - lo) // (2 * b) + 1) * (max(map(abs, row.values()), default=0)
+                                              + 2 * sum(quo[j][2] for j, _, _ in terms))
+        if 8 * nb < bound.bit_length() + 2:
+            nb = max(2 * nb, (bound.bit_length() + 9) // 8)
+            packed = {j: _pack([(e - quo[j][0]) // g for e in r], r.values(), nb)
+                      for j, r in out.items()}
+        w = 8 * nb
+        rest = _pack([(e - lo) // g for e in row], row.values(), nb) if row else 0
+        for j, f, s in terms:  # R_k -= s Q_(k-i) (y^(f/2) - y^(-f/2))
+            x, at = packed[j], quo[j][0] - lo
+            up, down = x << w * ((at + f) // g), x << w * ((at - f) // g)
+            rest += down - up if s > 0 else up - down
+        if not rest:
+            continue
+        rest, left = divmod(rest, (1 << w * m) - 1)
+        if left:
+            raise NotInvertible(f"theta(tau, {b}z) does not divide row q^{k}")
+        first = ((rest & -rest).bit_length() - 1) // w
+        packed[k] = rest = rest >> w * first
+        vals = _unpack(rest, abs(rest).bit_length() // w + 1, nb)
+        low = lo + b + g * first
+        quo[k] = (low, low + g * (len(vals) - 1), max(map(abs, vals)))
+        out[k] = {e: v for e, v in zip(range(low, quo[k][1] + 1, g), vals) if v}
+    return out
 
 
 def _theta_block(nums, dens, k: int, qcut) -> WindowedSeries:

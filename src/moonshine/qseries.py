@@ -24,6 +24,8 @@ the cutoff are read back; the product's denominator is the product of the
 two.  A slot holds at most min(#terms) pairs, so bits(max|a|) + bits(max|b|)
 + bits(min #terms) bits and a sign bit make it wide enough for every product
 coefficient (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 8).
+The slots are packed by ``_pack`` and read back by ``_unpack``; the theta-block
+divider of ``jacobi`` holds its rows in the same slots through the same two.
 
 The catalog covers the Dedekind eta function and eta quotients, the weight-2
 Eisenstein combinations Lambda_N, the level 11/14/15/20/23/44 newforms, the
@@ -48,6 +50,27 @@ from .errors import (CutoffUnderflow, NotInvertible, NotUnimodular, OutOfRange,
                      UnknownClass)
 
 
+def _pack(at, vals, nb: int) -> int:
+    """One int holding each of ``vals`` in the signed nb-byte slot of index ``at``:
+    the join of slots biased by h = 2^(8nb-1), h in the empty ones, less h per slot."""
+    half, to_bytes = 1 << (8 * nb - 1), int.to_bytes
+    zero = to_bytes(half, nb, "little")
+    slots = [zero] * (max(at) + 1)
+    for i, v in zip(at, vals):
+        slots[i] = to_bytes(v + half, nb, "little")
+    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(zero * len(slots), "little")
+
+
+def _unpack(x: int, n: int, nb: int) -> list:
+    """The values of the n lowest signed nb-byte slots of ``x``, lowest first, when each
+    lies in [-2^(8nb-1), 2^(8nb-1)): x plus h per slot, cut to n slots, read slot by slot."""
+    half, size = 1 << (8 * nb - 1), nb * n
+    buf = ((x + int.from_bytes(half.to_bytes(nb, "little") * n, "little"))
+           & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(buf[p:p + nb], "little") - half for p in range(0, size, nb)]
+
+
 def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
     """Product of int rows ``{k: {y: c}}`` at keys k < kcut, by Kronecker substitution.
 
@@ -58,8 +81,8 @@ def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
     W = wa + wb + 1 for y-spans wa and wb in steps of ys, so no two product terms share
     a slot.  A product slot sums at most min(#terms) pairs, so its absolute value is
     below 2^(bits(max|a|) + bits(max|b|) + bits(min #terms)); one sign bit more is the
-    slot width.  An operand is one join of its slots, each biased by h = 2^(8B-1), less
-    h per slot; the one product, plus h per slot below kcut, is read back in one pass.
+    slot width.  Each operand is packed by ``_pack`` and the slots of the one product
+    below kcut are read back by ``_unpack``.
     """
     ta = [(k, y, c) for k, row in ra.items() for y, c in row.items() if c]
     tb = [(k, y, c) for k, row in rb.items() for y, c in row.items() if c]
@@ -76,23 +99,10 @@ def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
     bits = (max(map(abs, Va)).bit_length() + max(map(abs, Vb)).bit_length()
             + min(len(Va), len(Vb)).bit_length() + 1)
     nb = (bits + 7) // 8
-    half = 1 << (8 * nb - 1)
-    zero = half.to_bytes(nb, "little")
-
-    def pack(K, Y, V, k0, y0):
-        at = [(k - k0) // ks * width + (y - y0) // ys for k, y in zip(K, Y)]
-        slots = [zero] * (max(at) + 1)
-        for i, v in zip(at, V):
-            slots[i] = (v + half).to_bytes(nb, "little")
-        return int.from_bytes(b"".join(slots), "little") - bias(len(slots))
-
-    n = nrows * width
-    bias = lambda count: int.from_bytes(zero * count, "little")  # h in each of count slots
-    buf = ((pack(Ka, Ya, Va, ka, ya) * pack(Kb, Yb, Vb, kb, yb) + bias(n))
-           & ((1 << (8 * nb * n)) - 1)).to_bytes(nb * n, "little")
+    pa, pb = (_pack([(k - k0) // ks * width + (y - y0) // ys for k, y in zip(K, Y)], V, nb)
+              for K, Y, V, k0, y0 in ((Ka, Ya, Va, ka, ya), (Kb, Yb, Vb, kb, yb)))
     out = {}
-    for i, v in enumerate([int.from_bytes(buf[p:p + nb], "little") - half
-                           for p in range(0, nb * n, nb)]):
+    for i, v in enumerate(_unpack(pa * pb, nrows * width, nb)):
         if v:
             out.setdefault(ka + kb + i // width * ks, {})[ya + yb + i % width * ys] = v
     return out

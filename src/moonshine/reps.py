@@ -252,11 +252,18 @@ def h_discriminants(ell: int) -> set:
     return {k for (_, k), row in stored_rows(ell).items() if k > 0 and row["1A"] != 0}
 
 
-def _lambda_of(n: int, fourld: int) -> int:
-    """The lambda >= 1 with fourld = n lambda^2, or 0 if there is none."""
-    q, rem = divmod(fourld, n)
-    lam = isqrt(max(q, 0))
-    return lam if not rem and lam * lam == q else 0
+@memo
+def _scaled_squares(ell: int) -> tuple:
+    """The largest stored 4ld, the divisors n >= 2 of the class orders, and the map from
+    each n lambda^2 up to that 4ld, lambda >= 1, to {n: lambda}: the one table behind the
+    n lambda^2 tests of the discriminant suite."""
+    top = max(k for _, k in stored_rows(ell))
+    ns = {d for c in class_table(ell).classes for d in range(2, c.order + 1) if c.order % d == 0}
+    table = {}
+    for n in ns:
+        for lam in range(1, isqrt(top // n) + 1):
+            table.setdefault(n * lam * lam, {})[n] = lam
+    return top, ns, table
 
 
 @memo
@@ -267,15 +274,9 @@ def type_n_inventory(ell: int) -> dict:
     Fields match up to square factors (type 8 lives in Q(sqrt(-2)), type 20
     in Q(sqrt(-5))), so pairs are grouped by the squarefree kernel.
     """
-    gd = class_table(ell)
-    orders = set()
-    for c in gd.classes:
-        for d in range(2, c.order + 1):
-            if c.order % d == 0:
-                orders.add(d)
-    discs = h_discriminants(ell)
-    ns = {n for n in orders for k in discs
-          if (lam := _lambda_of(n, k)) and gcd(lam, n) == 1}
+    table = _scaled_squares(ell)[2]
+    ns = {n for k in h_discriminants(ell) for n, lam in table.get(k, {}).items()
+          if gcd(lam, n) == 1}
     by_field = {}
     for i, d in enumerate(_int_view(ell)[6]):  # the row discriminants
         if d:
@@ -287,19 +288,26 @@ def type_n_inventory(ell: int) -> dict:
 def minimal_lambda_rows(ell: int) -> dict:
     """For each type n: the smallest lambda with -D = -n lambda^2 a
     discriminant, and the decomposition at that row."""
-    discs = h_discriminants(ell)
+    table = _scaled_squares(ell)[2]
+    discs = sorted(h_discriminants(ell))
     out = {}
     for n in sorted(type_n_inventory(ell)["types"]):
-        fourld = min(k for k in discs if _lambda_of(n, k))
+        fourld = next(k for k in discs if n in table.get(k, {}))
         r = row_component(ell, fourld)
         got = stored_decompositions(ell)[r, fourld]
         nonzero = {i + 1: c for i, c in enumerate(got.counts) if c != 0}
-        out[n] = {"lambda": _lambda_of(n, fourld), "fourld": fourld, "r": r, "counts": nonzero}
+        out[n] = {"lambda": table[fourld][n], "fourld": fourld, "r": r, "counts": nonzero}
     return out
 
 
 def is_representable(ell: int, fourld: int, types) -> bool:
-    return any(_lambda_of(n, fourld) for n in types)
+    """fourld = n lambda^2 for some n in ``types`` and lambda >= 1; fourld at most the
+    largest stored 4ld and each n a divisor of a class order."""
+    top, ns, table = _scaled_squares(ell)
+    if fourld > top or not ns.issuperset(types):
+        raise OutOfRange(f"4ld = {fourld} or types {sorted(types)} past the lambency-{ell} tables")
+    hit = table.get(fourld, {})
+    return any(n in hit for n in types)
 
 
 def doublet_check(ell: int) -> dict:

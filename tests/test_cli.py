@@ -289,3 +289,44 @@ def test_unknown_newform_in_data_exits_3(tmp_path, capsys):
         set_data_dir(None)
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == "data error: unknown newform 'f99'\n"
+
+
+def _fresh(argv):
+    """Exit code, stdout and stderr of ``argv`` in a new interpreter."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import moonshine
+    env = {**os.environ, "PYTHONPATH": str(Path(moonshine.__file__).parent.parent)}
+    env.pop("MOONSHINE_DATA_DIR", None)
+    proc = subprocess.run([sys.executable, "-m", "moonshine.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_calls_in_one_process_print_what_fresh_processes_print(tmp_path, capsys):
+    # the parser is built once per process: no flag of one call may reach the next
+    import shutil
+    from moonshine.data import data_dir, set_data_dir
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    path = alt / "euler_5.json"
+    table = json.loads(path.read_text())
+    table["gamma"][table["classes"].index("4AB")] = "4|4"
+    path.write_text(json.dumps(table))
+    calls = [(["group-info", "--lambency", "13", "--json"], ["group-info", "--lambency", "13"]),
+             (["group-info", "--lambency", "5", "--data-dir", str(alt)],
+              ["group-info", "--lambency", "5"])]
+    for pair in calls:
+        got = []
+        try:
+            for argv in pair:
+                code = main(argv)
+                got.append((code, *capsys.readouterr()))
+                set_data_dir(None)  # --data-dir sets the process's data directory
+        finally:
+            set_data_dir(None)
+        assert got == [_fresh(argv) for argv in pair]
+    assert got[0][0] == 1 and got[1][0] == 0

@@ -316,6 +316,104 @@ def test_a_wrong_theta_quotient_raises(monkeypatch, m, row):
         jb.gritsenko(m, 1, 30)
 
 
+def reference_theta_divide(num, b, kcut):
+    """The rows Q below kcut with Q * theta(tau, b z)/q^(1/8) = num, one dict entry at a
+    time: row k of Q is num_k minus the earlier rows of Q times the divisor's rows,
+    divided exactly by the leading row y^(b/2) - y^(-b/2) from the top y-power down,
+    Q[t] = R[t + b] + Q[t + 2b]; a row with a remainder raises."""
+    den = [(i, f, s) for i, row in sorted(jb._theta_rows(b, kcut).items()) if i
+           for f, s in row.items() if f > 0]  # row i is s (y^(f/2) - y^(-f/2))
+    quo = {}
+    for k in range(kcut):
+        rest = dict(num.get(k, {}))
+        for i, f, s in den:
+            if i > k:
+                break
+            for e, c in quo.get(k - i, {}).items():
+                c *= s
+                rest[e + f] = rest.get(e + f, 0) - c
+                rest[e - f] = rest.get(e - f, 0) + c
+        keys = [e for e, c in rest.items() if c]
+        if not keys:
+            continue
+        lo, q = min(keys), {}
+        for t in range(max(keys) - b, lo - b - 1, -1):
+            v = rest.get(t + b, 0) + q.get(t + 2 * b, 0)
+            if v and t < lo + b:
+                raise NotInvertible(f"theta(tau, {b}z) does not divide row q^{k}")
+            if v:
+                q[t] = v
+        quo[k] = q
+    return quo
+
+
+def times_theta(quo, b, kcut):
+    """The rows below kcut of quo * theta(tau, b z)/q^(1/8), y-powers doubled, zeros dropped."""
+    out = {}
+    for k, row in quo.items():
+        for i, trow in jb._theta_rows(b, kcut).items():
+            if k + i < kcut:
+                prod = out.setdefault(k + i, {})
+                for e, c in row.items():
+                    for f, s in trow.items():
+                        prod[e + f] = prod.get(e + f, 0) + c * s
+    return {k: r for k, row in out.items() if (r := {e: c for e, c in row.items() if c})}
+
+
+def random_quotient(rng, kcut, step, spread=6, size=9):
+    """Random int rows below kcut on the doubled y-powers e0 + step*j, some rows empty."""
+    e0 = rng.randint(-3, 3)
+    quo = {}
+    for k in range(kcut):
+        if rng.random() < 0.8:
+            row = {e0 + step * rng.randint(-spread, spread): rng.randint(-size, size)
+                   for _ in range(rng.randint(1, 6))}
+            if row := {e: c for e, c in row.items() if c}:
+                quo[k] = row
+    return quo
+
+
+@pytest.mark.parametrize("c", [30, 60, 120])
+def test_theta_divide_matches_the_reference_in_every_block(monkeypatch, c):
+    # the six divisions of the theta quotients at 4, 5, 7 and 13; zeta_form divides by none
+    calls, divide = [], jb._theta_divide
+    monkeypatch.setattr(jb, "_theta_divide",
+                        lambda num, b, kcut: calls.append((num, b, kcut)) or divide(num, b, kcut))
+    set_data_dir(None)  # empties the memo, so every block is built at c
+    for m in (4, 5, 7, 13):
+        jb.gritsenko(m, 1, c)
+    jb.zeta_form(c)
+    assert [b for _, b, _ in calls] == [1, 1, 1, 2, 2, 3]
+    for num, b, kcut in calls:
+        assert divide(num, b, kcut) == reference_theta_divide(num, b, kcut)
+    set_data_dir(None)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_theta_divide_recovers_random_quotients(b):
+    # steps 1 and 3 mix the parities of the doubled y-powers, so the lattice step g is 1
+    rng = random.Random(350 + b)
+    for step in (1, 2, 3, 4, 2 * b):
+        for _ in range(12):
+            kcut = rng.randint(1, 14)
+            quo = random_quotient(rng, kcut, step)
+            num = times_theta(quo, b, kcut)
+            assert jb._theta_divide(num, b, kcut) == reference_theta_divide(num, b, kcut) == quo
+
+
+def test_theta_divide_widens_its_slots_partway():
+    # Q_3 rises 1, 2, ..., L and falls back to 1 on the step-2 lattice, so its product with
+    # y^(1/2) - y^(-1/2) is -1 on L points and +1 on the next L: rest row 3 has small
+    # coefficients, its quotient L, the span factor; rows 0-2 and 4-5 are small, so the
+    # slots start one byte wide and must widen at row 3 and be repacked for rows 4 and 5
+    rng, big = random.Random(353), 300
+    quo = random_quotient(rng, 6, 2, size=3)
+    quo[3] = {2 * j: min(j + 1, 2 * big - j - 1) for j in range(2 * big - 1)}
+    num = times_theta(quo, 1, 6)
+    assert max(abs(c) for c in num[3].values()) < 20
+    assert jb._theta_divide(num, 1, 6) == reference_theta_divide(num, 1, 6) == quo
+
+
 def test_theta_divide_checks_every_residue_class():
     # in doubled y-powers: (y^(1/2) - y^(-1/2)) (y^2 + 3) divides; y^(1/2) - y^(3/2) + y^2
     # (1 at y = 1) does not, and as its part y^(1/2) - y^(3/2) divides, only the
@@ -323,6 +421,25 @@ def test_theta_divide_checks_every_residue_class():
     assert jb._theta_divide({0: {5: 1, 3: -1, 1: 3, -1: -3}}, 1, 1) == {0: {4: 1, 0: 3}}
     with pytest.raises(NotInvertible):
         jb._theta_divide({0: {1: 1, 3: -1, 4: 1}}, 1, 1)
+    # row 2 of a divisible numerator, plus one y-power on its lattice of step g: the
+    # leading row divides a row exactly when each class mod 2b/g sums to 0, so one term
+    # in any class leaves a remainder
+    rng = random.Random(354)
+    for b in (1, 2, 3):
+        for step in (1, 2, 2 * b):
+            quo = random_quotient(rng, 4, step)
+            quo[2] = quo.get(2) or {step: 1}
+            num = times_theta(quo, b, 4)
+            es = [e for row in num.values() for e in row]
+            g = gcd(2 * b, *(e - es[0] for e in es))
+            for cls in range(2 * b // g):
+                planted = {k: dict(row) for k, row in num.items()}
+                e = min(planted[2]) + g * cls
+                planted[2][e] = planted[2].get(e, 0) + 1
+                for divide in (jb._theta_divide, reference_theta_divide):
+                    with pytest.raises(NotInvertible,
+                                       match=rf"^theta\(tau, {b}z\) does not divide row q\^2$"):
+                        divide(planted, b, 4)
 
 
 def _terms_series(terms, qcut):

@@ -11,7 +11,7 @@ from moonshine import reps
 from moonshine.cli import main
 from moonshine.algebra import QuadValue
 from moonshine.data import LAMBENCIES, data_dir, load_json, set_data_dir
-from moonshine.errors import DataCorrupt, MixedDiscriminant, UnknownClass
+from moonshine.errors import DataCorrupt, MixedDiscriminant, OutOfRange, UnknownClass
 from moonshine.groups import class_table, merged_members, umbral_group
 
 EXPECTED_TYPES = {2: [7, 15, 23], 3: [5, 8, 11, 20], 4: [3, 7],
@@ -324,6 +324,23 @@ def test_doublet_conjecture_and_samples():
             got = reps.decompose(ell, r, fourld, reps.coefficient_row(ell, r, fourld))
             assert reps.is_representable(ell, fourld, inv["types"])
             assert not reps._is_doubled(got.counts), (ell, fourld)
+
+
+def test_is_representable_by_division_up_to_the_largest_stored_row():
+    # every 4ld up to the largest stored one against each divisor n of a class order,
+    # n lambda^2 tested by division; past them, and for any other n, it refuses
+    for ell in LAMBENCIES:
+        top = max(k for _, k in reps.stored_rows(ell))
+        ns = {d for c in class_table(ell).classes for d in range(2, c.order + 1)
+              if c.order % d == 0}
+        for n in ns:
+            for fourld in range(1, top + 1):
+                q, rem = divmod(fourld, n)
+                assert reps.is_representable(ell, fourld, {n}) == (not rem and isqrt(q) ** 2 == q)
+        with pytest.raises(OutOfRange):
+            reps.is_representable(ell, top + 1, ns)
+        with pytest.raises(OutOfRange):
+            reps.is_representable(ell, top, {max(ns) + 1})
 
 
 def test_is_doubled_needs_even_integers():

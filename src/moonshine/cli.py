@@ -294,8 +294,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.data_dir:
-        set_data_dir(args.data_dir)
+    caller = set_data_dir(args.data_dir) if args.data_dir else None
     try:
         return _DISPATCH[args.verb](args)
     except OutOfRange as exc:
@@ -307,6 +306,9 @@ def main(argv=None) -> int:
     except MoonshineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if args.data_dir:  # the flag holds for this call only
+            set_data_dir(caller)
 
 
 if __name__ == "__main__":

@@ -56,10 +56,12 @@ def memo(build):
 
 
 def set_data_dir(path=None):
+    """Read tables from ``path`` (None: the default order), empty the memo, return the old path."""
     global _override
-    _override = Path(path) if path else None
+    old, _override = _override, Path(path) if path else None
     load_json.cache_clear()
     _registry.clear()
+    return old
 
 
 def data_dir() -> Path:

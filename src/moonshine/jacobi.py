@@ -246,9 +246,9 @@ def _product(a: WindowedSeries, b: WindowedSeries, qcut=None, ywindow=None):
 
     Both operands' numerators are lifted to common q- and y-denominators and
     multiplied by ``qseries._convolve``, over the product of their denominators:
-    one big-integer product of the two operands packed with one slot per (q, y)
-    term, each slot bits(max|a|) + bits(max|b|) + bits(min #terms) + 1 bits wide,
-    so no product coefficient spills into the next.  Complete times complete
+    one big-integer product per pair of q-rows, each row packed with one slot per
+    y-power, each slot bits(max|a|) + bits(max|b|) + bits(min #terms) + 1 bits
+    wide, so no product coefficient spills into the next.  Complete times complete
     keeps every term.  With a windowed factor the full product is clipped to the
     target window afterwards.  ``*`` calls this directly, so profiles charge its
     time to ``__mul__``.
@@ -674,15 +674,15 @@ def extract_from_form(phi: WindowedSeries, m: int, qcut, annulus: str = LOWER) -
     H_r = -q^(-r^2/4m) [y^r](Psi*phi - chi*mu^(m)_0), both blocks expanded in
     the same annulus.  Only the rows y^r, 0 < r < m, of Psi*phi are formed, each
     summed along Psi's pole-factor rays (``_psi_rows``), so Psi needs no window;
-    mu^(m)_0 is built to |y| <= m-1, as wide as the rows read.  Coefficients are
-    exact below ``phi.qcut`` only, so the cutoff is capped there.
+    mu^(m)_0 is built to |y| <= m-1, as wide as the rows read, when chi != 0.
+    Coefficients are exact below ``phi.qcut`` only, so the cutoff is capped there.
     """
     qcut = min(as_rat(qcut), phi.qcut)
     chi = phi.specialize_z0().coefficient(0)
-    mu0 = appell_mu(m, 0, qcut, m - 1, annulus)
+    mu0 = appell_mu(m, 0, qcut, m - 1, annulus) if chi else None
     comps = []
     for r, row in enumerate(_psi_rows(phi, m, qcut, annulus), 1):
-        row = row - mu0.y_row(r).scale(chi)
+        row = row - mu0.y_row(r).scale(chi) if chi else row
         comps.append((-row).shift(Fraction(-r * r, 4 * m)))
     return HVector(m, comps)
 

@@ -17,15 +17,15 @@ them over their lcm denominator; operations hand int numerators and a
 denominator to the private ``_of``, which divides out their common factor with
 one gcd.
 
-Both series classes multiply in ``_convolve`` by Kronecker substitution: the
-int numerators of each operand are packed into one Python int with a slot of
-B bytes per (q, y) term, the two ints are multiplied once, and the slots below
-the cutoff are read back; the product's denominator is the product of the
-two.  A slot holds at most min(#terms) pairs, so bits(max|a|) + bits(max|b|)
-+ bits(min #terms) bits and a sign bit make it wide enough for every product
-coefficient (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 8).
-The slots are packed by ``_pack`` and read back by ``_unpack``; the theta-block
-divider of ``jacobi`` holds its rows in the same slots through the same two.
+Both series classes multiply by Kronecker substitution (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 8), over the product of the two
+denominators.  A FracSeries packs each operand's int numerators once along q
+into one Python int, a signed slot of B bytes per term (``_convolve_line``);
+``_convolve`` packs each q-row of a two-variable operand alone, slot 0 at its
+lowest y-power, multiplies row pairs and reads each product row back over its
+own y-span.  A slot sums at most min(#terms) pairs, so bits(max|a|) +
+bits(max|b|) + bits(min #terms) bits and a sign bit hold it.  ``_pack`` and
+``_unpack`` hold the slots; the theta-block divider of ``jacobi`` uses both.
 
 The catalog covers the Dedekind eta function and eta quotients, the weight-2
 Eisenstein combinations Lambda_N, the level 11/14/15/20/23/44 newforms, the
@@ -71,41 +71,59 @@ def _unpack(x: int, n: int, nb: int) -> list:
     return [from_bytes(buf[p:p + nb], "little") - half for p in range(0, size, nb)]
 
 
-def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
-    """Product of int rows ``{k: {y: c}}`` at keys k < kcut, by Kronecker substitution.
+def _slot_bytes(amax: int, bmax: int, n: int) -> int:
+    """Bytes of a signed slot that sums n products of |a| <= amax and |b| <= bmax."""
+    return (amax.bit_length() + bmax.bit_length() + n.bit_length() + 8) // 8
 
-    Both series classes multiply their numerators here; a FracSeries passes one-entry
-    rows, and rows may hold zeros.  Each term that reaches a key below kcut sits at
-    slot ((k - k0)/ks)*W + (y - y0)/ys of B bytes, with k0 and y0 the operand's lowest
-    key and y-power, ks and ys the gcd of both operands' key and y offsets, and
-    W = wa + wb + 1 for y-spans wa and wb in steps of ys, so no two product terms share
-    a slot.  A product slot sums at most min(#terms) pairs, so its absolute value is
-    below 2^(bits(max|a|) + bits(max|b|) + bits(min #terms)); one sign bit more is the
-    slot width.  Each operand is packed by ``_pack`` and the slots of the one product
-    below kcut are read back by ``_unpack``.
+
+def _convolve(ra: dict, rb: dict, kcut: int) -> dict:
+    """Product of int rows ``{k: {y: c}}`` (zeros allowed) at keys k < kcut, row by row.
+
+    Each row that reaches a key below kcut is packed by ``_pack`` in steps of ys, the
+    gcd of both operands' y offsets, slot 0 at its own lowest y-power; a slot sums at
+    most min(#terms) pairs.  Product row k sums one big-integer product per row pair
+    with ka + kb = k, shifted by the pair's lowest y above the row's running lowest,
+    and is read back by ``_unpack`` once, over the span of its pairs.
     """
-    ta = [(k, y, c) for k, row in ra.items() for y, c in row.items() if c]
-    tb = [(k, y, c) for k, row in rb.items() for y, c in row.items() if c]
-    if not ta or not tb or min(ta)[0] + min(tb)[0] >= kcut:
+    ra, rb = ({k: r for k, row in rs.items() if (r := row if all(row.values()) else
+               {y: c for y, c in row.items() if c})} for rs in (ra, rb))
+    if not ra or not rb or min(ra) + min(rb) >= kcut:
         return {}
-    ka, kb = min(ta)[0], min(tb)[0]
-    (Ka, Ya, Va), (Kb, Yb, Vb) = (zip(*(t for t in ts if t[0] < kcut - k0))
-                                  for ts, k0 in ((ta, kb), (tb, ka)))
-    ya, yb = min(Ya), min(Yb)
-    ks = gcd(*map(ka.__rsub__, Ka), *map(kb.__rsub__, Kb)) or 1
-    ys = gcd(*map(ya.__rsub__, Ya), *map(yb.__rsub__, Yb)) or 1
-    nrows = -((ka + kb - kcut) // ks)  # product keys ka + kb + i*ks below kcut
-    width = (max(Ya) - ya + max(Yb) - yb) // ys + 1
-    bits = (max(map(abs, Va)).bit_length() + max(map(abs, Vb)).bit_length()
-            + min(len(Va), len(Vb)).bit_length() + 1)
-    nb = (bits + 7) // 8
-    pa, pb = (_pack([(k - k0) // ks * width + (y - y0) // ys for k, y in zip(K, Y)], V, nb)
-              for K, Y, V, k0, y0 in ((Ka, Ya, Va, ka, ya), (Kb, Yb, Vb, kb, yb)))
-    out = {}
-    for i, v in enumerate(_unpack(pa * pb, nrows * width, nb)):
-        if v:
-            out.setdefault(ka + kb + i // width * ks, {})[ya + yb + i % width * ys] = v
-    return out
+    ka, kb = min(ra), min(rb)
+    ra, rb = ({k: r for k, r in rs.items() if k < kcut - k0} for rs, k0 in ((ra, kb), (rb, ka)))
+    (ya, Ya), (yb, Yb) = ((min(ys), ys) for ys in (set().union(*rs.values()) for rs in (ra, rb)))
+    ys = gcd(*(y - ya for y in Ya), *(y - yb for y in Yb)) or 1
+    nb = _slot_bytes(*(max(max(map(abs, r.values())) for r in rs.values()) for rs in (ra, rb)),
+                     min(sum(map(len, rs.values())) for rs in (ra, rb)))
+    pa, pb = ([(k, lo, max(r), _pack([(y - lo) // ys for y in r], r.values(), nb))
+               for k, r in sorted(rs.items()) for lo in (min(r),)] for rs in (ra, rb))
+    acc, w = {}, 8 * nb
+    for k1, lo1, hi1, p1 in pa:
+        for k2, lo2, hi2, p2 in pb:
+            if (k := k1 + k2) >= kcut:
+                break
+            v, vlo, vhi = acc.get(k, (0, lo := lo1 + lo2, lo))
+            base = min(lo, vlo)
+            acc[k] = ((v << (vlo - base) * w // ys) + (p1 * p2 << (lo - base) * w // ys), base,
+                      max(hi1 + hi2, vhi))
+    return {k: row for k, (v, lo, hi) in sorted(acc.items())
+            if (row := {y: c for y, c in zip(range(lo, hi + 1, ys),
+                                             _unpack(v, (hi - lo) // ys + 1, nb)) if c})}
+
+
+def _convolve_line(a: dict, b: dict, kcut: int) -> dict:
+    """Product of nonzero int coefficients ``{k: c}`` at keys k < kcut: each operand packed
+    once in steps of ks, the gcd of the key offsets, multiplied, the slots below kcut read."""
+    if not a or not b or min(a) + min(b) >= kcut:
+        return {}
+    ka, kb = min(a), min(b)
+    a, b = ({k: c for k, c in s.items() if k < kcut - k0} for s, k0 in ((a, kb), (b, ka)))
+    ks = gcd(*(k - ka for k in a), *(k - kb for k in b)) or 1
+    nb = _slot_bytes(max(map(abs, a.values())), max(map(abs, b.values())), min(len(a), len(b)))
+    x = _pack([(k - ka) // ks for k in a], a.values(), nb) * \
+        _pack([(k - kb) // ks for k in b], b.values(), nb)
+    return {ka + kb + i * ks: c
+            for i, c in enumerate(_unpack(x, -((ka + kb - kcut) // ks), nb)) if c}
 
 
 class FracSeries:
@@ -241,9 +259,7 @@ class FracSeries:
             return self.scale(other)
         d = lcm(self.denom, other.denom)
         cut = min(self.cutoff + other.low(), other.cutoff + self.low())
-        out = _convolve({k: {0: v} for k, v in self._on(d).items()},
-                        {k: {0: v} for k, v in other._on(d).items()}, ceil(cut * d))
-        return FracSeries._of(d, {k: row[0] for k, row in out.items()}, cut,
+        return FracSeries._of(d, _convolve_line(self._on(d), other._on(d), ceil(cut * d)), cut,
                               self.cden * other.cden)
 
     __rmul__ = __mul__

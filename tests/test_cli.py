@@ -323,9 +323,10 @@ def test_main_calls_in_one_process_print_what_fresh_processes_print(tmp_path, ca
         got = []
         try:
             for argv in pair:
+                before = data_dir()
                 code = main(argv)
                 got.append((code, *capsys.readouterr()))
-                set_data_dir(None)  # --data-dir sets the process's data directory
+                assert data_dir() == before  # --data-dir holds for its own call only
         finally:
             set_data_dir(None)
         assert got == [_fresh(argv) for argv in pair]

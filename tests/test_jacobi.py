@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -481,6 +482,19 @@ def test_zeta_form_is_the_product_formula(c):
     got = jb.zeta_form(c)
     assert (list(got.items()), got.qcut) == (list(want.items()), c)
 
+
+
+def test_widest_products_keep_their_digest():
+    # sha256 over items and qcut of zeta_form(120) and of the tower phi^(19)_n at q^6 that
+    # extremal_space_dim(25) multiplies by zeta; recorded at commit ac8335a, where
+    # _convolve packed each operand into one rectangle of nrows x width slots
+    set_data_dir(None)
+    h = hashlib.sha256()
+    for name, s in [("zeta_form(120)", jb.zeta_form(120))] + \
+            [(f"gritsenko(19, {n}, 6)", jb.gritsenko(19, n, 6)) for n in range(1, 19)]:
+        h.update(repr((name, [(str(q), str(y), str(c)) for q, y, c in s.items()],
+                       str(s.qcut))).encode())
+    assert h.hexdigest() == "5c9977f8f95d71a7d160c4fc042d04c6cebdacd78e3352b2bf00d8d0e8ce3a04"
 
 def test_zeta_in_cusp_ideal():
     z = jb.zeta_form(4)

@@ -1,21 +1,24 @@
-"""Seeded differential tests of the one convolution kernel.
+"""Seeded differential tests of the two convolution kernels.
 
-``qseries._convolve`` (Kronecker substitution) and both ``*`` operators are
-compared with a schoolbook product written here on Fractions only, with
-exponents compared as Fractions against the cutoff.  The operands mix ints,
-Fractions, negative values and terms that cancel; ``_convolve`` gets them as
-int numerators over one denominator per operand, as the series store them.
-The cutoffs are fractional with products landing on both sides of the integer
-bound ceil(cut * d).  Targeted cases cover the packing: strided keys, negative
-keys and powers, coefficients that fill the slot width exactly, denominators,
-empty operands and cutoffs below the lowest product key.
+``qseries._convolve`` (one packed int per q-row, one big-integer product per
+pair of rows), ``qseries._convolve_line`` (one packed int per FracSeries) and
+both ``*`` operators are compared with a schoolbook product written here on
+Fractions only, with exponents compared as Fractions against the cutoff.  The
+operands mix ints, Fractions, negative values and terms that cancel; the kernels
+get them as int numerators over one denominator per operand, as the series
+store them.  The cutoffs are fractional with products landing on both sides of
+the integer bound ceil(cut * d).  Targeted cases cover the packing: strided
+keys, negative keys and powers, coefficients that fill the slot width exactly,
+rows that widen with q as a Jacobi form's do, product rows whose later pairs
+start lower in y than the first, one-term rows against wide rows,
+denominators, empty operands and cutoffs below the lowest product key.
 """
 import random
 from fractions import Fraction as F
-from math import ceil, gcd, lcm
+from math import ceil, gcd, isqrt, lcm
 
 from moonshine.jacobi import WindowedSeries
-from moonshine.qseries import FracSeries, _convolve
+from moonshine.qseries import FracSeries, _convolve, _convolve_line
 
 SEED = 20121
 
@@ -130,6 +133,79 @@ def test_convolve_slot_width_is_tight():
                     tight += n in (3, 7) and (ba + bb + n.bit_length()) % 8 == 0
     assert tight >= 12
 
+
+
+def jacobi_rows(rng, j, keys):
+    """Rows k holding every y-power |y| <= isqrt(4jk + j^2), the span of a weak Jacobi
+    form of index j, so the rows widen with k."""
+    return {k: {y: coefficient(rng) for y in range(-isqrt(4 * j * k + j * j),
+                                                   isqrt(4 * j * k + j * j) + 1)}
+            for k in keys}
+
+
+def test_convolve_jacobi_shaped_rows():
+    rng = random.Random(SEED + 6)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        ra = jacobi_rows(rng, rng.randint(1, 4), range(n))
+        rb = jacobi_rows(rng, rng.randint(1, 4), rng.sample(range(10), rng.randint(1, 6)))
+        assert_product(ra, rb, rng.randint(1, 2 * n + 4))
+
+
+def test_convolve_later_pair_starts_lower():
+    # a's rows move down in y with k and b's up, so the pair (0, k) of product row k
+    # starts highest and each later pair (i, k - i) lower: every row is re-based
+    rng = random.Random(SEED + 7)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        ra = {k: {y: coefficient(rng) for y in range(-4 * k, -4 * k + rng.randint(1, 4))}
+              for k in range(n)}
+        rb = {k: {y: coefficient(rng) for y in range(3 * k, 3 * k + rng.randint(1, 5))}
+              for k in range(n)}
+        ra[0][0], rb[n - 1][3 * n - 3] = 1, 1  # the first pair of row n - 1 is nonzero
+        out = assert_product(ra, rb, rng.randint(n, 2 * n))
+        assert min(out[n - 1]) < 3 * n - 3
+
+
+def test_one_term_rows_times_wide_rows():
+    # a FracSeries lifted to one-term rows against a Jacobi-shaped WindowedSeries
+    rng = random.Random(SEED + 8)
+    for _ in range(30):
+        f = FracSeries(1, {k: coefficient(rng) for k in range(rng.randint(1, 40))}, 40)
+        w = WindowedSeries(1, jacobi_rows(rng, rng.randint(1, 6), range(rng.randint(1, 12))),
+                           F(rng.randint(3, 40), rng.randint(1, 3)))
+        prod = w * f
+        assert prod.qcut == min(w.qcut + low(f.items(), f.cutoff), f.cutoff + w.low_q())
+        want = reference(list(w.items()), [(e, 0, c) for e, c in f.items()], prod.qcut)
+        assert {(q, y): c for q, y, c in prod.items()} == want
+        assert_reduced(prod)
+
+
+def test_line_product_cut_on_both_sides():
+    # the kernel of FracSeries: strided keys, either sign, at every cut around the
+    # products; then through * at cutoffs just below and just above a product key K
+    rng = random.Random(SEED + 9)
+    for _ in range(100):
+        step = rng.choice([1, 2, 3, 6])
+        a, b = ({rng.randint(-3, 3) + step * i: rng.choice([-1, 1]) * rng.randint(1, 2 ** 70)
+                 for i in rng.sample(range(12), rng.randint(1, 6))} for _ in "ab")
+        for kcut in range(min(a) + min(b) - 1, max(a) + max(b) + 2):
+            got = {(F(k), F(0)): F(c) for k, c in _convolve_line(a, b, kcut).items()}
+            assert got == reference([(k, 0, c) for k, c in a.items()],
+                                    [(k, 0, c) for k, c in b.items()], kcut)
+    assert _convolve_line({0: 1}, {0: 1}, 10 ** 6) == {0: 1}
+    for _ in range(100):
+        d = rng.choice([1, 2, 3, 4, 6])
+        ka, kb = ({0, *rng.sample(range(1, 20), rng.randint(1, 6))} for _ in "ab")
+        K = rng.choice([x + y for x in ka for y in kb if x and y])  # both below cut * d
+        for cut, kept in ((F(3 * K - 1, 3 * d), False), (F(3 * K + 1, 3 * d), True)):
+            fa, fb = (FracSeries(d, {k: coefficient(rng) or 1 for k in ks}, cut) for ks in (ka, kb))
+            prod = fa * fb
+            assert prod.cutoff == cut and ceil(cut * d) == K + kept
+            want = reference([(e, 0, c) for e, c in fa.items()],
+                             [(e, 0, c) for e, c in fb.items()], cut)
+            assert {(e, F(0)): c for e, c in prod.items()} == want
+            assert_reduced(prod)
 
 def windowed_product(ra, rb, kcut):
     """``*`` on the rows as WindowedSeries, cut at kcut, against the reference."""

@@ -20,8 +20,8 @@ Entire series combine with anything; two tagged series combine only when the
 tags agree.
 
 One builder on integral rows makes every theta block (``_theta_block``): four
-basis generators, the zeta form and phi_{-2,1}, whose heat-operator images give
-the two seeds of index 1 and 2 (``_phi_seed``).  No series is inverted here.
+basis generators, the zeta form, Psi_{1,1} zeta and phi_{-2,1}, whose heat-operator
+images give the two seeds of index 1 and 2 (``_phi_seed``).  No series is inverted here.
 
 Coefficients are stored as in ``qseries``: int numerators over one positive
 int denominator ``cden`` per series, reduced; ``coefficient``, ``items`` and
@@ -531,6 +531,10 @@ def umbral_Z(ell: int, qcut) -> WindowedSeries:
     return gritsenko(ell, 1, qcut).scale(2)
 
 
+# Psi_{1,1} zeta = theta(2z) theta^10 eta^-9 as a theta block (nums, dens, k)
+_PSI_ZETA = ((2,) + (1,) * 10, (), -9)
+
+
 @memo
 def zeta_form(qcut) -> WindowedSeries:
     """The weight 0 index 6 generator theta^12/eta^12 of the cusp ideal, a theta block."""
@@ -736,25 +740,33 @@ def extremal_space_dim(m: int) -> int:
     n_bound = max(4, (m-1)^2 // 4m) (and of all polar terms but the r = 1 head),
     and returns the nullity.  The forms are built to q^(n_bound + 1), the least
     sound cutoff: H_r, read at n <= n_bound, is exact below it minus r^2/4m.
+    Only phi^(m)_1 is extracted.  zeta vanishes at z = 0, so P_i = Psi_{1,1} zeta^i
+    = theta(2z) theta^(12i-2) eta^(3-12i) is a holomorphic theta block, the same in
+    both annuli, and chi = 0: H_r of zeta^i g is -q^(-r^2/4m) [y^r](P_i g), so its row
+    is read off the int rows of P_i g, less the sign and denominator (rank unchanged).
     """
+    return len(matrix := _extremal_matrix(m)) - _rank(matrix)
+
+
+def _extremal_matrix(m: int) -> list:
+    """The rows of ``extremal_space_dim``, one per basis form, each row's H_r at the slots."""
     if m not in (9, 25):
         raise OutOfRange("supported candidates: m in {9, 25}")
     nbound = max(4, (m - 1) ** 2 // (4 * m))
     qcut = nbound + 1
-    basis = [gritsenko(m, 1, qcut)]
-    zpow = WindowedSeries.one(qcut)
-    for i in range(1, (m - 1) // 6 + 1):
-        zpow = (zpow * zeta_form(qcut)).truncate(qcut)
-        for j in range(1, m - 6 * i):
-            basis.append(zpow * gritsenko(m - 6 * i, j, qcut))
     slots = [(r, n) for r in range(1, m) for n in range(0, nbound + 1)
              if r * r - 4 * m * n >= 0 and (r, n) != (1, 0)]
-    matrix = []
-    for phi in basis:
-        H = extract_from_form(phi, m, qcut)
-        matrix.append([H.component(r).coefficient(Fraction(4 * m * n - r * r, 4 * m))
-                       for r, n in slots])
-    return len(basis) - _rank(matrix)
+    H = extract_from_form(gritsenko(m, 1, qcut), m, qcut)
+    matrix = [[H.component(r).coefficient(Fraction(4 * m * n - r * r, 4 * m)) for r, n in slots]]
+    p = _theta_block(*_PSI_ZETA, qcut)
+    for i in range(1, (m - 1) // 6 + 1):
+        p = p if i == 1 else (p * zeta_form(qcut)).truncate(qcut)
+        for j in range(1, m - 6 * i):
+            s = p * gritsenko(m - 6 * i, j, qcut)
+            if s.qcut <= nbound:  # a row past the cutoff would read as 0
+                raise CutoffUnderflow(f"q^{nbound} read at qcut {s.qcut} of P_{i} phi")
+            matrix.append([s.rows.get(n * s.denom, {}).get(r * s.ydenom, 0) for r, n in slots])
+    return matrix
 
 
 def _rank(matrix: list) -> int:

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -763,15 +763,78 @@ def test_y_rows_match_the_whole_product_with_fractions(ell):
     _rows_agree(jb.umbral_Z(ell, 12).scale(F(1, 3)), ell, 12)
 
 
-def test_y_rows_match_the_whole_product_on_the_extremal_basis(monkeypatch):
-    # the 37 forms of index 24 that extremal_space_dim(25) extracts, at q^6
-    forms, extract = [], jb.extract_from_form
-    monkeypatch.setattr(jb, "extract_from_form",
-                        lambda phi, m, qcut: forms.append((phi, m, qcut)) or extract(phi, m, qcut))
-    assert jb.extremal_space_dim(25) == 0
+def _zeta_forms(m, qcut):
+    """(i, g, zeta^i g) for the forms zeta^i phi^(m-6i)_j that span extremal_space_dim(m)
+    with phi^(m)_1, zeta^i by repeated products with zeta_form."""
+    zpow = jb.WindowedSeries.one(qcut)
+    for i in range(1, (m - 1) // 6 + 1):
+        zpow = (zpow * jb.zeta_form(qcut)).truncate(qcut)
+        for j in range(1, m - 6 * i):
+            g = jb.gritsenko(m - 6 * i, j, qcut)
+            yield i, g, zpow * g
+
+
+def _psi_zetas(qcut, top):
+    """P_i = Psi_{1,1} zeta^i for i = 1..top, as _extremal_matrix builds them."""
+    p = [jb._theta_block(*jb._PSI_ZETA, qcut)]
+    while len(p) < top:
+        p.append((p[-1] * jb.zeta_form(qcut)).truncate(qcut))
+    return p
+
+
+def test_y_rows_match_the_whole_product_on_the_extremal_basis():
+    # phi^(25)_1 and the 36 forms zeta^i phi^(25-6i)_j of index 24, at q^6
+    forms = [jb.gritsenko(25, 1, 6)] + [f for _, _, f in _zeta_forms(25, 6)]
     assert len(forms) == 37
-    for phi, m, qcut in forms:
-        _rows_agree(phi, m, qcut)
+    for phi in forms:
+        _rows_agree(phi, 25, 6)
+
+
+@pytest.mark.parametrize("annulus", [jb.LOWER, jb.UPPER])
+@pytest.mark.parametrize("c", [6, F(113, 16)], ids=str)
+def test_psi_times_zeta_powers_is_a_theta_block(c, annulus):
+    # Psi_{1,1} zeta^i, Psi expanded in either annulus, is the holomorphic block P_i =
+    # theta(2z) theta^(12i-2) eta^(3-12i)
+    zpow = jb.WindowedSeries.one(c)
+    for i, p in enumerate(_psi_zetas(c, 3), 1):
+        assert p == jb._theta_block((2,) + (1,) * (12 * i - 2), (), 3 - 12 * i, c)
+        zpow = (zpow * jb.zeta_form(c)).truncate(c)
+        psi = jb.psi_one_one(c, 4 + int(zpow.max_abs_y()), annulus)
+        got, want = jb.windowed_mul(zpow, psi, qcut=c, ywindow=4), jb._clip(p, 4, annulus)
+        assert (got.ywindow, got.annulus, got.qcut) == (want.ywindow, want.annulus, c)
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("annulus", [jb.LOWER, jb.UPPER])
+@pytest.mark.parametrize("m", [9, 25])
+def test_zeta_rows_need_no_extraction(m, annulus):
+    # H_r of zeta^i g is -q^(-r^2/4m) times row y^r of P_i g, terms and cutoff
+    qcut = max(4, (m - 1) ** 2 // (4 * m)) + 1
+    p = _psi_zetas(qcut, (m - 1) // 6)
+    for i, g, form in _zeta_forms(m, qcut):
+        H, s = jb.extract_from_form(form, m, qcut, annulus), p[i - 1] * g
+        for r in range(1, m):
+            got, want = H.component(r), s.y_row(r).scale(-1).shift(F(-r * r, 4 * m))
+            assert (list(got.items()), got.cutoff) == (list(want.items()), want.cutoff)
+
+
+def test_extremal_matrix_keeps_its_digest():
+    # sha256 over m, the row count and the rows of _extremal_matrix(m) at m = 9 and 25, each
+    # row made primitive: ints over the lcm of its denominators, divided by their gcd, the
+    # first nonzero entry positive; recorded at commit fc93b71, where every row was read
+    # from extract_from_form, the zeta-forms' included
+    set_data_dir(None)
+    h = hashlib.sha256()
+    for m in (9, 25):
+        rows = []
+        for row in jb._extremal_matrix(m):
+            den = lcm(*(F(x).denominator for x in row))
+            ints = [int(F(x) * den) for x in row]
+            g = gcd(*ints) or 1
+            sign = -1 if next((x for x in ints if x), 1) < 0 else 1
+            rows.append([sign * x // g for x in ints])
+        h.update(repr((m, len(rows), rows)).encode())
+    assert h.hexdigest() == "b9b6e78cfc0c181e424136506084fb9939d27aacfd5ee5eb8cd7a5464649db3d"
 
 
 @pytest.mark.parametrize("ell", [2, 5, 13])
@@ -816,10 +879,17 @@ def test_extremal_cutoff_is_the_least_sound(monkeypatch):
                         lambda phi, m, qcut: extract(phi, m, qcut - 1))
     with pytest.raises(CutoffUnderflow, match="-29/100"):
         jb.extremal_space_dim(25)
+    # the zeta-rows read the int rows of P_i g: P_1 one order short must raise, not read 0
+    monkeypatch.setattr(jb, "extract_from_form", extract)
+    block = jb._theta_block
+    monkeypatch.setattr(jb, "_theta_block", lambda nums, dens, k, qcut: block(
+        nums, dens, k, qcut - ((nums, dens, k) == jb._PSI_ZETA)))
+    with pytest.raises(CutoffUnderflow, match="q\\^5 read at qcut 5 of P_1"):
+        jb.extremal_space_dim(25)
 
 
 def test_pole_blocks_built_once(monkeypatch):
-    # extract_from_form asks the same mu^(m)_0 for all 37 forms and never expands Psi_{1,1}
+    # extremal_space_dim(25) extracts phi^(25)_1 alone: one mu^(25)_0, Psi_{1,1} never expanded
     assert jb.psi_one_one(5, 4) is jb.appell_mu(1, 0, 5, 4, jb.LOWER)
     built = []
     build = jb.appell_mu.__wrapped__

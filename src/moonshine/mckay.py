@@ -9,15 +9,16 @@ time; at 7 and 13 hat H vanishes for 1A and 2A.  ``_lambency_4`` is the one
 route through the stored lambency-4 data: the even block's side W_g, and
 H_{g,1} and H_{g,3} whole (split from their difference, the bridge partner's
 lambency-2 series at half argument or an eta quotient).  Every other class at
-7 and 13 reads ``stored_columns``, the one column view of the stored tables.
-So does the weight-2 check: it sums the same relation table over the tables'
-hat H and compares with each cataloged form, for every class.
+7 and 13 reads ``stored_columns``, the one column view of the stored tables.  The
+weight-2 check sums the same relation table over the hat H of the tables' int
+rows, in ints, and compares with each cataloged form, for every class.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 from . import jacobi
 from .algebra import as_rat
@@ -262,24 +263,38 @@ def _lambency_4(label: str, qcut) -> tuple:
 
 def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
     """Check the form rebuilt from the stored tables against the cataloged weight-2
-    form(s) to ``qcut``, or to the depth the tables reach if that is less: F^tab = sum
-    sign hat_r S_j over ``_relation``, hat_r = H^tab_{g,r} - (chi_{g,r}/chi) H^tab_{1A,r}.
-    Columns cut at c give hat_r exact below c - r^2/4l, and F2 pairs it with S_(l-r),
+    form(s) to ``qcut``, or to the depth the tables reach if that is less: 24 F^tab =
+    sum sign 24 hat_r S_j over ``_relation``, in ints on the lattice q^(1/4l), with
+    24 hat_r = 24 T_{g,r} - (l-1) chi_{g,r} T_{1A,r} from the int rows T of
+    ``stored_rows`` cut at min(table depth, c - r^2/4l).  F2 pairs hat_r with S_(l-r),
     which starts (l-2)/4 below r^2/4l at r = l-1: so c = qcut + (l-2)/4 for F2."""
-    cat = _catalog(ell)
-    qcut = as_rat(qcut)
+    cat, qcut, K = _catalog(ell), as_rat(qcut), 4 * ell
     cut = qcut + (Fraction(ell - 2, 4) if (label, "F2") in cat else 0)
-    shadows = [_shadow(ell, label, r) for r in range(1, ell)]  # an unknown class raises
-    one, own = (stored_columns(ell)[lab].truncate(cut) for lab in ("1A", label))
-    hats = [h - h1.scale(s) for h, h1, s in zip(own, one, shadows)]
+    weights = [chi_r(ell, label, r) * (ell - 1) for r in range(1, ell)]  # 24 chi_{g,r}/chi
+    kc, depth, hats = ceil(cut * K), {}, {r: {} for r in range(1, ell)}
+    for (r, k), row in stored_rows(ell).items():
+        if label not in row or "1A" not in row:
+            missing = "1A" if label in row else label
+            raise UnknownClass(f"no stored column {missing} in table {ell},{r}")
+        depth[r] = max(depth.get(r, k), k)
+        if k + r * r < kc and (v := 24 * row[label] - weights[r - 1] * row["1A"]):
+            hats[r][k] = v
     checked = []
     for variant in [v for v in ("F", "F2") if (label, v) in cat]:
-        total = FracSeries.zero(qcut)
+        cutoff, total = qcut, defaultdict(int)
         for r, j, sign in _relation(ell, variant):
-            total = total + (hats[r - 1] * unary_theta(ell, j, qcut + 1)).scale(sign)
-        diff = total - weight2(ell, label, variant, total.cutoff)
-        checked.append({"variant": variant, "order": str(total.cutoff),
-                        "first_mismatch": next((e for e, c in diff.items() if c != 0), None)})
+            hat, S = hats[r], unary_theta(ell, j, qcut + 1)
+            # hat_r is exact below c, and the series product hat_r S_j below this cutoff
+            c = min(Fraction(depth[r], K) + 1, cut - Fraction(r * r, K))
+            cutoff = min(cutoff, c + S.low(), S.cutoff + (Fraction(min(hat), K) if hat else c))
+            for ks, v in S.coeffs.items():
+                for k, h in hat.items():
+                    total[k + ks * (K // S.denom)] += sign * v * h
+        kcut = ceil(cutoff * K)
+        diff = (FracSeries._of(K, {k: v for k, v in total.items() if v and k < kcut}, cutoff, 24)
+                - weight2(ell, label, variant, cutoff))
+        checked.append({"variant": variant, "order": str(cutoff),
+                        "first_mismatch": next((e for e, _ in diff.items()), None)})
     return {"lambency": ell, "class": label, "checked": checked,
             "ok": all(c["first_mismatch"] is None for c in checked)}
 

@@ -143,6 +143,20 @@ def test_decompose_verb():
     assert code == 0 and out.strip() == "1*chi_3 + 1*chi_4"
 
 
+def test_order_too_large_for_memory_is_a_usage_error(monkeypatch, capsys):
+    # at --order 10^12 the lambency-4 bridge's divisor sieve cannot be allocated;
+    # the builder is made to raise MemoryError here rather than allocate for real
+    from moonshine import mckay
+
+    def build(*args):
+        raise MemoryError
+    monkeypatch.setattr(mckay, "twisted_H", build)
+    argv = ["twist", "--lambency", "4", "--class", "2C", "--order", "1000000000000"]
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == \
+        "usage error: --order 1000000000000: too large to build in memory\n"
+
+
 def test_decompose_row_fixes_r(capsys):
     # the row key fixes r, so there is no --r; a row off the lattice is a usage error
     code, out = run(["decompose", "--lambency", "2", "--row", "31"])

@@ -231,8 +231,9 @@ def test_mock_theta_functions_built_once(monkeypatch):
 
 
 def test_unary_thetas_built_once(monkeypatch):
-    # a cold verify-identities asks S^(l)_j 301 times at 36 (l, j, cutoff): each is
-    # built once per (l, j), and again only at a deeper cutoff (``data.memo``)
+    # a cold verify-identities asks S^(l)_j 299 times at 35 (l, j, cutoff): each is
+    # built once per (l, j), and again only at a deeper cutoff (``data.memo``); the
+    # lambency-4 bridge runs first, so S^(2)_1 is built at its deepest cutoff alone
     from moonshine import qseries
     set_data_dir(None)
     built = []
@@ -241,7 +242,7 @@ def test_unary_thetas_built_once(monkeypatch):
                         lambda m, r, cutoff: built.append((m, r, cutoff)) or lattice(m, r, cutoff))
     with redirect_stdout(io.StringIO()):
         assert main(["verify-identities"]) == 0
-    assert len(built) == len(set(built)) == 29
+    assert len(built) == len(set(built)) == 28
     set_data_dir(None)
     assert unary_theta(5, 2, 9) is unary_theta(5, 2, F(18, 2))
 
@@ -484,15 +485,76 @@ def test_stored_columns_match_the_from_terms_build():
                     == [(list(s.items()), s.cutoff) for s in want]), (ell, label)
 
 
-def test_stored_columns_pivoted_once_per_lambency(monkeypatch):
-    # verify-identities reads the stored tables of five lambencies, each pivoted once
+def test_verify_identities_reads_each_table_once(monkeypatch):
+    # the weight-2 checks read the int rows of the stored tables: a cold
+    # verify-identities reads each lambency's rows once and pivots no column view
+    from moonshine import reps
     set_data_dir(None)
-    built = []
-    build = mk.stored_columns.__wrapped__
-    monkeypatch.setattr(mk, "stored_columns", memo(lambda ell: built.append(ell) or build(ell)))
+    rows, pivoted = [], []
+    read, pivot = reps.stored_rows.__wrapped__, mk.stored_columns.__wrapped__
+    counted = memo(lambda ell: rows.append(ell) or read(ell))
+    monkeypatch.setattr(reps, "stored_rows", counted)
+    monkeypatch.setattr(mk, "stored_rows", counted)
+    monkeypatch.setattr(mk, "stored_columns", memo(lambda ell: pivoted.append(ell) or pivot(ell)))
     with redirect_stdout(io.StringIO()):
         assert main(["verify-identities"]) == 0
-    assert sorted(built) == [2, 3, 5, 7, 13]
+    assert sorted(rows) == [2, 3, 5, 7, 13] and pivoted == []
+
+
+def test_weight2_reports_keep_their_digest(monkeypatch):
+    # sha256 over the reports of every cataloged class at qcut 10, 12, 15 and 40,
+    # then again with the F2 sign of r = 2 flipped; recorded at commit 4de579a,
+    # where the check summed FracSeries hats of a column view of the tables
+    import hashlib
+
+    def reports():
+        return repr([mk.verify_F_consistency(ell, lab, qcut) for qcut in (10, 12, 15, 40)
+                     for ell in (2, 3, 5, 7, 13) for lab in mk.weight2_classes(ell, "F")])
+
+    set_data_dir(None)
+    h = hashlib.sha256(reports().encode())
+    relation = mk._relation
+    monkeypatch.setattr(mk, "_relation", lambda ell, variant: [
+        (r, j, -sign if (variant, r) == ("F2", 2) else sign) for r, j, sign in relation(ell, variant)])
+    h.update(reports().encode())
+    assert h.hexdigest() == "4599fdd29a4b65be76ea8cd3f5ffb87e1f4ab9dfb2d29593acd0620d2ade9231"
+
+
+def test_weight2_check_fires_on_a_wrong_stored_cell(tmp_path):
+    # +2 on the 2B cell of row 20 of the lambency-3 r = 2 table: hat_2 S_2 first
+    # differs at 20/12 + low(S_2) = 5/3 + 1/3, and only the 2B check fires
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    path = alt / "mt_3_2.json"
+    table = json.loads(path.read_text())
+    table["rows"]["20"][table["classes"].index("2B")] += 2
+    path.write_text(json.dumps(table))
+    try:
+        set_data_dir(alt)
+        rep = mk.verify_F_consistency(3, "2B")
+        assert rep["checked"] == [{"variant": "F", "order": "20",
+                                   "first_mismatch": F(20, 12) + unary_theta(3, 2, 21).low()}]
+        assert all(mk.verify_F_consistency(3, lab)["ok"]
+                   for lab in mk.weight2_classes(3, "F") if lab != "2B")
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(["verify-identities", "--data-dir", str(alt)]) == 1
+        assert buf.getvalue() == "failures: [('weight2', 3, '2B')]\n"
+    finally:
+        set_data_dir(None)
+
+
+def test_verify_identities_builds_each_identity_vector_once(monkeypatch):
+    # the lambency-4 identities run first, so their bridge builds lambency 2 at
+    # its deepest cutoff and the lambency-2 identities read it truncated
+    set_data_dir(None)
+    built = []
+    build = mk.identity_H.__wrapped__
+    monkeypatch.setattr(mk, "identity_H", memo(
+        lambda ell, qcut: built.append(ell) or build(ell, qcut)))
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify-identities"]) == 0
+    assert built.count(2) == 1 and len(built) == len(set(built))
 
 
 def test_solver_and_check_share_one_relation_table(monkeypatch):

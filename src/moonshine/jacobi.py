@@ -735,15 +735,15 @@ def leading_row_relation(phi: WindowedSeries, m: int) -> bool:
 def extremal_space_dim(m: int) -> int:
     """Dimension of the space of extremal candidates at index m-1 (m in {9, 25}).
 
-    Sets up the span of phi^(m)_1 and zeta^i phi^(m-6i)_j, imposes vanishing
-    of every massive-side coefficient q^n y^r with r^2 - 4mn >= 0 and n <=
-    n_bound = max(4, (m-1)^2 // 4m) (and of all polar terms but the r = 1 head),
-    and returns the nullity.  The forms are built to q^(n_bound + 1), the least
-    sound cutoff: H_r, read at n <= n_bound, is exact below it minus r^2/4m.
-    Only phi^(m)_1 is extracted.  zeta vanishes at z = 0, so P_i = Psi_{1,1} zeta^i
-    = theta(2z) theta^(12i-2) eta^(3-12i) is a holomorphic theta block, the same in
-    both annuli, and chi = 0: H_r of zeta^i g is -q^(-r^2/4m) [y^r](P_i g), so its row
-    is read off the int rows of P_i g, less the sign and denominator (rank unchanged).
+    Sets up the span of phi^(m)_1 and zeta^i phi^(m-6i)_j, imposes vanishing of every
+    massive-side coefficient q^n y^r with r^2 - 4mn >= 0 and n <= n_bound = max(4,
+    (m-1)^2 // 4m) (and of all polar terms but the r = 1 head), and returns the nullity.
+    phi^(m)_1, the one form extracted, is built to q^(n_bound + 1), the least sound cutoff:
+    H_r, read at n <= n_bound, is exact below it minus r^2/4m.  zeta vanishes at z = 0, so
+    P_i = Psi_{1,1} zeta^i = theta(2z) theta^(12i-2) eta^(3-12i) is a holomorphic theta
+    block, the same in both annuli, and chi = 0: H_r of zeta^i g is -q^(-r^2/4m) [y^r](P_i g),
+    so its row is read off the int rows of P_i g, less the sign and denominator (rank
+    unchanged).  P_i starts at q^i, so g = phi^(m-6i)_j is built to q^(n_bound + 1 - i) only.
     """
     return len(matrix := _extremal_matrix(m)) - _rank(matrix)
 
@@ -762,7 +762,7 @@ def _extremal_matrix(m: int) -> list:
     for i in range(1, (m - 1) // 6 + 1):
         p = p if i == 1 else (p * zeta_form(qcut)).truncate(qcut)
         for j in range(1, m - 6 * i):
-            s = p * gritsenko(m - 6 * i, j, qcut)
+            s = p * gritsenko(m - 6 * i, j, qcut - i)
             if s.qcut <= nbound:  # a row past the cutoff would read as 0
                 raise CutoffUnderflow(f"q^{nbound} read at qcut {s.qcut} of P_{i} phi")
             matrix.append([s.rows.get(n * s.denom, {}).get(r * s.ydenom, 0) for r, n in slots])

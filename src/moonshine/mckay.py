@@ -261,6 +261,16 @@ def _lambency_4(label: str, qcut) -> tuple:
 # ---------------------------------------------------------------------------
 # consistency checks
 
+@memo
+def _table_shapes(ell: int) -> dict:
+    """{r: (the deepest 4l*d of table r, the labels every row of it holds)} of ``stored_rows``."""
+    shapes = {}
+    for (r, k), row in stored_rows(ell).items():
+        deepest, labels = shapes.get(r, (k, row.keys()))
+        shapes[r] = (max(deepest, k), labels & row.keys())
+    return shapes
+
+
 def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
     """Check the form rebuilt from the stored tables against the cataloged weight-2
     form(s) to ``qcut``, or to the depth the tables reach if that is less: 24 F^tab =
@@ -271,12 +281,10 @@ def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
     cat, qcut, K = _catalog(ell), as_rat(qcut), 4 * ell
     cut = qcut + (Fraction(ell - 2, 4) if (label, "F2") in cat else 0)
     weights = [chi_r(ell, label, r) * (ell - 1) for r in range(1, ell)]  # 24 chi_{g,r}/chi
-    kc, depth, hats = ceil(cut * K), {}, {r: {} for r in range(1, ell)}
+    kc, shapes, hats = ceil(cut * K), _table_shapes(ell), {r: {} for r in range(1, ell)}
+    if missing := [(r, x) for r, (_, has) in shapes.items() for x in (label, "1A") if x not in has]:
+        raise UnknownClass(f"no stored column {missing[0][1]} in table {ell},{missing[0][0]}")
     for (r, k), row in stored_rows(ell).items():
-        if label not in row or "1A" not in row:
-            missing = "1A" if label in row else label
-            raise UnknownClass(f"no stored column {missing} in table {ell},{r}")
-        depth[r] = max(depth.get(r, k), k)
         if k + r * r < kc and (v := 24 * row[label] - weights[r - 1] * row["1A"]):
             hats[r][k] = v
     checked = []
@@ -285,7 +293,7 @@ def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
         for r, j, sign in _relation(ell, variant):
             hat, S = hats[r], unary_theta(ell, j, qcut + 1)
             # hat_r is exact below c, and the series product hat_r S_j below this cutoff
-            c = min(Fraction(depth[r], K) + 1, cut - Fraction(r * r, K))
+            c = min(Fraction(shapes[r][0], K) + 1, cut - Fraction(r * r, K))
             cutoff = min(cutoff, c + S.low(), S.cutoff + (Fraction(min(hat), K) if hat else c))
             for ks, v in S.coeffs.items():
                 for k, h in hat.items():

@@ -1,24 +1,25 @@
 """Truncated three-variable lifts, both built from one Hecke operator.
 
-For a weight-k Jacobi form phi = sum c(n, r) q^n y^r, phi|V_m has the
-coefficient sum over j | gcd(m, n, r) of j^(k-1) c(nm/j^2, r/j) at q^n y^r
-(V. Gritsenko and V. Nikulin, Int. J. Math. 9 (1998)).  The additive (Maass)
-lift of the weight 10 index 1 cusp form is sum_{m >= 1} p^m phi|V_m.  The
-exponential (Borcherds) lift of a weight-0 form Z, the product of
-(1 - p^m q^n y^r)^c(mn, r) over (m, n, r) > 0, is head * exp(-sum p^m Z|V_m)
-with V_m at weight 0 and head = prod_{r < 0} (1 - y^r)^c(0, r).  At lambency
-2 both give Igusa's chi_10, which ``compare_igusa`` checks coefficientwise.
-Each lift is held as its p-slices, so a coefficient outside the box raises.
+For a weight-k Jacobi form phi = sum c(n, r) q^n y^r, phi|V_m has the coefficient sum
+over j | gcd(m, n, r) of j^(k-1) c(nm/j^2, r/j) at q^n y^r (V. Gritsenko and V. Nikulin,
+Int. J. Math. 9 (1998)).  The additive (Maass) lift of the weight 10 index 1 cusp form is
+sum_{m >= 1} p^m phi|V_m.  The exponential (Borcherds) lift of a weight-0 form Z, the
+product of (1 - p^m q^n y^r)^c(mn, r) over (m, n, r) > 0, is E = head * exp(X), with
+X = -sum p^m Z|V_m, V_m at weight 0, and head = prod_{r < 0} (1 - y^r)^c(0, r); as
+p dE/dp = (p dX/dp) E, its p-slices obey m E_m = sum_{i=1..m} i X_i E_(m-i).  At lambency
+2 both give Igusa's chi_10, which ``compare_igusa`` checks coefficientwise.  Each lift is
+held as its p-slices, so a coefficient outside the box raises.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd
 
 from .data import LAMBENCIES, memo
 from .errors import CutoffUnderflow, OutOfRange
-from .jacobi import ENTIRE, WindowedSeries, _clip, _theta_block, umbral_Z
+from .jacobi import ENTIRE, WindowedSeries, _clip, _theta_block, umbral_Z, windowed_mul
 
 
 @dataclass
@@ -101,9 +102,9 @@ def exponential_lift(ell: int, pmax=3, nmax=3) -> TripleSeries:
     C = sum_r r^2 c(0,r)/4.
 
     The ordering (m, n, r) > 0 means m > 0, or m = 0 and n > 0, or
-    m = n = 0 and r < 0.  Every term of X = -sum p^m Z|V_m has m + n >= 1,
-    so exp(X) stops at X^(pmax + nmax) / (pmax + nmax)!.  Built once per
-    arguments (``data.memo``): callers share the result and must not change it.
+    m = n = 0 and r < 0.  X_0 = -Z|V_0 starts at q^1, so slice 0, head * exp(X_0),
+    stops at X_0^nmax / nmax!; slice m >= 1 is the recurrence of the module docstring.
+    Built once per arguments (``data.memo``): callers share the result and must not change it.
     """
     if ell not in LAMBENCIES:
         raise OutOfRange(f"lambency {ell}")
@@ -115,21 +116,19 @@ def exponential_lift(ell: int, pmax=3, nmax=3) -> TripleSeries:
                  Fraction(sum(r * v for r, v in row0.items() if r > 0), 2),
                  Fraction(sum(r * r * v for r, v in row0.items()), 4))
     qcut = nmax + 1
-    zero = WindowedSeries(1, {}, qcut)
-    x = [-_hecke(c, m, 0, nmax) for m in range(pmax + 1)]
-    # p-slices of X^k / k! and of their running sum
-    term = [WindowedSeries.one(qcut)] + [zero] * pmax
-    total = list(term)
-    for k in range(1, pmax + nmax + 1):
-        term = [sum((term[i] * x[m - i] for i in range(m + 1)), zero).scale(Fraction(1, k))
-                for m in range(pmax + 1)]
-        total = [s + t for s, t in zip(total, term)]
-    head = WindowedSeries.one(qcut)
-    for r, e in row0.items():
-        if r < 0:  # (1 - y^r)^e, e = c(0, r) >= 0, by the binomial theorem
-            head = head * WindowedSeries(1, {0: {r * i: (-1) ** i * comb(int(e), i)
-                                                 for i in range(int(e) + 1)}}, qcut)
-    return TripleSeries([head * s for s in total], prefactor)
+    x = [_hecke(c, m, 0, nmax).scale(-max(m, 1)) for m in range(pmax + 1)]  # X_0, i X_i
+    powers = accumulate(range(2, nmax + 1), initial=x[0],  # X_0^k / k!
+                        func=lambda t, k: windowed_mul(t, x[0], qcut).scale(Fraction(1, k)))
+    e = sum(powers, WindowedSeries.one(qcut))
+    for r, v in row0.items():
+        if r < 0:  # (1 - y^r)^v, v = c(0, r) >= 0, by the binomial theorem
+            e = e * WindowedSeries(1, {0: {r * i: (-1) ** i * comb(int(v), i)
+                                           for i in range(int(v) + 1)}}, qcut)
+    slices = [e]
+    for m in range(1, pmax + 1):
+        slices.append(sum((windowed_mul(x[i], slices[m - i], qcut) for i in range(1, m + 1)),
+                          WindowedSeries(1, {}, qcut)).scale(Fraction(1, m)))
+    return TripleSeries(slices, prefactor)
 
 
 def compare_igusa(pmax=3, nmax=3, ywindow=6) -> dict:
@@ -148,9 +147,12 @@ def compare_igusa(pmax=3, nmax=3, ywindow=6) -> dict:
     assert exp.prefactor == (1, 1, 1)
     report = {"box": (pmax, nmax, ywindow), "first_mismatch": None, "ok": True}
     for m in range(1, pmax + 2):
+        a, e = add._slice(m), exp._slice(m - 1)  # both on integral exponents, denominators 1
         for n in range(0, nmax + 2):
+            a.coefficient(n, -ywindow), e.coefficient(n - 1, -ywindow - 1)  # past the box: raise
+            ra, re = a.rows.get(n, {}), e.rows.get(n - 1, {})
             for r in range(-ywindow, ywindow + 1):
-                a, e = add.get(m, n, r), exp.get(m - 1, n - 1, r - 1)
-                if a != e:
-                    return {**report, "first_mismatch": (m, n, r, str(a), str(e)), "ok": False}
+                if (u := ra.get(r, 0)) * e.cden != (v := re.get(r - 1, 0)) * a.cden:
+                    u, v = Fraction(u, a.cden), Fraction(v, e.cden)
+                    return {**report, "first_mismatch": (m, n, r, str(u), str(v)), "ok": False}
     return report

@@ -837,6 +837,26 @@ def test_extremal_matrix_keeps_its_digest():
     assert h.hexdigest() == "b9b6e78cfc0c181e424136506084fb9939d27aacfd5ee5eb8cd7a5464649db3d"
 
 
+def test_extremal_blocks_read_the_tower_only_as_deep_as_needed(monkeypatch):
+    # P_i = Psi_{1,1} zeta^i starts at q^i, so each block product P_i g takes g = phi^(25-6i)_j
+    # at q^(n_bound + 1 - i) and is still exact to q^(n_bound + 1) = q^6; the matrix keeps the
+    # sha256 of its repr recorded at commit d15992f, where every g was built to q^6
+    set_data_dir(None)
+    blocks, product = [], jb._product
+
+    def traced(a, b, *args):
+        out = product(a, b, *args)
+        if a.low_q() > 0 and b.low_q() == 0:  # P_i times a form of the tower
+            blocks.append((a.low_q(), b.qcut, out.qcut))
+        return out
+
+    monkeypatch.setattr(jb, "_product", traced)
+    matrix = jb._extremal_matrix(25)
+    assert sorted(blocks) == [(1, 5, 6)] * 18 + [(2, 4, 6)] * 12 + [(3, 3, 6)] * 6
+    assert (hashlib.sha256(repr(matrix).encode()).hexdigest()
+            == "4d192688f362418a4f59f77f15f4a92dbd231ca3ce52c9c7a8fed077a41e3a34")
+
+
 @pytest.mark.parametrize("ell", [2, 5, 13])
 def test_extraction_refuses_a_pole_block_one_power_short(monkeypatch, ell):
     # extract_from_form asks mu^(l)_0 to |y| <= l-1, what the rows read: a wider block

@@ -520,6 +520,43 @@ def test_weight2_reports_keep_their_digest(monkeypatch):
     assert h.hexdigest() == "4599fdd29a4b65be76ea8cd3f5ffb87e1f4ab9dfb2d29593acd0620d2ade9231"
 
 
+def test_verify_identities_weight2_reports_keep_their_digest():
+    # sha256 over the 61 reports verify-identities makes at qcut 12, in its order;
+    # recorded at commit d15992f, where every check rescanned its lambency's rows
+    # for the table depths and the labels they hold
+    import hashlib
+    set_data_dir(None)
+    reports = [mk.verify_F_consistency(ell, lab, qcut=12) for ell in LAMBENCIES if ell != 4
+               for lab in mk.weight2_classes(ell, "F")]
+    assert len(reports) == 61
+    assert (hashlib.sha256(repr(reports).encode()).hexdigest()
+            == "65804267b39032d8c6664b659c5bcb9d8ebfb44e673578091a2ba8691a2ecded")
+
+
+@pytest.mark.parametrize("drop, label, want", [
+    ("2B", "2B", "no stored column 2B in table 3,2"),
+    ("1A", "3A", "no stored column 1A in table 3,2"),
+])
+def test_weight2_check_names_a_missing_stored_column(tmp_path, drop, label, want):
+    # a column dropped from the lambency-3 r = 2 table: the check names it and the table
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    path = alt / "mt_3_2.json"
+    table = json.loads(path.read_text())
+    i = table["classes"].index(drop)
+    del table["classes"][i]
+    for vals in table["rows"].values():
+        del vals[i]
+    path.write_text(json.dumps(table))
+    try:
+        set_data_dir(alt)
+        with pytest.raises(UnknownClass) as err:
+            mk.verify_F_consistency(3, label)
+        assert str(err.value) == want
+    finally:
+        set_data_dir(None)
+
+
 def test_weight2_check_fires_on_a_wrong_stored_cell(tmp_path):
     # +2 on the 2B cell of row 20 of the lambency-3 r = 2 table: hat_2 S_2 first
     # differs at 20/12 + low(S_2) = 5/3 + 1/3, and only the 2B check fires

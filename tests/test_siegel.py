@@ -88,7 +88,8 @@ def test_vm_collapses_when_coprime():
                 assert add.get(m, n, r) == want
 
 
-@pytest.mark.parametrize("pmax, nmax", [(1, 1), (2, 2), (3, 3), (1, 4), (4, 1)])
+@pytest.mark.parametrize("pmax, nmax", [(1, 1), (2, 2), (3, 3), (1, 4), (4, 1), (5, 1), (2, 4),
+                                        (4, 2)])
 def test_exponential_lift_matches_binomial_product(pmax, nmax):
     for ell in LAMBENCIES:
         acc, prefactor = reference_product(ell, pmax, nmax)
@@ -97,6 +98,21 @@ def test_exponential_lift_matches_binomial_product(pmax, nmax):
                 for (m, n, r), c in sorted(acc.items())]
         assert lift.dump() == want, ell
         assert lift.prefactor == prefactor, ell
+
+
+@pytest.mark.parametrize("ell", LAMBENCIES)
+@pytest.mark.parametrize("pmax, nmax", [(3, 3), (5, 1), (2, 4)])
+def test_exponential_lift_takes_its_slices_by_the_recurrence(monkeypatch, ell, pmax, nmax):
+    # nmax - 1 powers of X_0, one product per head factor (1 - y^r)^c(0, r), r < 0, and
+    # pmax (pmax + 1) / 2 products m E_m = sum_i i X_i E_(m-i); the power series of
+    # exp(X) to X^(pmax + nmax) takes (pmax + 1)(pmax + 2)/2 products per power
+    from moonshine import jacobi
+    Z = umbral_Z(ell, pmax * nmax + 1)  # built first: the form's own products are not counted
+    heads = sum(1 for qe, yp, _ in Z.items() if qe == 0 and yp < 0)
+    calls, product = [], jacobi._product
+    monkeypatch.setattr(jacobi, "_product", lambda *args: calls.append(1) or product(*args))
+    siegel.exponential_lift.__wrapped__(ell, pmax, nmax)  # cold, past the memo
+    assert 0 < len(calls) <= pmax * (pmax + 1) // 2 + nmax - 1 + heads
 
 
 def test_exponential_lift_is_built_once():

@@ -24,13 +24,6 @@ def as_rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _canonical(x):
-    """A table coefficient as ``reps.decompose`` sums it: an int if integral, else a Fraction."""
-    if type(x) is not int:
-        x = as_rat(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def squarefree_part(n: int) -> tuple[int, int]:
     """Write n = s^2 * d with d square-free; return (d, s).  n may be negative."""
     if n == 0:

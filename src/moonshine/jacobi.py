@@ -759,7 +759,7 @@ def _extremal_matrix(m: int) -> list:
     H = extract_from_form(gritsenko(m, 1, qcut), m, qcut)
     matrix = [[H.component(r).coefficient(Fraction(4 * m * n - r * r, 4 * m)) for r, n in slots]]
     p = _theta_block(*_PSI_ZETA, qcut)
-    for i in range(1, (m - 1) // 6 + 1):
+    for i in range(1, (m - 2) // 6 + 1):  # past it range(1, m - 6i) is empty
         p = p if i == 1 else (p * zeta_form(qcut)).truncate(qcut)
         for j in range(1, m - 6 * i):
             s = p * gritsenko(m - 6 * i, j, qcut - i)

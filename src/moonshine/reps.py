@@ -9,24 +9,33 @@ quadratic fields involved.
 view built on first use.  With e the common denominator of the entries and L
 the lcm of the centralizer orders, e*chi_i(K) = R[i][K] + X[i][K]*sqrt(d_i)
 and conj(chi_i(K))/|C(K)| = (A[i][K] - B[i][K]*sqrt(d_i))/(e*L), where A and
-B are R and X times the integer weights L/|C(K)|.  ``decompose`` reads a row
-through the column map of its label tuple (the label read at each column) and
-checks sum_K B[i][K]*c_K = 0 on each chi_i with B[i] != 0: a non-real
-multiplicity depends on the class function, not only on the table (at
-lambency 2, the function 1 on 7A and 0 elsewhere has a non-real chi_3 part).
+B are R and X times the integer weights L/|C(K)|.  Rows that share one label
+tuple (a stored ``mt_<l>_<r>.json``, or the one row given to ``decompose``) are
+decomposed together.  The values of each label over the rows (lifted to their
+lcm denominator if not all ints) are packed by ``qseries._pack`` into one int;
+with C_K the int of the label read at column K, sum_K A[i][K]*C_K holds the
+numerator of m_i in every row and is read back once by ``qseries._unpack``.  A
+slot of bits(max|c|) + bits(S) + 1 bits, S the largest sum_K |entry| of a row
+of A or B, holds each such sum.  A packed int is 0 only if every slot is, so
+the non-real check is one zero test of sum_K B[i][K]*C_K per table on each
+chi_i with B[i] != 0: a non-real multiplicity depends on the class function,
+not only on the table (at lambency 2, the function 1 on 7A and 0 elsewhere has
+a non-real chi_3 part).
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .algebra import QuadValue, _canonical, squarefree_part
+from .algebra import QuadValue, as_rat, squarefree_part
 from .data import load_json, memo
 from .errors import DataCorrupt, MixedDiscriminant, OutOfRange, UnknownClass
 from .groups import CharacterTable, character_table, class_table, merged_members
+from .qseries import _pack, _unpack
 
 
 def _one_disc(values, where: str) -> int:
@@ -113,8 +122,9 @@ class Multiplicities:
 
 @memo
 def _column_map(ell: int, labels: tuple):
-    """(cols, e*L, A, irrational) for rows keyed by ``labels``: cols[K] is the
-    position of the label read at column K, irrational the (i, B[i]) with B[i] != 0."""
+    """(cols, e*L, A, irrational, sbits) for rows keyed by ``labels``: cols[K] is the position
+    of the label read at column K, irrational the (i, B[i]) with B[i] != 0, sbits the bits
+    of S (module docstring)."""
     t = character_table(ell)
     at = {}
     for pos, lab in enumerate(labels):
@@ -126,27 +136,45 @@ def _column_map(ell: int, labels: tuple):
         missing = set(t.classes) - set(at)
         raise UnknownClass(f"coefficient vector incomplete: missing {sorted(missing)}")
     e, big_l, _, _, A, B, _, _ = _int_view(ell)
-    return [at[lab] for lab in t.classes], e * big_l, A, [(i, b) for i, b in enumerate(B) if any(b)]
+    sbits = max(sum(map(abs, row)) for row in A + B).bit_length()
+    return ([at[lab] for lab in t.classes], e * big_l, A,
+            [(i, b) for i, b in enumerate(B) if any(b)], sbits)
+
+
+def _decompose_rows(ell: int, rows: dict) -> dict:
+    """The ``Multiplicities`` of rows {(r, 4l*d): {label: value}}, each holding the labels of
+    the first in that order, by one packed product per character (module docstring)."""
+    cols, scale, A, irrational, sbits = _column_map(ell, tuple(next(iter(rows.values()))))
+    columns = list(zip(*(row.values() for row in rows.values())))
+    if set(map(type, chain.from_iterable(columns))) != {int}:
+        columns = [[as_rat(c) for c in col] for col in columns]
+        d = lcm(*(c.denominator for col in columns for c in col))
+        columns = [[c.numerator * (d // c.denominator) for c in col] for col in columns]
+        scale *= d
+    n = len(rows)
+    nb = (max(max(map(abs, col)) for col in columns).bit_length() + sbits + 8) // 8
+    packed = [_pack(range(n), col, nb) for col in columns]
+    packed = [packed[k] for k in cols]
+    for i, b in irrational:
+        if sum(map(mul, b, packed)):
+            raise DataCorrupt(f"non-real multiplicity for chi_{i + 1}")
+    table = list(zip(*(_unpack(sum(map(mul, a, packed)), n, nb) for a in A)))
+    count = {x: Fraction(x, scale) for x in set(chain.from_iterable(table))}
+    split = {x for x, c in count.items() if c.denominator != 1}
+    return {(r, k): Multiplicities(ell, r, k, list(map(count.__getitem__, nums)),
+                                   split.isdisjoint(nums), min(nums) >= 0)
+            for (r, k), nums in zip(rows, table)}
 
 
 def decompose(ell: int, r: int, fourld: int, coefficients: dict) -> Multiplicities:
     """Invert the character table on a class function.
 
-    ``coefficients`` maps merged class labels to exact values, read onto the
-    character-table columns through the column map of its label tuple.
-    m_i = sum_K conj(chi_i(K)) c_K / |C(K)|; the non-real check runs on the
-    characters with an irrational part only.
+    ``coefficients`` maps merged class labels to exact values.
+    m_i = sum_K conj(chi_i(K)) c_K / |C(K)|, read as a one-row table by the routine that
+    decomposes the stored tables; the non-real check runs on the characters with an
+    irrational part only.
     """
-    cols, scale, A, irrational = _column_map(ell, tuple(coefficients))
-    vals = [c if type(c) is int else _canonical(c) for c in coefficients.values()]
-    cs = [vals[k] for k in cols]
-    for i, b in irrational:
-        if sum(map(mul, b, cs)):
-            raise DataCorrupt(f"non-real multiplicity for chi_{i + 1}")
-    nums = [sum(map(mul, a, cs)) for a in A]
-    rems = [n % scale for n in nums]
-    counts = [Fraction(n, scale) if m else Fraction(n // scale) for n, m in zip(nums, rems)]
-    return Multiplicities(ell, r, fourld, counts, not any(rems), min(nums) >= 0)
+    return _decompose_rows(ell, {(r, fourld): coefficients})[r, fourld]
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +227,15 @@ def coefficient_row(ell: int, r: int, fourld: int, corrected: bool = True) -> di
 
 @memo
 def stored_decompositions(ell: int) -> dict:
-    """``decompose`` of every stored row, errata applied, keyed as ``stored_rows``."""
-    return {(r, k): decompose(ell, r, k, coefficient_row(ell, r, k)) for r, k in stored_rows(ell)}
+    """``decompose`` of every stored row, errata applied, keyed as ``stored_rows``: one
+    ``_decompose_rows`` per stored table, whose rows share one label tuple."""
+    rows, tables = stored_rows(ell), {}
+    for key, row in rows.items():
+        tables.setdefault(key[0], {})[key] = row
+    for l2, r, k, _ in MT_ERRATA:
+        if l2 == ell and (r, k) in rows:
+            tables[r][r, k] = coefficient_row(ell, r, k)
+    return {key: m for table in tables.values() for key, m in _decompose_rows(ell, table).items()}
 
 
 def row_component(ell: int, fourld: int) -> int:

@@ -857,6 +857,17 @@ def test_extremal_blocks_read_the_tower_only_as_deep_as_needed(monkeypatch):
             == "4d192688f362418a4f59f77f15f4a92dbd231ca3ce52c9c7a8fed077a41e3a34")
 
 
+@pytest.mark.parametrize("m, products", [(9, 0), (25, 2)])
+def test_extremal_matrix_forms_only_the_zeta_powers_it_reads(monkeypatch, m, products):
+    # P_i is read against phi^(m-6i)_j, j = 1 .. m-6i-1, so only for i <= (m - 2) // 6: P_2 and
+    # P_3 = P_2 zeta are the two products at m = 25, and P_1 alone serves m = 9
+    set_data_dir(None)
+    calls, zeta = [], jb.zeta_form
+    monkeypatch.setattr(jb, "zeta_form", lambda qcut: calls.append(qcut) or zeta(qcut))
+    jb._extremal_matrix(m)
+    assert len(calls) == products
+
+
 @pytest.mark.parametrize("ell", [2, 5, 13])
 def test_extraction_refuses_a_pole_block_one_power_short(monkeypatch, ell):
     # extract_from_form asks mu^(l)_0 to |y| <= l-1, what the rows read: a wider block

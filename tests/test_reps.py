@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import re
 import shutil
@@ -155,6 +156,41 @@ def test_decompose_matches_reference_on_random_class_functions(rng):
                 reps.decompose(ell, 1, 1, vec)
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize("ell", LAMBENCIES)
+def test_decompose_near_its_slot_width(ell):
+    # c_K = c sign(w(K)) for the rational or the irrational part of a character's weights w:
+    # sum_K w(K) c_K then reaches |c| sum_K |w(K)|, the bound the packed slot is sized by.  c is
+    # +-(2^200 - 1) or 2^200 + 1, or a Fraction, at every class or at 1A alone (the rest lifted
+    # to its denominator); on the rational parts c is constant on each Galois orbit of classes,
+    # so the multiplicities are rational
+    t = reps.character_table(ell)
+    _, weights = _class_weights(ell, data_dir())
+    big = 2 ** 200
+    for w, _ in weights:
+        for part in ("rat", "irr"):
+            signs = [_sign(getattr(v, part)) for v in w]
+            if not any(signs):
+                continue
+            for c, at_1a in [(big - 1, big - 1), (-big + 1, -big + 1), (big + 1, big + 1),
+                             (F(big - 1, 3), F(big - 1, 3)), (big - 1, F(big - 1, 7))]:
+                vec = {lab: s * c for lab, s in zip(t.classes, signs)}
+                vec["1A"] = signs[0] * at_1a
+                want = _reference_multiplicities(ell, vec)
+                bad = next((i for i, m in enumerate(want) if not m.is_rational), None)
+                if bad is None:
+                    got = reps.decompose(ell, 1, 1, vec)
+                    assert got.counts == [m.rat for m in want]
+                    assert got.integral == all(m.rat.denominator == 1 for m in want)
+                    assert got.nonnegative == all(m.rat >= 0 for m in want)
+                else:
+                    with pytest.raises(DataCorrupt, match=rf"non-real multiplicity for chi_{bad + 1}$"):
+                        reps.decompose(ell, 1, 1, vec)
+
+
 def test_non_real_multiplicity_rejected():
     t = reps.character_table(2)
     vec = {lab: int(lab == "7A") for lab in t.classes}
@@ -251,16 +287,59 @@ def test_parity_split():
 
 
 def test_every_stored_row_decomposed_once(monkeypatch):
-    # the table checks and the discriminant suite read one map of decompositions
+    # the table checks and the discriminant suite read one map of decompositions, built
+    # by the routine behind decompose, one stored table at a time
     set_data_dir(None)
     calls = []
-    decompose = reps.decompose
-    monkeypatch.setattr(reps, "decompose", lambda *args: calls.append(args[:3]) or decompose(*args))
+    rows_of = reps._decompose_rows
+    monkeypatch.setattr(reps, "_decompose_rows", lambda ell, rows: calls.extend(
+        (ell, *key) for key in rows) or rows_of(ell, rows))
     for ell in LAMBENCIES:
         assert reps.verify_decomposition_tables(ell)["ok"]
         assert reps.parity_split_ok(ell)
         assert reps.discriminant_report(ell)["ok"]
     assert len(calls) == len(set(calls)) == 1032
+
+
+def test_decomposed_rows_and_discriminant_json_keep_their_digests(capsys):
+    # the two digests the tier-1 workflow records, hashed as it hashes them: every multiplicity
+    # row of stored_decompositions(l) in sorted key order, and the exit code and stdout of
+    # `discriminants --lambency l --json`; recorded at commit a2cf1fb, where decompose expanded
+    # the merged labels of each row anew and summed its values as Fractions or ints.  The counts
+    # stay Fractions: the JSON prints the minimal rows' counts through str
+    set_data_dir(None)
+    rows, n = hashlib.sha256(), 0
+    for ell in LAMBENCIES:
+        decs = reps.stored_decompositions(ell)
+        for r, k in sorted(decs):
+            m, n = decs[r, k], n + 1
+            assert all(type(c) is F for c in m.counts)
+            rows.update(repr((ell, r, k, [str(c) for c in m.counts], m.integral,
+                              m.nonnegative)).encode())
+    disc = hashlib.sha256()
+    for ell in LAMBENCIES:
+        code = main(["discriminants", "--lambency", str(ell), "--json"])
+        disc.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert n == 1032
+    assert rows.hexdigest() == "579f4a274a71766e39f9642a49b075b4931bf1c152a8031faf8cbffe9d76aa05"
+    assert disc.hexdigest() == "b70b7a43d3e22cec4c913d113848caedb547644e576d08d21ecbe15a895f6fe0"
+
+
+def test_discriminants_fail_on_a_planted_wrong_cell(tmp_path, capsys):
+    # 2A of row 59 in mt_3_1 changed from 1408 to 1409: the row decomposes to non-integral
+    # multiplicities, so the doublet check fails and counts the 59 other rows
+    def plant(t):
+        col = t["classes"].index("2A")
+        assert t["rows"]["59"][col] == 1408
+        t["rows"]["59"][col] = 1409
+    alt = _edited_copy(tmp_path, {"mt_3_1.json": plant})
+    try:
+        assert main(["discriminants", "--lambency", "3", "--data-dir", str(alt)]) == 1
+    finally:
+        set_data_dir(None)
+    assert capsys.readouterr().out == ("types [5, 8, 11, 20]; fs ok; minimal rows ok; "
+                                       "doublets FAIL over 59 rows\n")
+    assert main(["discriminants", "--lambency", "3"]) == 0
 
 
 def test_parity_checked_past_the_tenth_row(tmp_path):

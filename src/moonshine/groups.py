@@ -8,8 +8,13 @@ supply candidate class representatives, each labelled by its two Frame shapes
 against the bundled class data; a backtrack search over a chain whose base
 follows the candidate's cycles decides conjugacy to the representatives
 found under its label and counts its centralizer, so a class of g has
-|G|/|C(g)| elements.  z g (z the central sign flip) and the powers g^k with
-k prime to the order of g share that centralizer and chain.  The search
+|G|/|C(g)| elements.  |C(g)| is a product of orbit lengths along the
+search's identity branch: the elements of C(g) fixing the first i base
+points move the next one b_i to as many points as first-leaf searches reach,
+and the orbit-stabilizer theorem multiplies that orbit's length by the order
+of its stabilizer, the same count taken one level down with b_i fixed; no
+element of C(g) is listed.  z g (z the central sign flip) and the powers g^k
+with k prime to the order of g share that centralizer and chain.  The search
 stops when the labels hold their stored class counts; the class sizes must
 then sum to the order (the class equation).
 The degree 24 group at lambency 2 is far too large to enumerate and is
@@ -533,7 +538,20 @@ def _conjugators(levels: list, g: bytes, h: bytes, first: bool) -> int:
     already fixed has one choice.  Only the base points' images are chosen,
     so each leaf x is checked on every point.  The search is fastest on a
     base adapted to g (``_cycle_points``), where one choice fixes a whole
-    long cycle."""
+    long cycle.
+
+    The x with x g x^-1 = h form a coset of C(g), so their count is |C(g)|
+    when there is one and 0 otherwise.  |C(g)| is not counted leaf by leaf
+    but as a product of orbit lengths along the identity branch (orbit-
+    stabilizer, HEO section 4.6): C_i, the elements of C(g) that fix
+    b_0, ..., b_(i-1), has |C_i| = |b_i^(C_i)| |C_(i+1)|, as C_(i+1) is the
+    stabilizer of b_i in C_i.  Every element of C_i is a product u_i ... u_m,
+    so its image of b_i is a point c of level i's orbit, and c lies in the
+    orbit exactly when a search from x(b_i) = c, with b_0, ..., b_(i-1) and
+    their cycles fixed as themselves, reaches a first leaf; c = b_i always
+    does (x = 1) and is not searched."""
+    if not first and g != h:
+        return _conjugators(levels, g, h, True) and _conjugators(levels, g, g, False)
     th, image, used = _table(h), [-1] * len(g), [False] * len(g)
 
     def fix(b, q):
@@ -561,14 +579,14 @@ def _conjugators(levels: list, g: bytes, h: bytes, first: bool) -> int:
             used[image[p]], image[p] = False, -1
 
     def search(i, x):
+        """Whether a leaf below the partial product x maps g to h."""
         tx = _table(x)
         if i == len(levels):
-            return int(g.translate(tx) == x.translate(th))
+            return g.translate(tx) == x.translate(th)
         b, _, tv, _ = levels[i]
         if image[b] >= 0:
             u = tv.get(x.index(image[b]))
-            return 0 if u is None else search(i + 1, u.translate(tx))
-        count = 0
+            return u is not None and search(i + 1, u.translate(tx))
         for c, u in tv.items():
             q = x[c]
             if used[q]:
@@ -576,13 +594,32 @@ def _conjugators(levels: list, g: bytes, h: bytes, first: bool) -> int:
             fixed = fix(b, q)
             if fixed is None:
                 continue
-            count += search(i + 1, u.translate(tx))
+            found = search(i + 1, u.translate(tx))
             release(fixed)
-            if count and first:
-                break
-        return count
+            if found:
+                return True
+        return False
 
-    return search(0, _IDENTITY[:len(g)])
+    def order(i):
+        """|C_i|, with b_0, ..., b_(i-1) and their cycles fixed as themselves."""
+        if i == len(levels):
+            return 1
+        b, _, tv, _ = levels[i]
+        if image[b] >= 0:           # on a fixed cycle: b_i^(C_i) = {b_i}
+            return order(i + 1)
+        orbit = 1
+        for c, u in tv.items():
+            if c != b and (fixed := fix(b, c)) is not None:
+                orbit += search(i + 1, u)
+                release(fixed)
+        fixed = fix(b, b)
+        below = order(i + 1)
+        release(fixed)
+        return orbit * below
+
+    if first:
+        return int(search(0, _IDENTITY[:len(g)]))
+    return order(0)
 
 
 def _power(perm: bytes, k: int) -> bytes:
@@ -600,7 +637,10 @@ def _class_reps(gens: list, order: int, table: GroupData) -> dict:
     A candidate from the walk starts a new class only when its label has
     fewer classes than the table's ``merged`` count and ``_conjugators`` finds
     it conjugate to none of them.  The class of g then has order / |C(g)|
-    elements, or 1 when g commutes with every generator.  z g and each g^k
+    elements, or 1 when g commutes with every generator; |C(g)| is the
+    product of the orbit lengths of C(g)'s point stabilizers along the
+    adapted base, exact by the orbit-stabilizer theorem as each length
+    counts the images that a first-leaf search proves.  z g and each g^k
     with k prime to the order of g share that centralizer and g's adapted
     chain, so the new class's whole family is labelled and tested at once.
     The walk stops when every label holds its count or the sizes reach the
@@ -736,7 +776,8 @@ def squared_class_set(ell: int, label: str) -> set:
     if label not in gd.by_label:
         raise UnknownClass(f"no class {label} at lambency {ell}")
     g0 = gd.by_label[label].rep
-    return {gd.class_of(g0 * SignedPerm(img)) for img in conjugation_orbit(ell, g0)}
+    t0, steps = _table(g0.perm), _conjugations(generators(ell))
+    return {gd.class_of(SignedPerm._of(h.translate(t0))) for h in _orbit(g0.perm, steps)}
 
 
 def shuffle_group(n: int) -> int:

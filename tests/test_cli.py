@@ -94,6 +94,28 @@ def test_verify_group_exits_1_on_a_planted_pairing(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: pairing mismatch at 1A: 2A\n"
 
 
+def test_verify_group_exits_1_on_swapped_centralizer_orders(tmp_path):
+    # 3A and 3B at lambency 3 (108 and 72) swapped in chartab_3.json: the stored
+    # class sizes then disagree with the generated group's
+    import shutil
+    from moonshine.data import data_dir, set_data_dir
+    alt = tmp_path / "tables"
+    shutil.copytree(data_dir(), alt)
+    path = alt / "chartab_3.json"
+    table = json.loads(path.read_text())
+    a, b = table["classes"].index("3A"), table["classes"].index("3B")
+    c = table["centralizers"]
+    assert (c[a], c[b]) == (108, 72)
+    c[a], c[b] = c[b], c[a]
+    path.write_text(json.dumps(table))
+    try:
+        code, out = run(["verify-group", "--lambency", "3", "--data-dir", str(alt)])
+    finally:
+        set_data_dir(None)
+    assert (code, out) == (1, "lambency 3: order 190080, 21 classes, MISMATCH\n")
+    assert run(["verify-group", "--lambency", "3"]) == (0, "lambency 3: order 190080, 21 classes, ok\n")
+
+
 def test_negative_order_is_a_usage_error(capsys):
     # 2B at lambency 2 is computed, 3AB at lambency 7 read from its stored column
     for argv in (["coeffs", "--lambency", "2", "--class", "2B"],

@@ -168,6 +168,54 @@ def test_m24_class_table():
     assert gr.frame_str(gd.by_label["2A"].pi) == "1^8 2^8"
 
 
+def _projective_line_perm(f):
+    """The permutation t -> f(t) of the 24 points inf, 0, ..., 22 of the
+    projective line over F_23 (inf is point 0 and t is point t + 1), as a
+    degree-24 signed permutation with every sign +."""
+    point = {None: 0, **{t: t + 1 for t in range(23)}}
+    img = [0] * 24
+    for t, p in point.items():
+        img[p] = point[f(t)] << 1
+    return gr.SignedPerm(img)
+
+
+def _conway_m24():
+    """Conway's generators of M24 on the projective line over F_23: alpha:
+    t -> t + 1, beta: t -> 2t, gamma: t -> -1/t, and delta: t -> t^3/9 when t
+    is a square or 0 and 9t^3 otherwise, delta fixing inf (None)."""
+    squares = {t * t % 23 for t in range(23)}
+    ninth = pow(9, -1, 23)
+    return [_projective_line_perm(f) for f in (
+        lambda t: None if t is None else (t + 1) % 23,
+        lambda t: None if t is None else 2 * t % 23,
+        lambda t: 0 if t is None else None if t == 0 else -pow(t, -1, 23) % 23,
+        lambda t: None if t is None else (ninth if t in squares else 9) * t ** 3 % 23)]
+
+
+def test_m24_generated_from_conways_generators():
+    # the first check of stored lambency-2 class sizes against a generated group;
+    # a merged label such as 23AB holds the sizes of its two classes
+    gens = _conway_m24()
+    alpha, beta, gamma, delta = gens
+    levels, order = gr._chain(gens)
+    assert order == 244823040
+    assert gr._chain([alpha, gamma])[1] == 6072   # PSL_2(23): delta is not redundant
+    t = gr.class_table(2)
+    six = alpha * delta
+    elements = {"23AB": alpha, "11A": beta, "2B": gamma, "5A": delta, "6A": six,
+                "3A": six * six, "2A": six * six * six, "10A": gamma * delta}
+    for label, g in elements.items():
+        c = t.by_label[t.class_of(g)]
+        assert c.label == label
+        adapted = gr._chain(gens, gr._cycle_points(g.perm))[0]
+        assert order // gr._conjugators(adapted, g.perm, g.perm, False) == c.size // c.merged
+    # the count is the same on the default base, which is not adapted to gamma
+    assert gr._conjugators(levels, gamma.perm, gamma.perm, False) == 7680
+    # M24 has no central sign flip: its class data knows no such class
+    with pytest.raises(UnknownClass, match=r"no class with invariants \('2\^24/1\^24', '1\^24'\)"):
+        t.class_of(gr.SignedPerm.identity(24).negate())
+
+
 def test_closure_overflow_guard():
     with pytest.raises(ClosureOverflow):
         gr.generate(3, bound=1000)
@@ -280,6 +328,17 @@ def test_eleven_a_is_not_conjugate_to_its_inverse(generated):
     assert gr._conjugators(levels, g.perm, g.inverse().perm, True) == 0
     assert gr._conjugators(levels, g.perm, g3.perm, True) == 1
     assert gr._conjugators(levels, g.perm, g3.perm, False) == _centralizer_order(3, g) == 22
+
+
+def test_centralizer_count_on_a_base_not_adapted_to_the_element(generated):
+    # on the default base 0, 2, 4, ... a base point's image can already be
+    # taken by a cycle fixed before it (2B at lambency 5), or lie on a longer
+    # cycle than its own (5A), so both prunes run; the count stays exact
+    for ell in (4, 5, 7):
+        gd, levels = generated[ell], gr._chain(gr.generators(ell))[0]
+        for c in gd.classes:
+            count = gr._conjugators(levels, c.rep.perm, c.rep.perm, False)
+            assert count * c.size == gd.order * c.merged, (ell, c.label)
 
 
 def test_backtracks_run_on_chains_adapted_to_their_source(monkeypatch):

@@ -66,10 +66,8 @@ def test_decompose_spec_examples():
 
 def test_decompose_single_character_row():
     t = reps.character_table(13)
-    coeffs = {}
-    for k, lab in enumerate(t.classes):
-        assert t.values[2][k].irr == 0 or True
-    # use a rational row: chi_2
+    # the row decomposed, chi_2, is rational
+    assert all(v.irr == 0 for v in t.values[1])
     coeffs = {lab: t.values[1][k].rat for k, lab in enumerate(t.classes)}
     got = reps.decompose(13, 1, 51, coeffs)
     assert got.counts == [0, 1, 0, 0]

@@ -3,7 +3,9 @@
 Rationals are ``fractions.Fraction`` (plain ``int`` is accepted anywhere a
 rational is, and arithmetic never leaves the exact world).  QuadValue adds a
 single square root of a square-free integer, enough for every character table
-entry in the bundled data: b_n = (-1+sqrt(-n))/2 and a_n = sqrt(-n).
+entry in the bundled data, such as b_n = (-1+sqrt(-n))/2 and a_n = sqrt(-n).
+The tables themselves are parsed to ints (``groups.character_table``);
+``CharacterTable.values`` builds their QuadValues on first read.
 """
 from __future__ import annotations
 
@@ -133,12 +135,3 @@ class QuadValue:
             return str(self.rat)
         return f"{self.rat}+{self.irr}*sqrt({self.disc})"
 
-
-def b_value(n: int) -> QuadValue:
-    """The character-table abbreviation b_n = (-1 + sqrt(-n)) / 2."""
-    return QuadValue(Fraction(-1, 2), Fraction(1, 2), -n)
-
-
-def a_value(n: int) -> QuadValue:
-    """The character-table abbreviation a_n = sqrt(-n)."""
-    return QuadValue(Fraction(0), Fraction(1), -n)

@@ -30,12 +30,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import gcd, lcm, prod
+from operator import mul
 
-from .algebra import QuadValue
+from .algebra import QuadValue, squarefree_part
 from .data import load_json, memo
-from .errors import ClosureOverflow, DataCorrupt, OutOfRange, UnknownClass
+from .errors import ClosureOverflow, DataCorrupt, MixedDiscriminant, OutOfRange, UnknownClass
 
 # ---------------------------------------------------------------------------
 # signed permutations
@@ -304,30 +306,74 @@ def merged_members(label: str) -> list:
 
 @dataclass
 class CharacterTable:
+    """A stored character table as ints: e*chi_i(K) = R[i][K] + X[i][K]*sqrt(row_disc[i])
+    over the common denominator e, col_disc[K] the one discriminant of column K, and A, B
+    are R, X times the weights L/|C(K)|, L the lcm of the centralizer orders."""
     lambency: int
     order: int
     classes: list           # unmerged labels, character-table column order
     centralizers: list      # |C(g)| per column
     power_maps: dict        # str(p) -> [labels]
     fs: list                # Frobenius-Schur indicators per irreducible
-    values: list            # values[i][k]: QuadValue of chi_{i+1} at column k
+    e: int
+    L: int
+    R: list
+    X: list
+    A: list
+    B: list
+    row_disc: list
+    col_disc: list
+
+    @cached_property
+    def values(self) -> list:
+        """values[i][k]: chi_{i+1} at column k as a QuadValue, built on first read."""
+        return [[QuadValue(Fraction(p, self.e), Fraction(x, self.e), d) for p, x in zip(rats, irrs)]
+                for rats, irrs, d in zip(self.R, self.X, self.row_disc)]
 
     def degree(self, i: int) -> int:
-        return int(self.values[i][0].rat)
+        return self.R[i][0] // self.e
 
     @property
     def nchars(self) -> int:
-        return len(self.values)
+        return len(self.R)
+
+
+def _ratio(s: str) -> tuple:
+    """The numerator and denominator of a stored 'p/q' or 'p'."""
+    p, _, q = s.partition("/")
+    return int(p), int(q or 1)
+
+
+def _one_disc(discs, where: str) -> int:
+    ds = set(discs) - {0}
+    if len(ds) > 1:
+        raise MixedDiscriminant(f"{where} mixes sqrt({min(ds)}) and sqrt({max(ds)})")
+    return ds.pop() if ds else 0
 
 
 @memo
 def character_table(ell: int) -> CharacterTable:
-    """The stored character table; no other function reads its file."""
+    """The stored character table; no other function reads its file.  Each cell {rat, irr,
+    disc} is parsed straight to ints over the lcm e of the table's denominators.  An irr over
+    a disc of 0, 1 or with a square factor raises ``DataCorrupt``; a row or column with two
+    discs, ``MixedDiscriminant``."""
     d = load_json(f"chartab_{ell}.json")
-    values = [[QuadValue(Fraction(v["rat"]), Fraction(v["irr"]), v["disc"])
-               for v in row] for row in d["values"]]
-    return CharacterTable(ell, d["order"], d["classes"], d["centralizers"],
-                          d["power_maps"], d["fs"], values)
+    cells = [[(*_ratio(v["rat"]), *_ratio(v["irr"]), v["disc"]) for v in row]
+             for row in d["values"]]
+    e = lcm(*(c[k] for row in cells for c in row for k in (1, 3)))
+    R = [[p * (e // q) for p, q, _, _, _ in row] for row in cells]
+    X = [[x * (e // y) for _, _, x, y, _ in row] for row in cells]
+    D = [[c[4] if x else 0 for c, x in zip(row, xs)] for row, xs in zip(cells, X)]
+    for disc in {c[4] for row in cells for c in row if c[2]}:
+        if disc in (0, 1) or squarefree_part(disc)[1] != 1:
+            raise DataCorrupt(f"chartab_{ell}.json: sqrt({disc}) is not a square-free irrational")
+    big_l = lcm(*d["centralizers"])
+    w = [big_l // c for c in d["centralizers"]]
+    return CharacterTable(
+        ell, d["order"], d["classes"], d["centralizers"], d["power_maps"], d["fs"], e, big_l,
+        R, X, [list(map(mul, row, w)) for row in R], [list(map(mul, row, w)) for row in X],
+        [_one_disc(row, f"chi_{i + 1}") for i, row in enumerate(D)],
+        [_one_disc(col, f"column {lab}") for lab, col in zip(d["classes"], zip(*D))])
 
 
 @memo

@@ -1,26 +1,25 @@
 """Character-table validation, module decompositions, and the discriminant checks.
 
-The six character tables, read by ``groups.character_table``, are validated
-here by exact orthogonality; coefficient vectors (one integer per conjugacy
-class) are decomposed into irreducibles by character inversion over the
-quadratic fields involved.
+The six character tables, parsed to ints by ``groups.character_table``, are
+validated here by exact orthogonality and their Frobenius-Schur indicators;
+coefficient vectors (one integer per conjugacy class) are decomposed into
+irreducibles by character inversion over the quadratic fields involved.
 
-``CharacterTable.values`` holds ``QuadValue``s; the loops run on an integer
-view built on first use.  With e the common denominator of the entries and L
-the lcm of the centralizer orders, e*chi_i(K) = R[i][K] + X[i][K]*sqrt(d_i)
-and conj(chi_i(K))/|C(K)| = (A[i][K] - B[i][K]*sqrt(d_i))/(e*L), where A and
-B are R and X times the integer weights L/|C(K)|.  Rows that share one label
-tuple (a stored ``mt_<l>_<r>.json``, or the one row given to ``decompose``) are
-decomposed together.  The values of each label over the rows (lifted to their
-lcm denominator if not all ints) are packed by ``qseries._pack`` into one int;
-with C_K the int of the label read at column K, sum_K A[i][K]*C_K holds the
+With e the common denominator of a table and L the lcm of its centralizer
+orders, e*chi_i(K) = R[i][K] + X[i][K]*sqrt(d_i) and conj(chi_i(K))/|C(K)| =
+(A[i][K] - B[i][K]*sqrt(d_i))/(e*L).  Rows that share one label tuple (a stored
+``mt_<l>_<r>.json``, or the one row given to ``decompose``) are decomposed
+together, A and B summed over the columns that read each label.  The values of
+each label P over the rows (lifted to their lcm denominator if not all ints)
+are packed by ``qseries._pack`` into one int C_P; sum_P A[i][P]*C_P holds the
 numerator of m_i in every row and is read back once by ``qseries._unpack``.  A
-slot of bits(max|c|) + bits(S) + 1 bits, S the largest sum_K |entry| of a row
+slot of bits(max|c|) + bits(S) + 1 bits, S the largest sum_P |entry| of a row
 of A or B, holds each such sum.  A packed int is 0 only if every slot is, so
-the non-real check is one zero test of sum_K B[i][K]*C_K per table on each
-chi_i with B[i] != 0: a non-real multiplicity depends on the class function,
-not only on the table (at lambency 2, the function 1 on 7A and 0 elsewhere has
-a non-real chi_3 part).
+the non-real check is one zero test of sum_P B[i][P]*C_P on each chi_i whose
+summed B[i] is not 0; on a merged label such as 7AB the two columns' B cancel.
+A non-real multiplicity depends on the class function (at lambency 2, the
+function 1 on 7A and 0 elsewhere has a non-real chi_3 part).  Every per-row
+check reads these numerators over the table's one denominator.
 """
 from __future__ import annotations
 
@@ -33,31 +32,9 @@ from operator import mul
 
 from .algebra import QuadValue, as_rat, squarefree_part
 from .data import load_json, memo
-from .errors import DataCorrupt, MixedDiscriminant, OutOfRange, UnknownClass
-from .groups import CharacterTable, character_table, class_table, merged_members
+from .errors import DataCorrupt, OutOfRange, UnknownClass
+from .groups import character_table, class_table, merged_members
 from .qseries import _pack, _unpack
-
-
-def _one_disc(values, where: str) -> int:
-    ds = {v.disc for v in values} - {0}
-    if len(ds) > 1:
-        raise MixedDiscriminant(f"{where} mixes sqrt({min(ds)}) and sqrt({max(ds)})")
-    return ds.pop() if ds else 0
-
-
-@memo
-def _int_view(ell: int):
-    """(e, L, R, X, A, B, row_disc, col_disc) of the module docstring."""
-    t = character_table(ell)
-    e = lcm(*(x.denominator for row in t.values for v in row for x in (v.rat, v.irr)))
-    big_l = lcm(*t.centralizers)
-    w = [big_l // c for c in t.centralizers]
-    R = [[v.rat.numerator * (e // v.rat.denominator) for v in row] for row in t.values]
-    X = [[v.irr.numerator * (e // v.irr.denominator) for v in row] for row in t.values]
-    rdisc = [_one_disc(row, f"chi_{i + 1}") for i, row in enumerate(t.values)]
-    cdisc = [_one_disc(col, f"column {lab}") for lab, col in zip(t.classes, zip(*t.values))]
-    return (e, big_l, R, X, [list(map(mul, row, w)) for row in R],
-            [list(map(mul, row, w)) for row in X], rdisc, cdisc)
 
 
 def _label_order(label: str) -> int:
@@ -69,16 +46,16 @@ def _label_order(label: str) -> int:
 
 
 def validate_table(ell: int) -> dict:
-    """Exact row/column orthogonality plus power-map sanity."""
+    """Exact orthogonality, power-map sanity, positive degrees and Frobenius-Schur indicators."""
     t = character_table(ell)
     n = len(t.classes)
     report = {"lambency": ell, "order": t.order, "classes": n, "ok": True}
-    if len(t.values) != n:
+    if t.nchars != n:
         raise DataCorrupt(f"table {ell} not square")
-    e, big_l, R, X, A, B, rdisc, cdisc = _int_view(ell)
+    e, big_l, R, X, A, B, rdisc = t.e, t.L, t.R, t.X, t.A, t.B, t.row_disc
     # column norms reproduce the stored centralizer orders
     for k, (lab, c) in enumerate(zip(t.classes, t.centralizers)):
-        norm = sum(R[i][k] ** 2 - cdisc[k] * X[i][k] ** 2 for i in range(n))
+        norm = sum(R[i][k] ** 2 - t.col_disc[k] * X[i][k] ** 2 for i in range(n))
         if norm != e * e * c:
             raise DataCorrupt(f"column norm at {lab}: {Fraction(norm, e * e)}")
     if sum(Fraction(t.order, c) for c in t.centralizers) != t.order:
@@ -106,6 +83,17 @@ def validate_table(ell: int) -> dict:
             order = _label_order(src)
             if _label_order(lab) != order // gcd(order, int(p)):
                 raise DataCorrupt(f"power map {p} sends {src} to {lab}")
+    # nu(chi_i) = sum_K chi_i(g_K^2)/|C(K)|; times e*L it is sum_K w_K e*chi_i(g_K^2)
+    square = [t.classes.index(lab) for lab in t.power_maps.get("2", ())]
+    w = [big_l // c for c in t.centralizers]
+    for i in range(n):
+        if R[i][0] <= 0:
+            raise DataCorrupt(f"chi_{i + 1}(1) = {Fraction(R[i][0], e)} is not positive")
+        rat, irr = (sum(wk * row[k] for wk, k in zip(w, square)) for row in (R[i], X[i]))
+        if rat != t.fs[i] * e * big_l or irr:
+            nu = QuadValue(Fraction(rat, e * big_l), Fraction(irr, e * big_l), rdisc[i])
+            raise DataCorrupt(f"Frobenius-Schur indicator of chi_{i + 1}: stored {t.fs[i]}, "
+                              f"computed {nu}")
     report["fs_zero"] = [i + 1 for i, v in enumerate(t.fs) if v == 0]
     return report
 
@@ -118,12 +106,14 @@ class Multiplicities:
     counts: list             # per irreducible, exact rationals
     integral: bool
     nonnegative: bool
+    numerators: list         # counts[i] == numerators[i] / denominator, ints
+    denominator: int
 
 
 @memo
 def _column_map(ell: int, labels: tuple):
-    """(cols, e*L, A, irrational, sbits) for rows keyed by ``labels``: cols[K] is the position
-    of the label read at column K, irrational the (i, B[i]) with B[i] != 0, sbits the bits
+    """(e*L, A, irrational, sbits) for rows keyed by ``labels``: A and B summed over the
+    columns that read each label, irrational the (i, B[i]) with B[i] != 0, sbits the bits
     of S (module docstring)."""
     t = character_table(ell)
     at = {}
@@ -135,16 +125,24 @@ def _column_map(ell: int, labels: tuple):
     if len(at) != len(t.classes):
         missing = set(t.classes) - set(at)
         raise UnknownClass(f"coefficient vector incomplete: missing {sorted(missing)}")
-    e, big_l, _, _, A, B, _, _ = _int_view(ell)
+    cols = [at[lab] for lab in t.classes]
+    A, B = ([_summed(row, cols, len(labels)) for row in rows] for rows in (t.A, t.B))
     sbits = max(sum(map(abs, row)) for row in A + B).bit_length()
-    return ([at[lab] for lab in t.classes], e * big_l, A,
-            [(i, b) for i, b in enumerate(B) if any(b)], sbits)
+    return t.e * t.L, A, [(i, b) for i, b in enumerate(B) if any(b)], sbits
+
+
+def _summed(row: list, cols: list, n: int) -> list:
+    """row[K] summed into position cols[K] of n."""
+    out = [0] * n
+    for pos, v in zip(cols, row):
+        out[pos] += v
+    return out
 
 
 def _decompose_rows(ell: int, rows: dict) -> dict:
     """The ``Multiplicities`` of rows {(r, 4l*d): {label: value}}, each holding the labels of
     the first in that order, by one packed product per character (module docstring)."""
-    cols, scale, A, irrational, sbits = _column_map(ell, tuple(next(iter(rows.values()))))
+    scale, A, irrational, sbits = _column_map(ell, tuple(next(iter(rows.values()))))
     columns = list(zip(*(row.values() for row in rows.values())))
     if set(map(type, chain.from_iterable(columns))) != {int}:
         columns = [[as_rat(c) for c in col] for col in columns]
@@ -154,15 +152,14 @@ def _decompose_rows(ell: int, rows: dict) -> dict:
     n = len(rows)
     nb = (max(max(map(abs, col)) for col in columns).bit_length() + sbits + 8) // 8
     packed = [_pack(range(n), col, nb) for col in columns]
-    packed = [packed[k] for k in cols]
     for i, b in irrational:
         if sum(map(mul, b, packed)):
             raise DataCorrupt(f"non-real multiplicity for chi_{i + 1}")
     table = list(zip(*(_unpack(sum(map(mul, a, packed)), n, nb) for a in A)))
     count = {x: Fraction(x, scale) for x in set(chain.from_iterable(table))}
-    split = {x for x, c in count.items() if c.denominator != 1}
+    split = {x for x in count if x % scale}
     return {(r, k): Multiplicities(ell, r, k, list(map(count.__getitem__, nums)),
-                                   split.isdisjoint(nums), min(nums) >= 0)
+                                   split.isdisjoint(nums), min(nums) >= 0, list(nums), scale)
             for (r, k), nums in zip(rows, table)}
 
 
@@ -171,8 +168,8 @@ def decompose(ell: int, r: int, fourld: int, coefficients: dict) -> Multipliciti
 
     ``coefficients`` maps merged class labels to exact values.
     m_i = sum_K conj(chi_i(K)) c_K / |C(K)|, read as a one-row table by the routine that
-    decomposes the stored tables; the non-real check runs on the characters with an
-    irrational part only.
+    decomposes the stored tables; the non-real check runs on the characters whose irrational
+    parts do not cancel over the columns of one label.
     """
     return _decompose_rows(ell, {(r, fourld): coefficients})[r, fourld]
 
@@ -258,9 +255,10 @@ def verify_decomposition_tables(ell: int) -> dict:
                 expected = DEC_ERRATA[(ell, r, int(key))]
                 report.setdefault("errata_applied", []).append((r, key))
             got = decs.get((r, int(key)))
-            full = {i + 1: c for i, c in enumerate(got.counts) if c != 0} if got else "not stored"
             report["rows"] += 1
-            if full != expected or not got.integral:
+            if not (got and got.integral and {i + 1: x for i, x in enumerate(got.numerators) if x}
+                    == {chi: m * got.denominator for chi, m in expected.items()}):
+                full = {i + 1: c for i, c in enumerate(got.counts) if c} if got else "not stored"
                 report["failures"].append((r, key, full, expected))
     report["ok"] = not report["failures"]
     return report
@@ -272,10 +270,10 @@ def parity_split_ok(ell: int) -> bool:
         return True
     t = character_table(ell)
     zcol = t.classes.index("2A")
-    faithful = {i for i in range(t.nchars) if t.values[i][zcol].rat == -t.degree(i)}
+    faithful = {i for i, row in enumerate(t.R) if row[zcol] == -row[0]}
     return all((i in faithful) != (r % 2 == 1)
                for (r, _), got in stored_decompositions(ell).items()
-               for i, c in enumerate(got.counts) if c)
+               for i, x in enumerate(got.numerators) if x)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +311,7 @@ def type_n_inventory(ell: int) -> dict:
     ns = {n for k in h_discriminants(ell) for n, lam in table.get(k, {}).items()
           if gcd(lam, n) == 1}
     by_field = {}
-    for i, d in enumerate(_int_view(ell)[6]):  # the row discriminants
+    for i, d in enumerate(character_table(ell).row_disc):
         if d:
             by_field.setdefault(squarefree_part(-d)[0], []).append(i + 1)
     pairs = {n: sorted(by_field.get(squarefree_part(n)[0], [])) for n in ns}
@@ -341,13 +339,13 @@ def is_representable(ell: int, fourld: int, types) -> bool:
     top, ns, table = _scaled_squares(ell)
     if fourld > top or not ns.issuperset(types):
         raise OutOfRange(f"4ld = {fourld} or types {sorted(types)} past the lambency-{ell} tables")
-    hit = table.get(fourld, {})
-    return any(n in hit for n in types)
+    return not table.get(fourld, {}).keys().isdisjoint(types)
 
 
 def doublet_check(ell: int) -> dict:
     """Doublet <=> -D not of the form -n lambda^2, over the stored rows."""
     types = type_n_inventory(ell)["types"]
+    table = _scaled_squares(ell)[2]
     report = {"lambency": ell, "rows": 0, "failures": [], "ok": True}
     for (r, fourld), got in stored_decompositions(ell).items():
         if fourld <= 0:
@@ -355,8 +353,8 @@ def doublet_check(ell: int) -> dict:
         if not got.integral:
             report["failures"].append((r, fourld, "non-integral"))
             continue
-        doublet = _is_doubled(got.counts)
-        rep = is_representable(ell, fourld, types)
+        doublet = _is_doubled(got.numerators, got.denominator)
+        rep = not types.isdisjoint(table.get(fourld, ()))
         report["rows"] += 1
         if doublet == rep:
             report["failures"].append((r, fourld, "doublet" if doublet else "single",
@@ -365,8 +363,8 @@ def doublet_check(ell: int) -> dict:
     return report
 
 
-def _is_doubled(counts) -> bool:
-    return all(c.denominator == 1 and not c.numerator % 2 for c in counts)
+def _is_doubled(numerators, denominator: int) -> bool:
+    return all(not x % (2 * denominator) for x in numerators)
 
 
 def fs_zero_matches_types(ell: int) -> bool:
@@ -375,7 +373,7 @@ def fs_zero_matches_types(ell: int) -> bool:
     inv = type_n_inventory(ell)
     typed = {i for pair in inv["pairs"].values() for i in pair}
     for i in range(t.nchars):
-        irrational = any(v.irr != 0 for v in t.values[i])
+        irrational = any(t.X[i])
         if (t.fs[i] == 0) != irrational:
             return False
         if irrational and (i + 1) not in typed:
@@ -386,7 +384,8 @@ def fs_zero_matches_types(ell: int) -> bool:
 def is_dual_pair(ell: int, i: int, j: int) -> bool:
     """chi_i and chi_j (1-based) are complex conjugates row-wise."""
     t = character_table(ell)
-    return all(a == b.conj() for a, b in zip(t.values[i - 1], t.values[j - 1]))
+    (ri, xi, di), (rj, xj, dj) = ((t.R[k - 1], t.X[k - 1], t.row_disc[k - 1]) for k in (i, j))
+    return ri == rj and xi == [-x for x in xj] and (di == dj or not any(xi))
 
 
 def discriminant_report(ell: int) -> dict:

@@ -2,8 +2,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from moonshine.algebra import QuadValue, a_value, b_value, squarefree_part
+from moonshine.algebra import QuadValue, squarefree_part
 from moonshine.errors import MixedDiscriminant
+
+
+def b_value(n: int) -> QuadValue:
+    """The character-table abbreviation b_n = (-1 + sqrt(-n)) / 2."""
+    return QuadValue(F(-1, 2), F(1, 2), -n)
+
+
+def a_value(n: int) -> QuadValue:
+    """The character-table abbreviation a_n = sqrt(-n)."""
+    return QuadValue(F(0), F(1), -n)
 
 
 def test_b7_plus_conjugate():

@@ -189,6 +189,17 @@ def test_decompose_near_its_slot_width(ell):
                         reps.decompose(ell, 1, 1, vec)
 
 
+def test_merged_labels_need_no_non_real_test():
+    # on each stored layout the irrational columns of a character come in conjugate pairs read
+    # by one merged label, so the summed B rows vanish; the table's own classes keep them
+    for ell in LAMBENCIES:
+        t = reps.character_table(ell)
+        stored = tuple(next(iter(reps.stored_rows(ell).values())))
+        assert reps._column_map(ell, stored)[2] == []
+        assert [i for i, _ in reps._column_map(ell, tuple(t.classes))[2]] == [
+            i for i, row in enumerate(t.X) if any(row)]
+
+
 def test_non_real_multiplicity_rejected():
     t = reps.character_table(2)
     vec = {lab: int(lab == "7A") for lab in t.classes}
@@ -381,6 +392,18 @@ def test_fs_zero_iff_typed():
         assert reps.fs_zero_matches_types(ell)
 
 
+def test_dual_pairs_match_the_conjugated_values():
+    # is_dual_pair reads the int view; the reference conjugates the QuadValue rows
+    for ell in LAMBENCIES:
+        t = reps.character_table(ell)
+        conj = [[v.conj() for v in row] for row in t.values]
+        pairs = {(i, j) for i in range(1, t.nchars + 1) for j in range(1, t.nchars + 1)
+                 if reps.is_dual_pair(ell, i, j)}
+        assert pairs == {(i + 1, j + 1) for i in range(t.nchars) for j in range(t.nchars)
+                         if t.values[i] == conj[j]}
+        assert any(i != j for i, j in pairs) and any(i == j for i, j in pairs)
+
+
 def test_minimal_lambda_rows():
     rows = reps.minimal_lambda_rows(2)
     assert rows[7]["fourld"] == 7 and rows[7]["counts"] == {3: 1, 4: 1}
@@ -400,7 +423,7 @@ def test_doublet_conjecture_and_samples():
             r = reps.row_component(ell, fourld)
             got = reps.decompose(ell, r, fourld, reps.coefficient_row(ell, r, fourld))
             assert reps.is_representable(ell, fourld, inv["types"])
-            assert not reps._is_doubled(got.counts), (ell, fourld)
+            assert not reps._is_doubled(got.numerators, got.denominator), (ell, fourld)
 
 
 def test_is_representable_by_division_up_to_the_largest_stored_row():
@@ -421,9 +444,10 @@ def test_is_representable_by_division_up_to_the_largest_stored_row():
 
 
 def test_is_doubled_needs_even_integers():
-    assert not reps._is_doubled([F(2, 3)])
-    assert reps._is_doubled([F(4), F(0), F(-2)])
-    assert not reps._is_doubled([F(3)])
+    # numerators over one denominator: 2/3; 4, 0, -2 (over 1 and over 3); 3 and 9/3
+    assert not reps._is_doubled([2], 3)
+    assert reps._is_doubled([4, 0, -2], 1) and reps._is_doubled([12, 0, -6], 3)
+    assert not reps._is_doubled([3], 1) and not reps._is_doubled([9], 3)
 
 
 def test_discriminant_report_all():
@@ -476,6 +500,26 @@ def test_data_dir_variable_followed_in_a_running_process(tmp_path, monkeypatch):
     assert reps.character_table(13).order == 4
 
 
+def test_integer_view_and_values_keep_their_digests():
+    # (e, L, R, X, A, B, row and column discriminants) of the six tables, and the repr of their
+    # QuadValue rows, hashed as recorded at commit f900477, where the tables were built as
+    # QuadValues and the int view read back from them; the library's own checks leave the
+    # QuadValue rows unbuilt
+    set_data_dir(None)
+    for ell in LAMBENCIES:
+        assert reps.validate_table(ell)["ok"] and reps.discriminant_report(ell)["ok"]
+        assert reps.verify_decomposition_tables(ell)["ok"] and reps.parity_split_ok(ell)
+        assert "values" not in vars(reps.character_table(ell))
+    view, values = hashlib.sha256(), hashlib.sha256()
+    for ell in LAMBENCIES:
+        t = reps.character_table(ell)
+        view.update(repr((ell, t.e, t.L, t.R, t.X, t.A, t.B, t.row_disc, t.col_disc)).encode())
+        assert all(type(v) is QuadValue for row in t.values for v in row)
+        values.update(repr((ell, t.values)).encode())
+    assert view.hexdigest() == "b1385a6104678f18efdca0205dc717ab41519974ae285f9f3b27cb3c811ee322"
+    assert values.hexdigest() == "a01b36abc91883680e87a287a06657f4a0b5543ef4cf4f3bcfcf577b2cd3d14b"
+
+
 def test_power_map_check_fires(tmp_path):
     # 4A squares into 2A; a map sending 4A to itself keeps the order at 4
     alt = _edited_copy(tmp_path, {
@@ -511,6 +555,63 @@ def test_table_checks_fire(tmp_path, edit, error, message):
     finally:
         set_data_dir(None)
     assert reps.validate_table(13)["ok"]
+
+
+def _swap_columns(a, b):
+    def edit(t):
+        for row in t["values"]:
+            row[a], row[b] = row[b], row[a]
+    return edit
+
+
+def _class_equation_broken(t):
+    # chi_3 and chi_4 zeroed at 4B and its centralizer halved: every column norm holds,
+    # but the class sizes 1 + 1 + 1 + 2 sum to 5
+    t["values"][2][3] = t["values"][3][3] = {"rat": "0", "irr": "0", "disc": 0}
+    t["centralizers"][3] = 2
+
+
+@pytest.mark.parametrize("ell, edit, message", [
+    (13, lambda t: t["values"].pop(), "table 13 not square"),
+    (13, _class_equation_broken, "class equation broken"),
+    (13, lambda t: t["power_maps"]["2"].pop(), "power map 2 malformed"),
+    (13, lambda t: t["power_maps"]["2"].__setitem__(3, "8A"), "power map 2 hits unknown 8A"),
+    # without a 2-power map every square reads as nothing
+    (13, lambda t: t["power_maps"].pop("2"),
+     "Frobenius-Schur indicator of chi_1: stored 1, computed 0"),
+    (13, lambda t: t["classes"].__setitem__(3, "4b"), "class label '4b' states no element order"),
+    # chi_4 of lambency 7 is real with indicator 1, stored as -1
+    (7, lambda t: t["fs"].__setitem__(3, -1),
+     "Frobenius-Schur indicator of chi_4: stored -1, computed 1"),
+    # 1A and 2A have one centralizer order and every value of a row at 2A is +-chi(1), so the
+    # swap keeps orthogonality and the power maps; the faithful chi_5 has degree 2
+    (7, _swap_columns(0, 1), "chi_5(1) = -2 is not positive"),
+], ids=["not-square", "class-equation", "power-map-length", "power-map-unknown",
+        "power-map-2-missing", "label-order", "fs-entry", "swap-1A-2A"])
+def test_validate_table_raises_on_planted_tables(tmp_path, ell, edit, message):
+    alt = _edited_copy(tmp_path, {f"chartab_{ell}.json": edit})
+    try:
+        set_data_dir(alt)
+        with pytest.raises(DataCorrupt, match=re.escape(message)):
+            reps.validate_table(ell)
+    finally:
+        set_data_dir(None)
+    assert reps.validate_table(ell)["ok"]
+
+
+@pytest.mark.parametrize("irr, disc", [("1/2", -4), ("1", 1), ("1", 0)])
+def test_non_square_free_disc_rejected(tmp_path, irr, disc):
+    # chi_3(4A) = i stored as (1/2) sqrt(-4), the same number with a square left in the disc,
+    # or with an irrational part over sqrt(1) or sqrt(0)
+    alt = _edited_copy(tmp_path, {"chartab_13.json": _set_value(2, 2, irr=irr, disc=disc)})
+    try:
+        set_data_dir(alt)
+        message = f"chartab_13.json: sqrt({disc}) is not a square-free irrational"
+        with pytest.raises(DataCorrupt, match=re.escape(message)):
+            reps.character_table(13)
+    finally:
+        set_data_dir(None)
+    assert reps.character_table(13).values[2][2] == QuadValue(0, 1, -1)
 
 
 def test_mixed_row_rejected_by_decompose(tmp_path):

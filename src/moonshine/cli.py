@@ -138,19 +138,20 @@ def cmd_twist(args):
 
 def cmd_verify_tables(args):
     ell = args.lambency
-    rows = reps.stored_rows(ell)
-    qcut = Fraction(max(k for _, k in rows) + 4 * ell, 4 * ell) + 1
-    classes = list(next(iter(rows.values())))
+    tables = reps.corrected_tables(ell)
+    qcut = Fraction(max(max(t.keys) for t in tables.values()) + 4 * ell, 4 * ell) + 1
+    classes = list(tables[1].columns)
 
     def check(lab):
         """(class, r, row, computed, stored) for every stored cell; a cell at
         or past its component's cutoff is computed as "past cutoff c"."""
         tw = mckay.twisted_H(ell, lab, qcut)
-        for r, k in rows:
+        for r, t in tables.items():
             comp = tw.component(r)
-            e = Fraction(k, 4 * ell)
-            got = comp.coefficient(e) if e < comp.cutoff else f"past cutoff {comp.cutoff}"
-            yield lab, r, k, str(got), reps.coefficient_row(ell, r, k)[lab]
+            for k, want in zip(t.keys, t.columns[lab]):
+                e = Fraction(k, 4 * ell)
+                got = comp.coefficient(e) if e < comp.cutoff else f"past cutoff {comp.cutoff}"
+                yield lab, r, k, str(got), want
 
     cells = [cell for lab in classes for cell in check(lab)]
     bad = [cell for cell in cells if cell[3] != str(cell[4])]

@@ -9,9 +9,9 @@ time; at 7 and 13 hat H vanishes for 1A and 2A.  ``_lambency_4`` is the one
 route through the stored lambency-4 data: the even block's side W_g, and
 H_{g,1} and H_{g,3} whole (split from their difference, the bridge partner's
 lambency-2 series at half argument or an eta quotient).  Every other class at
-7 and 13 reads ``stored_columns``, the one column view of the stored tables.  The
-weight-2 check sums the same relation table over the hat H of the tables' int
-rows, in ints, and compares with each cataloged form, for every class.
+7 and 13 reads ``stored_columns``, the series view of ``reps.stored_tables``.
+The weight-2 check sums the same relation table over the hat H of those int
+columns, in ints, and compares with each cataloged form, for every class.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .errors import (DataCorrupt, DeterminantNotUnit, NotInGroup, NotInvertible,
 from .groups import class_table
 from .qseries import (FracSeries, eta_quotient, lambda_n, mock_theta, newform,
                       unary_theta)
-from .reps import stored_rows
+from .reps import stored_tables
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +162,14 @@ def stored_columns(ell: int) -> dict:
     depth: a table ends one row past its last, so exact below its last exponent + 1.
     Each cell is keyed by its integer 4l*d, so a column is built on the lattice
     q^(1/4l) and then reduced to its coarsest one, as ``from_terms`` would."""
-    cols = {c.label: [{} for _ in range(1, ell)] for c in class_table(ell).classes}
-    for (r, k), row in stored_rows(ell).items():
-        for label, col in cols.items():
-            if label not in row:
-                raise UnknownClass(f"no stored column {label} in table {ell},{r}")
-            col[r - 1][k] = row[label]
-
-    def column(cells):
-        s = FracSeries(4 * ell, cells, Fraction(max(cells), 4 * ell) + 1)
-        return FracSeries._reduced(s.denom, s.coeffs, s.cutoff, s.cden)
-    return {label: jacobi.HVector(ell, [column(c) for c in col]) for label, col in cols.items()}
+    def column(label, r, t):
+        if label not in t.columns:
+            raise UnknownClass(f"no stored column {label} in table {ell},{r}")
+        cells = {k: v for k, v in zip(t.keys, t.columns[label]) if v}
+        return FracSeries._reduced(4 * ell, cells, Fraction(max(t.keys), 4 * ell) + 1)
+    tables = stored_tables(ell)
+    return {c.label: jacobi.HVector(ell, [column(c.label, r, t) for r, t in tables.items()])
+            for c in class_table(ell).classes}
 
 
 @memo
@@ -261,39 +258,29 @@ def _lambency_4(label: str, qcut) -> tuple:
 # ---------------------------------------------------------------------------
 # consistency checks
 
-@memo
-def _table_shapes(ell: int) -> dict:
-    """{r: (the deepest 4l*d of table r, the labels every row of it holds)} of ``stored_rows``."""
-    shapes = {}
-    for (r, k), row in stored_rows(ell).items():
-        deepest, labels = shapes.get(r, (k, row.keys()))
-        shapes[r] = (max(deepest, k), labels & row.keys())
-    return shapes
-
-
 def verify_F_consistency(ell: int, label: str, qcut=20) -> dict:
     """Check the form rebuilt from the stored tables against the cataloged weight-2
     form(s) to ``qcut``, or to the depth the tables reach if that is less: 24 F^tab =
     sum sign 24 hat_r S_j over ``_relation``, in ints on the lattice q^(1/4l), with
-    24 hat_r = 24 T_{g,r} - (l-1) chi_{g,r} T_{1A,r} from the int rows T of
-    ``stored_rows`` cut at min(table depth, c - r^2/4l).  F2 pairs hat_r with S_(l-r),
+    24 hat_r = 24 T_{g,r} - (l-1) chi_{g,r} T_{1A,r} from the int columns T of
+    ``stored_tables`` cut at min(table depth, c - r^2/4l).  F2 pairs hat_r with S_(l-r),
     which starts (l-2)/4 below r^2/4l at r = l-1: so c = qcut + (l-2)/4 for F2."""
     cat, qcut, K = _catalog(ell), as_rat(qcut), 4 * ell
     cut = qcut + (Fraction(ell - 2, 4) if (label, "F2") in cat else 0)
     weights = [chi_r(ell, label, r) * (ell - 1) for r in range(1, ell)]  # 24 chi_{g,r}/chi
-    kc, shapes, hats = ceil(cut * K), _table_shapes(ell), {r: {} for r in range(1, ell)}
-    if missing := [(r, x) for r, (_, has) in shapes.items() for x in (label, "1A") if x not in has]:
+    kc, tables = ceil(cut * K), stored_tables(ell)
+    if missing := [(r, x) for r, t in tables.items() for x in (label, "1A") if x not in t.columns]:
         raise UnknownClass(f"no stored column {missing[0][1]} in table {ell},{missing[0][0]}")
-    for (r, k), row in stored_rows(ell).items():
-        if k + r * r < kc and (v := 24 * row[label] - weights[r - 1] * row["1A"]):
-            hats[r][k] = v
+    hats = {r: {k: v for k, g, one in zip(t.keys, t.columns[label], t.columns["1A"])
+                if k + r * r < kc and (v := 24 * g - weights[r - 1] * one)}
+            for r, t in tables.items()}
     checked = []
     for variant in [v for v in ("F", "F2") if (label, v) in cat]:
         cutoff, total = qcut, defaultdict(int)
         for r, j, sign in _relation(ell, variant):
             hat, S = hats[r], unary_theta(ell, j, qcut + 1)
             # hat_r is exact below c, and the series product hat_r S_j below this cutoff
-            c = min(Fraction(shapes[r][0], K) + 1, cut - Fraction(r * r, K))
+            c = min(Fraction(max(tables[r].keys), K) + 1, cut - Fraction(r * r, K))
             cutoff = min(cutoff, c + S.low(), S.cutoff + (Fraction(min(hat), K) if hat else c))
             for ks, v in S.coeffs.items():
                 for k, h in hat.items():

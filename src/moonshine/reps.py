@@ -9,9 +9,10 @@ With e the common denominator of a table and L the lcm of its centralizer
 orders, e*chi_i(K) = R[i][K] + X[i][K]*sqrt(d_i) and conj(chi_i(K))/|C(K)| =
 (A[i][K] - B[i][K]*sqrt(d_i))/(e*L).  Rows that share one label tuple (a stored
 ``mt_<l>_<r>.json``, or the one row given to ``decompose``) are decomposed
-together, A and B summed over the columns that read each label.  The values of
-each label P over the rows (lifted to their lcm denominator if not all ints)
-are packed by ``qseries._pack`` into one int C_P; sum_P A[i][P]*C_P holds the
+together, A and B summed over the columns that read each label.  ``stored_tables``
+reads each ``mt_<l>_<r>.json`` once into int columns, one per label; ``decompose``
+lifts its one row to the lcm denominator of its values.  The column of each label P
+is packed by ``qseries._pack`` into one int C_P; sum_P A[i][P]*C_P holds the
 numerator of m_i in every row and is read back once by ``qseries._unpack``.  A
 slot of bits(max|c|) + bits(S) + 1 bits, S the largest sum_P |entry| of a row
 of A or B, holds each such sum.  A packed int is 0 only if every slot is, so
@@ -19,16 +20,19 @@ the non-real check is one zero test of sum_P B[i][P]*C_P on each chi_i whose
 summed B[i] is not 0; on a merged label such as 7AB the two columns' B cancel.
 A non-real multiplicity depends on the class function (at lambency 2, the
 function 1 on 7A and 0 elsewhere has a non-real chi_3 part).  Every per-row
-check reads these numerators over the table's one denominator.
+check reads these numerators over the table's one denominator; the Fractions of
+``Multiplicities.counts`` are built only when read.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import QuadValue, as_rat, squarefree_part
 from .data import load_json, memo
@@ -60,6 +64,8 @@ def validate_table(ell: int) -> dict:
             raise DataCorrupt(f"column norm at {lab}: {Fraction(norm, e * e)}")
     if sum(Fraction(t.order, c) for c in t.centralizers) != t.order:
         raise DataCorrupt("class equation broken")
+    if t.centralizers[0] != t.order:
+        raise DataCorrupt(f"|C(1A)| = {t.centralizers[0]}, not the order {t.order}")
     # row orthogonality: sum_K w_K (e chi_i)(e conj chi_j) = e^2 L delta_ij; its
     # irrational part is irr_i*sqrt(d_i) - irr_j*sqrt(d_j)
     scale = e * e * big_l
@@ -103,11 +109,19 @@ class Multiplicities:
     lambency: int
     r: int
     fourld: int
-    counts: list             # per irreducible, exact rationals
     integral: bool
     nonnegative: bool
-    numerators: list         # counts[i] == numerators[i] / denominator, ints
+    numerators: list         # per irreducible, over one denominator, ints
     denominator: int
+
+    @cached_property
+    def counts(self) -> list:  # per irreducible, exact rationals, built when first read
+        return [Fraction(x, self.denominator) for x in self.numerators]
+
+
+class StoredTable(NamedTuple):
+    keys: list               # the int 4l*d of each row
+    columns: dict            # {merged label: its int column over the rows}, in table order
 
 
 @memo
@@ -139,28 +153,21 @@ def _summed(row: list, cols: list, n: int) -> list:
     return out
 
 
-def _decompose_rows(ell: int, rows: dict) -> dict:
-    """The ``Multiplicities`` of rows {(r, 4l*d): {label: value}}, each holding the labels of
-    the first in that order, by one packed product per character (module docstring)."""
-    scale, A, irrational, sbits = _column_map(ell, tuple(next(iter(rows.values()))))
-    columns = list(zip(*(row.values() for row in rows.values())))
-    if set(map(type, chain.from_iterable(columns))) != {int}:
-        columns = [[as_rat(c) for c in col] for col in columns]
-        d = lcm(*(c.denominator for col in columns for c in col))
-        columns = [[c.numerator * (d // c.denominator) for c in col] for col in columns]
-        scale *= d
-    n = len(rows)
+def _decompose_table(ell: int, r: int, table: StoredTable, d: int = 1) -> dict:
+    """The ``Multiplicities`` of the rows of ``table``, whose values are its ints over d,
+    keyed by (r, 4l*d), by one packed product per character (module docstring)."""
+    scale, A, irrational, sbits = _column_map(ell, tuple(table.columns))
+    n, columns = len(table.keys), table.columns.values()
     nb = (max(max(map(abs, col)) for col in columns).bit_length() + sbits + 8) // 8
     packed = [_pack(range(n), col, nb) for col in columns]
     for i, b in irrational:
         if sum(map(mul, b, packed)):
             raise DataCorrupt(f"non-real multiplicity for chi_{i + 1}")
-    table = list(zip(*(_unpack(sum(map(mul, a, packed)), n, nb) for a in A)))
-    count = {x: Fraction(x, scale) for x in set(chain.from_iterable(table))}
-    split = {x for x in count if x % scale}
-    return {(r, k): Multiplicities(ell, r, k, list(map(count.__getitem__, nums)),
-                                   split.isdisjoint(nums), min(nums) >= 0, list(nums), scale)
-            for (r, k), nums in zip(rows, table)}
+    scale *= d
+    rows = list(zip(*(_unpack(sum(map(mul, a, packed)), n, nb) for a in A)))
+    split = {x for x in set(chain.from_iterable(rows)) if x % scale}
+    return {(r, k): Multiplicities(ell, r, k, split.isdisjoint(nums), min(nums) >= 0, list(nums),
+                                   scale) for k, nums in zip(table.keys, rows)}
 
 
 def decompose(ell: int, r: int, fourld: int, coefficients: dict) -> Multiplicities:
@@ -171,7 +178,11 @@ def decompose(ell: int, r: int, fourld: int, coefficients: dict) -> Multipliciti
     decomposes the stored tables; the non-real check runs on the characters whose irrational
     parts do not cancel over the columns of one label.
     """
-    return _decompose_rows(ell, {(r, fourld): coefficients})[r, fourld]
+    values = {lab: as_rat(v) for lab, v in coefficients.items()}
+    d = lcm(*(v.denominator for v in values.values()))
+    table = StoredTable([fourld], {lab: (v.numerator * (d // v.denominator),)
+                                   for lab, v in values.items()})
+    return _decompose_table(ell, r, table, d)[r, fourld]
 
 
 # ---------------------------------------------------------------------------
@@ -196,43 +207,47 @@ DEC_ERRATA = {
 
 
 @memo
-def stored_rows(ell: int) -> dict:
-    """The stored coefficient tables of one lambency, as printed, keyed by
-    (r, 4l*d): {merged label: value}, in table order.  The one reader of the
-    ``mt_<l>_<r>.json`` layout (a class list, and rows keyed by str(4l*d)).
-    Every caller shares the result; ``coefficient_row`` hands out copies."""
-    rows = {}
+def stored_tables(ell: int) -> dict:
+    """The stored coefficient tables of one lambency, as printed, as {r: ``StoredTable``}:
+    the one reader of the ``mt_<l>_<r>.json`` layout (a class list, and rows of ints keyed
+    by str(4l*d)).  Every caller shares the result."""
+    tables = {}
     for r in range(1, ell):
         tab = load_json(f"mt_{ell}_{r}.json")
-        rows.update(((r, int(key)), dict(zip(tab["classes"], vals)))
-                    for key, vals in tab["rows"].items())
-    return rows
+        labels, rows = tab["classes"], tab["rows"].values()
+        if any(len(v) != len(labels) for v in rows) or set(map(type, chain(*rows))) - {int}:
+            raise DataCorrupt(f"mt_{ell}_{r}.json: a row is not one int per class")
+        tables[r] = StoredTable(list(map(int, tab["rows"])), dict(zip(labels, zip(*rows))))
+    return tables
+
+
+def corrected_tables(ell: int) -> dict:
+    """``stored_tables`` with ``MT_ERRATA`` applied, each to a copy of its one column."""
+    tables = dict(stored_tables(ell))
+    for (l2, r, k, lab), v in MT_ERRATA.items():
+        t = tables.get(r) if l2 == ell else None
+        if t and k in t.keys and lab in t.columns:
+            col = list(t.columns[lab])
+            col[t.keys.index(k)] = v
+            tables[r] = t._replace(columns={**t.columns, lab: tuple(col)})
+    return tables
 
 
 def coefficient_row(ell: int, r: int, fourld: int, corrected: bool = True) -> dict:
     """Row of the stored coefficient table as {merged label: integer}."""
-    row = stored_rows(ell).get((r, fourld))
-    if row is None:
+    t = (corrected_tables if corrected else stored_tables)(ell).get(r)
+    if t is None or fourld not in t.keys:
         raise UnknownClass(f"row {fourld} not stored for ({ell},{r})")
-    row = dict(row)
-    if corrected:
-        for (l2, r2, k2, lab), v in MT_ERRATA.items():
-            if (l2, r2, k2) == (ell, r, fourld):
-                row[lab] = v
-    return row
+    i = t.keys.index(fourld)
+    return {lab: col[i] for lab, col in t.columns.items()}
 
 
 @memo
 def stored_decompositions(ell: int) -> dict:
-    """``decompose`` of every stored row, errata applied, keyed as ``stored_rows``: one
-    ``_decompose_rows`` per stored table, whose rows share one label tuple."""
-    rows, tables = stored_rows(ell), {}
-    for key, row in rows.items():
-        tables.setdefault(key[0], {})[key] = row
-    for l2, r, k, _ in MT_ERRATA:
-        if l2 == ell and (r, k) in rows:
-            tables[r][r, k] = coefficient_row(ell, r, k)
-    return {key: m for table in tables.values() for key, m in _decompose_rows(ell, table).items()}
+    """``decompose`` of every stored row, errata applied, keyed by (r, 4l*d): one
+    ``_decompose_table`` per stored table, whose rows share one label tuple."""
+    return {key: m for r, table in corrected_tables(ell).items()
+            for key, m in _decompose_table(ell, r, table).items()}
 
 
 def row_component(ell: int, fourld: int) -> int:
@@ -282,7 +297,8 @@ def parity_split_ok(ell: int) -> bool:
 def h_discriminants(ell: int) -> set:
     """Positive integers -D with q^(-D/4l) present in the stored identity
     columns (D < 0 a discriminant of the untwisted vector)."""
-    return {k for (_, k), row in stored_rows(ell).items() if k > 0 and row["1A"] != 0}
+    return {k for t in stored_tables(ell).values() for k, v in zip(t.keys, t.columns["1A"])
+            if k > 0 and v}
 
 
 @memo
@@ -290,7 +306,7 @@ def _scaled_squares(ell: int) -> tuple:
     """The largest stored 4ld, the divisors n >= 2 of the class orders, and the map from
     each n lambda^2 up to that 4ld, lambda >= 1, to {n: lambda}: the one table behind the
     n lambda^2 tests of the discriminant suite."""
-    top = max(k for _, k in stored_rows(ell))
+    top = max(max(t.keys) for t in stored_tables(ell).values())
     ns = {d for c in class_table(ell).classes for d in range(2, c.order + 1) if c.order % d == 0}
     table = {}
     for n in ns:
@@ -393,15 +409,9 @@ def discriminant_report(ell: int) -> dict:
     FS-zero matching, minimal-discriminant rows, and the doublet property."""
     inv = type_n_inventory(ell)
     minimal = minimal_lambda_rows(ell)
-    min_ok = True
-    for n, info in minimal.items():
-        pair = sorted(info["counts"])
-        ok = (len(pair) == 2
-              and all(v == 1 for v in info["counts"].values())
-              and set(pair).issubset(set(inv["pairs"].get(n, [])))
-              and is_dual_pair(ell, pair[0], pair[1]))
-        if not ok:
-            min_ok = False
+    min_ok = all(len(pair := sorted(info["counts"])) == 2 and set(info["counts"].values()) == {1}
+                 and set(pair) <= set(inv["pairs"].get(n, [])) and is_dual_pair(ell, *pair)
+                 for n, info in minimal.items())
     dbl = doublet_check(ell)
     fs_ok = fs_zero_matches_types(ell)
     return {

@@ -144,6 +144,18 @@ def test_verify_tables_counts_cells_read_back():
     assert "1130 cells, 0 mismatches; 678 cells read back from their source table" in out
 
 
+def test_verify_tables_json_keeps_its_digest():
+    # sha256 over the exit code and stdout of `verify-tables --lambency l --json` at all six
+    # lambencies; recorded at commit 65d4f65, where each stored cell was read from one
+    # {label: value} dict per row, the errata applied to a copy of that row
+    import hashlib
+    h = hashlib.sha256()
+    for ell in (2, 3, 4, 5, 7, 13):
+        code, out = run(["verify-tables", "--lambency", str(ell), "--json"])
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == "86ba6b8e41b7fcb4db0c7bd58c79f23257d6dab28bf7ab4d8de8f5dacdc3cc59"
+
+
 def test_verify_tables_fails_a_row_past_the_cutoff(monkeypatch):
     # a stored row the computed series does not reach is a failure, not a skip
     from dataclasses import replace

@@ -515,6 +515,13 @@ def test_gritsenko_out_of_range():
         jb.gritsenko(5, 5, 3)
 
 
+@pytest.mark.parametrize("build", [jb.umbral_Z, jb.extract_H])
+def test_lambency_outside_the_six_refused(build):
+    # 6 is no lambency, though gritsenko(6, 1) exists
+    with pytest.raises(OutOfRange, match="^lambency 6$"):
+        build(6, 3)
+
+
 def test_theta_and_block_arguments_checked():
     for i in (0, 5):
         with pytest.raises(OutOfRange):

@@ -13,7 +13,7 @@ from moonshine.data import LAMBENCIES, data_dir, load_json, memo, set_data_dir
 from moonshine.errors import DataCorrupt, UnknownClass
 from moonshine.groups import class_table
 from moonshine.qseries import FracSeries, eta_quotient, lambda_n, mock_theta, unary_theta
-from moonshine.reps import coefficient_row, stored_rows
+from moonshine.reps import coefficient_row
 
 
 def test_weight2_lambda_combination():
@@ -472,33 +472,51 @@ def test_unknown_block_type_in_l4_data_raises(tmp_path):
 
 
 def test_stored_columns_match_the_from_terms_build():
-    # the columns keyed by 4l*d equal the Fraction-keyed from_terms build
+    # the columns keyed by 4l*d equal the Fraction-keyed from_terms build of the raw tables
     set_data_dir(None)
     for ell in LAMBENCIES:
         built = mk.stored_columns(ell)
+        tabs = [load_json(f"mt_{ell}_{r}.json") for r in range(1, ell)]
         for label, hv in built.items():
-            col = [{} for _ in range(1, ell)]
-            for (r, k), row in stored_rows(ell).items():
-                col[r - 1][F(k, 4 * ell)] = row[label]
+            col = [{F(int(k), 4 * ell): vals[tab["classes"].index(label)]
+                    for k, vals in tab["rows"].items()} for tab in tabs]
             want = [FracSeries.from_terms(c.items(), max(c) + 1) for c in col]
             assert ([(list(s.items()), s.cutoff) for s in hv.components]
                     == [(list(s.items()), s.cutoff) for s in want]), (ell, label)
 
 
+def test_stored_columns_keep_their_digest():
+    # sha256 over items and cutoff of every component of the column views at 7 and 13, the
+    # series verify-tables reads back; recorded at commit 65d4f65, where they were pivoted
+    # from one {label: value} dict per stored row
+    import hashlib
+    set_data_dir(None)
+    h, n = hashlib.sha256(), 0
+    for ell in (7, 13):
+        cols = mk.stored_columns(ell)
+        for label in sorted(cols):
+            for r, c in enumerate(cols[label], 1):
+                n += len(c.coeffs)
+                h.update(repr((ell, label, r, [(str(e), str(v)) for e, v in c.items()],
+                               str(c.cutoff))).encode())
+    assert n == 1924
+    assert h.hexdigest() == "4b4a29ea4ca67c651b0b048f8e0d9f6845a9e4bbf86c381ad644dfd6bc01743e"
+
+
 def test_verify_identities_reads_each_table_once(monkeypatch):
-    # the weight-2 checks read the int rows of the stored tables: a cold
-    # verify-identities reads each lambency's rows once and pivots no column view
+    # the weight-2 checks read the int columns of the stored tables: a cold
+    # verify-identities reads each lambency's tables once and pivots no column view
     from moonshine import reps
     set_data_dir(None)
-    rows, pivoted = [], []
-    read, pivot = reps.stored_rows.__wrapped__, mk.stored_columns.__wrapped__
-    counted = memo(lambda ell: rows.append(ell) or read(ell))
-    monkeypatch.setattr(reps, "stored_rows", counted)
-    monkeypatch.setattr(mk, "stored_rows", counted)
+    read, pivoted = [], []
+    reader, pivot = reps.stored_tables.__wrapped__, mk.stored_columns.__wrapped__
+    counted = memo(lambda ell: read.append(ell) or reader(ell))
+    monkeypatch.setattr(reps, "stored_tables", counted)
+    monkeypatch.setattr(mk, "stored_tables", counted)
     monkeypatch.setattr(mk, "stored_columns", memo(lambda ell: pivoted.append(ell) or pivot(ell)))
     with redirect_stdout(io.StringIO()):
         assert main(["verify-identities"]) == 0
-    assert sorted(rows) == [2, 3, 5, 7, 13] and pivoted == []
+    assert sorted(read) == [2, 3, 5, 7, 13] and pivoted == []
 
 
 def test_weight2_reports_keep_their_digest(monkeypatch):

@@ -194,7 +194,7 @@ def test_merged_labels_need_no_non_real_test():
     # by one merged label, so the summed B rows vanish; the table's own classes keep them
     for ell in LAMBENCIES:
         t = reps.character_table(ell)
-        stored = tuple(next(iter(reps.stored_rows(ell).values())))
+        stored = tuple(reps.stored_tables(ell)[1].columns)
         assert reps._column_map(ell, stored)[2] == []
         assert [i for i, _ in reps._column_map(ell, tuple(t.classes))[2]] == [
             i for i, row in enumerate(t.X) if any(row)]
@@ -297,17 +297,50 @@ def test_parity_split():
 
 def test_every_stored_row_decomposed_once(monkeypatch):
     # the table checks and the discriminant suite read one map of decompositions, built
-    # by the routine behind decompose, one stored table at a time
+    # by the routine behind decompose, one stored table of int columns at a time
     set_data_dir(None)
     calls = []
-    rows_of = reps._decompose_rows
-    monkeypatch.setattr(reps, "_decompose_rows", lambda ell, rows: calls.extend(
-        (ell, *key) for key in rows) or rows_of(ell, rows))
+    table_of = reps._decompose_table
+    monkeypatch.setattr(reps, "_decompose_table", lambda ell, r, table, d=1: calls.extend(
+        (ell, r, k) for k in table.keys) or table_of(ell, r, table, d))
     for ell in LAMBENCIES:
         assert reps.verify_decomposition_tables(ell)["ok"]
         assert reps.parity_split_ok(ell)
         assert reps.discriminant_report(ell)["ok"]
     assert len(calls) == len(set(calls)) == 1032
+
+
+def test_table_checks_build_no_fractions():
+    # integrality, the decomposition tables, parity and doublets read the int numerators;
+    # the Fractions of counts are built only for the rows whose counts are read
+    set_data_dir(None)
+    for ell in LAMBENCIES:
+        assert reps.verify_decomposition_tables(ell)["ok"] and reps.parity_split_ok(ell)
+        assert reps.doublet_check(ell)["ok"]
+        assert not any("counts" in vars(m) for m in reps.stored_decompositions(ell).values())
+        minimal = reps.minimal_lambda_rows(ell)
+        built = [m for m in reps.stored_decompositions(ell).values() if "counts" in vars(m)]
+        assert {m.fourld for m in built} == {row["fourld"] for row in minimal.values()}
+        assert all(type(c) is F for row in minimal.values() for c in row["counts"].values())
+    got = reps.decompose(2, 1, 7, reps.coefficient_row(2, 1, 7))
+    assert all(type(c) is F for c in got.counts) and got.counts[2] == 1
+
+
+def test_stored_table_rows_hold_one_int_per_class(tmp_path):
+    # a row missing a value, or holding a string, would shift or break its columns
+    def short(t):
+        t["rows"]["7"].pop()
+
+    def text(t):
+        t["rows"]["7"][1] = "3"
+    for edit in (short, text):
+        alt = _edited_copy(tmp_path / edit.__name__, {"mt_2_1.json": edit})
+        try:
+            set_data_dir(alt)
+            with pytest.raises(DataCorrupt, match=r"^mt_2_1\.json: a row is not one int per"):
+                reps.stored_tables(2)
+        finally:
+            set_data_dir(None)
 
 
 def test_decomposed_rows_and_discriminant_json_keep_their_digests(capsys):
@@ -430,7 +463,7 @@ def test_is_representable_by_division_up_to_the_largest_stored_row():
     # every 4ld up to the largest stored one against each divisor n of a class order,
     # n lambda^2 tested by division; past them, and for any other n, it refuses
     for ell in LAMBENCIES:
-        top = max(k for _, k in reps.stored_rows(ell))
+        top = max(max(t.keys) for t in reps.stored_tables(ell).values())
         ns = {d for c in class_table(ell).classes for d in range(2, c.order + 1)
               if c.order % d == 0}
         for n in ns:
@@ -586,8 +619,10 @@ def _class_equation_broken(t):
     # 1A and 2A have one centralizer order and every value of a row at 2A is +-chi(1), so the
     # swap keeps orthogonality and the power maps; the faithful chi_5 has degree 2
     (7, _swap_columns(0, 1), "chi_5(1) = -2 is not positive"),
+    # the class equation holds for any order once sum 1/|C(K)| = 1
+    (13, lambda t: t.__setitem__("order", 8), "|C(1A)| = 4, not the order 8"),
 ], ids=["not-square", "class-equation", "power-map-length", "power-map-unknown",
-        "power-map-2-missing", "label-order", "fs-entry", "swap-1A-2A"])
+        "power-map-2-missing", "label-order", "fs-entry", "swap-1A-2A", "order"])
 def test_validate_table_raises_on_planted_tables(tmp_path, ell, edit, message):
     alt = _edited_copy(tmp_path, {f"chartab_{ell}.json": edit})
     try:

@@ -119,6 +119,11 @@ def test_exponential_lift_is_built_once():
     assert siegel.exponential_lift(3, 2, 1) is siegel.exponential_lift(3, 2, 1)
 
 
+def test_lambency_outside_the_six_refused():
+    with pytest.raises(OutOfRange, match="^lambency 6$"):
+        siegel.exponential_lift(6, 1, 1)
+
+
 def test_negative_box_sizes_are_refused():
     with pytest.raises(OutOfRange):
         siegel.exponential_lift(3, -1, 3)

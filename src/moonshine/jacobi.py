@@ -21,7 +21,11 @@ tags agree.
 
 One builder on integral rows makes every theta block (``_theta_block``): four
 basis generators, the zeta form, Psi_{1,1} zeta and phi_{-2,1}, whose heat-operator
-images give the two seeds of index 1 and 2 (``_phi_seed``).  No series is inverted here.
+images give the two seeds of index 1 and 2 (``_phi_seed``).  It builds each block from
+shared pieces: equal thetas as one power by repeated squaring, and a numerator theta(az)
+over a denominator theta(bz), a = kb, as the ratio R_k = theta(kz)/theta(z) read at y^b,
+built once per k at the deepest cutoff asked (``_theta_ratio``), so phi^(7)_1 and
+phi^(13)_1 share R_2.  No series is inverted here.
 
 Coefficients are stored as in ``qseries``: int numerators over one positive
 int denominator ``cden`` per series, reduced; ``coefficient``, ``items`` and
@@ -328,10 +332,10 @@ def hat_theta(m: int, r: int, qcut) -> WindowedSeries:
 # the weight-0 basis
 
 # phi^(m)_1 = prod theta(tau, a z) / prod theta(tau, b z), theta = theta_1, as
-# m: (a's, b's); dividing in the order listed, every partial quotient is holomorphic,
-# so every division is exact.
+# m: (a's, b's); ``_theta_block`` pairs 6 with 3 at m = 13 and divides the rest in the order
+# listed, so every partial quotient is holomorphic and every division is exact.
 _THETA_QUOTIENTS = {4: ((2, 2), (1, 1)), 5: ((3,), (1,)), 7: ((4,), (2,)),
-                    13: ((1, 6), (2, 3))}
+                    13: ((1, 6), (3, 2))}
 # Gritsenko's recursion (1999) for phi^(m)_1 at every other m >= 6:
 # c phi^(m)_1 = sum_j a_j gcd(12, m-j) phi^(m-j+1)_1 phi^(j)_1, where c = gcd(12, m-1)
 # and the row {j: a_j} depends on c only.
@@ -414,26 +418,48 @@ def _theta_divide(num: dict, b: int, kcut: int) -> dict:
     return out
 
 
+@memo
+def _theta_ratio(k: int, qcut) -> WindowedSeries:
+    """R_k = theta(tau, kz)/theta(tau, z), k >= 2, on its integral q-rows, y-powers doubled:
+    one division (``_theta_divide``), kept at the deepest cutoff asked (``data.memo``)."""
+    kcut = ceil(qcut)
+    return WindowedSeries._of(1, _theta_divide(_theta_rows(k, kcut), 1, kcut), qcut, ydenom=2)
+
+
 def _theta_block(nums, dens, k: int, qcut) -> WindowedSeries:
     """The theta block prod theta(tau, az) / prod theta(tau, bz) * eta^k, a in ``nums``,
     b in ``dens`` (Gritsenko, Skoruppa and Zagier, "Theta blocks", arXiv:1907.00188).
 
-    On integral q-rows, q^s pulled out, s = (#nums - #dens)/8 + k/24: the numerator
-    thetas multiplied pairwise in a balanced tree (``*``), then eta^k from ``eta_quotient``,
-    then each denominator theta divided out.  Row n reads rows <= n only, so the rows
-    below qcut - s need no pad.
+    On integral q-rows, q^s pulled out, s = (#nums - #dens)/8 + k/24.  Each b, in order,
+    takes the first numerator a = jb, j >= 2, met once in ``nums``: their quotient is the
+    shared ratio R_j (``_theta_ratio``) read at y^b, its doubled y-powers times b.  A
+    repeated theta stays in its power: theta(2z)^2 divided twice by theta(z) builds faster
+    than R_2^2.  Each other theta(az)^e is a power by repeated squaring (``FracSeries.__pow__``, which for
+    e >= 1 only multiplies); the powers and ratios are multiplied (``*``), then eta^k from
+    ``eta_quotient``, then each unpaired denominator theta divided out.  Row n reads rows
+    <= n only, so the rows below qcut - s need no pad.
     """
     s = Fraction(len(nums) - len(dens), 8) + Fraction(k, 24)
     kcut = ceil(qcut - s)
-    prod = [WindowedSeries._of(1, _theta_rows(a, kcut), Fraction(kcut), ydenom=2) for a in nums]
-    while len(prod) > 1:
-        prod = [reduce(mul, prod[i:i + 2]) for i in range(0, len(prod), 2)]
-    if k:
-        prod[0] = prod[0] * eta_quotient([(1, k)], kcut + Fraction(k, 24)).shift(Fraction(-k, 24))
-    rows = prod[0].rows
+    nums, rest, factors = list(nums), [], []
     for b in dens:
+        a = next((a for a in nums if a > b and a % b == 0 and nums.count(a) == 1), None)
+        if a is None:
+            rest.append(b)
+            continue
+        nums.remove(a)
+        r = _theta_ratio(a // b, kcut)
+        factors.append(WindowedSeries._of(1, r._on(1, 2 * b), r.qcut, ydenom=2))
+    for a in dict.fromkeys(nums):
+        theta = WindowedSeries._of(1, _theta_rows(a, kcut), Fraction(kcut), ydenom=2)
+        factors.append(FracSeries.__pow__(theta, nums.count(a)))
+    prod = reduce(mul, factors)
+    if k:
+        prod = prod * eta_quotient([(1, k)], kcut + Fraction(k, 24)).shift(Fraction(-k, 24))
+    rows = prod.rows
+    for b in rest:
         rows = _theta_divide(rows, b, kcut)
-    return WindowedSeries._of(1, rows, qcut - s, ydenom=2, cden=prod[0].cden).qshift(s)
+    return WindowedSeries._of(1, rows, qcut - s, ydenom=2, cden=prod.cden).qshift(s)
 
 
 def _phi_seed(m: int, qcut) -> WindowedSeries:
@@ -465,12 +491,16 @@ def _phi_seed(m: int, qcut) -> WindowedSeries:
         cols.append(sum(terms[1:], terms[0]))
     cden = lcm(*(c.cden for c in cols))
     cols = [{k // c.denom: v * (cden // c.cden) for k, v in c.coeffs.items()} for c in cols]
-    rows = {n: {} for n in range(ceil(qcut))}
-    for n, row in rows.items():
-        for r in range(-isqrt(4 * j * n + j * j), isqrt(4 * j * n + j * j) + 1):
+    rows = {}
+    for n in range(ceil(qcut)):
+        top, row = isqrt(4 * j * n + j * j), {}
+        for r in range(-top, top + 1):
             rho = min(r % (2 * j), -r % (2 * j))
-            row[r] = cols[rho].get(n - (r * r - rho * rho) // (4 * j), 0)
-    return WindowedSeries(1, rows, qcut).scale(Fraction(1, cden * den))
+            if v := cols[rho].get(n - (r * r - rho * rho) // (4 * j)):
+                row[r] = v
+        if row:
+            rows[n] = row
+    return WindowedSeries._of(1, rows, qcut, cden=cden * den)
 
 
 @memo
@@ -483,8 +513,10 @@ def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
     theta(z) theta(6z)/(theta(2z) theta(3z)), Gritsenko's phi_{0,3/2} and
     phi_{0,4} quotients (V. Gritsenko, "Elliptic genus of Calabi-Yau manifolds
     and Jacobi and Siegel modular forms", 1999; V. Gritsenko, N.-P. Skoruppa
-    and D. Zagier, "Theta blocks", arXiv:1907.00188).  The seeds phi^(2,3)_1
-    come from the theta block phi_{-2,1} by the heat operator (``_phi_seed``),
+    and D. Zagier, "Theta blocks", arXiv:1907.00188).  With R_k = theta(kz)/theta(z)
+    they are built as theta(2z)^2 divided twice by theta(z), R_3, R_2(2z) and
+    theta(z) R_2(3z)/theta(2z): five divisions, R_2 shared by 7 and 13.  The seeds
+    phi^(2,3)_1 come from the theta block phi_{-2,1} by the heat operator (``_phi_seed``),
     every other phi^(m)_1 from Gritsenko's product recursion, and n >= 2 from
     the standard products of lower forms.  One form per (m, n) is kept, at the
     deepest cutoff asked; a shallower call gets it truncated (``data.memo``).

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .data import LAMBENCIES, memo
 from .errors import CutoffUnderflow, OutOfRange
@@ -53,31 +53,36 @@ class TripleSeries:
                 for m, s in enumerate(self.slices) for n, r, c in s.items()]
 
 
-def _coeffs(s: WindowedSeries) -> dict:
-    """The rows {n: {r: c(n, r)}} of a series on integer q- and y-exponents."""
-    rows = {}
-    for qe, yp, v in s.items():
-        rows.setdefault(int(qe), {})[int(yp)] = v
-    return rows
+def _coeffs(s: WindowedSeries) -> tuple:
+    """The int rows {n: {r: numerator of c(n, r)}} of a series on integer q- and y-exponents,
+    and their denominator."""
+    return {k // s.denom: {y // s.ydenom: v for y, v in row.items()}
+            for k, row in s.rows.items()}, s.cden
 
 
-def _hecke(c: dict, m: int, weight: int, nmax: int) -> WindowedSeries:
-    """phi|V_m below q^(nmax+1) from the rows ``c`` of phi (module docstring).
+def _hecke(c: dict, cden: int, m: int, weight: int, nmax: int) -> WindowedSeries:
+    """phi|V_m below q^(nmax+1) from the int rows ``c`` of phi over ``cden`` (module
+    docstring).  Below weight 1, j^(weight-1) is read as den/j^(1-weight) over den, the
+    lcm of those j^(1-weight).
 
     With m = 0 only n >= 1 remain: gcd(0, 0) = 0 leaves no j.
     """
+    gs = [gcd(m, n) for n in range(nmax + 1)]
+    den = lcm(*range(1, max(gs) + 1)) ** max(1 - weight, 0)
     rows = {}
-    for n in range(nmax + 1):
-        g = gcd(m, n)
-        row = rows[n] = {}
+    for n, g in enumerate(gs):
+        row = {}
         for j in range(1, g + 1):
             if g % j == 0:
-                w = Fraction(j) ** (weight - 1)
+                w = j ** (weight - 1) if weight >= 1 else den // j ** (1 - weight)
                 for r, v in c.get(n * m // (j * j), {}).items():
                     row[r * j] = row.get(r * j, 0) + w * v
-    return WindowedSeries(1, rows, nmax + 1)
+        if row := {r: v for r, v in row.items() if v}:
+            rows[n] = row
+    return WindowedSeries._of(1, rows, Fraction(nmax + 1), cden=cden * den)
 
 
+@memo
 def _phi_10_1(qcut) -> WindowedSeries:
     """The weight 10 index 1 cusp form theta^2 eta^18, theta = theta_1 / -i, a theta block."""
     return _theta_block((1, 1), (), 18, qcut)
@@ -88,8 +93,8 @@ def additive_lift(pmax=3, nmax=3, ywindow=6) -> TripleSeries:
     index 1 form, for n <= nmax and |r| <= ywindow."""
     if min(pmax, nmax, ywindow) < 0:
         raise OutOfRange(f"negative box size in {(pmax, nmax, ywindow)}")
-    c = _coeffs(_phi_10_1(pmax * nmax + 1))
-    slices = [_hecke(c, m, 10, nmax) if m else WindowedSeries(1, {}, nmax + 1)
+    c, cden = _coeffs(_phi_10_1(pmax * nmax + 1))
+    slices = [_hecke(c, cden, m, 10, nmax) if m else WindowedSeries(1, {}, nmax + 1)
               for m in range(pmax + 1)]
     return TripleSeries([_clip(s, ywindow, ENTIRE) for s in slices])
 
@@ -110,13 +115,13 @@ def exponential_lift(ell: int, pmax=3, nmax=3) -> TripleSeries:
         raise OutOfRange(f"lambency {ell}")
     if min(pmax, nmax) < 0:
         raise OutOfRange(f"negative box size in {(pmax, nmax)}")
-    c = _coeffs(umbral_Z(ell, pmax * nmax + 1))
-    row0 = c[0]
+    c, cden = _coeffs(umbral_Z(ell, pmax * nmax + 1))
+    row0 = {r: Fraction(v, cden) for r, v in c[0].items()}
     prefactor = (Fraction(sum(row0.values()), 24),
                  Fraction(sum(r * v for r, v in row0.items() if r > 0), 2),
                  Fraction(sum(r * r * v for r, v in row0.items()), 4))
     qcut = nmax + 1
-    x = [_hecke(c, m, 0, nmax).scale(-max(m, 1)) for m in range(pmax + 1)]  # X_0, i X_i
+    x = [_hecke(c, cden, m, 0, nmax).scale(-max(m, 1)) for m in range(pmax + 1)]  # X_0, i X_i
     powers = accumulate(range(2, nmax + 1), initial=x[0],  # X_0^k / k!
                         func=lambda t, k: windowed_mul(t, x[0], qcut).scale(Fraction(1, k)))
     e = sum(powers, WindowedSeries.one(qcut))

@@ -229,6 +229,26 @@ def test_siegel_verb_past_lambency_2():
     assert payload["coefficients"][0] == {"m": 0, "n": 0, "r": -2, "c": "1/1"}
 
 
+SIEGEL_JSON_DIGESTS = {
+    2: "b798ee4665662cc9a23a231c297898f3c7b5b12e88071bceb1c7d9ee2c202405",
+    3: "0b0eaab94baaa31ab324b6da3b4255861024fc618b3e4bccc381243c151d5237",
+    4: "92733401743174325733334be8bd8cb3a5522e94fe9f9d6516cf044a758cfce2",
+    5: "f48bb550e99238949c73272b33a9642aa22df600f79c677d7c4e075a34341f58",
+    7: "bdd2cff1f840f4895fa0e105c22cc41c6592e77f9411e8193753766db7022aa8",
+    13: "7c7b5a3b65d1f14431f9bb04895ecf4bbd4fd71d5ec2e4a0a0db0bb65aa33949",
+}
+
+
+def test_siegel_json_keeps_its_digests():
+    # sha256 of the stdout of `siegel --lambency l --json` (at 2 the Igusa comparison too), CI's
+    # digests, recorded at commit d15992f, where exp(X) was summed as its power series and
+    # compare_igusa and the Hecke operator read every coefficient as a Fraction
+    import hashlib
+    for ell, want in SIEGEL_JSON_DIGESTS.items():
+        code, out = run(["siegel", "--lambency", str(ell), "--json"])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, ell
+
+
 def test_siegel_negative_pmax_is_a_usage_error():
     code, _ = run(["siegel", "--lambency", "3", "--pmax", "-1"])
     assert code == 2

@@ -1,12 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from math import gcd, lcm
+from functools import reduce
+from math import ceil, gcd, lcm
+from operator import mul
 
 import pytest
 
 from moonshine import jacobi as jb
-from moonshine import mckay
+from moonshine import mckay, siegel
 from moonshine.data import LAMBENCIES, memo, set_data_dir
 from moonshine.errors import (CutoffUnderflow, NotInvertible, OutOfRange, UnboundedSupport,
                               WindowTooNarrow)
@@ -307,9 +309,10 @@ def test_theta_quotients_match_the_product_rows(m, c):
 
 
 # theta(4z)/theta(3z) and theta(5z)/theta(3z) have poles at z = 1/3, and
-# theta(z) theta(6z)/(theta(4z) theta(3z)) at z = 1/4
+# theta(z) theta(6z)/(theta(4z) theta(3z)) and, read through the ratio theta(6z)/theta(2z),
+# theta(z) theta(6z)/(theta(2z) theta(4z)) at z = 1/4
 @pytest.mark.parametrize("m, row", [(7, ((4,), (3,))), (7, ((5,), (3,))),
-                                    (13, ((1, 6), (4, 3)))])
+                                    (13, ((1, 6), (4, 3))), (13, ((1, 6), (2, 4)))])
 def test_a_wrong_theta_quotient_raises(monkeypatch, m, row):
     monkeypatch.setitem(jb._THETA_QUOTIENTS, m, row)
     set_data_dir(None)
@@ -376,7 +379,9 @@ def random_quotient(rng, kcut, step, spread=6, size=9):
 
 @pytest.mark.parametrize("c", [30, 60, 120])
 def test_theta_divide_matches_the_reference_in_every_block(monkeypatch, c):
-    # the six divisions of the theta quotients at 4, 5, 7 and 13; zeta_form divides by none
+    # the five divisions of the theta quotients at 4, 5, 7 and 13: two at 4, one each for
+    # theta(3z)/theta(z) and the ratio theta(2z)/theta(z) that 7 and 13 share, one at 13;
+    # zeta_form divides by none
     calls, divide = [], jb._theta_divide
     monkeypatch.setattr(jb, "_theta_divide",
                         lambda num, b, kcut: calls.append((num, b, kcut)) or divide(num, b, kcut))
@@ -384,7 +389,7 @@ def test_theta_divide_matches_the_reference_in_every_block(monkeypatch, c):
     for m in (4, 5, 7, 13):
         jb.gritsenko(m, 1, c)
     jb.zeta_form(c)
-    assert [b for _, b, _ in calls] == [1, 1, 1, 2, 2, 3]
+    assert [b for _, b, _ in calls] == [1, 1, 1, 1, 2]
     for num, b, kcut in calls:
         assert divide(num, b, kcut) == reference_theta_divide(num, b, kcut)
     set_data_dir(None)
@@ -443,6 +448,77 @@ def test_theta_divide_checks_every_residue_class():
                         divide(planted, b, 4)
 
 
+# m: (a's, b's) of phi^(m)_1 as reference_theta_block divides them
+REFERENCE_QUOTIENTS = {4: ((2, 2), (1, 1)), 5: ((3,), (1,)), 7: ((4,), (2,)),
+                       13: ((1, 6), (2, 3))}
+
+
+def reference_theta_block(nums, dens, k, qcut):
+    """The theta block with no shared piece: the numerator thetas multiplied pairwise in a
+    balanced tree, then eta^k, then one division per denominator theta."""
+    s = F(len(nums) - len(dens), 8) + F(k, 24)
+    kcut = ceil(qcut - s)
+    prod = [jb.WindowedSeries._of(1, jb._theta_rows(a, kcut), F(kcut), ydenom=2) for a in nums]
+    while len(prod) > 1:
+        prod = [reduce(mul, prod[i:i + 2]) for i in range(0, len(prod), 2)]
+    if k:
+        prod[0] = prod[0] * eta_quotient([(1, k)], kcut + F(k, 24)).shift(F(-k, 24))
+    rows = prod[0].rows
+    for b in dens:
+        rows = jb._theta_divide(rows, b, kcut)
+    return jb.WindowedSeries._of(1, rows, qcut - s, ydenom=2, cden=prod[0].cden).qshift(s)
+
+
+def _blocks(c):
+    """(name, built, its reference block): Z at 4, 5, 7, 13 built in one memo, so 13 reads
+    the ratio 7 built, zeta, P_1..P_3, phi_{10,1}, phi_{-2,1} and the seeds' theta^(2j)."""
+    set_data_dir(None)
+    out = [(f"Z({m})", jb.umbral_Z(m, c), reference_theta_block(*REFERENCE_QUOTIENTS[m], 0, c)
+            .scale(2)) for m in (4, 5, 7, 13)]
+    out.append(("zeta", jb.zeta_form(c), reference_theta_block((1,) * 12, (), -12, c)))
+    for i in (1, 2, 3):
+        p = ((2,) + (1,) * (12 * i - 2), (), 3 - 12 * i)
+        out.append((f"P_{i}", jb._theta_block(*p, c), reference_theta_block(*p, c)))
+    out.append(("phi_10_1", siegel._phi_10_1(c), reference_theta_block((1, 1), (), 18, c)))
+    out.append(("phi_-2_1", jb._theta_block((1, 1), (), -6, c),
+                reference_theta_block((1, 1), (), -6, c)))
+    for j in (1, 2):
+        out.append((f"theta^{2 * j}", jb._theta_block((1,) * (2 * j), (), 0, c + F(j, 4)),
+                    reference_theta_block((1,) * (2 * j), (), 0, c + F(j, 4))))
+    return out
+
+
+@pytest.mark.parametrize("c", [6, 30, 120])
+def test_theta_blocks_match_the_unshared_build(c):
+    for name, got, want in _blocks(c):
+        assert (list(got.items()), got.qcut, got.cden) == \
+            (list(want.items()), want.qcut, want.cden), name
+    set_data_dir(None)
+
+
+def test_equal_thetas_by_repeated_squaring(monkeypatch):
+    # theta^2, theta^4, theta^8 and theta^8 theta^4, then eta^-12, y-free (11 theta products
+    # in a balanced tree)
+    calls, product = [], jb._product
+    monkeypatch.setattr(jb, "_product", lambda a, b, *rest: calls.append(b) or product(a, b, *rest))
+    set_data_dir(None)
+    jb.zeta_form(30)
+    assert [b.max_abs_y() > 0 for b in calls] == [True] * 4 + [False]
+    set_data_dir(None)
+
+
+def test_the_shared_ratio_serves_each_cutoff():
+    # 7 and 13 share theta(2z)/theta(z): one built deeper for the other is read at the cutoff
+    # asked, and one built shallower is not served to a deeper build
+    set_data_dir(None)
+    fresh = {(m, c): _reported(jb.gritsenko(m, 1, c)) for m, c in ((13, 30), (7, 120))}
+    for order in ([(7, 120), (13, 30)], [(13, 30), (7, 120)]):
+        set_data_dir(None)
+        for m, c in order:
+            assert _reported(jb.gritsenko(m, 1, c)) == fresh[m, c], (m, c)
+    set_data_dir(None)
+
+
 def _terms_series(terms, qcut):
     """A complete series on the q^(1/8) and y^(1/2) lattices from its terms."""
     rows = {}
@@ -495,6 +571,34 @@ def test_widest_products_keep_their_digest():
         h.update(repr((name, [(str(q), str(y), str(c)) for q, y, c in s.items()],
                        str(s.qcut))).encode())
     assert h.hexdigest() == "5c9977f8f95d71a7d160c4fc042d04c6cebdacd78e3352b2bf00d8d0e8ce3a04"
+
+
+def test_theta_quotients_and_zeta_keep_their_digests():
+    # sha256 over items and qcut of gritsenko(l, 1, 120), l = 4, 5, 7, 13, and zeta_form(60),
+    # and of zeta_form(12); recorded at commits 098d447 and 0888255, where _theta_divide formed
+    # each quotient row one dict entry at a time and zeta was theta_1^12 times the inverse of
+    # eta^12; and of gritsenko(13, 1, 120) built first, so theta(2z)/theta(z) is built for it,
+    # recorded at commit 2836e29, where each denominator theta was divided out on its own;
+    # the same digests as CI's
+    def update(h, name, s):
+        h.update(repr((name, [(str(q), str(y), str(c)) for q, y, c in s.items()],
+                       str(s.qcut))).encode())
+    set_data_dir(None)
+    h = hashlib.sha256()
+    update(h, "gritsenko(13, 1, 120)", jb.gritsenko(13, 1, 120))
+    assert h.hexdigest() == "6fff8da19c9a8e89b7ccfd393dc6d7c6cfcf45fcbc77c009899f5bd2a3750c19"
+    h = hashlib.sha256()
+    for name, s in [(f"gritsenko({l}, 1, 120)", jb.gritsenko(l, 1, 120)) for l in (4, 5, 7, 13)] \
+            + [("zeta_form(60)", jb.zeta_form(60))]:
+        update(h, name, s)
+    assert h.hexdigest() == "07a0c6cb942448df0ac8b156833c904625b91777a9032fc60097cf721a89ee60"
+    set_data_dir(None)
+    z = jb.zeta_form(12)
+    got = hashlib.sha256(repr(([(str(q), str(y), str(c)) for q, y, c in z.items()],
+                               str(z.qcut))).encode()).hexdigest()
+    assert got == "f9540abc9f1043a42f324ed49d96d55a24e7fd416a42d7431805de2b61cae85a"
+    set_data_dir(None)
+
 
 def test_zeta_in_cusp_ideal():
     z = jb.zeta_form(4)

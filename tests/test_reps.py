@@ -489,6 +489,19 @@ def test_discriminant_report_all():
         assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("ell", LAMBENCIES)
+def test_h_discriminants_are_the_positive_stored_keys(ell):
+    # the 4l d keys with a nonzero 1A cell, read from the raw JSON; the polar key -1 (the
+    # head -2 q^(-1/4l) of H_1) is stored at every lambency and is no discriminant
+    keys = set()
+    for r in range(1, ell):
+        table = load_json(f"mt_{ell}_{r}.json")
+        col = table["classes"].index("1A")
+        keys |= {int(k) for k, row in table["rows"].items() if row[col]}
+    assert -1 in keys
+    assert reps.h_discriminants(ell) == {k for k in keys if k > 0}
+
+
 def _edited_copy(tmp_path, edits):
     """A copy of the data directory with ``edits[name](table)`` applied."""
     alt = tmp_path / "tables"

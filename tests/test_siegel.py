@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -64,6 +65,33 @@ def test_phi_10_1_is_the_product_formula(c):
     assert want.qcut == c + F(7, 8)
     got = siegel._phi_10_1(c)
     assert (list(got.items()), got.qcut) == (list(want.truncate(c).items()), c)
+
+
+def reference_hecke(phi, m, weight, nmax):
+    """phi|V_m below q^(nmax+1), each coefficient a Fraction sum over j | gcd(m, n, r) of
+    j^(weight-1) c(nm/j^2, r/j), c read from the items of phi."""
+    c = {}
+    for qe, yp, v in phi.items():
+        c.setdefault(int(qe), {})[int(yp)] = v
+    rows = {}
+    for n in range(nmax + 1):
+        g, row = gcd(m, n), rows.setdefault(n, {})
+        for j in (j for j in range(1, g + 1) if g % j == 0):
+            for r, v in c.get(n * m // (j * j), {}).items():
+                row[r * j] = row.get(r * j, 0) + F(j) ** (weight - 1) * v
+    return WindowedSeries(1, rows, nmax + 1)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_hecke_on_int_rows_matches_the_fraction_sum(m):
+    # phi_{10,1} is stored with y-denominator 2; Z/3 and phi_{10,1}/6 have denominators
+    phi = siegel._phi_10_1(13)
+    assert phi.ydenom == 2 and siegel._phi_10_1(13) is phi
+    for form, weight in [(phi, 10), (phi.scale(F(1, 6)), 10)] + \
+            [(umbral_Z(ell, 13).scale(F(1, 3)), 0) for ell in LAMBENCIES]:
+        got, want = siegel._hecke(*siegel._coeffs(form), m, weight, 3), \
+            reference_hecke(form, m, weight, 3)
+        assert (got.rows, got.cden, got.qcut) == (want.rows, want.cden, want.qcut)
 
 
 def test_additive_m1_slice_is_the_form():

@@ -1,13 +1,12 @@
 """The weight-0 weak Jacobi forms and the six distinguished extremal ones.
 
-The basis forms phi^(m)_n are built from the three theta-quotient generators
-by the standard recursion scheme; the distinguished Z^(l) = 2 phi^(l)_1 exist
-exactly for l - 1 dividing 12, and the library verifies both the extremal
-structure and the vanishing of candidate spaces at indices 8 and 24.
+The forms phi^(m)_1 are theta blocks or built by Gritsenko's product
+recursion; the distinguished Z^(l) = 2 phi^(l)_1 exist exactly for l - 1
+dividing 12, and the library verifies both their extremal structure and, on
+the whole weak Jacobi space of each index up to 24, that no other index has one.
 """
 from moonshine.jacobi import (extremal_space_dim, gritsenko,
-                              leading_row_relation, umbral_Z, verify_extremal,
-                              zeta_form)
+                              leading_row_relation, umbral_Z, verify_extremal)
 
 print("Leading rows of the generators (q^0 coefficients of y^k):")
 for m in (2, 3, 4):
@@ -29,11 +28,7 @@ print("\nExtremal structure of the attached vectors (single polar term -2):")
 for ell in (2, 3, 4, 5, 7, 13):
     print(f"  lambency {ell:>2}: {'pass' if verify_extremal(ell)['ok'] else 'FAIL'}")
 
-print("\nThe cusp-ideal generator theta_1^12/eta^12 has an empty q^0 row:")
-z = zeta_form(3)
-print("  lowest q-order of zeta:", min(qe for qe, _, _ in z.items()))
-
-print("\nAt the two remaining candidate indices the space of extremal forms")
-print("vanishes (exact nullity of the coefficient constraint system):")
-for m in (9, 25):
-    print(f"  index {m - 1}: dimension {extremal_space_dim(m)}")
+print("\nThe space of extremal forms of index m - 1 (exact nullity of the")
+print("coefficient constraints on the whole weak Jacobi space):")
+for m in range(2, 26):
+    print(f"  index {m - 1:>2}: dimension {extremal_space_dim(m)}")

@@ -7,7 +7,7 @@ from .algebra import QuadValue
 from .jacobi import (HVector, WindowedSeries, appell_mu, extract_H,
                      extremal_space_dim, gritsenko, hat_theta, index_theta,
                      jacobi_theta, psi_one_one, umbral_Z, verify_extremal,
-                     verify_n4_identity, windowed_mul, zeta_form)
+                     verify_n4_identity, windowed_mul)
 from .groups import (CharacterTable, GroupData, SignedPerm, character_table,
                      check_ell4_to_ell2, euler_chars, frame_shapes, generate,
                      shuffle_group, squared_class_set, umbral_group)

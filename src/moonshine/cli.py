@@ -60,7 +60,7 @@ def _parser() -> argparse.ArgumentParser:
         "--row", type=int, required=True, help="row key 4l*d, which fixes the component r")
     common(sub.add_parser("discriminants", help="discriminant property suite"))
     ed = sub.add_parser("extremal-dim", help="extremal candidate space dimension")
-    ed.add_argument("--m", type=int, required=True, choices=(9, 25))
+    ed.add_argument("--m", type=int, required=True, choices=range(2, 26), metavar="2..25")
     sg = common(sub.add_parser("siegel", help="lift coefficients"))
     sg.add_argument("--pmax", type=int, default=3)
     sg.add_argument("--nmax", type=int, default=3)

@@ -20,10 +20,12 @@ Entire series combine with anything; two tagged series combine only when the
 tags agree.
 
 One builder on integral rows makes every theta block (``_theta_block``): four
-basis generators, the zeta form, Psi_{1,1} zeta and phi_{-2,1}, whose heat-operator
-images give the two seeds of index 1 and 2 (``_phi_seed``).  It builds each block from
-shared pieces: equal thetas as one power by repeated squaring, and a numerator theta(az)
-over a denominator theta(bz), a = kb, as the ratio R_k = theta(kz)/theta(z) read at y^b,
+basis generators, phi_{-2,1}, whose heat-operator images give the two seeds of
+index 1 and 2 (``_phi_seed``), and Psi_{1,1} phi_{-2,1} = theta(2z)/eta^3, which
+with phi_{-2,1}, phi^(2)_1, E_4 and E_6 spans the extremal matrix on the whole weak
+Jacobi space (``_extremal_matrix``).  It builds each block from shared pieces:
+equal thetas as one power by repeated squaring, and a numerator theta(az) over a
+denominator theta(bz), a = kb, as the ratio R_k = theta(kz)/theta(z) read at y^b,
 built once per k at the deepest cutoff asked (``_theta_ratio``), so phi^(7)_1 and
 phi^(13)_1 share R_2.  No series is inverted here.
 
@@ -46,7 +48,7 @@ from .data import LAMBENCIES, memo
 from .errors import (CutoffUnderflow, NotInvertible, OutOfRange, UnboundedSupport,
                      WindowTooNarrow)
 # eta is not called here; it stays importable, as perfbench's tracer test rebinds jacobi.eta
-from .qseries import (FracSeries, _convolve, _pack, _sigma, _theta_lattice, _unpack, eta,
+from .qseries import (FracSeries, _convolve, _eisenstein, _pack, _theta_lattice, _unpack, eta,
                       eta_quotient)
 
 ENTIRE = "entire"
@@ -464,20 +466,18 @@ def _theta_block(nums, dens, k: int, qcut) -> WindowedSeries:
 
 def _phi_seed(m: int, qcut) -> WindowedSeries:
     """phi^(m)_1, m in {2, 3}, of index j = m - 1, from A = phi_{-2,1} = theta^2/eta^6,
-    E_2 = 1 - 24 sum sigma(n) q^n, E_4 = eta^16/eta(2tau)^8 + 256 eta(2tau)^16/eta^8
-    and the heat operator L, c(n, r) -> (4jn - r^2) c(n, r) (Eichler and Zagier,
-    *The Theory of Jacobi Forms*, 1985, sections 2 and 9): phi^(2)_1 = -6 L A - 5 E_2 A
-    and 12 phi^(3)_1 = 3 L^2 A^2 + 14 E_2 L A^2 + (21 E_2^2 - 13 E_4) A^2.  Only the
-    rows y^0..y^j are formed, each a one-variable series (the row of theta^(2j) times
-    eta^(-6j)); the rest follow from c(n, r) = C_(r mod 2j)(4jn - r^2), C_r = C_(-r).
+    E_2, E_4 (``qseries._eisenstein``) and the heat operator L, c(n, r) -> (4jn - r^2) c(n, r)
+    (Eichler and Zagier, *The Theory of Jacobi Forms*, 1985, sections 2 and 9): phi^(2)_1 =
+    -6 L A - 5 E_2 A and 12 phi^(3)_1 = 3 L^2 A^2 + 14 E_2 L A^2 + (21 E_2^2 - 13 E_4) A^2.
+    Only the rows y^0..y^j are formed, each a one-variable series (the row of theta^(2j)
+    times eta^(-6j)); the rest follow from c(n, r) = C_(r mod 2j)(4jn - r^2), C_r = C_(-r).
     """
     j, qcut = m - 1, as_rat(qcut)
-    e2 = FracSeries(1, dict(enumerate([1] + [-24 * s for s in _sigma(ceil(qcut))[1:]])), qcut)
+    e2 = _eisenstein(2, qcut)
     if m == 2:
         weights, den = [e2.scale(-5), -6], 1
     else:
-        e4 = eta_quotient([(1, 16), (2, -8)], qcut) + eta_quotient([(2, 16), (1, -8)], qcut) * 256
-        weights, den = [(e2 * e2).scale(21) - e4.scale(13), e2.scale(14), 3], 12
+        weights, den = [(e2 * e2).scale(21) - _eisenstein(4, qcut).scale(13), e2.scale(14), 3], 12
     theta = _theta_block((1,) * (2 * j), (), 0, qcut + Fraction(j, 4))
     inv = eta_quotient([(1, -6 * j)], qcut)
     cols = []
@@ -505,54 +505,32 @@ def _phi_seed(m: int, qcut) -> WindowedSeries:
 
 @memo
 def gritsenko(m: int, n: int, qcut) -> WindowedSeries:
-    """The weight 0, index m-1 basis form phi^(m)_n (2 <= m <= 25, 1 <= n < m).
+    """The weight 0, index m-1 form phi^(m)_1 (2 <= m <= 25); n must be 1.
 
-    phi^(m)_1 at m = 4, 5, 7 and 13 is a theta block, a quotient of theta(tau, az)
-    = theta_1(tau, az) found by exact row division (``_THETA_QUOTIENTS``):
-    (theta(2z)/theta(z))^2, theta(3z)/theta(z), theta(4z)/theta(2z) and
-    theta(z) theta(6z)/(theta(2z) theta(3z)), Gritsenko's phi_{0,3/2} and
-    phi_{0,4} quotients (V. Gritsenko, "Elliptic genus of Calabi-Yau manifolds
-    and Jacobi and Siegel modular forms", 1999; V. Gritsenko, N.-P. Skoruppa
-    and D. Zagier, "Theta blocks", arXiv:1907.00188).  With R_k = theta(kz)/theta(z)
-    they are built as theta(2z)^2 divided twice by theta(z), R_3, R_2(2z) and
-    theta(z) R_2(3z)/theta(2z): five divisions, R_2 shared by 7 and 13.  The seeds
-    phi^(2,3)_1 come from the theta block phi_{-2,1} by the heat operator (``_phi_seed``),
-    every other phi^(m)_1 from Gritsenko's product recursion, and n >= 2 from
-    the standard products of lower forms.  One form per (m, n) is kept, at the
-    deepest cutoff asked; a shallower call gets it truncated (``data.memo``).
+    At m = 4, 5, 7 and 13 it is a theta block (``_THETA_QUOTIENTS``): (theta(2z)/theta(z))^2,
+    theta(3z)/theta(z), theta(4z)/theta(2z) and theta(z) theta(6z)/(theta(2z) theta(3z)),
+    Gritsenko's phi_{0,3/2} and phi_{0,4} quotients (V. Gritsenko, "Elliptic genus of
+    Calabi-Yau manifolds and Jacobi and Siegel modular forms", 1999; Gritsenko, Skoruppa and
+    Zagier, "Theta blocks", arXiv:1907.00188), in five divisions, R_2 = theta(2z)/theta(z)
+    shared by 7 and 13.  The seeds phi^(2,3)_1 come from phi_{-2,1} by the heat operator
+    (``_phi_seed``), every other m from Gritsenko's product recursion.  One form per m is
+    kept, at the deepest cutoff asked; a shallower call gets it truncated (``data.memo``).
     """
-    if not (2 <= m <= 25 and 1 <= n <= m - 1):
+    if not (2 <= m <= 25 and n == 1):
         raise OutOfRange(f"no basis form phi^({m})_{n}")
-    p1 = lambda mm: gritsenko(mm, 1, qcut)
-    if n == 1 and m in _THETA_QUOTIENTS:
+    if m in _THETA_QUOTIENTS:
         out = _theta_block(*_THETA_QUOTIENTS[m], 0, qcut)
-    elif n == 1 and m <= 3:
+    elif m <= 3:
         out = _phi_seed(m, qcut)
-    elif n == 1:
+    else:
         if m in _PRODUCT_ROWS:
             c, terms = _PRODUCT_ROWS[m]
         else:
             c = gcd(12, m - 1)
             terms = {(m - j + 1, j): a * gcd(12, m - j) for j, a in _RECURSION[c].items()}
-        prods = [(p1(a) * p1(b)).scale(k) for (a, b), k in terms.items()]
+        prods = [(gritsenko(a, 1, qcut) * gritsenko(b, 1, qcut)).scale(k)
+                 for (a, b), k in terms.items()]
         out = sum(prods[1:], prods[0]).scale(Fraction(1, c))
-    elif n == 2:
-        if m == 3:
-            out = p1(2) * p1(2) - p1(3).scale(24)
-        elif m == 4:
-            out = p1(2) * p1(3) - p1(4).scale(18)
-        elif m == 5:
-            out = p1(2) * p1(4) - p1(5).scale(16)
-        else:
-            out = (p1(m - 3) * p1(4)).scale(gcd(12, m - 4)) \
-                - (p1(m - 4) * p1(5)).scale(gcd(12, m - 5)) \
-                - p1(m).scale(gcd(12, m - 1))
-    elif n == m - 1:  # p1(2)^(m-1), m >= 4
-        out = p1(2) * (gritsenko(m - 1, n - 1, qcut) if m > 4 else p1(2) * p1(2))
-    elif n == m - 2:  # p1(2)^(m-3) p1(3), m >= 5
-        out = p1(3) * (gritsenko(m - 2, n - 1, qcut) if m > 5 else p1(2) * p1(2))
-    else:  # 3 <= n <= m - 3
-        out = gritsenko(m - 3, n - 1, qcut) * gritsenko(4, 1, qcut)
     return out.truncate(qcut)
 
 
@@ -561,16 +539,6 @@ def umbral_Z(ell: int, qcut) -> WindowedSeries:
     if ell not in LAMBENCIES:
         raise OutOfRange(f"lambency {ell}")
     return gritsenko(ell, 1, qcut).scale(2)
-
-
-# Psi_{1,1} zeta = theta(2z) theta^10 eta^-9 as a theta block (nums, dens, k)
-_PSI_ZETA = ((2,) + (1,) * 10, (), -9)
-
-
-@memo
-def zeta_form(qcut) -> WindowedSeries:
-    """The weight 0 index 6 generator theta^12/eta^12 of the cusp ideal, a theta block."""
-    return _theta_block((1,) * 12, (), -12, qcut)
 
 
 # ---------------------------------------------------------------------------
@@ -764,66 +732,88 @@ def leading_row_relation(phi: WindowedSeries, m: int) -> bool:
     return (m - 1) * (a + 2 * b) == 12 * b
 
 
-def extremal_space_dim(m: int) -> int:
-    """Dimension of the space of extremal candidates at index m-1 (m in {9, 25}).
+_PRIME = 32749  # the largest prime below 2^15: the extremal rank is taken mod it first
 
-    Sets up the span of phi^(m)_1 and zeta^i phi^(m-6i)_j, imposes vanishing of every
-    massive-side coefficient q^n y^r with r^2 - 4mn >= 0 and n <= n_bound = max(4,
-    (m-1)^2 // 4m) (and of all polar terms but the r = 1 head), and returns the nullity.
-    phi^(m)_1, the one form extracted, is built to q^(n_bound + 1), the least sound cutoff:
-    H_r, read at n <= n_bound, is exact below it minus r^2/4m.  zeta vanishes at z = 0, so
-    P_i = Psi_{1,1} zeta^i = theta(2z) theta^(12i-2) eta^(3-12i) is a holomorphic theta
-    block, the same in both annuli, and chi = 0: H_r of zeta^i g is -q^(-r^2/4m) [y^r](P_i g),
-    so its row is read off the int rows of P_i g, less the sign and denominator (rank
-    unchanged).  P_i starts at q^i, so g = phi^(m-6i)_j is built to q^(n_bound + 1 - i) only.
+
+def extremal_space_dim(m: int) -> int:
+    """Dimension of the extremal forms of weight 0 and index m-1 (2 <= m <= 25): the weak
+    Jacobi forms whose H_r vanish at every q^n y^r, n <= n_bound = max(4, (m-1)^2 // 4m),
+    r^2 - 4mn >= 0, but the polar head r = 1, n = 0; the nullity of ``_extremal_matrix``.
+    A minor nonzero mod p is nonzero, so the rank mod ``_PRIME`` is at most the rank over Q
+    and a full one proves nullity 0; only a rank that falls short is taken again exactly.
     """
-    return len(matrix := _extremal_matrix(m)) - _rank(matrix)
+    matrix = _extremal_matrix(m)
+    rank = _rank(matrix, _PRIME)
+    if rank < len(matrix):
+        rank = _rank(matrix)
+    return len(matrix) - rank
 
 
 def _extremal_matrix(m: int) -> list:
-    """The rows of ``extremal_space_dim``, one per basis form, each row's H_r at the slots."""
-    if m not in (9, 25):
-        raise OutOfRange("supported candidates: m in {9, 25}")
+    """One row per basis form of J^weak_{0,t} = sum_j M_(2j) phi_{-2,1}^j phi_{0,1}^(t-j),
+    t = m - 1 (Eichler and Zagier, 1985, Theorem 9.3), M_(2j) spanned by the E_4^a E_6^b,
+    2a + 3b = j, phi_{0,1} = phi^(2)_1: its H_r at the slots, up to a factor per row.
+
+    Row j = 0, phi_{0,1}^t, is extracted, built to q^(n_bound + 1), the least sound cutoff:
+    H_r, read at n <= n_bound, is exact below it minus r^2/4m.  For j >= 2 (M_2 = 0) the
+    form vanishes at z = 0, so chi = 0, and Psi_{1,1} phi_{-2,1}^j = theta(2z) theta^(2j-2)
+    eta^(3-6j) is a holomorphic theta block (Dabholkar, Murthy and Zagier, 2012), the same
+    in both annuli: H_r of f phi_{-2,1}^j phi_{0,1}^(t-j) is -q^(-r^2/4m) [y^r] of f C_j,
+    C_j = Psi phi_{-2,1}^j phi_{0,1}^(t-j), so f's row reads slot (r, n) as the int sum
+    sum_k f_k C_j[n - k][r], less the sign and denominator.
+    """
+    if not 2 <= m <= 25:
+        raise OutOfRange(f"extremal candidates at 2 <= m <= 25, not m = {m}")
     nbound = max(4, (m - 1) ** 2 // (4 * m))
     qcut = nbound + 1
     slots = [(r, n) for r in range(1, m) for n in range(0, nbound + 1)
              if r * r - 4 * m * n >= 0 and (r, n) != (1, 0)]
-    H = extract_from_form(gritsenko(m, 1, qcut), m, qcut)
+    phi01 = gritsenko(2, 1, qcut)
+    powers = [WindowedSeries.one(qcut), *accumulate(repeat(phi01, m - 1), mul)]  # phi_{0,1}^i
+    H = extract_from_form(powers[-1], m, qcut)
     matrix = [[H.component(r).coefficient(Fraction(4 * m * n - r * r, 4 * m)) for r, n in slots]]
-    p = _theta_block(*_PSI_ZETA, qcut)
-    for i in range(1, (m - 2) // 6 + 1):  # past it range(1, m - 6i) is empty
-        p = p if i == 1 else (p * zeta_form(qcut)).truncate(qcut)
-        for j in range(1, m - 6 * i):
-            s = p * gritsenko(m - 6 * i, j, qcut - i)
-            if s.qcut <= nbound:  # a row past the cutoff would read as 0
-                raise CutoffUnderflow(f"q^{nbound} read at qcut {s.qcut} of P_{i} phi")
-            matrix.append([s.rows.get(n * s.denom, {}).get(r * s.ydenom, 0) for r, n in slots])
+    e4, e6 = (list(map(_eisenstein(w, qcut).coeffs.get, range(qcut), repeat(0))) for w in (4, 6))
+    mono = {(0, 0): [1] + [0] * nbound}  # E_4^a E_6^b at q^0..q^nbound
+    block, phi = _theta_block((2,), (), -3, qcut), _theta_block((1, 1), (), -6, qcut)
+    for j in range(2, m):
+        block = block * phi  # Psi phi_{-2,1}^j
+        core = block * powers[m - 1 - j]
+        if core.qcut <= nbound:  # a row past the cutoff would read as 0
+            raise CutoffUnderflow(f"q^{nbound} read at qcut {core.qcut} of C_{j}")
+        cols = [[core.rows.get(k, {}).get(r * core.ydenom, 0) for k in range(n, -1, -1)]
+                for r, n in slots]  # C_j[n - k][r] for k = 0..n; core.denom is 1
+        for b in range(j % 2, j // 3 + 1, 2):
+            a = (j - 3 * b) // 2
+            g, e = (mono[a - 1, b], e4) if a else (mono[a, b - 1], e6)
+            f = mono[a, b] = [sum(g[i] * e[k - i] for i in range(k + 1)) for k in range(qcut)]
+            matrix.append([sum(map(mul, f, col)) for col in cols])
     return matrix
 
 
-def _rank(matrix: list) -> int:
-    """Rank of a matrix of ints and Fractions by fraction-free (Bareiss) elimination.
-
-    Rows are scaled to integers; after each pivot p every entry below it is a
-    minor of the scaled matrix, so the division by the previous pivot is exact
-    (E. H. Bareiss, Math. Comp. 22 (1968)).
+def _rank(matrix: list, p: int = 0) -> int:
+    """Rank of a matrix of ints and Fractions over Q by fraction-free (Bareiss) elimination,
+    or over F_p, p > 0 prime, by the same steps mod p.  Rows are scaled to integers; after
+    each pivot v every entry below it is a minor of the scaled matrix, so the division by the
+    previous pivot is exact (E. H. Bareiss, Math. Comp. 22 (1968)); mod p a row is scaled by
+    the unit v and needs no division.
     """
     rows = []
     for row in matrix:
         den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        rows.append([x % p for x in ints] if p else ints)
     rank, prev = 0, 1
     for c in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        p = top[c]
+        v, top = rows[rank][c], rows[rank][c:]  # every row below is 0 left of column c
         for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            rows[i] = [(p * x - f * t) // prev for x, t in zip(rows[i], top)]
-        prev = p
+            f, tail = rows[i][c], zip(rows[i][c:], top)
+            rows[i][c:] = ([(v * x - f * t) % p for x, t in tail] if p
+                           else [(v * x - f * t) // prev for x, t in tail])
+        prev = v
         rank += 1
     return rank
 

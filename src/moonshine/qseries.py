@@ -27,15 +27,15 @@ own y-span.  A slot sums at most min(#terms) pairs, so bits(max|a|) +
 bits(max|b|) + bits(min #terms) bits and a sign bit hold it.  ``_pack`` and
 ``_unpack`` hold the slots; the theta-block divider of ``jacobi`` uses both.
 
-The catalog covers the Dedekind eta function and eta quotients, the weight-2
-Eisenstein combinations Lambda_N, the level 11/14/15/20/23/44 newforms, the
-unary theta functions S^(m)_r, and the classical mock theta functions of
-orders 2, 3, 8 and 10.  Eta, S^(m)_r and the index-m theta functions of
-``jacobi`` are sums over one lattice, the j = r (mod 2m) with j^2/4m below
-the cutoff, enumerated by ``_theta_lattice``.  The catalog builders do not
-multiply series: eta quotients follow an integer recurrence, Lambda_N a
-divisor sieve and each mock theta term one int list multiplied and divided
-in place by its factors, so each is exact below the cutoff asked.
+The catalog covers the Dedekind eta function and eta quotients, the Eisenstein
+series E_2, E_4, E_6 and the weight-2 combinations Lambda_N, the level
+11/14/15/20/23/44 newforms, the unary theta functions S^(m)_r, and the classical
+mock theta functions of orders 2, 3, 8 and 10.  Eta, S^(m)_r and the index-m
+theta functions of ``jacobi`` are sums over one lattice, the j = r (mod 2m) with
+j^2/4m below the cutoff, enumerated by ``_theta_lattice``.  The catalog builders
+do not multiply series: eta quotients follow an integer recurrence, E_k and
+Lambda_N a divisor sieve and each mock theta term one int list multiplied and
+divided in place by its factors, so each is exact below the cutoff asked.
 """
 from __future__ import annotations
 
@@ -400,13 +400,20 @@ def eta(cutoff) -> FracSeries:
                                   for j in _theta_lattice(6, r, cutoff)), cutoff)
 
 
-def _sigma(n: int) -> list:
-    """sigma(k), the sum of the divisors of k, for 0 <= k < n (sigma(0) = 0), by
-    one divisor sieve."""
+def _sigma(n: int, e: int = 1) -> list:
+    """sigma_e(k), the sum of the e-th powers of the divisors of k, for 0 <= k < n
+    (sigma_e(0) = 0), by one divisor sieve."""
     sig = [0] * max(n, 1)
     for d in range(1, n):
-        sig[d::d] = [s + d for s in sig[d::d]]
+        de = d ** e
+        sig[d::d] = [s + de for s in sig[d::d]]
     return sig
+
+
+def _eisenstein(k: int, cutoff) -> FracSeries:
+    """E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n, k in {2, 4, 6}, in ints below ``cutoff``."""
+    c, sig = {2: -24, 4: 240, 6: -504}[k], _sigma(max(ceil(cutoff), 0), k - 1)
+    return FracSeries(1, {0: 1, **{n: c * s for n, s in enumerate(sig) if n}}, cutoff)
 
 
 def eta_quotient(spec, cutoff) -> FracSeries:

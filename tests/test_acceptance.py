@@ -86,12 +86,14 @@ def test_criterion_03_extremality():
 
 
 def test_criterion_04_extremal_dimensions():
-    d9 = jacobi.extremal_space_dim(9)
-    d25 = jacobi.extremal_space_dim(25)
+    # on the whole weak Jacobi space of index m - 1: 1 at the six lambencies, 0 elsewhere
+    dims = [jacobi.extremal_space_dim(m) for m in range(2, 26)]
     rel = all(jacobi.leading_row_relation(jacobi.gritsenko(m, 1, 3), m)
               for m in range(2, 26))
-    _report("criterion 4 (dim 0 at indices 8 and 24; leading-row relation)",
-            d9 == 0 and d25 == 0 and rel, f"d9={d9} d25={d25} rel={rel}")
+    _report("criterion 4 (dim 1 at the six lambencies, 0 at every other index up to 24; "
+            "leading-row relation)",
+            dims == [int(m in LAMBENCIES) for m in range(2, 26)] and rel,
+            f"dims={dims} rel={rel}")
 
 
 def test_criterion_05_mock_theta_identities():

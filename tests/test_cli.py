@@ -15,6 +15,10 @@ def run(argv):
 def test_extremal_dim_verb():
     code, out = run(["extremal-dim", "--m", "9"])
     assert code == 0 and out.strip() == "0"
+    code, out = run(["extremal-dim", "--m", "13"])
+    assert code == 0 and out.strip() == "1"
+    for m in ("1", "26"):
+        assert run(["extremal-dim", "--m", m]) == (2, "")
 
 
 def test_usage_error_exit_2():
@@ -246,6 +250,26 @@ def test_siegel_json_keeps_its_digests():
     import hashlib
     for ell, want in SIEGEL_JSON_DIGESTS.items():
         code, out = run(["siegel", "--lambency", str(ell), "--json"])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, ell
+
+
+# sha256 of the stdout of `extract --lambency l --order 60 --json`, CI's digests, recorded at
+# 2-5 from the seeds built as symmetric functions of f2^2, f3^2, f4^2 and at 7 and 13 from the
+# blocks mu^(m)_j with three pole-factor branches
+EXTRACT_JSON_DIGESTS = {
+    2: "fcd6c5f642beb9e067d6e2809e6e2e118dcaa2edfce64f405da4f072d7ff37e4",
+    3: "fdd477d0af2a5e905f05cf14e5ca27691f305a00f134f11bb861f71a9be5aac9",
+    4: "9c5a229064d0a19659237668c7752eaa0fd04c83d7f368852de678cee28c1de3",
+    5: "f0c205a87fb2a791ddda512011964e0e375c570d16a988669082492eb2926617",
+    7: "6403193a3cc10f6c2cff74cb86b2fdb50b406604d7837e5b0ba8922ce5e82943",
+    13: "ff7079a4b83f960d2982cbbc42bbebc68aaefddb36711177bb10eb6dce86ec85",
+}
+
+
+def test_extract_json_at_q60_keeps_its_digests():
+    import hashlib
+    for ell, want in EXTRACT_JSON_DIGESTS.items():
+        code, out = run(["extract", "--lambency", str(ell), "--order", "60", "--json"])
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, ell
 
 

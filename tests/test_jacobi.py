@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 from functools import reduce
+from itertools import accumulate
 from math import ceil, gcd, lcm
 from operator import mul
 
@@ -12,7 +13,7 @@ from moonshine import mckay, siegel
 from moonshine.data import LAMBENCIES, memo, set_data_dir
 from moonshine.errors import (CutoffUnderflow, NotInvertible, OutOfRange, UnboundedSupport,
                               WindowTooNarrow)
-from moonshine.qseries import FracSeries, eta, eta_quotient, unary_theta
+from moonshine.qseries import FracSeries, _eisenstein, eta, eta_quotient, unary_theta
 
 
 def row(series, n):
@@ -161,14 +162,15 @@ def test_gritsenko_leading_rows():
 
 
 def test_gritsenko_q0_support_sharp():
-    for m, n in ((5, 2), (6, 3), (7, 4), (9, 8)):
-        r0 = row(jb.gritsenko(m, n, 2), 0)
-        assert max(abs(k) for k in r0) == n
+    # the q^0 row of phi^(m)_1 is a + b(y + 1/y), b != 0
+    for m in range(2, 26):
+        r0 = row(jb.gritsenko(m, 1, 2), 0)
+        assert max(abs(k) for k in r0) == 1
 
 
 def test_weight0_rows_symmetric():
-    for m, n in ((4, 1), (5, 2), (7, 1)):
-        phi = jb.gritsenko(m, n, 5)
+    for m in (4, 5, 7):
+        phi = jb.gritsenko(m, 1, 5)
         for qe, yp, c in phi.items():
             assert phi.coefficient(qe, -yp) == c
 
@@ -381,14 +383,14 @@ def random_quotient(rng, kcut, step, spread=6, size=9):
 def test_theta_divide_matches_the_reference_in_every_block(monkeypatch, c):
     # the five divisions of the theta quotients at 4, 5, 7 and 13: two at 4, one each for
     # theta(3z)/theta(z) and the ratio theta(2z)/theta(z) that 7 and 13 share, one at 13;
-    # zeta_form divides by none
+    # theta^12/eta^12 divides by none
     calls, divide = [], jb._theta_divide
     monkeypatch.setattr(jb, "_theta_divide",
                         lambda num, b, kcut: calls.append((num, b, kcut)) or divide(num, b, kcut))
     set_data_dir(None)  # empties the memo, so every block is built at c
     for m in (4, 5, 7, 13):
         jb.gritsenko(m, 1, c)
-    jb.zeta_form(c)
+    jb._theta_block((1,) * 12, (), -12, c)
     assert [b for _, b, _ in calls] == [1, 1, 1, 1, 2]
     for num, b, kcut in calls:
         assert divide(num, b, kcut) == reference_theta_divide(num, b, kcut)
@@ -471,14 +473,16 @@ def reference_theta_block(nums, dens, k, qcut):
 
 def _blocks(c):
     """(name, built, its reference block): Z at 4, 5, 7, 13 built in one memo, so 13 reads
-    the ratio 7 built, zeta, P_1..P_3, phi_{10,1}, phi_{-2,1} and the seeds' theta^(2j)."""
+    the ratio 7 built, theta^12/eta^12, the blocks Psi_{1,1} phi_{-2,1}^j = theta(2z)
+    theta^(2j-2) eta^(3-6j) at j = 1, 2, 6, phi_{10,1}, phi_{-2,1} and the seeds' theta^(2j)."""
     set_data_dir(None)
     out = [(f"Z({m})", jb.umbral_Z(m, c), reference_theta_block(*REFERENCE_QUOTIENTS[m], 0, c)
             .scale(2)) for m in (4, 5, 7, 13)]
-    out.append(("zeta", jb.zeta_form(c), reference_theta_block((1,) * 12, (), -12, c)))
-    for i in (1, 2, 3):
-        p = ((2,) + (1,) * (12 * i - 2), (), 3 - 12 * i)
-        out.append((f"P_{i}", jb._theta_block(*p, c), reference_theta_block(*p, c)))
+    out.append(("theta^12/eta^12", jb._theta_block((1,) * 12, (), -12, c),
+                reference_theta_block((1,) * 12, (), -12, c)))
+    for j in (1, 2, 6):
+        p = ((2,) + (1,) * (2 * j - 2), (), 3 - 6 * j)
+        out.append((f"Psi phi_-2_1^{j}", jb._theta_block(*p, c), reference_theta_block(*p, c)))
     out.append(("phi_10_1", siegel._phi_10_1(c), reference_theta_block((1, 1), (), 18, c)))
     out.append(("phi_-2_1", jb._theta_block((1, 1), (), -6, c),
                 reference_theta_block((1, 1), (), -6, c)))
@@ -502,7 +506,7 @@ def test_equal_thetas_by_repeated_squaring(monkeypatch):
     calls, product = [], jb._product
     monkeypatch.setattr(jb, "_product", lambda a, b, *rest: calls.append(b) or product(a, b, *rest))
     set_data_dir(None)
-    jb.zeta_form(30)
+    jb._theta_block((1,) * 12, (), -12, 30)
     assert [b.max_abs_y() > 0 for b in calls] == [True] * 4 + [False]
     set_data_dir(None)
 
@@ -546,8 +550,9 @@ def test_theta_relations_behind_the_seeds(c):
 
 @pytest.mark.parametrize("c", [1, F(3, 2), F(113, 16), 12], ids=str)
 def test_zeta_form_is_the_product_formula(c):
-    # theta^12 by products and eta^12 inverted, both 3/2 past the cutoff, as
-    # zeta_form was built before it became a theta block
+    # the theta block theta^12/eta^12 = Delta phi_{-2,1}^6 against theta^12 by products and
+    # eta^12 inverted, both 3/2 past the cutoff, as the zeta form was built before it
+    # became a theta block
     set_data_dir(None)
     t1 = jb.jacobi_theta(1, c + F(3, 2))
     t12 = t1
@@ -555,31 +560,33 @@ def test_zeta_form_is_the_product_formula(c):
         t12 = t12 * t1
     e12 = jb.WindowedSeries.from_fracseries((eta(c + F(3, 2)) ** 12).invert())
     want = (t12 * e12).truncate(c)
-    got = jb.zeta_form(c)
+    got = jb._theta_block((1,) * 12, (), -12, c)
     assert (list(got.items()), got.qcut) == (list(want.items()), c)
 
 
 
 def test_widest_products_keep_their_digest():
-    # sha256 over items and qcut of zeta_form(120) and of the tower phi^(19)_n at q^6 that
-    # extremal_space_dim(25) multiplies by zeta; recorded at commit ac8335a, where
-    # _convolve packed each operand into one rectangle of nrows x width slots
+    # sha256 over items and qcut of theta^12/eta^12 at q^120 and of phi^(19)_1 at q^6;
+    # recorded at commit 758253a, the terms pinned since commit ac8335a, where _convolve
+    # packed each operand into one rectangle of nrows x width slots, less the tower
+    # phi^(19)_n, n >= 2, that is no longer built
     set_data_dir(None)
     h = hashlib.sha256()
-    for name, s in [("zeta_form(120)", jb.zeta_form(120))] + \
-            [(f"gritsenko(19, {n}, 6)", jb.gritsenko(19, n, 6)) for n in range(1, 19)]:
+    for name, s in [("theta^12 eta^-12 at q^120", jb._theta_block((1,) * 12, (), -12, 120)),
+                    ("gritsenko(19, 1, 6)", jb.gritsenko(19, 1, 6))]:
         h.update(repr((name, [(str(q), str(y), str(c)) for q, y, c in s.items()],
                        str(s.qcut))).encode())
-    assert h.hexdigest() == "5c9977f8f95d71a7d160c4fc042d04c6cebdacd78e3352b2bf00d8d0e8ce3a04"
+    assert h.hexdigest() == "9d652ed8b4694432d01f104380c387e741684bdc3b4200e808a462505146e84a"
 
 
 def test_theta_quotients_and_zeta_keep_their_digests():
-    # sha256 over items and qcut of gritsenko(l, 1, 120), l = 4, 5, 7, 13, and zeta_form(60),
-    # and of zeta_form(12); recorded at commits 098d447 and 0888255, where _theta_divide formed
-    # each quotient row one dict entry at a time and zeta was theta_1^12 times the inverse of
-    # eta^12; and of gritsenko(13, 1, 120) built first, so theta(2z)/theta(z) is built for it,
-    # recorded at commit 2836e29, where each denominator theta was divided out on its own;
-    # the same digests as CI's
+    # sha256 over items and qcut of gritsenko(l, 1, 120), l = 4, 5, 7, 13, recorded at commit
+    # 758253a, the terms pinned since commit 098d447, where _theta_divide formed each quotient
+    # row one dict entry at a time; of theta^12/eta^12 at q^12, the zeta form, recorded at
+    # commit 0888255, where it was theta_1^12 times the inverse of eta^12; and of
+    # gritsenko(13, 1, 120) built first, so theta(2z)/theta(z) is built for it, recorded at
+    # commit 2836e29, where each denominator theta was divided out on its own; the first and
+    # the last are CI's digests
     def update(h, name, s):
         h.update(repr((name, [(str(q), str(y), str(c)) for q, y, c in s.items()],
                        str(s.qcut))).encode())
@@ -588,12 +595,11 @@ def test_theta_quotients_and_zeta_keep_their_digests():
     update(h, "gritsenko(13, 1, 120)", jb.gritsenko(13, 1, 120))
     assert h.hexdigest() == "6fff8da19c9a8e89b7ccfd393dc6d7c6cfcf45fcbc77c009899f5bd2a3750c19"
     h = hashlib.sha256()
-    for name, s in [(f"gritsenko({l}, 1, 120)", jb.gritsenko(l, 1, 120)) for l in (4, 5, 7, 13)] \
-            + [("zeta_form(60)", jb.zeta_form(60))]:
-        update(h, name, s)
-    assert h.hexdigest() == "07a0c6cb942448df0ac8b156833c904625b91777a9032fc60097cf721a89ee60"
+    for l in (4, 5, 7, 13):
+        update(h, f"gritsenko({l}, 1, 120)", jb.gritsenko(l, 1, 120))
+    assert h.hexdigest() == "67eb471eed7d21b7fe10c91e69ab6b847920bb5daefe92267991e1b14ce5feff"
     set_data_dir(None)
-    z = jb.zeta_form(12)
+    z = jb._theta_block((1,) * 12, (), -12, 12)
     got = hashlib.sha256(repr(([(str(q), str(y), str(c)) for q, y, c in z.items()],
                                str(z.qcut))).encode()).hexdigest()
     assert got == "f9540abc9f1043a42f324ed49d96d55a24e7fd416a42d7431805de2b61cae85a"
@@ -601,22 +607,23 @@ def test_theta_quotients_and_zeta_keep_their_digests():
 
 
 def test_zeta_in_cusp_ideal():
-    z = jb.zeta_form(4)
+    z = jb._theta_block((1,) * 12, (), -12, 4)
     assert all(qe != 0 for qe, _, _ in z.items())
     for qe, yp, c in z.items():     # even in y <-> 1/y
         assert z.coefficient(qe, -yp) == c
 
 
 def test_zeta_q1_row_binomials():
-    r1 = row(jb.zeta_form(3), 1)
+    r1 = row(jb._theta_block((1,) * 12, (), -12, 3), 1)
     assert r1[6] == 1 and r1[5] == -12 and r1[-6] == 1
 
 
 def test_gritsenko_out_of_range():
     with pytest.raises(OutOfRange):
         jb.gritsenko(26, 1, 3)
-    with pytest.raises(OutOfRange):
-        jb.gritsenko(5, 5, 3)
+    for n in (0, 2, 5):  # phi^(m)_n, n >= 2, is not built
+        with pytest.raises(OutOfRange, match=rf"^no basis form phi\^\(5\)_{n}$"):
+            jb.gritsenko(5, n, 3)
 
 
 @pytest.mark.parametrize("build", [jb.umbral_Z, jb.extract_H])
@@ -874,29 +881,26 @@ def test_y_rows_match_the_whole_product_with_fractions(ell):
     _rows_agree(jb.umbral_Z(ell, 12).scale(F(1, 3)), ell, 12)
 
 
-def _zeta_forms(m, qcut):
-    """(i, g, zeta^i g) for the forms zeta^i phi^(m-6i)_j that span extremal_space_dim(m)
-    with phi^(m)_1, zeta^i by repeated products with zeta_form."""
-    zpow = jb.WindowedSeries.one(qcut)
-    for i in range(1, (m - 1) // 6 + 1):
-        zpow = (zpow * jb.zeta_form(qcut)).truncate(qcut)
-        for j in range(1, m - 6 * i):
-            g = jb.gritsenko(m - 6 * i, j, qcut)
-            yield i, g, zpow * g
-
-
-def _psi_zetas(qcut, top):
-    """P_i = Psi_{1,1} zeta^i for i = 1..top, as _extremal_matrix builds them."""
-    p = [jb._theta_block(*jb._PSI_ZETA, qcut)]
-    while len(p) < top:
-        p.append((p[-1] * jb.zeta_form(qcut)).truncate(qcut))
-    return p
+def _basis(m, qcut):
+    """(j, f, f phi_{-2,1}^j phi_{0,1}^(m-1-j)) for the basis of J^weak_{0,m-1} in the order of
+    _extremal_matrix's rows: j = 0 with f = 1, then j = 2..m-1 with f = E_4^a E_6^b,
+    2a + 3b = j, b rising; each form multiplied out whole from the powers of its factors."""
+    one = jb.WindowedSeries.one(qcut)
+    e4, e6, phi01, phi = (list(accumulate([s] * (m - 1), mul, initial=one)) for s in (
+        jb.WindowedSeries.from_fracseries(_eisenstein(4, qcut)),
+        jb.WindowedSeries.from_fracseries(_eisenstein(6, qcut)),
+        jb.gritsenko(2, 1, qcut), jb._theta_block((1, 1), (), -6, qcut)))
+    yield 0, one, phi01[m - 1]
+    for j in range(2, m):
+        for b in range(j % 2, j // 3 + 1, 2):
+            f = e4[(j - 3 * b) // 2] * e6[b]
+            yield j, f, f * phi[j] * phi01[m - 1 - j]
 
 
 def test_y_rows_match_the_whole_product_on_the_extremal_basis():
-    # phi^(25)_1 and the 36 forms zeta^i phi^(25-6i)_j of index 24, at q^6
-    forms = [jb.gritsenko(25, 1, 6)] + [f for _, _, f in _zeta_forms(25, 6)]
-    assert len(forms) == 37
+    # the 61 forms f phi_{-2,1}^j phi_{0,1}^(24-j) of index 24 at q^6
+    forms = [form for _, _, form in _basis(25, 6)]
+    assert len(forms) == 61
     for phi in forms:
         _rows_agree(phi, 25, 6)
 
@@ -904,36 +908,64 @@ def test_y_rows_match_the_whole_product_on_the_extremal_basis():
 @pytest.mark.parametrize("annulus", [jb.LOWER, jb.UPPER])
 @pytest.mark.parametrize("c", [6, F(113, 16)], ids=str)
 def test_psi_times_zeta_powers_is_a_theta_block(c, annulus):
-    # Psi_{1,1} zeta^i, Psi expanded in either annulus, is the holomorphic block P_i =
-    # theta(2z) theta^(12i-2) eta^(3-12i)
-    zpow = jb.WindowedSeries.one(c)
-    for i, p in enumerate(_psi_zetas(c, 3), 1):
-        assert p == jb._theta_block((2,) + (1,) * (12 * i - 2), (), 3 - 12 * i, c)
-        zpow = (zpow * jb.zeta_form(c)).truncate(c)
-        psi = jb.psi_one_one(c, 4 + int(zpow.max_abs_y()), annulus)
-        got, want = jb.windowed_mul(zpow, psi, qcut=c, ywindow=4), jb._clip(p, 4, annulus)
+    # Psi_{1,1} theta^(2j) eta^k, Psi expanded in either annulus, is the holomorphic block
+    # theta(2z) theta^(2j-2) eta^(k+3): for phi_{-2,1}^j (k = -6j), j = 1..3, with the blocks
+    # Psi phi_{-2,1}^j built as _extremal_matrix builds them, and for the zeta form
+    # theta^12/eta^12 = Delta phi_{-2,1}^6 and its square
+    phi = jb._theta_block((1, 1), (), -6, c)
+    cases, block, power = [], jb._theta_block((2,), (), -3, c), phi
+    for j in (1, 2, 3):
+        cases.append((power, block, j, -6 * j))
+        block, power = block * phi, power * phi
+    for i in (1, 2):
+        cases.append((jb._theta_block((1,) * 12 * i, (), -12 * i, c), None, 6 * i, -12 * i))
+    for form, block, j, k in cases:
+        p = jb._theta_block((2,) + (1,) * (2 * j - 2), (), k + 3, c)
+        assert block is None or (list(block.items()), block.qcut) == (list(p.items()), c)
+        psi = jb.psi_one_one(c, 4 + int(form.max_abs_y()), annulus)
+        got, want = jb.windowed_mul(form, psi, qcut=c, ywindow=4), jb._clip(p, 4, annulus)
         assert (got.ywindow, got.annulus, got.qcut) == (want.ywindow, want.annulus, c)
         assert list(got.items()) == list(want.items())
 
 
+def _slots(m):
+    """n_bound and the (r, n) that extremal_space_dim(m) reads: 0 < r < m, 0 <= n <= n_bound,
+    r^2 >= 4mn, all but (1, 0)."""
+    nbound = max(4, (m - 1) ** 2 // (4 * m))
+    return nbound, [(r, n) for r in range(1, m) for n in range(nbound + 1)
+                    if r * r >= 4 * m * n and (r, n) != (1, 0)]
+
+
 @pytest.mark.parametrize("annulus", [jb.LOWER, jb.UPPER])
 @pytest.mark.parametrize("m", [9, 25])
-def test_zeta_rows_need_no_extraction(m, annulus):
-    # H_r of zeta^i g is -q^(-r^2/4m) times row y^r of P_i g, terms and cutoff
-    qcut = max(4, (m - 1) ** 2 // (4 * m)) + 1
-    p = _psi_zetas(qcut, (m - 1) // 6)
-    for i, g, form in _zeta_forms(m, qcut):
-        H, s = jb.extract_from_form(form, m, qcut, annulus), p[i - 1] * g
-        for r in range(1, m):
-            got, want = H.component(r), s.y_row(r).scale(-1).shift(F(-r * r, 4 * m))
-            assert (list(got.items()), got.cutoff) == (list(want.items()), want.cutoff)
+def test_core_rows_need_no_extraction(m, annulus):
+    # each row of _extremal_matrix(m) is its basis form's H_r at the slots, the form extracted
+    # whole: row 0 as it is, a row of j >= 2 negated; there H_r is -q^(-r^2/4m) times row y^r
+    # of f C_j, C_j = theta(2z) theta^(2j-2) eta^(3-6j) phi_{0,1}^(m-1-j), terms and cutoff
+    nbound, slots = _slots(m)
+    qcut = nbound + 1
+    phi01 = jb.gritsenko(2, 1, qcut)
+    matrix, basis = jb._extremal_matrix(m), list(_basis(m, qcut))
+    assert len(matrix) == len(basis)
+    for got_row, (j, f, form) in zip(matrix, basis):
+        H = jb.extract_from_form(form, m, qcut, annulus)
+        at = [H.component(r).coefficient(F(4 * m * n - r * r, 4 * m)) for r, n in slots]
+        assert got_row == (at if j == 0 else [-x for x in at]), j
+        if j:
+            s = f * jb._theta_block((2,) + (1,) * (2 * j - 2), (), 3 - 6 * j, qcut)
+            for _ in range(m - 1 - j):
+                s = s * phi01
+            for r in range(1, m):
+                got, want = H.component(r), s.y_row(r).scale(-1).shift(F(-r * r, 4 * m))
+                assert (list(got.items()), got.cutoff) == (list(want.items()), want.cutoff)
 
 
 def test_extremal_matrix_keeps_its_digest():
     # sha256 over m, the row count and the rows of _extremal_matrix(m) at m = 9 and 25, each
     # row made primitive: ints over the lcm of its denominators, divided by their gcd, the
-    # first nonzero entry positive; recorded at commit fc93b71, where every row was read
-    # from extract_from_form, the zeta-forms' included
+    # first nonzero entry positive; recorded when the matrix moved to the whole weak Jacobi
+    # space, every row then checked against its form extracted whole
+    # (test_core_rows_need_no_extraction), so a wrong matrix of full rank still fails
     set_data_dir(None)
     h = hashlib.sha256()
     for m in (9, 25):
@@ -945,38 +977,7 @@ def test_extremal_matrix_keeps_its_digest():
             sign = -1 if next((x for x in ints if x), 1) < 0 else 1
             rows.append([sign * x // g for x in ints])
         h.update(repr((m, len(rows), rows)).encode())
-    assert h.hexdigest() == "b9b6e78cfc0c181e424136506084fb9939d27aacfd5ee5eb8cd7a5464649db3d"
-
-
-def test_extremal_blocks_read_the_tower_only_as_deep_as_needed(monkeypatch):
-    # P_i = Psi_{1,1} zeta^i starts at q^i, so each block product P_i g takes g = phi^(25-6i)_j
-    # at q^(n_bound + 1 - i) and is still exact to q^(n_bound + 1) = q^6; the matrix keeps the
-    # sha256 of its repr recorded at commit d15992f, where every g was built to q^6
-    set_data_dir(None)
-    blocks, product = [], jb._product
-
-    def traced(a, b, *args):
-        out = product(a, b, *args)
-        if a.low_q() > 0 and b.low_q() == 0:  # P_i times a form of the tower
-            blocks.append((a.low_q(), b.qcut, out.qcut))
-        return out
-
-    monkeypatch.setattr(jb, "_product", traced)
-    matrix = jb._extremal_matrix(25)
-    assert sorted(blocks) == [(1, 5, 6)] * 18 + [(2, 4, 6)] * 12 + [(3, 3, 6)] * 6
-    assert (hashlib.sha256(repr(matrix).encode()).hexdigest()
-            == "4d192688f362418a4f59f77f15f4a92dbd231ca3ce52c9c7a8fed077a41e3a34")
-
-
-@pytest.mark.parametrize("m, products", [(9, 0), (25, 2)])
-def test_extremal_matrix_forms_only_the_zeta_powers_it_reads(monkeypatch, m, products):
-    # P_i is read against phi^(m-6i)_j, j = 1 .. m-6i-1, so only for i <= (m - 2) // 6: P_2 and
-    # P_3 = P_2 zeta are the two products at m = 25, and P_1 alone serves m = 9
-    set_data_dir(None)
-    calls, zeta = [], jb.zeta_form
-    monkeypatch.setattr(jb, "zeta_form", lambda qcut: calls.append(qcut) or zeta(qcut))
-    jb._extremal_matrix(m)
-    assert len(calls) == products
+    assert h.hexdigest() == "7072a221b2f6a1ac4963dbb16d25d2b7acaed8f8cf84c25a6fef17e52551e71e"
 
 
 @pytest.mark.parametrize("ell", [2, 5, 13])
@@ -996,6 +997,20 @@ def test_extraction_refuses_a_pole_block_one_power_short(monkeypatch, ell):
     assert err.traceback[-1].name == "y_row"
 
 
+def test_vectors_at_q60_keep_their_digest():
+    # sha256 over every term and cutoff of extract_H(l, 60) at the six lambencies, CI's digest,
+    # recorded in the lower annulus at commit 0888255 (seeds from f2^2 and f4^2) and in the upper
+    # one at commit 5d828a3 (Psi_{1,1} expanded and multiplied row by row)
+    for annulus in (jb.LOWER, jb.UPPER):
+        h = hashlib.sha256()
+        for ell in LAMBENCIES:
+            for r, c in enumerate(jb.extract_H(ell, 60, annulus), 1):
+                h.update(repr((ell, r, [(str(e), str(v)) for e, v in c.items()],
+                               str(c.cutoff))).encode())
+        assert h.hexdigest() == \
+            "04a31a77a2c24bfbb685bc3e23c6e468cc670313f8126e4a2d6d00cfeb6ac591", annulus
+
+
 def test_round_trip_extraction():
     ell = 3
     H = jb.extract_H(ell, 6)
@@ -1009,8 +1024,43 @@ def test_round_trip_extraction():
         assert back == want
 
 
+def dim_M(k):
+    """dim M_k on SL_2(Z), k >= 0 even."""
+    return k // 12 + (k % 12 != 2)
+
+
 def test_extremal_space_dims():
+    # 1 at the six lambencies, phi^(l)_1 a witness, and 0 at every other index up to 24
+    assert [jb.extremal_space_dim(m) for m in range(2, 26)] == \
+        [int(m in LAMBENCIES) for m in range(2, 26)]
+    for m in (1, 26):
+        with pytest.raises(OutOfRange, match=f"^extremal candidates at 2 <= m <= 25, not m = {m}$"):
+            jb.extremal_space_dim(m)
+
+
+def test_extremal_basis_is_the_whole_weak_jacobi_space():
+    # one row per E_4^a E_6^b phi_{-2,1}^j phi_{0,1}^(m-1-j): sum_j dim M_2j rows
+    for m in range(2, 26):
+        assert len(jb._extremal_matrix(m)) == sum(dim_M(2 * j) for j in range(m)), m
+        assert len({len(row) for row in jb._extremal_matrix(m)}) == 1
+    assert [dim_M(k) for k in range(0, 28, 2)] == [1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2, 2, 3, 2]
+
+
+@pytest.mark.parametrize("m", [7, 9, 13, 25])
+def test_rank_mod_p_is_the_exact_rank(m):
+    matrix = jb._extremal_matrix(m)
+    assert jb._rank(matrix, jb._PRIME) == jb._rank(matrix) == len(matrix) - (m in LAMBENCIES)
+
+
+def test_a_rank_short_mod_p_is_taken_exactly(monkeypatch):
+    # diag(p, 1) has rank 1 mod p and 2 over Q: nullity 0 only if the exact rank is taken
+    p = jb._PRIME
+    assert jb._rank([[p, 0], [0, 1]], p) == 1 and jb._rank([[p, 0], [0, 1]]) == 2
+    monkeypatch.setattr(jb, "_extremal_matrix", lambda m: [[p, 0], [0, 1]])
     assert jb.extremal_space_dim(9) == 0
+    # the exact rank, not the one mod p, sets the nullity: diag(p, 0) has nullity 1, not 2
+    monkeypatch.setattr(jb, "_extremal_matrix", lambda m: [[p, 0], [0, 0]])
+    assert jb.extremal_space_dim(9) == 1
 
 
 def test_extremal_cutoff_is_the_least_sound(monkeypatch):
@@ -1021,17 +1071,18 @@ def test_extremal_cutoff_is_the_least_sound(monkeypatch):
                         lambda phi, m, qcut: extract(phi, m, qcut - 1))
     with pytest.raises(CutoffUnderflow, match="-29/100"):
         jb.extremal_space_dim(25)
-    # the zeta-rows read the int rows of P_i g: P_1 one order short must raise, not read 0
+    # the rows of j >= 2 read the int rows of C_j: Psi_{1,1} phi_{-2,1} = theta(2z)/eta^3 one
+    # order short must raise, not read 0
     monkeypatch.setattr(jb, "extract_from_form", extract)
     block = jb._theta_block
     monkeypatch.setattr(jb, "_theta_block", lambda nums, dens, k, qcut: block(
-        nums, dens, k, qcut - ((nums, dens, k) == jb._PSI_ZETA)))
-    with pytest.raises(CutoffUnderflow, match="q\\^5 read at qcut 5 of P_1"):
+        nums, dens, k, qcut - ((nums, dens, k) == ((2,), (), -3))))
+    with pytest.raises(CutoffUnderflow, match="q\\^5 read at qcut 5 of C_2"):
         jb.extremal_space_dim(25)
 
 
 def test_pole_blocks_built_once(monkeypatch):
-    # extremal_space_dim(25) extracts phi^(25)_1 alone: one mu^(25)_0, Psi_{1,1} never expanded
+    # extremal_space_dim(25) extracts phi_{0,1}^24 alone: one mu^(25)_0, Psi_{1,1} never expanded
     assert jb.psi_one_one(5, 4) is jb.appell_mu(1, 0, 5, 4, jb.LOWER)
     built = []
     build = jb.appell_mu.__wrapped__
@@ -1055,8 +1106,12 @@ def test_y_row_matches_canonicalizing_construction():
                 (want.denom, want.coeffs, want.cden, want.cutoff)
 
 
-def gauss_jordan_rank(matrix):
+def gauss_jordan_rank(matrix, p=None):
+    """The rank over Q, or over F_p of the rows scaled to ints by their lcm denominators."""
     rows, rank = [[F(x) for x in row] for row in matrix], 0
+    if p:
+        dens = [lcm(*(x.denominator for x in row)) for row in rows]
+        rows = [[F(int(x * d) % p) for x in row] for row, d in zip(rows, dens)]
     for c in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
@@ -1066,6 +1121,8 @@ def gauss_jordan_rank(matrix):
             if i != rank and rows[i][c]:
                 f = rows[i][c] / rows[rank][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+                if p:
+                    rows[i] = [F(x.numerator * pow(x.denominator, -1, p) % p) for x in rows[i]]
         rank += 1
     return rank
 
@@ -1073,7 +1130,7 @@ def gauss_jordan_rank(matrix):
 def test_bareiss_rank_matches_gauss_jordan():
     # products of n x r and r x m factors, so the rank is often below min(n, m)
     rng = random.Random(24)
-    deficient = 0
+    deficient = dropped = 0
     for _ in range(60):
         n, m, r = rng.randint(1, 7), rng.randint(1, 9), rng.randint(0, 6)
         a = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)] for _ in range(n)]
@@ -1083,7 +1140,10 @@ def test_bareiss_rank_matches_gauss_jordan():
         want = gauss_jordan_rank(mat)
         assert jb._rank(mat) == want
         deficient += want < min(n, m)
-    assert deficient > 15
+        # mod 3 the rank may drop below the rank over Q
+        assert jb._rank(mat, 3) == gauss_jordan_rank(mat, 3) <= want
+        dropped += jb._rank(mat, 3) < want
+    assert deficient > 15 and dropped > 5
 
 
 def test_windowed_mul_guards():
@@ -1192,7 +1252,7 @@ def test_tower_and_vectors_store_ints():
 
 def test_no_series_stores_a_float_or_an_integral_fraction():
     built = [jb.gritsenko(3, 1, 5), jb.psi_one_one(5, 4), jb.appell_mu(3, 0, 5, 4),
-             jb.zeta_form(4), mckay.twisted_H(3, "2B", 6).component(1),
+             jb._theta_block((1,) * 12, (), -12, 4), mckay.twisted_H(3, "2B", 6).component(1),
              eta_quotient([(1, 1), (2, -2)], 8), unary_theta(5, 2, 9)]
     # scaled, and cut down to the term whose denominator is 2
     mixed = FracSeries(2, {0: F(1, 2), 1: F(1, 3)}, 9)
@@ -1240,8 +1300,8 @@ def test_extracted_vector_exact_below_its_cutoff(ell):
 MEMOIZED_SERIES = [
     *[(f"gritsenko({m},1)", lambda c, m=m: jb.gritsenko(m, 1, c))
       for m in sorted({*LAMBENCIES, 9})],
-    ("gritsenko(5,3)", lambda c: jb.gritsenko(5, 3, c)),
-    ("zeta_form", jb.zeta_form),
+    ("theta ratio R_2", lambda c: jb._theta_ratio(2, c)),
+    ("theta^12 eta^-12", lambda c: jb._theta_block((1,) * 12, (), -12, c)),
     *[(f"identity_H({ell})", lambda c, ell=ell: mckay.identity_H(ell, c))
       for ell in (2, 5, 13)],
     # 5A F2 at lambency 5 is the quarter twist of another catalog record

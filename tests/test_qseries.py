@@ -4,8 +4,8 @@ from math import ceil, gcd
 import pytest
 
 from moonshine.errors import CutoffUnderflow, NotInvertible, NotUnimodular, UnknownClass
-from moonshine.qseries import (_NEWFORM_SPECS, FracSeries, dedekind_epsilon, eta,
-                               eta_quotient, lambda_n, mock_theta, newform, unary_theta)
+from moonshine.qseries import (_NEWFORM_SPECS, FracSeries, _eisenstein, _sigma, dedekind_epsilon,
+                               eta, eta_quotient, lambda_n, mock_theta, newform, unary_theta)
 from test_cutoffs import TWISTED_3_INVERSES, catalog_eta_specs
 
 
@@ -72,6 +72,26 @@ def test_lambda_n_matches_its_formula(cut):
             terms += [(k, n * divisor_sigma(k)), (n * k, -n * n * divisor_sigma(k))]
         want, got = FracSeries.from_terms(terms, cut), lambda_n(n, cut)
         assert (list(got.items()), got.cutoff) == (list(want.items()), want.cutoff), n
+
+
+def test_sigma_sieve_matches_trial_division():
+    for e in (1, 3, 5):
+        assert _sigma(40, e) == [0] + [sum(d ** e for d in range(1, k + 1) if k % d == 0)
+                                       for k in range(1, 40)]
+
+
+@pytest.mark.parametrize("cut", [60, F(113, 16)], ids=str)
+def test_eisenstein_series_hold_their_eta_relations(cut):
+    # E_4 = eta^16/eta(2tau)^8 + 256 eta(2tau)^16/eta^8, the heat-operator seeds' E_4 before it
+    # came from the sieve; E_4^3 - E_6^2 = 1728 eta^24; Ramanujan's 3 q dE_4/dq = E_2 E_4 - E_6
+    e2, e4, e6 = (_eisenstein(k, cut) for k in (2, 4, 6))
+    want = eta_quotient([(1, 16), (2, -8)], cut) + eta_quotient([(2, 16), (1, -8)], cut) * 256
+    assert (list(e4.items()), e4.cutoff, e4.cden) == (list(want.items()), cut, want.cden)
+    got, want = e4 * e4 * e4 - e6 * e6, eta_quotient([(1, 24)], cut).scale(1728)
+    assert (list(got.items()), got.cutoff) == (list(want.items()), cut)
+    got = FracSeries.from_terms([(n, 3 * n * c) for n, c in e4.items()], cut)
+    want = e2 * e4 - e6
+    assert (list(got.items()), got.cutoff) == (list(want.items()), cut)
 
 
 def test_newforms():
